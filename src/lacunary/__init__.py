@@ -5,17 +5,12 @@ finite automata for the mod-2 coefficient streams."""
 
 from .rings import (
     NEG_INF,
-    RING_GF2,
-    RING_Q,
     LaurentSeries,
     NotReducibleError,
-    RingMismatchError,
     SeriesPrecisionError,
     SparsePoly,
     ZeroSeriesError,
-    gf2_mask_to_poly,
     gf2_mul,
-    gf2_poly_to_mask,
     poly_from_json,
     poly_to_json,
     reduce_mod2,
@@ -103,10 +98,9 @@ from .verify import CheckResult, run_checks
 __version__ = "0.1.0"
 
 __all__ = [
-    "NEG_INF", "RING_GF2", "RING_Q", "LaurentSeries", "NotReducibleError",
-    "RingMismatchError", "SeriesPrecisionError", "SparsePoly", "ZeroSeriesError",
-    "gf2_mask_to_poly", "gf2_mul", "gf2_poly_to_mask", "poly_from_json",
-    "poly_to_json", "reduce_mod2", "series_from_poly", "series_invert", "series_mul",
+    "NEG_INF", "LaurentSeries", "NotReducibleError", "SeriesPrecisionError",
+    "SparsePoly", "ZeroSeriesError", "gf2_mul", "poly_from_json", "poly_to_json",
+    "reduce_mod2", "series_from_poly", "series_invert", "series_mul",
     "EpsilonSpec", "LambdaRangeError", "LambdaSpec", "binom_parity",
     "count_10_blocks", "dominates", "parse_epsilon_spec", "parse_lambda_spec",
     "term_exponent", "term_sign",

@@ -153,12 +153,6 @@ class LambdaSpec:
         """lambda_q - lambda_{q-1} (q >= 0)."""
         return self.value(q) - self.value(q - 1)
 
-    def max_precision(self):
-        """Deepest exponent the spec can vouch for, or None when unbounded."""
-        if self.kind == "list":
-            return self.value(len(self._values) - 1)
-        return None
-
     def __repr__(self):
         return f"LambdaSpec({self.name})"
 

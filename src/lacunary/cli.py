@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .bits import EpsilonSpec, LambdaSpec, parse_epsilon_spec, parse_lambda_spec
+from .bits import LambdaRangeError, parse_epsilon_spec, parse_lambda_spec
 from .contfrac import build_F, cf_expand, convergents
 from .dyadic import (
     Dyadic,
@@ -33,7 +33,7 @@ from .stern import (
     stern_u,
     stern_v,
 )
-from .automaton import build_dfao, find_algebraic_relation, minimize, signed_dfao
+from .automaton import OrbitError, build_dfao, find_algebraic_relation, minimize, signed_dfao
 from . import verify as verify_mod
 
 _USAGE_ERRORS = (
@@ -44,6 +44,8 @@ _USAGE_ERRORS = (
     StreamDepthError,
     SeriesPrecisionError,
     FileNotFoundError,
+    LambdaRangeError,
+    OrbitError,
 )
 
 

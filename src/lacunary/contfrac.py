@@ -17,7 +17,6 @@ from fractions import Fraction
 from .bits import EpsilonSpec, LambdaRangeError, LambdaSpec
 from .rings import (
     NEG_INF,
-    RING_Q,
     LaurentSeries,
     SeriesPrecisionError,
     SparsePoly,
@@ -28,7 +27,7 @@ from .rings import (
 
 def build_F(lam: LambdaSpec, eps: EpsilonSpec, precision: int) -> LaurentSeries:
     """The lacunary series sum of (-1)^eps_n X^(-lambda_n), materialized for
-    exponents down to -precision, with an extender for deeper windows.
+    exponents down to -precision; a deeper window is another call.
 
     An explicit lambda list must reach far enough that no unknown exponent
     could land inside the window: exhausting the list is fine only once the
@@ -55,7 +54,6 @@ def build_F(lam: LambdaSpec, eps: EpsilonSpec, precision: int) -> LaurentSeries:
         coeffs,
         top=-lam0,
         cutoff=precision,
-        extender=lambda depth: build_F(lam, eps, depth),
         expect_integral_cf=True,
     )
 
@@ -77,9 +75,6 @@ class ContinuedFraction:
 
     def __len__(self):
         return len(self.quotients)
-
-    def degrees(self):
-        return tuple(0 if a.degree is NEG_INF else a.degree for a in self.quotients)
 
 
 @dataclass(frozen=True)
@@ -123,7 +118,7 @@ def _dense_divmod(num, den):
 
 
 def _dense_to_poly(coeff_list) -> SparsePoly:
-    return SparsePoly.build(RING_Q, list(enumerate(coeff_list)))
+    return SparsePoly.build(list(enumerate(coeff_list)))
 
 
 def _series_as_fraction(f: LaurentSeries):
@@ -206,8 +201,8 @@ def convergents(cf: ContinuedFraction) -> Convergents:
     """P_0 = A_0, Q_0 = 1, then P_n = A_n P_{n-1} + P_{n-2} and likewise
     for Q; satisfies P_{n+1} Q_n - P_n Q_{n+1} = (-1)^n on the certified
     prefix."""
-    one = SparsePoly.one(RING_Q)
-    zero = SparsePoly.zero(RING_Q)
+    one = SparsePoly.one()
+    zero = SparsePoly.zero()
     p_prev, q_prev = one, zero              # index -1
     p_cur, q_cur = cf.quotients[0], one     # index 0
     ps, qs = [p_cur], [q_cur]
@@ -238,9 +233,9 @@ def phi_oracle(n: int) -> Convergents:
     shifted by one index."""
     if n < 1:
         raise ValueError("need at least one quotient")
-    x = SparsePoly.x_power(RING_Q, 1)
+    x = SparsePoly.x_power(1)
     cf = ContinuedFraction(
-        quotients=(SparsePoly.zero(RING_Q),) + (x,) * n,
+        quotients=(SparsePoly.zero(),) + (x,) * n,
         certified=n + 1,
         precision=None,
         terminated=False,

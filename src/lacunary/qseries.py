@@ -21,7 +21,7 @@ import numpy as np
 
 from .bits import EpsilonSpec, LambdaSpec, term_exponent, term_sign
 from .dyadic import Dyadic, halfsum_binom, kernel_range, kernel_value
-from .rings import NEG_INF, RING_GF2, RING_Q, SparsePoly, gf2_mul
+from .rings import NEG_INF, SparsePoly, gf2_mul
 
 __all__ = [
     "QSeriesHandle",
@@ -78,7 +78,7 @@ def q_poly(n: int, lam: LambdaSpec, eps: EpsilonSpec, convention: str = "digit")
         c = halfsum_binom(w, k)
         if c:
             terms.append((term_exponent(k, lam), term_sign(k, eps, convention)))
-    return SparsePoly.build(RING_Q, terms)
+    return SparsePoly.build(terms)
 
 
 def q_omega_window(handle: QSeriesHandle, k_max: int):
@@ -168,15 +168,15 @@ def chebyshev_u_scaled_range(n_max: int) -> list:
     """[s_0, ..., s_{n_max}] over the integers."""
     prev = {0: 1}
     if n_max == 0:
-        return [SparsePoly.build(RING_Q, prev.items())]
+        return [SparsePoly.build(prev.items())]
     cur = {1: 1}
-    out = [SparsePoly.build(RING_Q, prev.items()), SparsePoly.build(RING_Q, cur.items())]
+    out = [SparsePoly.build(prev.items()), SparsePoly.build(cur.items())]
     for _ in range(2, n_max + 1):
         nxt = {e + 1: c for e, c in cur.items()}
         for e, c in prev.items():
             nxt[e] = nxt.get(e, 0) - c
         prev, cur = cur, nxt
-        out.append(SparsePoly.build(RING_Q, cur.items()))
+        out.append(SparsePoly.build(cur.items()))
     return out
 
 
@@ -196,7 +196,7 @@ def fibonacci_poly(m: int) -> SparsePoly:
     if m < 1:
         raise ValueError("index starts at 1")
     n = m - 1
-    return SparsePoly.build(RING_Q, [(n - 2 * j, comb(n - j, j)) for j in range(n // 2 + 1)])
+    return SparsePoly.build([(n - 2 * j, comb(n - j, j)) for j in range(n // 2 + 1)])
 
 
 def morgan_voyce(n: int, kind: str = "b") -> SparsePoly:
@@ -209,7 +209,7 @@ def morgan_voyce(n: int, kind: str = "b") -> SparsePoly:
         terms = [(k, comb(n + k + 1, 2 * k + 1)) for k in range(n + 1)]
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    return SparsePoly.build(RING_Q, terms)
+    return SparsePoly.build(terms)
 
 
 @dataclass(frozen=True)
@@ -223,6 +223,8 @@ class ANumber:
     terms: int
 
     def decimal(self, digits: int = 40) -> str:
+        if digits < 0:
+            raise ValueError("digits must be nonnegative")
         v = self.value
         sign = "-" if v < 0 else ""
         v = abs(v)

@@ -1,13 +1,14 @@
-"""Exact coefficient rings, sparse polynomials and truncated Laurent series.
+"""Exact sparse polynomials over Q, GF(2) polynomials as int masks, and
+truncated Laurent series.
 
-Two coefficient rings are supported: exact rationals (Python int / Fraction,
-integer-valued coefficients stored as plain int) and GF(2) (ints 0/1, addition
-is xor).  Polynomials are sparse term lists with strictly increasing exponents
-and no zero coefficients.  Laurent series in descending powers of X are
-truncated windows with explicit precision bookkeeping: a series knows its top
-exponent, the cutoff below which nothing is known, and optionally an extender
-callback that rebuilds the same series with a deeper window.  All arithmetic
-is exact; nothing is ever rounded.
+Polynomials over Q (Python int / Fraction, integer-valued coefficients
+stored as plain int) are sparse term lists with strictly increasing
+exponents and no zero coefficients.  GF(2) polynomials are Python ints,
+bit i holding the coefficient of X^i: addition is xor and `gf2_mul` is the
+carry-less product.  Laurent series in descending powers of X are truncated
+windows with explicit precision bookkeeping: a series knows its top
+exponent and the cutoff below which nothing is known.  All arithmetic is
+exact; nothing is ever rounded.
 """
 
 from __future__ import annotations
@@ -18,10 +19,6 @@ from fractions import Fraction
 #: Degree of the zero polynomial.  A dedicated sentinel (never -1, which is a
 #: legitimate Laurent exponent); compares below every integer.
 NEG_INF = float("-inf")
-
-
-class RingMismatchError(ValueError):
-    """Operands live over different coefficient rings."""
 
 
 class NotReducibleError(ArithmeticError):
@@ -51,135 +48,58 @@ def _coerce_q(c):
     raise TypeError(f"rational coefficient expected, got {type(c).__name__}")
 
 
-def _coerce_gf2(c):
-    if isinstance(c, int):
-        return c & 1
-    raise TypeError(f"GF(2) coefficient expected, got {type(c).__name__}")
-
-
-class _RationalRing:
-    name = "Q"
-    zero = 0
-    one = 1
-    coerce = staticmethod(_coerce_q)
-
-    @staticmethod
-    def add(a, b):
-        return _norm_q(a + b)
-
-    @staticmethod
-    def mul(a, b):
-        return _norm_q(a * b)
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    def __repr__(self):
-        return "RING_Q"
-
-
-class _GF2Ring:
-    name = "GF2"
-    zero = 0
-    one = 1
-    coerce = staticmethod(_coerce_gf2)
-
-    @staticmethod
-    def add(a, b):
-        return a ^ b
-
-    @staticmethod
-    def mul(a, b):
-        return a & b
-
-    @staticmethod
-    def neg(a):
-        return a
-
-    def __repr__(self):
-        return "RING_GF2"
-
-
-RING_Q = _RationalRing()
-RING_GF2 = _GF2Ring()
-
-_RINGS = {"Q": RING_Q, "GF2": RING_GF2}
-
-
 @dataclass(frozen=True)
 class SparsePoly:
-    """Polynomial as a sorted tuple of (exponent, coefficient), no zeros stored."""
+    """Polynomial over Q as a sorted tuple of (exponent, coefficient), no zeros stored."""
 
-    ring: object
     terms: tuple
 
     @classmethod
-    def build(cls, ring, items):
+    def build(cls, items):
         """Canonicalize an iterable of (exp, coeff): merge, drop zeros, sort."""
         acc = {}
         for e, c in items:
             if not isinstance(e, int) or e < 0:
                 raise ValueError(f"polynomial exponent must be a nonnegative int, got {e!r}")
-            c = ring.coerce(c)
-            s = ring.add(acc.get(e, ring.zero), c)
+            s = _norm_q(acc.get(e, 0) + _coerce_q(c))
             if s:
                 acc[e] = s
             else:
                 acc.pop(e, None)
-        return cls(ring, tuple(sorted(acc.items())))
+        return cls(tuple(sorted(acc.items())))
 
     @classmethod
-    def zero(cls, ring):
-        return cls(ring, ())
+    def zero(cls):
+        return cls(())
 
     @classmethod
-    def one(cls, ring):
-        return cls(ring, ((0, ring.one),))
+    def one(cls):
+        return cls(((0, 1),))
 
     @classmethod
-    def x_power(cls, ring, e, c=1):
-        return cls.build(ring, [(e, c)])
+    def x_power(cls, e, c=1):
+        return cls.build([(e, c)])
 
     @property
     def degree(self):
         return self.terms[-1][0] if self.terms else NEG_INF
 
-    @property
-    def is_zero(self):
-        return not self.terms
-
     def coeff(self, e):
         for ee, cc in self.terms:
             if ee == e:
                 return cc
-        return self.ring.zero
-
-    def lead(self):
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.terms[-1][1]
-
-    def _check(self, other):
-        if self.ring is not other.ring:
-            raise RingMismatchError("ring mismatch")
+        return 0
 
     def __add__(self, other):
-        self._check(other)
-        return SparsePoly.build(self.ring, list(self.terms) + list(other.terms))
+        return SparsePoly.build(self.terms + other.terms)
 
     def __neg__(self):
-        neg = self.ring.neg
-        return SparsePoly(self.ring, tuple((e, neg(c)) for e, c in self.terms))
+        return SparsePoly(tuple((e, -c) for e, c in self.terms))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        self._check(other)
-        ring = self.ring
-        if ring is RING_GF2:
-            return gf2_mask_to_poly(gf2_mul(gf2_poly_to_mask(self), gf2_poly_to_mask(other)))
         acc = {}
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
@@ -189,20 +109,19 @@ class SparsePoly:
                     acc[e] = s
                 else:
                     acc.pop(e, None)
-        return SparsePoly(ring, tuple(sorted(acc.items())))
+        return SparsePoly(tuple(sorted(acc.items())))
 
     def scale(self, c):
-        c = self.ring.coerce(c)
+        c = _coerce_q(c)
         if not c:
-            return SparsePoly.zero(self.ring)
-        mul = self.ring.mul
-        return SparsePoly(self.ring, tuple((e, mul(cc, c)) for e, cc in self.terms))
+            return SparsePoly.zero()
+        return SparsePoly(tuple((e, _norm_q(cc * c)) for e, cc in self.terms))
 
     def shift(self, k):
         """Multiply by X^k (k >= 0)."""
         if k < 0:
             raise ValueError("negative shift")
-        return SparsePoly(self.ring, tuple((e + k, c) for e, c in self.terms))
+        return SparsePoly(tuple((e + k, c) for e, c in self.terms))
 
     def term_count(self):
         return len(self.terms)
@@ -228,40 +147,6 @@ class SparsePoly:
         return out
 
 
-def poly_arith(a: SparsePoly, b: SparsePoly, op: str) -> SparsePoly:
-    """Dispatch add/sub/mul on same-ring polynomials."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
-# GF(2) polynomials double as Python ints (bit i = coefficient of X^i).
-
-def gf2_poly_to_mask(p: SparsePoly) -> int:
-    m = 0
-    for e, c in p.terms:
-        if c & 1:
-            m |= 1 << e
-    return m
-
-
-def gf2_mask_to_poly(m: int) -> SparsePoly:
-    if m < 0:
-        raise ValueError("negative GF(2) mask")
-    terms = []
-    e = 0
-    while m:
-        if m & 1:
-            terms.append((e, 1))
-        m >>= 1
-        e += 1
-    return SparsePoly(RING_GF2, tuple(terms))
-
-
 def gf2_mul(a: int, b: int) -> int:
     """Carry-less product of two GF(2) polynomials packed in ints."""
     if a.bit_count() > b.bit_count():
@@ -276,31 +161,26 @@ def gf2_mul(a: int, b: int) -> int:
     return acc
 
 
-def reduce_mod2(p: SparsePoly) -> SparsePoly:
-    """Ring map Z[X] -> GF(2)[X]; error if any coefficient is non-integral."""
-    if p.ring is RING_GF2:
-        return p
-    terms = []
+def reduce_mod2(p: SparsePoly) -> int:
+    """Ring map Z[X] -> GF(2)[X], as a mask; error if any coefficient is
+    non-integral."""
+    m = 0
     for e, c in p.terms:
         if isinstance(c, Fraction):
             raise NotReducibleError(f"not reducible: coefficient {c} at X^{e}")
         if c & 1:
-            terms.append((e, 1))
-    return SparsePoly(RING_GF2, tuple(terms))
+            m |= 1 << e
+    return m
 
 
 def poly_to_json(p: SparsePoly) -> dict:
-    return {"ring": p.ring.name, "terms": [[e, str(c)] for e, c in p.terms]}
+    return {"ring": "Q", "terms": [[e, str(c)] for e, c in p.terms]}
 
 
 def poly_from_json(obj: dict) -> SparsePoly:
-    ring = _RINGS.get(obj.get("ring"))
-    if ring is None:
+    if obj.get("ring") != "Q":
         raise ValueError(f"unknown ring {obj.get('ring')!r}")
-    items = []
-    for e, c in obj["terms"]:
-        items.append((int(e), Fraction(c) if ring is RING_Q else int(c)))
-    return SparsePoly.build(ring, items)
+    return SparsePoly.build((int(e), Fraction(c)) for e, c in obj["terms"])
 
 
 @dataclass(eq=False)
@@ -310,15 +190,13 @@ class LaurentSeries:
     Coefficients are defined for every exponent in [-cutoff, top]; exponents
     above `top` are identically zero.  `cutoff is None` marks an exact series
     (a Laurent polynomial: nothing exists below the stored window either).
-    `extender(depth)` rebuilds the same series with cutoff >= depth; extending
-    never changes previously reported coefficients.  Treated as immutable
-    after construction.
+    A deeper window is a new series built from the source at that depth.
+    Treated as immutable after construction.
     """
 
     coeffs: dict
     top: object          # int, or NEG_INF for the zero series
     cutoff: object       # int, or None when exact
-    extender: object = None
     expect_integral_cf: bool = False   # set by the lacunary builder; see contfrac
 
     def __post_init__(self):
@@ -342,23 +220,8 @@ class LaurentSeries:
     def lead_exponent(self):
         return max(self.coeffs) if self.coeffs else NEG_INF
 
-    def window_terms(self):
-        """Known nonzero terms, ascending exponent."""
-        return sorted(self.coeffs.items())
-
-    def extend(self, depth: int) -> "LaurentSeries":
-        """Same series, window deepened to at least `depth`."""
-        if self.exact or self.cutoff >= depth:
-            return self
-        if self.extender is None:
-            raise SeriesPrecisionError("precision: series has no extender")
-        out = self.extender(depth)
-        if not out.exact and out.cutoff < depth:
-            raise SeriesPrecisionError("precision: extender fell short")
-        return out
-
     def poly_part(self) -> SparsePoly:
-        return SparsePoly.build(RING_Q, [(e, c) for e, c in self.coeffs.items() if e >= 0])
+        return SparsePoly.build((e, c) for e, c in self.coeffs.items() if e >= 0)
 
     def __str__(self):
         terms = sorted(self.coeffs.items(), reverse=True)
@@ -373,10 +236,6 @@ def series_from_poly(p: SparsePoly, denom_power: int = 0) -> LaurentSeries:
     coeffs = {e - denom_power: c for e, c in p.terms}
     top = max(coeffs) if coeffs else NEG_INF
     return LaurentSeries(coeffs, top, None)
-
-
-def _both_extendable(a: LaurentSeries, b: LaurentSeries):
-    return (a.exact or a.extender is not None) and (b.exact or b.extender is not None)
 
 
 def series_add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
@@ -395,13 +254,11 @@ def series_add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
         coeffs = {e: c for e, c in coeffs.items() if e >= -cutoff}
     tops = [x.top for x in (a, b) if x.top is not NEG_INF]
     top = max(tops) if tops else NEG_INF
-    ext = (lambda d: series_add(a.extend(d), b.extend(d))) if _both_extendable(a, b) else None
-    return LaurentSeries(coeffs, top, cutoff, ext)
+    return LaurentSeries(coeffs, top, cutoff)
 
 
 def series_neg(a: LaurentSeries) -> LaurentSeries:
-    ext = (lambda d: series_neg(a.extend(d))) if (a.exact or a.extender) else None
-    return LaurentSeries({e: -c for e, c in a.coeffs.items()}, a.top, a.cutoff, ext)
+    return LaurentSeries({e: -c for e, c in a.coeffs.items()}, a.top, a.cutoff)
 
 
 def series_sub(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
@@ -432,9 +289,7 @@ def series_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
             else:
                 acc.pop(e, None)
     top = (a.top + b.top) if (a.top is not NEG_INF and b.top is not NEG_INF) else NEG_INF
-    ext = (lambda d: series_mul(a.extend(d + max(0, b_top)), b.extend(d + max(0, a_top)))) \
-        if _both_extendable(a, b) else None
-    return LaurentSeries(acc, top, cutoff, ext)
+    return LaurentSeries(acc, top, cutoff)
 
 
 def series_invert(a: LaurentSeries, depth: int | None = None) -> LaurentSeries:
@@ -443,7 +298,7 @@ def series_invert(a: LaurentSeries, depth: int | None = None) -> LaurentSeries:
     For a truncated input with lead exponent d and cutoff N the result is
     certified down to exponent -(N + 2d); a * invert(a) equals 1 up to terms
     below that window.  For an exact non-monomial input, `depth` asks for the
-    result window (default 32) and the result carries an extender.
+    result window (default 32).
     """
     if not a.coeffs:
         if a.exact:
@@ -470,29 +325,4 @@ def series_invert(a: LaurentSeries, depth: int | None = None) -> LaurentSeries:
                 s += u[i] * v[j - i]
         v.append(_norm_q(Fraction(-s, 1) / lead))
     coeffs = {-d - j: c for j, c in enumerate(v) if c}
-    if a.exact:
-        ext = lambda dd: series_invert(a, depth=dd)
-    elif a.extender is not None:
-        ext = lambda dd: series_invert(a.extend(dd - 2 * d))
-    else:
-        ext = None
-    return LaurentSeries(coeffs, -d, cut, ext)
-
-
-def series_arith(a: LaurentSeries, b: LaurentSeries, op: str) -> LaurentSeries:
-    if op == "add":
-        return series_add(a, b)
-    if op == "sub":
-        return series_sub(a, b)
-    if op == "mul":
-        return series_mul(a, b)
-    raise ValueError(f"unknown op {op!r}")
-
-
-def series_to_json(s: LaurentSeries) -> dict:
-    return {
-        "ring": "Q",
-        "terms": [[e, str(c)] for e, c in s.window_terms()],
-        "top": None if s.top is NEG_INF else s.top,
-        "cutoff": s.cutoff,
-    }
+    return LaurentSeries(coeffs, -d, cut)

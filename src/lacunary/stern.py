@@ -205,6 +205,3 @@ def fold_z(n: int) -> int:
     fold_z(2n+1) = fold_z(n)."""
     return fold_w(2 * n + 1)
 
-
-def paperfolding_vwz(n: int):
-    return (fold_v(n), fold_w(n), fold_z(n))

@@ -2,6 +2,7 @@
 
 Each check is a pure function raising AssertionError on violation; the
 runner times them and reports one line per check in a canonical order.
+Any other exception a check raises is reported as that check's failure.
 Two effort levels: "quick" trims ranges for interactive use, "full" runs
 the documented bounds.  Randomized checks derive their generator from the
 seed and the check name, so reruns are reproducible.
@@ -53,11 +54,10 @@ from .qseries import (
     a_number,
 )
 from .rings import (
-    RING_GF2,
-    RING_Q,
     SparsePoly,
-    gf2_poly_to_mask,
+    gf2_mul,
     reduce_mod2,
+    series_from_poly,
     series_invert,
     series_mul,
 )
@@ -93,13 +93,18 @@ def _rng(seed: int, name: str) -> random.Random:
     return random.Random(f"{seed}:{name}")
 
 
-def _rand_poly(rng, ring, max_deg=6, max_terms=4):
+def _rand_poly(rng, max_deg=6, max_terms=4):
     terms = []
     for _ in range(rng.randint(0, max_terms)):
-        e = rng.randint(0, max_deg)
-        c = 1 if ring is RING_GF2 else rng.randint(-9, 9)
-        terms.append((e, c))
-    return SparsePoly.build(ring, terms)
+        terms.append((rng.randint(0, max_deg), rng.randint(-9, 9)))
+    return SparsePoly.build(terms)
+
+
+def _rand_mask(rng, max_deg=6, max_terms=4):
+    m = 0
+    for _ in range(rng.randint(0, max_terms)):
+        m ^= 1 << rng.randint(0, max_deg)
+    return m
 
 
 def _rand_rational_dyadic(rng, periodic_only=False) -> Dyadic:
@@ -131,13 +136,17 @@ def _mask_from_flags(flags) -> int:
 
 def check_ring_axioms(level, rng):
     trials = _n(level, 20, 100)
-    for ring in (RING_Q, RING_GF2):
-        for _ in range(trials):
-            a, b, c = (_rand_poly(rng, ring) for _ in range(3))
-            assert (a + b) + c == a + (b + c), "addition associativity"
-            assert (a * b) * c == a * (b * c), "multiplication associativity"
-            assert a * (b + c) == a * b + a * c, "distributivity"
-            assert a + b == b + a and a * b == b * a, "commutativity"
+    for _ in range(trials):
+        a, b, c = (_rand_poly(rng) for _ in range(3))
+        assert (a + b) + c == a + (b + c), "addition associativity"
+        assert (a * b) * c == a * (b * c), "multiplication associativity"
+        assert a * (b + c) == a * b + a * c, "distributivity"
+        assert a + b == b + a and a * b == b * a, "commutativity"
+    for _ in range(trials):
+        a, b, c = (_rand_mask(rng) for _ in range(3))
+        assert gf2_mul(gf2_mul(a, b), c) == gf2_mul(a, gf2_mul(b, c)), "GF2 associativity"
+        assert gf2_mul(a, b ^ c) == gf2_mul(a, b) ^ gf2_mul(a, c), "GF2 distributivity"
+        assert gf2_mul(a, b) == gf2_mul(b, a), "GF2 commutativity"
     return f"{2 * trials} random triples per law, both rings"
 
 
@@ -145,10 +154,9 @@ def check_series_invert_identity(level, rng):
     trials = _n(level, 10, 30)
     done = 0
     for _ in range(trials):
-        p = _rand_poly(rng, RING_Q, max_deg=5, max_terms=4)
+        p = _rand_poly(rng, max_deg=5, max_terms=4)
         if p.degree < 0:
             continue
-        from .rings import series_from_poly
         a = series_from_poly(p, denom_power=rng.randint(0, 4))
         inv = series_invert(a, depth=24)
         prod = series_mul(a, inv)
@@ -160,7 +168,7 @@ def check_series_invert_identity(level, rng):
     # the lacunary series itself: polynomial part X, then -X^-1
     F = build_F(LambdaSpec.mersenne(), EpsilonSpec.zero(), 64)
     inv = series_invert(F)
-    assert inv.poly_part() == SparsePoly.x_power(RING_Q, 1), "1/F polynomial part"
+    assert inv.poly_part() == SparsePoly.x_power(1), "1/F polynomial part"
     assert inv.coeff(-1) == -1, "1/F next coefficient"
     return f"{done} random series plus the lacunary series"
 
@@ -168,10 +176,10 @@ def check_series_invert_identity(level, rng):
 def check_reduce_mod2_homomorphism(level, rng):
     trials = _n(level, 30, 120)
     for _ in range(trials):
-        p = _rand_poly(rng, RING_Q)
-        q = _rand_poly(rng, RING_Q)
-        assert reduce_mod2(p + q) == reduce_mod2(p) + reduce_mod2(q)
-        assert reduce_mod2(p * q) == reduce_mod2(p) * reduce_mod2(q)
+        p = _rand_poly(rng)
+        q = _rand_poly(rng)
+        assert reduce_mod2(p + q) == reduce_mod2(p) ^ reduce_mod2(q)
+        assert reduce_mod2(p * q) == gf2_mul(reduce_mod2(p), reduce_mod2(q))
     return f"{trials} random pairs, + and *"
 
 
@@ -438,14 +446,14 @@ def check_cf_prefix_stability(level, rng):
 
 def check_cf_determinant(level, rng):
     trials = _n(level, 30, 100)
-    one = SparsePoly.one(RING_Q)
+    one = SparsePoly.one()
     for _ in range(trials):
-        quots = [SparsePoly.zero(RING_Q)]
+        quots = [SparsePoly.zero()]
         for _ in range(rng.randint(2, 7)):
             deg = rng.randint(1, 2)
             terms = [(deg, rng.choice((-1, 1)) * rng.randint(1, 3))]
             terms += [(e, rng.randint(-2, 2)) for e in range(deg)]
-            quots.append(SparsePoly.build(RING_Q, terms))
+            quots.append(SparsePoly.build(terms))
         cf = ContinuedFraction(tuple(quots), len(quots), None, False)
         conv = convergents(cf)
         for i in range(len(quots) - 1):
@@ -559,11 +567,10 @@ def check_q_chebyshev_mod2(level, rng):
     lam = LambdaSpec.mersenne()
     eps = EpsilonSpec.zero()
     for n in range(bound):
-        zmask = gf2_poly_to_mask(reduce_mod2(zpolys[n]))
-        assert zmask == masks[n], f"integer vs GF2 recurrence at n={n}"
+        assert reduce_mod2(zpolys[n]) == masks[n], f"integer vs GF2 recurrence at n={n}"
         qmask = _mask_from_flags(kernel_range(Dyadic.from_int(n), n, "f"))
         assert qmask == masks[n], f"closed form vs recurrence at n={n}"
-        assert gf2_poly_to_mask(reduce_mod2(q_poly(n, lam, eps))) == masks[n]
+        assert reduce_mod2(q_poly(n, lam, eps)) == masks[n]
     return f"n < {bound}"
 
 
@@ -579,10 +586,7 @@ def check_comparison_families(level, rng):
     bound = _n(level, 1 << 6, 1 << 8)
     for n in range(bound):
         fib = reduce_mod2(fibonacci_poly(n + 1))
-        want = SparsePoly.build(
-            RING_GF2,
-            [(n - 2 * j, binom_parity(n - j, j)) for j in range(n // 2 + 1)],
-        )
+        want = sum(binom_parity(n - j, j) << (n - 2 * j) for j in range(n // 2 + 1))
         assert fib == want, f"Fibonacci parity at n={n}"
         w = Dyadic.from_int(n)
         b_par = [c % 2 for c in _dense_coeffs(morgan_voyce(n, "b"), n)]
@@ -848,6 +852,9 @@ def run_checks(level: str = "quick", seed: int = 0, names=None) -> list:
             ok = True
         except AssertionError as exc:
             detail = str(exc) or "assertion failed"
+            ok = False
+        except Exception as exc:      # a crashing check is one FAIL, not a lost report
+            detail = f"{type(exc).__name__}: {exc}"
             ok = False
         elapsed = time.perf_counter() - start
         results.append(CheckResult(name, ok, detail, elapsed))

@@ -83,6 +83,13 @@ class TestQSeries:
         assert set(obj) == {"base", "decimal", "den", "num", "terms"}
         assert int(obj["den"]) > 0
 
+    def test_anumber_digit_count(self, capsys):
+        rc, out, _ = run(capsys, "qseries", "anumber", "--digits", "0")
+        assert rc == 0 and out.strip() == "0.0"
+        rc, out, err = run(capsys, "qseries", "anumber", "--digits", "-3")
+        assert rc == 2 and out == ""
+        assert err.splitlines() == ["error: digits must be nonnegative"]
+
 
 class TestCf:
     def test_text_listing(self, capsys):
@@ -113,6 +120,18 @@ class TestCf:
     def test_bad_lambda(self, capsys):
         rc, _, err = run(capsys, "cf", "--lambda", "list:1,2,5")
         assert rc == 2 and "error:" in err
+
+    def test_json_polynomial_shape(self, capsys):
+        rc, out, _ = run(capsys, "cf", "--n", "3", "--precision", "64", "--json")
+        obj = json.loads(out)
+        assert rc == 0
+        # Q_2 = 1 - X^2 for the Mersenne series with all signs positive
+        assert obj["q"][2] == {"ring": "Q", "terms": [[0, "1"], [2, "-1"]]}
+        for key in ("a", "p", "q"):
+            for poly in obj[key]:
+                assert poly["ring"] == "Q"
+                exps = [e for e, _ in poly["terms"]]
+                assert exps == sorted(set(exps)), (key, exps)
 
 
 class TestAutomaton:
@@ -225,6 +244,16 @@ class TestUsageAndDeterminism:
     def test_non_dyadic_omega(self, capsys):
         rc, _, err = run(capsys, "qseries", "--omega", "rat:1/6")
         assert rc == 2 and "error:" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("cf", "--lambda", "list:1,3", "--precision", "64"),
+        ("automaton", "build", "--omega", "stream:thue-morse"),
+        ("automaton", "verify", "--omega", "stream:paperfolding", "--upto", "64"),
+    ])
+    def test_input_errors_exit_two(self, capsys, argv):
+        rc, _, err = run(capsys, *argv)
+        assert rc == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     def test_zero_denominator(self, capsys):
         rc, _, err = run(capsys, "qseries", "--omega", "rat:1/0")

@@ -35,9 +35,7 @@ from lacunary.qseries import (
 )
 from lacunary.rings import (
     NEG_INF,
-    RING_Q,
     SparsePoly,
-    gf2_mask_to_poly,
     reduce_mod2,
 )
 from lacunary.stern import stern_range
@@ -107,8 +105,8 @@ EPS_PRE = EpsilonSpec((1,), (0, 1))
 
 class TestQPoly:
     def test_small_literals(self):
-        assert q_poly(0, MERS, ZERO) == SparsePoly.one(RING_Q)
-        assert q_poly(-1, MERS, ZERO) == SparsePoly.zero(RING_Q)
+        assert q_poly(0, MERS, ZERO) == SparsePoly.one()
+        assert q_poly(-1, MERS, ZERO) == SparsePoly.zero()
         assert _as_terms(q_poly(2, MERS, ZERO)) == {0: 1, 2: -1}
 
     @pytest.mark.parametrize("eps", [ZERO, EPS_10, EPS_PRE])
@@ -259,22 +257,22 @@ class TestComparisonFamilies:
         polys = chebyshev_u_scaled_range(40)
         masks = chebyshev_mask_range(40)
         for p, m in zip(polys, masks):
-            assert reduce_mod2(p) == gf2_mask_to_poly(m)
+            assert reduce_mod2(p) == m
 
     def test_chebyshev_is_q_mod2(self):
         for n in range(40):
             q2 = reduce_mod2(q_poly(n, MERS, ZERO))
-            assert q2 == gf2_mask_to_poly(chebyshev_mask_range(n)[-1])
+            assert q2 == chebyshev_mask_range(n)[-1]
 
     def test_fibonacci_recurrence(self):
-        x = SparsePoly.x_power(RING_Q, 1)
+        x = SparsePoly.x_power(1)
         for m in range(3, 30):
             assert fibonacci_poly(m) == x * fibonacci_poly(m - 1) + fibonacci_poly(m - 2)
         with pytest.raises(ValueError):
             fibonacci_poly(0)
 
     def test_morgan_voyce_recurrence(self):
-        shift = SparsePoly.build(RING_Q, [(1, 1), (0, 2)])   # X + 2
+        shift = SparsePoly.build([(1, 1), (0, 2)])   # X + 2
         for kind in ("b", "B"):
             seq = [morgan_voyce(n, kind) for n in range(12)]
             for n in range(2, 12):

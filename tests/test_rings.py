@@ -5,19 +5,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import lacunary
 from lacunary.rings import (
     NEG_INF,
-    RING_GF2,
-    RING_Q,
     LaurentSeries,
     NotReducibleError,
-    RingMismatchError,
     SeriesPrecisionError,
     SparsePoly,
     ZeroSeriesError,
-    gf2_mask_to_poly,
     gf2_mul,
-    gf2_poly_to_mask,
     poly_from_json,
     poly_to_json,
     reduce_mod2,
@@ -31,14 +27,17 @@ x = SparsePoly.x_power
 
 
 def poly_q(*terms):
-    return SparsePoly.build(RING_Q, list(terms))
+    return SparsePoly.build(terms)
+
+
+def lift(mask):
+    """The 0/1 integer polynomial whose reduction mod 2 is `mask`."""
+    return SparsePoly.build((e, 1) for e in range(mask.bit_length()) if mask >> e & 1)
 
 
 coeffs = st.integers(-9, 9)
 exps = st.integers(0, 12)
-polys = st.lists(st.tuples(exps, coeffs), max_size=5).map(
-    lambda t: SparsePoly.build(RING_Q, t)
-)
+polys = st.lists(st.tuples(exps, coeffs), max_size=5).map(SparsePoly.build)
 
 
 class TestSparsePoly:
@@ -47,7 +46,7 @@ class TestSparsePoly:
         assert p.terms == ((0, 3),)
 
     def test_degree_of_zero_is_minus_infinity(self):
-        z = SparsePoly.zero(RING_Q)
+        z = SparsePoly.zero()
         assert z.degree is NEG_INF
         assert NEG_INF < 0 and NEG_INF < -(10**9)
 
@@ -56,16 +55,17 @@ class TestSparsePoly:
         q = poly_q((1, 1), (0, -1))       # X - 1
         assert p * q == poly_q((2, 1), (0, -1))
         assert p + q == poly_q((1, 2))
-        assert p - p == SparsePoly.zero(RING_Q)
+        assert p - p == SparsePoly.zero()
 
     def test_fraction_coefficients(self):
         p = poly_q((1, Fraction(1, 2)))
-        assert (p + p) == x(RING_Q, 1)
+        assert (p + p) == x(1)
         assert p.coeff(1) == Fraction(1, 2)
 
     def test_ring_mismatch(self):
-        with pytest.raises(RingMismatchError):
-            poly_q((0, 1)) + SparsePoly.one(RING_GF2)
+        # polynomials are over Q only; GF(2) values are int masks, never JSON polys
+        with pytest.raises(ValueError, match="unknown ring 'GF2'"):
+            poly_from_json({"ring": "GF2", "terms": [[0, "1"]]})
 
     def test_scale_shift_term_count(self):
         p = poly_q((3, 2), (0, -1))
@@ -81,14 +81,14 @@ class TestSparsePoly:
 
     @given(polys)
     def test_additive_inverse(self, a):
-        assert a + a.scale(-1) == SparsePoly.zero(RING_Q)
+        assert a + a.scale(-1) == SparsePoly.zero()
 
 
 class TestGF2:
     def test_mask_round_trip(self):
-        p = SparsePoly.build(RING_GF2, [(0, 1), (3, 1)])
-        assert gf2_poly_to_mask(p) == 0b1001
-        assert gf2_mask_to_poly(0b1001) == p
+        p = poly_q((0, 1), (3, 1))
+        assert reduce_mod2(p) == 0b1001
+        assert lift(0b1001) == p
 
     def test_carry_less_product(self):
         # (1+X)(1+X) = 1+X^2 over GF2
@@ -96,12 +96,11 @@ class TestGF2:
 
     @given(st.integers(0, 1 << 16), st.integers(0, 1 << 16))
     def test_gf2_mul_matches_poly_product(self, a, b):
-        pa, pb = gf2_mask_to_poly(a), gf2_mask_to_poly(b)
-        assert gf2_mask_to_poly(gf2_mul(a, b)) == pa * pb
+        assert gf2_mul(a, b) == reduce_mod2(lift(a) * lift(b))
 
     def test_reduce_mod2(self):
         p = poly_q((4, 3), (2, -2), (0, 1))
-        assert reduce_mod2(p) == SparsePoly.build(RING_GF2, [(0, 1), (4, 1)])
+        assert reduce_mod2(p) == 0b10001
 
     def test_reduce_rejects_even_denominator(self):
         p = poly_q((0, Fraction(1, 2)))
@@ -116,12 +115,12 @@ class TestGF2:
 
     def test_reduce_accepts_integral_fraction(self):
         p = poly_q((1, Fraction(4, 2)))
-        assert reduce_mod2(p) == SparsePoly.zero(RING_GF2)
+        assert reduce_mod2(p) == 0
 
     @given(polys, polys)
     def test_reduce_is_ring_map(self, a, b):
-        assert reduce_mod2(a * b) == reduce_mod2(a) * reduce_mod2(b)
-        assert reduce_mod2(a + b) == reduce_mod2(a) + reduce_mod2(b)
+        assert reduce_mod2(a * b) == gf2_mul(reduce_mod2(a), reduce_mod2(b))
+        assert reduce_mod2(a + b) == reduce_mod2(a) ^ reduce_mod2(b)
 
 
 class TestJson:
@@ -133,8 +132,10 @@ class TestJson:
         assert poly_from_json(d) == p
 
     def test_round_trip_gf2(self):
-        p = SparsePoly.build(RING_GF2, [(1, 1), (4, 1)])
+        # a GF(2) mask travels as its 0/1 lift over Q and reduces back
+        p = lift(0b10010)
         assert poly_from_json(poly_to_json(p)) == p
+        assert reduce_mod2(poly_from_json(poly_to_json(p))) == 0b10010
 
 
 class TestLaurentSeries:
@@ -159,7 +160,7 @@ class TestLaurentSeries:
             assert prod.coeff(e) == (1 if e == 0 else 0)
 
     def test_invert_rejects_zero(self):
-        z = series_from_poly(SparsePoly.zero(RING_Q))
+        z = series_from_poly(SparsePoly.zero())
         with pytest.raises(ZeroSeriesError, match="zero series"):
             series_invert(z)
 
@@ -167,3 +168,8 @@ class TestLaurentSeries:
         a = series_from_poly(poly_q((0, 1)))
         d = series_sub(a, a)
         assert d.exact and not d.coeffs
+
+
+def test_package_exports_resolve():
+    missing = [name for name in lacunary.__all__ if not hasattr(lacunary, name)]
+    assert not missing

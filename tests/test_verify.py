@@ -5,6 +5,7 @@ import json
 import pytest
 
 from lacunary import verify
+from lacunary.cli import main
 
 EXPECTED_PREFIXES = ("core.", "bits.", "dyadic.", "contfrac.", "stern.",
                      "qseries.", "automaton.", "cli.")
@@ -35,6 +36,20 @@ class TestRunChecks:
     def test_unknown_name(self):
         with pytest.raises(KeyError, match="unknown check names"):
             verify.run_checks(names=["core.ring-axioms", "nope.missing"])
+
+    def test_crashing_check_is_a_failure(self, monkeypatch):
+        def crash(level, rng):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(verify, "CHECKS", [
+            ("core.crash", crash),
+            ("core.ring-axioms", verify.check_ring_axioms),
+        ])
+        results = verify.run_checks()
+        assert [(r.name, r.ok) for r in results] == [
+            ("core.crash", False), ("core.ring-axioms", True)]
+        assert results[0].detail == "ValueError: boom"
+        assert main(["verify", "--json"]) == 1
 
     def test_unknown_level(self):
         with pytest.raises(ValueError, match="unknown level"):
