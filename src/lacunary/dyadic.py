@@ -5,8 +5,12 @@ A value is one of
 
 * ``Finite``: an ordinary integer; its digit string is the two's-complement
   expansion (so negative integers carry an infinite tail of 1s);
-* ``EventuallyPeriodic``: a rational a/b with odd b, stored canonically as a
-  minimal preperiod plus minimal repeating block of digits (tail-0 and tail-1
+* ``EventuallyPeriodic``: a rational a/b with odd b > 1, stored as the
+  reduced pair (num, den) and nothing else.  Digit j is read off
+  num * den^-1 mod 2^(j+1) on demand, and a shift is one step of the
+  numerator map x -> (x - (x&1)*den)/2, so walking the shift orbit costs
+  time linear in the digit period.  The minimal preperiod and repeating
+  block are computed only when ``pre``/``per`` are read (tail-0 and tail-1
   expansions collapse to Finite on construction);
 * ``Stream``: an opaque digit rule with a declared safe depth, for values
   given only by their digits.
@@ -20,8 +24,8 @@ and never divides a digit string by 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 from .periodic import detect_ultimate_period
@@ -42,12 +46,14 @@ class OpaqueStreamError(TypeError):
 @dataclass(frozen=True)
 class Dyadic:
     """A 2-adic integer.  Construct through from_int / from_rational /
-    from_bits / from_stream; direct construction is internal."""
+    from_bits / from_stream; direct construction is internal.
+
+    A periodic value holds only its reduced fraction num/den; its digit
+    preperiod and period are the read-only properties ``pre``/``per``,
+    computed on first access and cached."""
 
     kind: str                      # "finite" | "periodic" | "stream"
     value: int = 0                 # finite only
-    pre: tuple = ()                # periodic only: preperiod digits
-    per: tuple = ()                # periodic only: repeating digits
     num: int = 0                   # periodic only: value = num / den
     den: int = 1
     rule: object = None            # stream only
@@ -75,17 +81,7 @@ class Dyadic:
             raise NotTwoAdicError(f"not a 2-adic integer: denominator {b} is even")
         if b == 1:
             return cls.from_int(a)
-        # digit orbit of the map x -> (x - x0)/2 on numerators over fixed b
-        digits = []
-        seen = {}
-        x = a
-        while x not in seen:
-            seen[x] = len(digits)
-            d = x & 1
-            digits.append(d)
-            x = (x - d * b) >> 1
-        cut = seen[x]
-        return cls("periodic", pre=tuple(digits[:cut]), per=tuple(digits[cut:]), num=a, den=b)
+        return cls("periodic", num=a, den=b)
 
     @classmethod
     def from_bits(cls, pre, period) -> "Dyadic":
@@ -112,6 +108,20 @@ class Dyadic:
         return cls("stream", rule=rule, depth=depth, name=name)
 
     # -- basic structure ---------------------------------------------------
+
+    @cached_property
+    def _cycle(self) -> tuple:
+        return _digit_cycle(self.num, self.den) if self.kind == "periodic" else ((), ())
+
+    @property
+    def pre(self) -> tuple:
+        """Minimal preperiod digits (periodic only; () otherwise)."""
+        return self._cycle[0]
+
+    @property
+    def per(self) -> tuple:
+        """Minimal repeating digits (periodic only; () otherwise)."""
+        return self._cycle[1]
 
     def __eq__(self, other):
         if not isinstance(other, Dyadic):
@@ -145,9 +155,7 @@ class Dyadic:
         if self.kind == "finite":
             return (self.value >> j) & 1
         if self.kind == "periodic":
-            if j < len(self.pre):
-                return self.pre[j]
-            return self.per[(j - len(self.pre)) % len(self.per)]
+            return ((self.num * pow(self.den, -1, 1 << (j + 1))) >> j) & 1
         if j >= self.depth:
             raise StreamDepthError(f"stream exhausted: digit {j} beyond safe depth {self.depth}")
         return int(self.rule(j)) & 1
@@ -166,6 +174,8 @@ class Dyadic:
         return sum(int(self.rule(j)) << j for j in range(length) if self.rule(j))
 
     def parity(self) -> int:
+        if self.kind == "periodic":
+            return self.num & 1   # den is odd, so parity of num/den is parity of num
         return self.digit(0)
 
     def shift(self) -> "Dyadic":
@@ -173,8 +183,10 @@ class Dyadic:
         if self.kind == "finite":
             return Dyadic.from_int(self.value >> 1)
         if self.kind == "periodic":
-            d = self.num & 1   # den is odd, so parity of num/den is parity of num
-            return Dyadic.from_rational((self.num - d * self.den) >> 1, self.den)
+            # gcd(x - d*den, den) = gcd(x, den) = 1 and den is odd, so halving
+            # keeps the fraction reduced and den > 1 keeps it periodic
+            d = self.num & 1
+            return Dyadic("periodic", num=(self.num - d * self.den) >> 1, den=self.den)
         rule, depth, name = self.rule, self.depth, self.name
         return Dyadic.from_stream(lambda j: rule(j + 1), depth - 1, name + ">>1")
 
@@ -210,6 +222,22 @@ class Dyadic:
         if self.kind == "periodic":
             return f"{self.num}/{self.den}"
         return f"stream:{self.name}"
+
+
+def _digit_cycle(a: int, b: int) -> tuple:
+    """(preperiod, period) digit tuples of a/b for odd b > 1: the orbit of
+    the numerator map x -> (x - x0)/2 over fixed b, run until it repeats.
+    Time and memory grow with the digit period."""
+    digits = []
+    seen = {}
+    x = a
+    while x not in seen:
+        seen[x] = len(digits)
+        d = x & 1
+        digits.append(d)
+        x = (x - d * b) >> 1
+    cut = seen[x]
+    return tuple(digits[:cut]), tuple(digits[cut:])
 
 
 def parse_omega(text: str, stream_depth: int = 1 << 20) -> Dyadic:

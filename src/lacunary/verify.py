@@ -287,6 +287,7 @@ def check_digit_lemma_ii_iii(level, rng):
         if w.kind == "finite":
             assert period == (0,), "integer w pair sums must die out"
         else:
+            assert w.per, "rational non-integer w must have a nonempty digit period"
             assert len(w.per) % len(period) == 0, "pair period must divide digit period"
     tm = Dyadic.from_stream(lambda j: j.bit_count() & 1, 1 << 12, "thue-morse")
     assert digit_pair_period(tm, 360) is None, "aperiodic stream must not certify a period"

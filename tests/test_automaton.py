@@ -4,7 +4,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
+from lacunary import cli, dyadic
 from lacunary.automaton import (
     DEAD,
     Dfao,
@@ -53,6 +55,46 @@ class TestOrbit:
     def test_opaque_rejected(self):
         with pytest.raises(OrbitError):
             orbit(parse_omega("stream:thue-morse"))
+
+    @given(st.integers(-4000, 4000), st.integers(1, 1000))
+    def test_numerator_orbit_matches_digit_loop(self, a, half):
+        # the shift orbit walks numerators; pre/per come from the cached
+        # digit loop, a separate code path
+        w = _rat(a, 2 * half + 1)
+        assume(w.kind == "periodic")
+        pre, cyc = orbit(w)
+        assert len(pre) == len(w.pre)
+        assert len(cyc) == len(w.per)
+        assert [e.parity() for e in pre + cyc] == list(w.pre + w.per)
+
+    @given(st.integers(-4000, 4000), st.integers(1, 1000))
+    def test_digit_matches_window_and_cycle(self, a, half):
+        w = _rat(a, 2 * half + 1)
+        assume(w.kind == "periodic")
+        for j in range(len(w.pre) + 3 * len(w.per)):
+            assert w.digit(j) == (w.digits_window(j + 1) >> j) & 1
+            expect = w.pre[j] if j < len(w.pre) else w.per[(j - len(w.pre)) % len(w.per)]
+            assert w.digit(j) == expect, j
+
+
+class TestNoDigitCycleOnHotPaths:
+    """Parsing, the orbit, the automata and qseries work from (num, den)
+    alone; none of them may compute the digit period."""
+
+    def test_guard(self, monkeypatch, capsys):
+        def boom(a, b):
+            raise AssertionError(f"digit cycle computed for {a}/{b}")
+
+        monkeypatch.setattr(dyadic, "_digit_cycle", boom)
+        w = parse_omega("rat:1/4099")
+        pre, cyc = orbit(w)
+        assert (len(pre), len(cyc)) == (1, 4098)
+        for tag in ("f", "g", "h"):
+            build_dfao(w, tag)
+        signed_dfao(w, EPS_10)
+        assert cli.main(["qseries", "--omega", "rat:1/1000000007", "--upto", "8"]) == 0
+        capsys.readouterr()
+        assert len(build_dfao(Dyadic.from_rational(1, 4099))) == 8199
 
 
 OMEGAS = ["rat:1/3", "rat:-1/3", "rat:1/5", "rat:3/7", "rat:-5/1"]

@@ -90,6 +90,17 @@ class TestQSeries:
         assert rc == 2 and out == ""
         assert err.splitlines() == ["error: digits must be nonnegative"]
 
+    def test_long_period_window_unchanged(self, capsys):
+        # 1/1000003 has a digit period of 10^6 - 2; only the window is read
+        rc, out, _ = run(capsys, "qseries", "--omega", "rat:1/1000003", "--upto", "8")
+        assert rc == 0 and out == "{3: 1}\n"
+        rc, out, _ = run(capsys, "qseries", "--omega", "rat:1/1000003", "--upto", "8",
+                         "--json")
+        assert rc == 0 and out == (
+            '{\n  "mod2": false,\n  "omega": "1/1000003",\n'
+            '  "terms": [\n    [\n      3,\n      "1"\n    ]\n  ],\n  "upto": 8\n}\n'
+        )
+
 
 class TestCf:
     def test_text_listing(self, capsys):
