@@ -133,9 +133,9 @@ def _cmd_cf(args) -> int:
     lam, eps = _specs(args)
     f = build_F(lam, eps, args.precision)
     cf = cf_expand(f, args.n)
-    conv = convergents(cf)
     flags = [i < cf.certified for i in range(len(cf.quotients))]
     if _flag(args, "json", False):
+        conv = convergents(cf)
         print(_dump({
             "a": [poly_to_json(p) for p in cf.quotients],
             "p": [poly_to_json(p) for p in conv.p],

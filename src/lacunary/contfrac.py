@@ -2,7 +2,9 @@
 
 The expansion runs the polynomial Euclidean algorithm on the pair
 (window polynomial, X^N) rather than repeatedly inverting series tails:
-the two are equivalent, and Euclid keeps every coefficient exact.  A
+the two are equivalent, and Euclid keeps every coefficient exact.  Euclid
+runs on sparse {exponent: coefficient} maps, the same shape as the series
+window: the remainders of a lacunary series keep few nonzero terms.  A
 partial quotient A_i is *certified* once 2*deg(Q_i) + 1 <= N, where Q_i
 is the convergent denominator; the rule is conservative and is itself
 exercised by the prefix-stability tests.  Quotients past the certified
@@ -16,7 +18,6 @@ from fractions import Fraction
 
 from .bits import EpsilonSpec, LambdaRangeError, LambdaSpec
 from .rings import (
-    NEG_INF,
     LaurentSeries,
     SeriesPrecisionError,
     SparsePoly,
@@ -86,61 +87,48 @@ class Convergents:
     certified: int
 
 
-def _dense_divmod(num, den):
-    """Quotient and remainder of dense coefficient lists (index = exponent).
-    den must be nonempty with nonzero last entry; [] is the zero polynomial.
-    Integer coefficients stay integers whenever the divisor leads with +-1."""
-    dn = len(den) - 1
-    if len(num) <= dn:
-        return [], list(num)
-    lead = den[-1]
-    r = list(num)
-    quot = [0] * (len(r) - dn)
-    for i in range(len(r) - 1, dn - 1, -1):
-        c = r[i]
-        if c:
-            if lead == 1:
-                f = c
-            elif lead == -1:
-                f = -c
+def _divmod(num: dict, den: dict):
+    """Quotient and remainder of polynomials held as {exponent: coefficient}
+    maps with no zero entries; den must be nonempty, {} is the zero
+    polynomial.  Integer coefficients stay integers whenever the divisor
+    leads with +-1."""
+    dn = max(den)
+    lead = den[dn]
+    tail = [(e - dn, d) for e, d in den.items() if e != dn]
+    r = dict(num)
+    quot = {}
+    for i in range(max(r, default=dn - 1), dn - 1, -1):
+        c = r.pop(i, 0)
+        if not c:
+            continue
+        if lead == 1:
+            f = c
+        elif lead == -1:
+            f = -c
+        else:
+            f = _norm_q(Fraction(c) / lead)
+        quot[i - dn] = f
+        for e, d in tail:
+            k = i + e
+            s = r.get(k, 0) - f * d
+            if s:
+                r[k] = s
             else:
-                f = _norm_q(Fraction(c) / lead)
-            quot[i - dn] = f
-            base = i - dn
-            for j in range(dn):
-                d = den[j]
-                if d:
-                    r[base + j] -= f * d
-        r[i] = 0
-    while r and not r[-1]:
-        r.pop()
+                del r[k]
     return quot, r
 
 
-def _dense_to_poly(coeff_list) -> SparsePoly:
-    return SparsePoly.build(list(enumerate(coeff_list)))
-
-
 def _series_as_fraction(f: LaurentSeries):
-    """f as (numerator list, denominator degree, certifiable window or None)."""
+    """f as (numerator map, denominator map X^N, certifiable window N or None)."""
     if f.exact:
-        exps = sorted(f.coeffs)
-        if not exps:
+        if not f.coeffs:
             raise ZeroSeriesError("zero series")
-        shift = max(0, -exps[0])
-        num = [0] * (f.top + shift + 1)
-        for e, c in f.coeffs.items():
-            num[e + shift] = c
-        return num, shift, None
+        shift = max(0, -min(f.coeffs))
+        return {e + shift: c for e, c in f.coeffs.items()}, {shift: 1}, None
     n = f.cutoff
-    top = f.top
-    if top is NEG_INF or all(not c for c in f.coeffs.values()):
+    if not f.coeffs:
         raise SeriesPrecisionError("precision: no nonzero coefficient in window")
-    num = [0] * (top + n + 1)
-    for e, c in f.coeffs.items():
-        if e >= -n:
-            num[e + n] = c
-    return num, n, n
+    return {e + n: c for e, c in f.coeffs.items() if e >= -n}, {n: 1}, n
 
 
 def cf_expand(f: LaurentSeries, max_quotients: int | None = None) -> ContinuedFraction:
@@ -153,10 +141,11 @@ def cf_expand(f: LaurentSeries, max_quotients: int | None = None) -> ContinuedFr
     out with integer coefficients; a rational coefficient there means the
     window certified something false and is reported as an error.
     """
-    num, shift, window = _series_as_fraction(f)
-    den = [0] * shift + [1]
-    q0, rem = _dense_divmod(num, den)
-    quotients = [_dense_to_poly(q0)]
+    if max_quotients is not None and max_quotients < 0:
+        raise ValueError("max_quotients must be nonnegative")
+    num, den, window = _series_as_fraction(f)
+    q0, rem = _divmod(num, den)
+    quotients = [SparsePoly.build(q0.items())]
     a, b = den, rem
     deg_q = 0
     certified = 1
@@ -164,8 +153,8 @@ def cf_expand(f: LaurentSeries, max_quotients: int | None = None) -> ContinuedFr
     i = 0
     while b and (max_quotients is None or i < max_quotients):
         i += 1
-        qd, rem = _dense_divmod(a, b)
-        poly = _dense_to_poly(qd)
+        qd, rem = _divmod(a, b)
+        poly = SparsePoly.build(qd.items())
         quotients.append(poly)
         deg_q += poly.degree
         ok = window is None or 2 * deg_q + 1 <= window
@@ -175,7 +164,7 @@ def cf_expand(f: LaurentSeries, max_quotients: int | None = None) -> ContinuedFr
             if i == 1:
                 raise SeriesPrecisionError(
                     f"precision: window {window} cannot certify the first partial quotient"
-                    f" (degree {len(qd) - 1})"
+                    f" (degree {poly.degree})"
                 )
             prefix_ok = False
             if max_quotients is None:

@@ -238,33 +238,6 @@ def series_from_poly(p: SparsePoly, denom_power: int = 0) -> LaurentSeries:
     return LaurentSeries(coeffs, top, None)
 
 
-def series_add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-    if a.exact and b.exact:
-        cutoff = None
-    else:
-        cutoff = min(x.cutoff for x in (a, b) if not x.exact)
-    coeffs = dict(a.coeffs)
-    for e, c in b.coeffs.items():
-        s = _norm_q(coeffs.get(e, 0) + c)
-        if s:
-            coeffs[e] = s
-        else:
-            coeffs.pop(e, None)
-    if cutoff is not None:
-        coeffs = {e: c for e, c in coeffs.items() if e >= -cutoff}
-    tops = [x.top for x in (a, b) if x.top is not NEG_INF]
-    top = max(tops) if tops else NEG_INF
-    return LaurentSeries(coeffs, top, cutoff)
-
-
-def series_neg(a: LaurentSeries) -> LaurentSeries:
-    return LaurentSeries({e: -c for e, c in a.coeffs.items()}, a.top, a.cutoff)
-
-
-def series_sub(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-    return series_add(a, series_neg(b))
-
-
 def series_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     a_top = a.top if a.top is not NEG_INF else 0
     b_top = b.top if b.top is not NEG_INF else 0

@@ -1,8 +1,11 @@
 """Command-line interface: output shapes, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
+
+import lacunary.cli
 
 from lacunary.bits import EpsilonSpec, LambdaSpec
 from lacunary.cli import main
@@ -145,6 +148,56 @@ class TestCf:
                 assert exps == sorted(set(exps)), (key, exps)
 
 
+    def test_text_skips_convergents(self, capsys, monkeypatch):
+        def boom(cf):
+            raise AssertionError("text output must not compute P/Q")
+
+        monkeypatch.setattr(lacunary.cli, "convergents", boom)
+        rc, out, _ = run(capsys, "cf", "--n", "4", "--precision", "64")
+        assert rc == 0
+        assert out.splitlines() == [
+            "A_0 = 0",
+            "A_1 = X",
+            "A_2 = -X",
+            "A_3 = -X",
+            "A_4 = -X",
+            "certified: 5 of 5 quotients at precision 64",
+        ]
+
+    def test_negative_quotient_cap(self, capsys):
+        rc, out, err = run(capsys, "cf", "--n", "-3", "--precision", "64")
+        assert rc == 2 and out == ""
+        assert err.splitlines() == ["error: max_quotients must be nonnegative"]
+
+    def test_zero_quotient_cap(self, capsys):
+        rc, out, _ = run(capsys, "cf", "--n", "0", "--precision", "64")
+        assert rc == 0
+        assert out.splitlines() == ["A_0 = 0", "certified: 1 of 1 quotients at precision 64"]
+
+    # SHA-256 of stdout for uncapped expansions of deep windows: a change to
+    # the Euclid loop must leave every byte of the output as it is.
+    LIST = "list:2,7,21,56,148,386,1005,2615,6800,17682"
+
+    @pytest.mark.parametrize("argv, digest", [
+        (("--precision", "4096"),
+         "34a37a75c4b53a6398086759444524c52e2a71f7f79fc7829fc65d9bd9889dc8"),
+        (("--precision", "4096", "--json"),
+         "974eaef6393a489b35f4c4ec674ede461dbbf867f757f61c0f4e7dec532c748f"),
+        (("--precision", "4096", "--eps", "pre:1+period:0,1"),
+         "fa2219b782bca3bec5df0d69d9979116f683fb663d1be6e85dad1fb6085b39ec"),
+        (("--precision", "4096", "--eps", "pre:1+period:0,1", "--json"),
+         "0a637a0d1a481df777c77631ebb1d9e8bb4d0f02e8d871f05053c87a84bbcf40"),
+        (("--precision", "16384", "--lambda", LIST),
+         "a94d911c7754e9eb9d55db442f6472939428d0d4340b2b2818dd90ca2123fa89"),
+        (("--precision", "16384", "--lambda", LIST, "--json"),
+         "e515d1d5546d8918b95bc7d60c62152b877d4d1a3abb28ffec0dcaadd13b49e9"),
+    ], ids=["mersenne", "mersenne-json", "signed", "signed-json", "list", "list-json"])
+    def test_output_unchanged(self, capsys, argv, digest):
+        rc, out, _ = run(capsys, "cf", *argv)
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestAutomaton:
     def test_build_text(self, capsys):
         rc, out, _ = run(capsys, "automaton", "--omega", "rat:1/3", "--tag", "f")
@@ -237,6 +290,16 @@ class TestOeis:
         rc, _, err = run(capsys, "oeis-check", "A002487", "--bfile",
                          "/no/such/file.txt")
         assert rc == 2 and "error:" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("oeis-check", "A002487", "--limit", "-1"),
+        ("oeis-check", "--limit", "-1"),
+        ("stern", "oeis-check", "--id", "A002487", "--limit", "-1"),
+    ])
+    def test_negative_limit(self, capsys, argv):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == ""
+        assert err.splitlines() == ["error: limit must be nonnegative"]
 
     def test_stern_alias_requires_id(self, capsys):
         rc, _, err = run(capsys, "stern", "oeis-check")

@@ -1,10 +1,14 @@
 """Series construction and continued-fraction expansion."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, strategies as st
 
 from lacunary.bits import EpsilonSpec, LambdaRangeError, LambdaSpec
 from lacunary.contfrac import (
     ContinuedFraction,
+    _divmod,
     build_F,
     cf_expand,
     cf_fold,
@@ -12,13 +16,13 @@ from lacunary.contfrac import (
     phi_oracle,
 )
 from lacunary.rings import (
+    NEG_INF,
     LaurentSeries,
     SeriesPrecisionError,
     SparsePoly,
     reduce_mod2,
     series_from_poly,
     series_mul,
-    series_sub,
 )
 
 MERS = LambdaSpec.mersenne()
@@ -59,13 +63,33 @@ class TestBuildF:
             assert g.coeff(e) == f.coeff(e), e
 
 
+_terms = st.lists(st.tuples(st.integers(0, 16), st.integers(-2, 2)), max_size=12)
+_leads = st.sampled_from([1, -1, 2, -3, 5, Fraction(1, 2), Fraction(-2, 3)])
+
+
+@given(_terms, _terms, _terms, st.integers(0, 10), _leads)
+def test_divmod_is_division_with_remainder(mult_terms, rest_terms, tail_terms, deg, lead):
+    den = SparsePoly.build([(e % (deg + 1), c) for e, c in tail_terms if e % (deg + 1) < deg]
+                           + [(deg, lead)])
+    # a multiple of den plus noise, so exact divisions and cancellations occur
+    num = SparsePoly.build(mult_terms) * den + SparsePoly.build(rest_terms)
+    q, r = _divmod(dict(num.terms), dict(den.terms))
+    # checked through SparsePoly arithmetic, not through _divmod's own loop
+    assert SparsePoly.build(q.items()) * den + SparsePoly.build(r.items()) == num
+    assert max(r, default=NEG_INF) < deg
+    assert all(r.values()) and all(q.values())
+    if lead in (1, -1):
+        # num has int coefficients whenever den does
+        assert all(type(c) is int for c in (*q.values(), *r.values()))
+
+
 def _assert_best_approx(f, conv, i):
     """F * Q_i - P_i must vanish at all exponents >= -deg Q_i."""
     q, p = conv.q[i], conv.p[i]
-    resid = series_sub(series_mul(f, series_from_poly(q)), series_from_poly(p))
-    lo = -q.degree if resid.exact else max(-q.degree, -resid.cutoff)
-    for e in range(resid.top, lo - 1, -1):
-        assert resid.coeff(e) == 0, f"residual term at X^{e} for convergent {i}"
+    prod = series_mul(f, series_from_poly(q))
+    lo = -q.degree if prod.exact else max(-q.degree, -prod.cutoff)
+    for e in range(max(prod.top, p.degree), lo - 1, -1):
+        assert prod.coeff(e) == p.coeff(e), f"residual term at X^{e} for convergent {i}"
 
 
 class TestExpansion:
@@ -94,6 +118,10 @@ class TestExpansion:
         for i in range(len(conv.p) - 1):
             det = conv.p[i + 1] * conv.q[i] - conv.p[i] * conv.q[i + 1]
             assert det == (one if i % 2 == 0 else one.scale(-1))
+
+    def test_negative_cap_rejected(self):
+        with pytest.raises(ValueError, match="max_quotients must be nonnegative"):
+            cf_expand(build_F(MERS, ZERO, 64), -3)
 
     def test_uncertifiable_first_quotient(self):
         f = build_F(MERS, ZERO, 1)

@@ -45,6 +45,10 @@ class TestCheckOeis:
         report = check_oeis("A002487", limit=10)
         assert report.ok and report.compared == 10
 
+    def test_negative_limit_rejected(self):
+        with pytest.raises(ValueError, match="limit must be nonnegative"):
+            check_oeis("A002487", limit=-1)
+
     def test_empty_overlap(self):
         with pytest.raises(ValueError, match="empty overlap"):
             check_oeis("A078812", bfile_text="0 1\n")

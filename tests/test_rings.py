@@ -20,7 +20,6 @@ from lacunary.rings import (
     series_from_poly,
     series_invert,
     series_mul,
-    series_sub,
 )
 
 x = SparsePoly.x_power
@@ -163,11 +162,6 @@ class TestLaurentSeries:
         z = series_from_poly(SparsePoly.zero())
         with pytest.raises(ZeroSeriesError, match="zero series"):
             series_invert(z)
-
-    def test_sub_cancels(self):
-        a = series_from_poly(poly_q((0, 1)))
-        d = series_sub(a, a)
-        assert d.exact and not d.coeffs
 
 
 def test_package_exports_resolve():
