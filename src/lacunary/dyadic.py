@@ -1,19 +1,21 @@
-"""2-adic integers in three representations, with digit access and the
-binomial-parity machinery extended to 2-adic upper arguments.
+"""2-adic integers, with digit access and the binomial-parity machinery
+extended to 2-adic upper arguments.
 
-A value is one of
+A value is one of two cases:
 
-* ``Finite``: an ordinary integer; its digit string is the two's-complement
-  expansion (so negative integers carry an infinite tail of 1s);
-* ``EventuallyPeriodic``: a rational a/b with odd b > 1, stored as the
-  reduced pair (num, den) and nothing else.  Digit j is read off
-  num * den^-1 mod 2^(j+1) on demand, and a shift is one step of the
-  numerator map x -> (x - (x&1)*den)/2, so walking the shift orbit costs
-  time linear in the digit period.  The minimal preperiod and repeating
-  block are computed only when ``pre``/``per`` are read (tail-0 and tail-1
-  expansions collapse to Finite on construction);
-* ``Stream``: an opaque digit rule with a declared safe depth, for values
+* a rational a/b with odd b, stored as the reduced pair (num, den) and
+  nothing else.  An ordinary integer n is the pair (n, 1); its digits are
+  the two's-complement expansion, so a negative integer carries an infinite
+  tail of 1s.  Digit j is read off num * den^-1 mod 2^(j+1) on demand, and a
+  shift is one step of the numerator map x -> (x - (x&1)*den)/2, so walking
+  the shift orbit costs time linear in the digit period.  The minimal
+  preperiod and repeating block of a non-integer are computed only when
+  ``pre``/``per`` are read;
+* a stream: an opaque digit rule with a declared safe depth, for values
   given only by their digits.
+
+``classify()`` tells the cases apart: "integer" (den == 1),
+"rational-non-integer" (den > 1) or "unknown" (a stream).
 
 Binomial parity against a 2-adic upper argument extends the digitwise rule:
 C(w, k) mod 2 = 1 iff every digit of k is dominated by the matching digit of
@@ -48,15 +50,14 @@ class Dyadic:
     """A 2-adic integer.  Construct through from_int / from_rational /
     from_bits / from_stream; direct construction is internal.
 
-    A periodic value holds only its reduced fraction num/den; its digit
-    preperiod and period are the read-only properties ``pre``/``per``,
-    computed on first access and cached."""
+    A rational value holds only its reduced fraction num/den (den odd and
+    positive, 1 for an integer); a non-integer's digit preperiod and period
+    are the read-only properties ``pre``/``per``, computed on first access
+    and cached.  A stream holds its digit rule and safe depth instead."""
 
-    kind: str                      # "finite" | "periodic" | "stream"
-    value: int = 0                 # finite only
-    num: int = 0                   # periodic only: value = num / den
+    num: int = 0                   # rational: value = num / den
     den: int = 1
-    rule: object = None            # stream only
+    rule: object = None            # stream only; None for every rational
     depth: int = 0                 # stream only: digits [0, depth) are safe
     name: str = ""
 
@@ -64,7 +65,7 @@ class Dyadic:
 
     @classmethod
     def from_int(cls, n: int) -> "Dyadic":
-        return cls("finite", value=n)
+        return cls(num=n)
 
     @classmethod
     def from_rational(cls, a: int, b: int) -> "Dyadic":
@@ -74,14 +75,11 @@ class Dyadic:
         if b < 0:
             a, b = -a, -b
         g = gcd(a, b)
-        if g:
-            a //= g
-            b //= g
+        a //= g
+        b //= g
         if b % 2 == 0:
             raise NotTwoAdicError(f"not a 2-adic integer: denominator {b} is even")
-        if b == 1:
-            return cls.from_int(a)
-        return cls("periodic", num=a, den=b)
+        return cls(num=a, den=b)
 
     @classmethod
     def from_bits(cls, pre, period) -> "Dyadic":
@@ -105,56 +103,46 @@ class Dyadic:
     def from_stream(cls, rule, depth: int, name: str = "stream") -> "Dyadic":
         if depth <= 0:
             raise ValueError("stream depth must be positive")
-        return cls("stream", rule=rule, depth=depth, name=name)
+        return cls(rule=rule, depth=depth, name=name)
 
     # -- basic structure ---------------------------------------------------
 
     @cached_property
     def _cycle(self) -> tuple:
-        return _digit_cycle(self.num, self.den) if self.kind == "periodic" else ((), ())
+        if self.classify() != "rational-non-integer":
+            return ((), ())
+        return _digit_cycle(self.num, self.den)
 
     @property
     def pre(self) -> tuple:
-        """Minimal preperiod digits (periodic only; () otherwise)."""
+        """Minimal preperiod digits (rational non-integers only; () otherwise)."""
         return self._cycle[0]
 
     @property
     def per(self) -> tuple:
-        """Minimal repeating digits (periodic only; () otherwise)."""
+        """Minimal repeating digits (rational non-integers only; () otherwise)."""
         return self._cycle[1]
 
     def __eq__(self, other):
         if not isinstance(other, Dyadic):
             return NotImplemented
-        if self.kind != other.kind:
-            return False
-        if self.kind == "finite":
-            return self.value == other.value
-        if self.kind == "periodic":
-            return (self.num, self.den) == (other.num, other.den)
+        if self.rule is None:
+            return other.rule is None and (self.num, self.den) == (other.num, other.den)
         return self is other
 
     def __hash__(self):
-        if self.kind == "finite":
-            return hash(("finite", self.value))
-        if self.kind == "periodic":
-            return hash(("periodic", self.num, self.den))
+        if self.rule is None:
+            return hash((self.num, self.den))
         return id(self)
 
     def __repr__(self):
-        if self.kind == "finite":
-            return f"Dyadic({self.value})"
-        if self.kind == "periodic":
-            return f"Dyadic({self.num}/{self.den})"
-        return f"Dyadic(stream:{self.name})"
+        return f"Dyadic({self.describe()})"
 
     def digit(self, j: int) -> int:
         """Digit j (LSB first)."""
         if j < 0:
             raise ValueError("negative digit index")
-        if self.kind == "finite":
-            return (self.value >> j) & 1
-        if self.kind == "periodic":
+        if self.rule is None:
             return ((self.num * pow(self.den, -1, 1 << (j + 1))) >> j) & 1
         if j >= self.depth:
             raise StreamDepthError(f"stream exhausted: digit {j} beyond safe depth {self.depth}")
@@ -164,63 +152,50 @@ class Dyadic:
         """Digits [0, length) packed into an int, LSB first."""
         if length <= 0:
             return 0
-        mask = (1 << length) - 1
-        if self.kind == "finite":
-            return self.value & mask
-        if self.kind == "periodic":
-            return (self.num * pow(self.den, -1, 1 << length)) & mask
+        if self.rule is None:
+            return (self.num * pow(self.den, -1, 1 << length)) & ((1 << length) - 1)
         if length > self.depth:
             raise StreamDepthError(f"stream exhausted: window {length} beyond safe depth {self.depth}")
         return sum(int(self.rule(j)) << j for j in range(length) if self.rule(j))
 
     def parity(self) -> int:
-        if self.kind == "periodic":
+        if self.rule is None:
             return self.num & 1   # den is odd, so parity of num/den is parity of num
         return self.digit(0)
 
     def shift(self) -> "Dyadic":
-        """The shifted value (w - w_0) / 2; representation kind is preserved."""
-        if self.kind == "finite":
-            return Dyadic.from_int(self.value >> 1)
-        if self.kind == "periodic":
+        """The shifted value (w - w_0) / 2; a stream stays a stream."""
+        if self.rule is None:
             # gcd(x - d*den, den) = gcd(x, den) = 1 and den is odd, so halving
-            # keeps the fraction reduced and den > 1 keeps it periodic
-            d = self.num & 1
-            return Dyadic("periodic", num=(self.num - d * self.den) >> 1, den=self.den)
+            # keeps the fraction reduced
+            return Dyadic(num=(self.num - (self.num & 1) * self.den) >> 1, den=self.den)
         rule, depth, name = self.rule, self.depth, self.name
         return Dyadic.from_stream(lambda j: rule(j + 1), depth - 1, name + ">>1")
 
     def add_int(self, n: int) -> "Dyadic":
         """w + n for an ordinary integer n."""
-        if self.kind == "finite":
-            return Dyadic.from_int(self.value + n)
-        if self.kind == "periodic":
-            return Dyadic.from_rational(self.num + n * self.den, self.den)
+        if self.rule is None:
+            # gcd(num + n*den, den) = gcd(num, den) = 1: still reduced
+            return Dyadic(num=self.num + n * self.den, den=self.den)
         raise OpaqueStreamError("unsupported on opaque stream: add_int (use windowed digits)")
 
     def to_rational(self):
         """(numerator, denominator) with odd positive denominator."""
-        if self.kind == "finite":
-            return (self.value, 1)
-        if self.kind == "periodic":
+        if self.rule is None:
             return (self.num, self.den)
         raise OpaqueStreamError("unsupported on opaque stream: to_rational")
 
     def classify(self) -> str:
-        if self.kind == "finite":
-            return "integer"
-        if self.kind == "periodic":
-            return "rational-non-integer"
+        if self.rule is None:
+            return "integer" if self.den == 1 else "rational-non-integer"
         return "unknown"
 
     def is_rational(self) -> bool:
-        return self.kind != "stream"
+        return self.rule is None
 
     def describe(self) -> str:
-        if self.kind == "finite":
-            return str(self.value)
-        if self.kind == "periodic":
-            return f"{self.num}/{self.den}"
+        if self.rule is None:
+            return str(self.num) if self.den == 1 else f"{self.num}/{self.den}"
         return f"stream:{self.name}"
 
 
@@ -240,7 +215,10 @@ def _digit_cycle(a: int, b: int) -> tuple:
     return tuple(digits[:cut]), tuple(digits[cut:])
 
 
-def parse_omega(text: str, stream_depth: int = 1 << 20) -> Dyadic:
+_STREAM_DEPTH = 1 << 20   # safe depth of the built-in demo streams
+
+
+def parse_omega(text: str) -> Dyadic:
     """CLI grammar: ``int:-5``, ``rat:1/3``, ``bits:pre=1,0;period=0,1``,
     ``stream:thue-morse`` (built-in demo streams: thue-morse, paperfolding)."""
     if text.startswith("int:"):
@@ -271,9 +249,9 @@ def parse_omega(text: str, stream_depth: int = 1 << 20) -> Dyadic:
     if text.startswith("stream:"):
         name = text[7:]
         if name == "thue-morse":
-            return Dyadic.from_stream(lambda j: j.bit_count() & 1, stream_depth, "thue-morse")
+            return Dyadic.from_stream(lambda j: j.bit_count() & 1, _STREAM_DEPTH, "thue-morse")
         if name == "paperfolding":
-            return Dyadic.from_stream(_paperfolding_bit, stream_depth, "paperfolding")
+            return Dyadic.from_stream(_paperfolding_bit, _STREAM_DEPTH, "paperfolding")
         raise ValueError(f"unknown demo stream {name!r}")
     raise ValueError(f"bad omega spec {text!r}")
 
@@ -302,9 +280,7 @@ def _window_plus(w: Dyadic, c: int, length: int) -> int:
     """Digits [0, length) of w + c, via windowed addition (carries only move
     upward, so a window of w of the same length determines the result)."""
     mask = (1 << length) - 1
-    if w.kind == "finite":
-        return (w.value + c) & mask
-    if w.kind == "periodic":
+    if w.rule is None:
         return ((w.num + c * w.den) * pow(w.den, -1, 1 << length)) & mask
     return (w.digits_window(length) + c) & mask
 
@@ -315,11 +291,18 @@ def halfsum_binom(w: Dyadic, k: int) -> int:
     The two agree wherever the former is defined, and the latter needs no
     division: only a windowed add.  Opposite-parity combinations come out 0
     automatically."""
-    if k < 0:
-        raise ValueError("negative lower argument")
-    kk = 2 * k + 1
-    need = kk.bit_length()
-    return 1 if (kk & ~_window_plus(w, k + 1, need)) == 0 else 0
+    return kernel_value(w, k, "f")
+
+
+# tag -> (a, b): the family C(w+k+b, 2k+a) mod 2
+_KERNEL_OFFSETS = {"f": (1, 1), "g": (0, 0), "h": (1, 0)}
+
+
+def _kernel_offsets(tag: str) -> tuple:
+    try:
+        return _KERNEL_OFFSETS[tag]
+    except KeyError:
+        raise ValueError(f"unknown tag {tag!r}") from None
 
 
 def kernel_value(w: Dyadic, k: int, tag: str) -> int:
@@ -329,21 +312,12 @@ def kernel_value(w: Dyadic, k: int, tag: str) -> int:
     tag 'h': C(w+k, 2k+1) mod 2."""
     if k < 0:
         raise ValueError("negative lower argument")
-    if tag == "f":
-        kk = 2 * k + 1
-        c = k + 1
-    elif tag == "g":
-        kk = 2 * k
-        c = k
-    elif tag == "h":
-        kk = 2 * k + 1
-        c = k
-    else:
-        raise ValueError(f"unknown tag {tag!r}")
+    a, b = _kernel_offsets(tag)
+    kk = 2 * k + a
     if kk == 0:
         return 1
     need = kk.bit_length()
-    return 1 if (kk & ~_window_plus(w, c, need)) == 0 else 0
+    return 1 if (kk & ~_window_plus(w, k + b, need)) == 0 else 0
 
 
 def kernel_range(w: Dyadic, k_max: int, tag: str = "f") -> list:
@@ -352,20 +326,10 @@ def kernel_range(w: Dyadic, k_max: int, tag: str = "f") -> list:
     digits of w + c never depend on digits beyond the window)."""
     if k_max < 0:
         raise ValueError("negative range")
-    if tag not in ("f", "g", "h"):
-        raise ValueError(f"unknown tag {tag!r}")
+    a, b = _kernel_offsets(tag)
     length = (2 * k_max + 1).bit_length() + 1
     win = w.digits_window(length)
-    out = []
-    for k in range(k_max + 1):
-        if tag == "f":
-            kk, c = 2 * k + 1, k + 1
-        elif tag == "g":
-            kk, c = 2 * k, k
-        else:
-            kk, c = 2 * k + 1, k
-        out.append(1 if kk & ~(win + c) == 0 else 0)
-    return out
+    return [1 if (2 * k + a) & ~(win + k + b) == 0 else 0 for k in range(k_max + 1)]
 
 
 def digit_pair_period(w: Dyadic, max_digits: int):
@@ -401,7 +365,7 @@ def halfsum_binom_halving(w: Dyadic, k: int) -> int:
 
 def leading_zeros(w: Dyadic) -> int:
     """Number of leading 0 digits.  Undefined (raises) for 0."""
-    if w.kind == "finite" and w.value == 0:
+    if w == Dyadic.from_int(0):
         raise ValueError("zero has no finite leading-zeros count")
     n = 0
     while w.digit(n) == 0:
@@ -414,7 +378,7 @@ def leading_zeros(w: Dyadic) -> int:
 def leading_ones(w: Dyadic) -> int:
     """Number of leading 1 digits.  Undefined (raises) for -1, whose digits
     are all 1."""
-    if w.kind == "finite" and w.value == -1:
+    if w == Dyadic.from_int(-1):
         raise ValueError("minus one has no finite leading-ones count")
     n = 0
     while w.digit(n) == 1:

@@ -124,8 +124,8 @@ def check_oeis(seq_id: str, bfile_text: str | None = None, limit: int | None = N
     default) over the overlapping index range."""
     if seq_id not in PROFILES:
         raise KeyError(f"no profile for {seq_id}")
-    if limit is not None and limit < 0:
-        raise ValueError("limit must be nonnegative")
+    if limit is not None and limit < 1:
+        raise ValueError("limit must be positive")
     prof = PROFILES[seq_id]
     if bfile_text is None:
         bfile_text = fixture_path(seq_id).read_text()

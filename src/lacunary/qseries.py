@@ -58,9 +58,9 @@ class QSeriesHandle:
 
     def support_bound(self):
         """Largest k that can contribute, or None when w is not an integer."""
-        if self.omega.kind != "finite":
+        if self.omega.classify() != "integer":
             return None
-        n = self.omega.value
+        n = self.omega.num
         return n if n >= 0 else -n - 2
 
 

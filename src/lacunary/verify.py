@@ -112,7 +112,7 @@ def _rand_rational_dyadic(rng, periodic_only=False) -> Dyadic:
         b = 2 * rng.randint(1, 500) + 1
         a = rng.randint(-1000, 1000)
         w = Dyadic.from_rational(a, b)
-        if w.kind == "periodic":
+        if w.classify() == "rational-non-integer":
             return w
         if not periodic_only:
             return w
@@ -284,7 +284,7 @@ def check_digit_lemma_ii_iii(level, rng):
         res = digit_pair_period(w, 360)
         assert res is not None, "rational w must have ultimately periodic pair sums"
         pre_len, period = res
-        if w.kind == "finite":
+        if w.classify() == "integer":
             assert period == (0,), "integer w pair sums must die out"
         else:
             assert w.per, "rational non-integer w must have a nonempty digit period"
@@ -357,7 +357,7 @@ def check_dyadic_roundtrip(level, rng):
         assert nb > 0 and nb % 2 == 1, "canonical denominator"
         win = w.digits_window(64)
         assert (a - b * win) % (1 << 64) == 0, "digit window multiplies back"
-        if w.kind == "periodic":
+        if Fraction(a, b).denominator > 1:
             again = Dyadic.from_bits(w.pre, w.per)
             assert again == w and again.pre == w.pre and again.per == w.per, (
                 "canonicalization idempotent"

@@ -61,7 +61,7 @@ class TestOrbit:
         # the shift orbit walks numerators; pre/per come from the cached
         # digit loop, a separate code path
         w = _rat(a, 2 * half + 1)
-        assume(w.kind == "periodic")
+        assume(w.classify() == "rational-non-integer")
         pre, cyc = orbit(w)
         assert len(pre) == len(w.pre)
         assert len(cyc) == len(w.per)
@@ -70,7 +70,7 @@ class TestOrbit:
     @given(st.integers(-4000, 4000), st.integers(1, 1000))
     def test_digit_matches_window_and_cycle(self, a, half):
         w = _rat(a, 2 * half + 1)
-        assume(w.kind == "periodic")
+        assume(w.classify() == "rational-non-integer")
         for j in range(len(w.pre) + 3 * len(w.per)):
             assert w.digit(j) == (w.digits_window(j + 1) >> j) & 1
             expect = w.pre[j] if j < len(w.pre) else w.per[(j - len(w.pre)) % len(w.per)]

@@ -295,11 +295,14 @@ class TestOeis:
         ("oeis-check", "A002487", "--limit", "-1"),
         ("oeis-check", "--limit", "-1"),
         ("stern", "oeis-check", "--id", "A002487", "--limit", "-1"),
+        ("oeis-check", "A002487", "--limit", "0"),
+        ("oeis-check", "--limit", "0"),
+        ("stern", "oeis-check", "--id", "A002487", "--limit", "0"),
     ])
     def test_negative_limit(self, capsys, argv):
         rc, out, err = run(capsys, *argv)
         assert rc == 2 and out == ""
-        assert err.splitlines() == ["error: limit must be nonnegative"]
+        assert err.splitlines() == ["error: limit must be positive"]
 
     def test_stern_alias_requires_id(self, capsys):
         rc, _, err = run(capsys, "stern", "oeis-check")

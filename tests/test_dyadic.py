@@ -23,6 +23,7 @@ from lacunary.dyadic import (
 )
 
 odd = st.integers(0, 400).map(lambda n: 2 * n + 1)
+signed_odd = st.integers(-400, 400).map(lambda n: 2 * n + 1)
 
 
 def digits_oracle(a, b, length):
@@ -39,12 +40,12 @@ class TestConstruction:
 
     def test_from_rational_canonical(self):
         w = Dyadic.from_rational(1, 3)
-        assert w.kind == "periodic"
+        assert w.classify() == "rational-non-integer"
         assert w.pre == (1,) and w.per == (1, 0)
         assert Dyadic.from_rational(2, 6) == w
 
     def test_from_rational_integer_collapse(self):
-        assert Dyadic.from_rational(10, 5).kind == "finite"
+        assert Dyadic.from_rational(10, 5).classify() == "integer"
         assert Dyadic.from_rational(10, 5) == Dyadic.from_int(2)
 
     def test_even_denominator_rejected(self):
@@ -84,12 +85,42 @@ class TestConstruction:
         assert s.classify() == "unknown"
 
 
+class TestIntegerIsRational:
+    """An integer n is the fraction n/1: every operation on it is the
+    rational formula at den == 1, checked against Python's two's complement."""
+
+    @given(st.integers(-10**12, 10**12), signed_odd, st.integers(-10**6, 10**6))
+    def test_collapsed_form(self, n, b, m):
+        w = Dyadic.from_rational(n * b, b)
+        assert w == Dyadic.from_int(n)
+        assert hash(w) == hash(Dyadic.from_int(n))
+        for length in range(81):
+            assert w.digits_window(length) == n & ((1 << length) - 1), length
+        assert w.shift() == Dyadic.from_int(n >> 1)
+        assert w.add_int(m) == Dyadic.from_int(n + m)
+        assert w.describe() == str(n)
+        assert w.classify() == "integer"
+        assert w.pre == () and w.per == ()
+
+    def test_integer_differs_from_non_integer(self):
+        assert Dyadic.from_int(1) != Dyadic.from_rational(1, 3)
+        assert repr(Dyadic.from_int(-6)) == "Dyadic(-6)"
+        assert repr(Dyadic.from_rational(-1, 3)) == "Dyadic(-1/3)"
+
+
 class TestStreams:
     def test_depth_guard(self):
         s = Dyadic.from_stream(lambda j: 1, 16, "ones")
         assert s.digits_window(16) == 0xFFFF
         with pytest.raises(StreamDepthError, match="stream exhausted"):
             s.digits_window(17)
+
+    def test_identity_equality_and_no_cycle(self):
+        s = Dyadic.from_stream(lambda j: 0, 64, "zeros")
+        t = Dyadic.from_stream(lambda j: 0, 64, "zeros")
+        assert s == s and s != t and s != Dyadic.from_int(0)
+        assert s.pre == () and s.per == ()
+        assert repr(s) == "Dyadic(stream:zeros)"
 
     def test_opaque_operations(self):
         s = Dyadic.from_stream(lambda j: 0, 64, "zeros")
@@ -168,6 +199,22 @@ class TestHalfsum:
             assert kernel_value(w, 0, "g") == 1
             assert kernel_value(w, 0, "h") == w.parity()
             assert kernel_value(w, 0, "f") == 1 - w.parity()
+
+    @pytest.mark.parametrize("tag, upper, lower", [
+        ("f", lambda n, k: n + k + 1, lambda k: 2 * k + 1),
+        ("g", lambda n, k: n + k, lambda k: 2 * k),
+        ("h", lambda n, k: n + k, lambda k: 2 * k + 1),
+    ])
+    @given(n=st.integers(0, 600), k=st.integers(0, 120))
+    def test_kernel_tags_against_comb(self, tag, upper, lower, n, k):
+        assert kernel_value(Dyadic.from_int(n), k, tag) == comb(upper(n, k), lower(k)) % 2
+
+    def test_unknown_tag_rejected(self):
+        w = Dyadic.from_int(5)
+        with pytest.raises(ValueError, match="unknown tag 'x'"):
+            kernel_value(w, 3, "x")
+        with pytest.raises(ValueError, match="unknown tag 'x'"):
+            kernel_range(w, 3, "x")
 
     @given(st.integers(-400, 400), odd, st.integers(0, 80))
     def test_f_is_g_plus_h_mod2(self, a, b, k):

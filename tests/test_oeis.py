@@ -46,8 +46,13 @@ class TestCheckOeis:
         assert report.ok and report.compared == 10
 
     def test_negative_limit_rejected(self):
-        with pytest.raises(ValueError, match="limit must be nonnegative"):
+        with pytest.raises(ValueError, match="limit must be positive"):
             check_oeis("A002487", limit=-1)
+
+    def test_zero_limit_rejected(self):
+        # an empty slice must be blamed on the limit, not on the b-file
+        with pytest.raises(ValueError, match="limit must be positive"):
+            check_oeis("A002487", limit=0)
 
     def test_empty_overlap(self):
         with pytest.raises(ValueError, match="empty overlap"):
