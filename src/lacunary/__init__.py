@@ -48,8 +48,8 @@ from .contfrac import (
     Convergents,
     build_F,
     cf_expand,
-    cf_fold,
     convergents,
+    fold_expand,
     phi_oracle,
 )
 from .stern import (
@@ -108,8 +108,8 @@ __all__ = [
     "binom_parity_dyadic", "digit_pair_period", "halfsum_binom", "kernel_range",
     "kernel_value", "parse_omega",
     "InsufficientDataError", "detect_ultimate_period",
-    "ContinuedFraction", "Convergents", "build_F", "cf_expand", "cf_fold",
-    "convergents", "phi_oracle",
+    "ContinuedFraction", "Convergents", "build_F", "cf_expand",
+    "convergents", "fold_expand", "phi_oracle",
     "alpha", "beta", "carlitz_range", "fold_v", "fold_w", "fold_z", "gamma",
     "parity_convolve", "stern_carlitz", "stern_range", "stern_u", "stern_v",
     "thue_morse",

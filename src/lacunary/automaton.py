@@ -23,8 +23,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .bits import EpsilonSpec
 from .dyadic import Dyadic
@@ -121,6 +123,8 @@ class Dfao:
         `bits` digits.  Zero padding never changes the result (the output
         map is stable under the 0-transition), so this matches evaluate().
         One state-array doubling per digit position."""
+        import numpy as np
+
         d0 = np.array([t[0] for t in self._step], dtype=np.int32)
         d1 = np.array([t[1] for t in self._step], dtype=np.int32)
         arr = np.array([self._index[self.initial]], dtype=np.int32)

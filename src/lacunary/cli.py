@@ -3,7 +3,7 @@
 Subcommands: cf, qseries, stern, automaton, verify, oeis-check.  Exit
 codes: 0 success, 1 a verification failed, 2 usage error.  JSON output is
 deterministic: keys sorted, no timestamps, coefficients rendered as
-decimal strings.
+decimal strings; the one timing is the per-check seconds of verify --json.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import json
 import sys
 
 from .bits import LambdaRangeError, parse_epsilon_spec, parse_lambda_spec
-from .contfrac import build_F, cf_expand, convergents
+from .contfrac import build_F, convergents, fold_expand
 from .dyadic import (
     Dyadic,
     NotTwoAdicError,
@@ -24,7 +24,7 @@ from .dyadic import (
 )
 from .oeis import PROFILES, check_oeis
 from .qseries import QSeriesHandle, a_number, pell_check_mod2, q_omega_window
-from .rings import SeriesPrecisionError, poly_to_json
+from .rings import SeriesPrecisionError
 from .stern import (
     alpha,
     beta,
@@ -51,6 +51,42 @@ _USAGE_ERRORS = (
 
 def _dump(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2)
+
+
+def _json_list(items, indent: str) -> str:
+    """A list as _dump lays it out, from its items already laid out one
+    level deeper than indent."""
+    if not items:
+        return "[]"
+    return "".join(("[\n", ",\n".join(items), "\n", indent, "]"))
+
+
+def _poly_list(polys) -> str:
+    """_dump's layout of [poly_to_json(p) for p in polys] as a top-level value."""
+    return _json_list([
+        '    {\n      "ring": "Q",\n      "terms": '
+        + _json_list([f'        [\n          {e},\n          "{c}"\n        ]'
+                      for e, c in p.terms], "      ")
+        + "\n    }"
+        for p in polys
+    ], "  ")
+
+
+def _cf_json(cf, conv) -> str:
+    """_dump of the cf --json payload, byte for byte, written directly: the
+    pure-Python indenting encoder and a dict per polynomial cost several
+    times the output itself."""
+    flags = ["    true" if i < cf.certified else "    false" for i in range(len(cf.quotients))]
+    fields = (
+        ("a", _poly_list(cf.quotients)),
+        ("certified", _json_list(flags, "  ")),
+        ("certified_count", json.dumps(cf.certified)),
+        ("p", _poly_list(conv.p)),
+        ("precision", json.dumps(cf.precision)),
+        ("q", _poly_list(conv.q)),
+        ("terminated", json.dumps(cf.terminated)),
+    )
+    return "{\n" + ",\n".join(f'  "{k}": {v}' for k, v in fields) + "\n}"
 
 
 def _common() -> argparse.ArgumentParser:
@@ -132,22 +168,12 @@ def _specs(args):
 def _cmd_cf(args) -> int:
     lam, eps = _specs(args)
     f = build_F(lam, eps, args.precision)
-    cf = cf_expand(f, args.n)
-    flags = [i < cf.certified for i in range(len(cf.quotients))]
+    cf = fold_expand(f, args.n)
     if _flag(args, "json", False):
-        conv = convergents(cf)
-        print(_dump({
-            "a": [poly_to_json(p) for p in cf.quotients],
-            "p": [poly_to_json(p) for p in conv.p],
-            "q": [poly_to_json(p) for p in conv.q],
-            "certified": flags,
-            "certified_count": cf.certified,
-            "precision": cf.precision,
-            "terminated": cf.terminated,
-        }))
+        print(_cf_json(cf, convergents(cf)))
         return 0
     for i, quot in enumerate(cf.quotients):
-        mark = "" if flags[i] else "   (uncertified)"
+        mark = "" if i < cf.certified else "   (uncertified)"
         print(f"A_{i} = {quot}{mark}")
     print(f"certified: {cf.certified} of {len(cf.quotients)} quotients at precision {cf.precision}")
     return 0

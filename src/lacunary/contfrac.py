@@ -1,11 +1,21 @@
 """Continued fractions of formal Laurent series over exact rationals.
 
-The expansion runs the polynomial Euclidean algorithm on the pair
-(window polynomial, X^N) rather than repeatedly inverting series tails:
-the two are equivalent, and Euclid keeps every coefficient exact.  Euclid
-runs on sparse {exponent: coefficient} maps, the same shape as the series
-window: the remainders of a lacunary series keep few nonzero terms.  A
-partial quotient A_i is *certified* once 2*deg(Q_i) + 1 <= N, where Q_i
+Two expansions return the same `ContinuedFraction` for a lacunary window.
+
+`fold_expand` is the one `cf` uses.  Under lambda_{q+1} > 2 lambda_q every
+partial quotient of the partial sum F_q is a +-1 monomial, and adding the
+next term folds the expansion (Mendes France, Acta Arith. 23 (1973); van
+der Poorten and Shallit, "Folded continued fractions", J. Number Theory 40
+(1992)), so its cost is the number of quotients.
+
+`cf_expand` runs the polynomial Euclidean algorithm on the pair (window
+polynomial, X^N) rather than repeatedly inverting series tails: the two
+are equivalent, and Euclid keeps every coefficient exact.  Euclid runs on
+sparse {exponent: coefficient} maps, the same shape as the series window:
+the remainders of a lacunary series keep few nonzero terms.  It expands
+any series and is the independent oracle for the fold.
+
+A partial quotient A_i is *certified* once 2*deg(Q_i) + 1 <= N, where Q_i
 is the convergent denominator; the rule is conservative and is itself
 exercised by the prefix-stability tests.  Quotients past the certified
 prefix are still reported, flagged uncertified.
@@ -186,6 +196,98 @@ def cf_expand(f: LaurentSeries, max_quotients: int | None = None) -> ContinuedFr
     )
 
 
+def fold_expand(f: LaurentSeries, max_quotients: int | None = None) -> ContinuedFraction:
+    """The expansion cf_expand(f, max_quotients) returns, for a window of
+    sum s_q X^(-lambda_q) with every s_q = +-1 and lambda_{q+1} > 2 lambda_q,
+    built by folding instead of Euclid.
+
+    F_0 = s_0 X^(-lambda_0) is [0; s_0 X^lambda_0].  When F_q = [0; A_1..A_m]
+    has every A_i a +-1 monomial and last denominator +-X^lambda_q,
+        F_{q+1} = [0; A_1..A_m, x, -A_m, ..., -A_1],
+        x = (-1)^m s_{q+1} X^(lambda_{q+1} - 2 lambda_q),
+    and its last denominator is s_{q+1} X^lambda_{q+1}.  The window is F_q
+    for the last q it holds.  Certification, truncation, errors and flags
+    are those of cf_expand.
+    """
+    if max_quotients is not None and max_quotients < 0:
+        raise ValueError("max_quotients must be nonnegative")
+    window = f.cutoff
+    if window is None:
+        raise ValueError("fold_expand needs a truncated window")
+    terms = sorted((-e, c) for e, c in f.coeffs.items() if e >= -window)
+    if not terms:
+        raise SeriesPrecisionError("precision: no nonzero coefficient in window")
+    prev = 0
+    for lam, s in terms:
+        if lam <= 2 * prev or s not in (1, -1):
+            raise ValueError(
+                f"fold_expand needs +-1 coefficients at strictly 2-lacunary exponents;"
+                f" got {s} at X^{-lam} after X^{-prev}"
+            )
+        prev = lam
+    # Quotient i is sgn[i] X^exp[i].  Folding only appends, so stop once the
+    # list holds every quotient to emit: the cap, or uncapped the first
+    # uncertified one, present once 2 lambda_q + 1 > N.
+    exp, sgn = [terms[0][0]], [terms[0][1]]
+    last = terms[0][0]
+    for lam, s in terms[1:]:
+        if max_quotients is not None and len(exp) >= max_quotients:
+            break
+        if max_quotients is None and 2 * last + 1 > window:
+            break
+        m = len(exp)
+        exp += [lam - 2 * last] + exp[::-1]
+        sgn += [-s if m & 1 else s] + [-t for t in reversed(sgn)]
+        last = lam
+    count = len(exp) if max_quotients is None else min(max_quotients, len(exp))
+    certified = 1
+    deg_q = 0
+    for i in range(count):
+        deg_q += exp[i]
+        if 2 * deg_q + 1 > window:
+            if i == 0:
+                raise SeriesPrecisionError(
+                    f"precision: window {window} cannot certify the first partial quotient"
+                    f" (degree {exp[0]})"
+                )
+            if max_quotients is None:
+                count = i + 1
+            break
+        certified += 1
+    quotients = (SparsePoly.zero(),) + tuple(
+        SparsePoly(((e, c),)) for e, c in zip(exp[:count], sgn)
+    )
+    if f.expect_integral_cf:
+        for poly in quotients[:certified]:
+            for _, c in poly.terms:
+                if not isinstance(c, int):
+                    raise ArithmeticError(
+                        f"certified partial quotient has non-integral coefficient {c}"
+                    )
+    return ContinuedFraction(
+        quotients=quotients,
+        certified=certified,
+        precision=window,
+        terminated=last == terms[-1][0] and count == len(exp),
+    )
+
+
+def _step(a: SparsePoly, cur: SparsePoly, prev: SparsePoly) -> SparsePoly:
+    """a * cur + prev as one merge into prev's terms and one sort."""
+    acc = dict(prev.terms)
+    for e1, c1 in a.terms:
+        for e2, c2 in cur.terms:
+            e = e1 + e2
+            s = acc.get(e, 0) + c1 * c2
+            if type(s) is not int:
+                s = _norm_q(s)
+            if s:
+                acc[e] = s
+            else:
+                del acc[e]
+    return SparsePoly(tuple(sorted(acc.items())))
+
+
 def convergents(cf: ContinuedFraction) -> Convergents:
     """P_0 = A_0, Q_0 = 1, then P_n = A_n P_{n-1} + P_{n-2} and likewise
     for Q; satisfies P_{n+1} Q_n - P_n Q_{n+1} = (-1)^n on the certified
@@ -196,24 +298,11 @@ def convergents(cf: ContinuedFraction) -> Convergents:
     p_cur, q_cur = cf.quotients[0], one     # index 0
     ps, qs = [p_cur], [q_cur]
     for a in cf.quotients[1:]:
-        p_cur, p_prev = a * p_cur + p_prev, p_cur
-        q_cur, q_prev = a * q_cur + q_prev, q_cur
+        p_cur, p_prev = _step(a, p_cur, p_prev), p_cur
+        q_cur, q_prev = _step(a, q_cur, q_prev), q_cur
         ps.append(p_cur)
         qs.append(q_cur)
     return Convergents(p=tuple(ps), q=tuple(qs), certified=cf.certified)
-
-
-def cf_fold(cf: ContinuedFraction, upto: int | None = None):
-    """(P_m, Q_m) for the convergent of the quotient prefix of length upto
-    (certified prefix by default)."""
-    if upto is None:
-        upto = cf.certified
-    if upto < 1 or upto > len(cf.quotients):
-        raise ValueError("fold length out of range")
-    conv = convergents(
-        ContinuedFraction(cf.quotients[:upto], upto, cf.precision, cf.terminated)
-    )
-    return conv.p[-1], conv.q[-1]
 
 
 def phi_oracle(n: int) -> Convergents:

@@ -16,8 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .bits import EpsilonSpec, LambdaSpec, term_exponent, term_sign
 from .dyadic import Dyadic, halfsum_binom, kernel_range, kernel_value
@@ -104,6 +106,8 @@ def q_term_count_range(n_max: int) -> np.ndarray:
     """Number of nonzero monomials of Q_n for n = 0..n_max-1, vectorized.
     Counts k <= n with 2k+1 digitwise below n+k+1; all values stay well
     inside int64 for any practical n_max."""
+    import numpy as np
+
     out = np.zeros(n_max, dtype=np.int64)
     ns = np.arange(n_max, dtype=np.int64)
     for k in range(n_max):

@@ -11,8 +11,10 @@ we sweep, and the scalar paths remain the exact reference).
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .bits import binom_parity, count_10_blocks
 
@@ -73,6 +75,8 @@ def parity_convolve(a, b, n: int) -> int:
 def parity_convolve_range(a_vals, b_vals) -> np.ndarray:
     """Vectorized prefix of parity_convolve: inputs are equal-length value
     arrays, output[n] uses a_vals[r], b_vals[n-r] for 2r <= n."""
+    import numpy as np
+
     a = np.asarray(a_vals, dtype=np.int64)
     b = np.asarray(b_vals, dtype=np.int64)
     if a.shape != b.shape or a.ndim != 1:
@@ -94,6 +98,8 @@ def stern_carlitz(n: int) -> int:
 
 
 def carlitz_range(n_max: int) -> np.ndarray:
+    import numpy as np
+
     ones = np.ones(n_max, dtype=np.int64)
     return parity_convolve_range(ones, ones)
 

@@ -26,7 +26,14 @@ from .automaton import (
     verify_relation,
 )
 from .bits import EpsilonSpec, LambdaSpec, term_sign
-from .contfrac import ContinuedFraction, build_F, cf_expand, convergents, phi_oracle
+from .contfrac import (
+    ContinuedFraction,
+    build_F,
+    cf_expand,
+    convergents,
+    fold_expand,
+    phi_oracle,
+)
 from .dyadic import (
     Dyadic,
     binom_parity_dyadic,
@@ -464,6 +471,35 @@ def check_cf_determinant(level, rng):
     return f"{trials} random quotient prefixes"
 
 
+def _rand_lacunary_list(rng, window):
+    """Exponents with lambda_{q+1} > 2 lambda_q up to window / 2 or beyond,
+    so that build_F can complete the window from the list."""
+    vals = [rng.randint(1, 3)]
+    while vals[-1] < window // 2:
+        vals.append(2 * vals[-1] + 1 + rng.randrange(vals[-1] + 1))
+    return vals
+
+
+def check_cf_fold_vs_euclid(level, rng):
+    windows = (1 << 10, 1 << 11, 1 << 12) if level == "quick" else (1 << 16,)
+    compared = 0
+    for window in windows:
+        for lam in (LambdaSpec.mersenne(),
+                    LambdaSpec.from_list(_rand_lacunary_list(rng, window))):
+            for eps in _EPS_SET:
+                f = build_F(lam, eps, window)
+                euclid = cf_expand(f)
+                assert fold_expand(f) == euclid, f"{lam.name[:40]} {eps.describe()} at {window}"
+                # a cap below, at or past the first uncertified quotient
+                cap = rng.randint(0, len(euclid.quotients) + 8)
+                assert fold_expand(f, cap) == cf_expand(f, cap), (
+                    f"{lam.name[:40]} {eps.describe()} at {window}, cap {cap}"
+                )
+                compared += 2
+    sizes = ", ".join(map(str, windows))
+    return f"{compared} expansions, Mersenne and seeded lists, windows {sizes}"
+
+
 # --------------------------------------------------------------------- stern
 
 def check_stern_carlitz(level, rng):
@@ -810,6 +846,7 @@ CHECKS = [
     ("contfrac.term-count-stern", check_cf_term_count_stern),
     ("contfrac.prefix-stability", check_cf_prefix_stability),
     ("contfrac.determinant-identity", check_cf_determinant),
+    ("contfrac.fold-vs-euclid", check_cf_fold_vs_euclid),
     ("stern.carlitz-identity", check_stern_carlitz),
     ("stern.halfsum-count", check_stern_halfsum_count),
     ("stern.extended-doubling", check_stern_extended_doubling),
@@ -868,7 +905,7 @@ def render_report(results, as_json: bool = False) -> str:
         return json.dumps(
             {
                 "checks": [
-                    {"name": r.name, "ok": r.ok, "detail": r.detail}
+                    {"name": r.name, "ok": r.ok, "detail": r.detail, "seconds": r.seconds}
                     for r in results
                 ],
                 "passed": sum(1 for r in results if r.ok),

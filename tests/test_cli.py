@@ -2,15 +2,23 @@
 
 import hashlib
 import json
+import os
+import re
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import lacunary.cli
+import lacunary.contfrac
 
 from lacunary.bits import EpsilonSpec, LambdaSpec
 from lacunary.cli import main
+from lacunary.contfrac import ContinuedFraction, convergents
 from lacunary.qseries import q_poly
-from lacunary.rings import poly_from_json, reduce_mod2
+from lacunary.rings import SparsePoly, poly_from_json, poly_to_json, reduce_mod2
 
 
 def run(capsys, *argv):
@@ -164,6 +172,18 @@ class TestCf:
             "certified: 5 of 5 quotients at precision 64",
         ]
 
+    def test_cf_expands_without_euclid(self, capsys, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("cf must expand by folding")
+
+        monkeypatch.setattr(lacunary.contfrac, "cf_expand", boom)
+        monkeypatch.setattr(lacunary.cli, "cf_expand", boom, raising=False)
+        rc, out, _ = run(capsys, "cf", "--n", "4", "--precision", "64")
+        assert rc == 0
+        assert out.splitlines()[-1] == "certified: 5 of 5 quotients at precision 64"
+        rc, out, _ = run(capsys, "cf", "--n", "4", "--precision", "64", "--json")
+        assert rc == 0 and json.loads(out)["certified_count"] == 5
+
     def test_negative_quotient_cap(self, capsys):
         rc, out, err = run(capsys, "cf", "--n", "-3", "--precision", "64")
         assert rc == 2 and out == ""
@@ -196,6 +216,48 @@ class TestCf:
         rc, out, _ = run(capsys, "cf", *argv)
         assert rc == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+_coeffs = st.sampled_from([1, -1, 2, -7, Fraction(1, 2), Fraction(-3, 4)])
+_polys = st.lists(st.tuples(st.integers(0, 5), _coeffs), max_size=3).map(SparsePoly.build)
+
+
+@st.composite
+def _expansions(draw):
+    quotients = tuple(draw(st.lists(_polys, min_size=1, max_size=5)))
+    return ContinuedFraction(
+        quotients,
+        certified=draw(st.integers(0, len(quotients))),
+        precision=draw(st.one_of(st.none(), st.integers(1, 4096))),
+        terminated=draw(st.booleans()),
+    )
+
+
+@given(_expansions())
+@example(ContinuedFraction(
+    (SparsePoly.zero(), SparsePoly.build([(1, Fraction(1, 2)), (0, 3)])),
+    certified=2, precision=None, terminated=True,
+))
+def test_cf_json_writer_matches_dump(cf):
+    conv = convergents(cf)
+    want = json.dumps({
+        "a": [poly_to_json(p) for p in cf.quotients],
+        "p": [poly_to_json(p) for p in conv.p],
+        "q": [poly_to_json(p) for p in conv.q],
+        "certified": [i < cf.certified for i in range(len(cf.quotients))],
+        "certified_count": cf.certified,
+        "precision": cf.precision,
+        "terminated": cf.terminated,
+    }, sort_keys=True, indent=2)
+    assert lacunary.cli._cf_json(cf, conv) == want
+
+
+def test_import_leaves_numpy_unloaded():
+    src = os.path.dirname(os.path.dirname(lacunary.cli.__file__))
+    code = "import sys, lacunary.cli; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout == "False\n"
 
 
 class TestAutomaton:
@@ -344,4 +406,9 @@ class TestUsageAndDeterminism:
     def test_byte_determinism(self, capsys, argv):
         rc1, out1, _ = run(capsys, *argv)
         rc2, out2, _ = run(capsys, *argv)
+        if argv[0] == "verify":
+            # per-check seconds are timings; every other byte must repeat
+            (out1, n1), (out2, n2) = (re.subn(r'"seconds": [^,\n]+', '"seconds": _', o)
+                                      for o in (out1, out2))
+            assert n1 == n2 == 1
         assert rc1 == rc2 == 0 and out1 == out2

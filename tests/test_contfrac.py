@@ -11,8 +11,8 @@ from lacunary.contfrac import (
     _divmod,
     build_F,
     cf_expand,
-    cf_fold,
     convergents,
+    fold_expand,
     phi_oracle,
 )
 from lacunary.rings import (
@@ -81,6 +81,26 @@ def test_divmod_is_division_with_remainder(mult_terms, rest_terms, tail_terms, d
     if lead in (1, -1):
         # num has int coefficients whenever den does
         assert all(type(c) is int for c in (*q.values(), *r.values()))
+
+
+_quotients = st.lists(
+    st.lists(st.tuples(st.integers(0, 4), _leads), max_size=3).map(SparsePoly.build),
+    min_size=1, max_size=6,
+)
+
+
+@given(_quotients)
+def test_convergents_follow_the_recurrence(quotients):
+    conv = convergents(ContinuedFraction(tuple(quotients), len(quotients), None, False))
+    one, zero = SparsePoly.one(), SparsePoly.zero()
+    for seq, before, first in ((conv.p, one, quotients[0]), (conv.q, zero, one)):
+        # checked through SparsePoly's product and sum, not the merge
+        want = [before, first]
+        for a in quotients[1:]:
+            want.append(a * want[-1] + want[-2])
+        assert list(seq) == want[1:]
+        # integral coefficients are stored as int, as every SparsePoly does
+        assert all(type(c) is int or c.denominator > 1 for p in seq for _, c in p.terms)
 
 
 def _assert_best_approx(f, conv, i):
@@ -159,11 +179,72 @@ class TestExpansion:
             cf_expand(s)
 
     def test_fold_recovers_prefix(self):
-        f = build_F(MERS, ZERO, 128)
-        cf = cf_expand(f, 5)
-        p, q = cf_fold(cf)
+        # the convergents of the certified quotient prefix are the prefix of
+        # the convergents of the whole expansion, uncertified tail included
+        cf = cf_expand(build_F(MERS, ZERO, 128))
+        upto = cf.certified
+        assert upto < len(cf.quotients)
+        head = convergents(
+            ContinuedFraction(cf.quotients[:upto], upto, cf.precision, cf.terminated)
+        )
         conv = convergents(cf)
-        assert (p, q) == (conv.p[cf.certified - 1], conv.q[cf.certified - 1])
+        assert (head.p, head.q) == (conv.p[:upto], conv.q[:upto])
+
+
+def _outcome(expand, f, cap):
+    try:
+        return expand(f, cap)
+    except (ValueError, SeriesPrecisionError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _lacunary_windows(draw):
+    """build_F windows of strictly 2-lacunary series with +-1 signs."""
+    pre = draw(st.lists(st.integers(0, 1), max_size=3))
+    period = draw(st.lists(st.integers(0, 1), min_size=1, max_size=3))
+    eps = EpsilonSpec(tuple(pre), tuple(period))
+    if draw(st.booleans()):
+        return build_F(MERS, eps, draw(st.integers(1, 300)))
+    vals = [draw(st.integers(1, 4))]
+    for _ in range(draw(st.integers(0, 5))):
+        vals.append(2 * vals[-1] + 1 + draw(st.integers(0, vals[-1] + 1)))
+    # any window from lambda_0 to 2 * lambda_last is complete from the list
+    return build_F(LambdaSpec.from_list(vals), eps, draw(st.integers(vals[0], 2 * vals[-1])))
+
+
+_caps = st.one_of(st.none(), st.sampled_from([-1, 0, 10**6]), st.integers(1, 12))
+
+
+class TestFold:
+    @given(_lacunary_windows(), _caps)
+    def test_fold_matches_euclid(self, f, cap):
+        assert _outcome(fold_expand, f, cap) == _outcome(cf_expand, f, cap)
+
+    @pytest.mark.parametrize("eps", [ZERO, EpsilonSpec((1,), (0, 1))])
+    def test_deep_windows(self, eps):
+        # at 4095 = 2 * 2047 + 1 the last term lands on the window's edge
+        for window in (4095, 4096):
+            f = build_F(MERS, eps, window)
+            cf = fold_expand(f)
+            assert cf == cf_expand(f)
+            assert (len(cf), cf.certified, cf.terminated) == (2049, 2048, False)
+
+    @pytest.mark.parametrize("coeffs", [
+        {-1: 1, -2: 1},             # 2 <= 2 * 1
+        {-3: 1, -6: -1},            # 6 <= 2 * 3
+        {-1: 1, -3: 2},             # coefficient 2
+        {-2: Fraction(1, 2)},       # coefficient 1/2
+        {1: 1, -3: 1},              # exponent above X^-1
+    ])
+    def test_rejects_non_lacunary_window(self, coeffs):
+        f = LaurentSeries(coeffs, top=max(coeffs), cutoff=16)
+        with pytest.raises(ValueError, match="2-lacunary"):
+            fold_expand(f)
+
+    def test_rejects_exact_series(self):
+        with pytest.raises(ValueError, match="truncated window"):
+            fold_expand(LaurentSeries({-1: 1}, top=-1, cutoff=None))
 
 
 class TestPhiOracle:

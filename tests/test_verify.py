@@ -23,7 +23,7 @@ class TestRegistry:
         assert names == {p.rstrip(".") for p in EXPECTED_PREFIXES}
 
     def test_registry_size(self):
-        assert len(verify.CHECKS) == 44
+        assert len(verify.CHECKS) == 45
 
 
 class TestRunChecks:
@@ -85,10 +85,13 @@ class TestRender:
         assert "PASS" in text and "1/1 checks passed" in text
 
     def test_json_report(self):
-        results = verify.run_checks(names=["core.ring-axioms"])
+        results = verify.run_checks(names=["core.ring-axioms", "bits.lucas-pascal-row"])
         obj = json.loads(verify.render_report(results, as_json=True))
-        assert obj["passed"] == 1 and obj["failed"] == 0
+        assert obj["passed"] == 2 and obj["failed"] == 0
         assert obj["checks"][0]["ok"] is True
+        for entry, r in zip(obj["checks"], results):
+            assert type(entry["seconds"]) is float and entry["seconds"] >= 0
+            assert entry["seconds"] == r.seconds
 
     def test_failure_rendering(self):
         failed = [verify.CheckResult("core.ring-axioms", False, "boom", 0.0)]
