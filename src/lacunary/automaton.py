@@ -30,7 +30,6 @@ if TYPE_CHECKING:
 
 from .bits import EpsilonSpec
 from .dyadic import Dyadic
-from .periodic import InsufficientDataError, detect_ultimate_period
 from .rings import gf2_mul
 
 __all__ = [
@@ -40,8 +39,6 @@ __all__ = [
     "build_dfao",
     "signed_dfao",
     "minimize",
-    "detect_ultimate_period",
-    "InsufficientDataError",
     "Relation",
     "find_algebraic_relation",
     "verify_relation",
@@ -205,14 +202,6 @@ _KERNEL_STEP = {
 }
 
 
-def _orbit_successor(pre_len: int, total: int):
-    def nxt(j: int) -> int:
-        if j + 1 < total:
-            return j + 1
-        return pre_len
-    return nxt
-
-
 def build_dfao(w: Dyadic, tag: str = "f") -> Dfao:
     """Automaton computing k -> kernel_value(w, k, tag), built by closing
     the (family, orbit position) state set under the transition table.
@@ -221,15 +210,15 @@ def build_dfao(w: Dyadic, tag: str = "f") -> Dfao:
         raise ValueError(f"unknown tag {tag!r}")
     pre, cyc = orbit(w)
     elems = pre + cyc
-    nxt = _orbit_successor(len(pre), len(elems))
     parities = [e.parity() for e in elems]
+    last, loop = len(elems) - 1, len(pre)
 
     def step(state, b):
         if state == DEAD:
             return DEAD
         fam, j = state
         fam2 = _KERNEL_STEP[(fam, parities[j])][b]
-        return DEAD if fam2 is None else (fam2, nxt(j))
+        return DEAD if fam2 is None else (fam2, j + 1 if j < last else loop)
 
     def output(state):
         if state == DEAD:
@@ -277,23 +266,18 @@ def signed_dfao(w: Dyadic, eps: EpsilonSpec) -> Dfao:
     """Automaton for the signed coefficient k -> sign(k, eps) * f_w(k),
     with exponent convention mu(k) = k (the Mersenne case).
 
-    Product of three machines: the f-kernel automaton above; a 10-block
-    parity tracker (previous digit plus running parity, counting a block
-    when the current digit is 1 and the previous was 0); and the position
-    automaton for the digitwise sign differences of eps, which accumulates
-    d_q = eps_q - eps_{q-1} mod 2 at every 1 digit of k."""
-    pre, cyc = orbit(w)
-    elems = pre + cyc
-    nxt = _orbit_successor(len(pre), len(elems))
-    parities = [e.parity() for e in elems]
-
+    Product of three machines: the f-kernel automaton build_dfao(w, "f"),
+    whose state labels lead the product labels; a 10-block parity tracker
+    (previous digit plus running parity, counting a block when the current
+    digit is 1 and the previous was 0); and the position automaton for the
+    digitwise sign differences of eps, which accumulates d_q = eps_q -
+    eps_{q-1} mod 2 at every 1 digit of k."""
+    ker = build_dfao(w, "f")
     p_len, r_len = len(eps.pre), len(eps.period)
     n_cls = p_len + 1 + r_len
 
     def cls_next(c: int) -> int:
-        if c + 1 < n_cls:
-            return c + 1
-        return p_len + 1 if r_len else p_len
+        return c + 1 if c + 1 < n_cls else p_len + 1
 
     def cls_diff(c: int) -> int:
         # eps_q - eps_{q-1} mod 2 for any position q in class c
@@ -304,35 +288,25 @@ def signed_dfao(w: Dyadic, eps: EpsilonSpec) -> Dfao:
         return (eps.period[(r + 1) % r_len] ^ eps.period[r]) & 1
 
     def step(state, b):
-        ker, prev, nu, mb, c = state
-        if ker == DEAD:
-            ker2 = DEAD
-        else:
-            fam, j = ker
-            fam2 = _KERNEL_STEP[(fam, parities[j])][b]
-            ker2 = DEAD if fam2 is None else (fam2, nxt(j))
+        k, prev, nu, mb, c = state
         nu2 = nu ^ (1 if (b == 1 and prev == 0) else 0)
         mb2 = mb ^ (cls_diff(c) if b else 0)
-        return (ker2, b, nu2, mb2, cls_next(c))
+        return (ker.delta[(k, b)], b, nu2, mb2, cls_next(c))
 
     def output(state):
-        ker, prev, nu, mb, c = state
-        if ker == DEAD:
-            return 0
-        fam, j = ker
-        base = 1 - parities[j] if fam == "f" else (1 if fam == "g" else parities[j])
-        if base == 0:
+        k, prev, nu, mb, c = state
+        if ker.out[k] == 0:
             return 0
         return -1 if (nu ^ mb) & 1 else 1
 
-    initial = (("f", 0), None, 0, 0, 0)
+    initial = (ker.initial, None, 0, 0, 0)
     states, delta = _close([initial], step)
     out = {s: output(s) for s in states}
     meta = {
         "omega": w.describe(),
         "tag": "signed-f",
         "eps": eps.describe(),
-        "orbit": [e.describe() for e in elems],
+        "orbit": ker.meta["orbit"],
     }
     return Dfao(states=tuple(states), initial=initial, delta=delta, out=out, meta=meta)
 

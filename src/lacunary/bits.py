@@ -1,5 +1,5 @@
-"""Binary-digit combinatorics: digit extraction, block counts, binomial
-parity, gap sequences and the sign data attached to exponent sequences.
+"""Binary-digit combinatorics: block counts, binomial parity, gap
+sequences, and the one sign rule attached to exponent sequences.
 
 Conventions used throughout the package:
 
@@ -13,7 +13,10 @@ Conventions used throughout the package:
 An exponent sequence ("lambda spec") is a strictly increasing sequence of
 positive integers whose growth is 2-lacunary: lambda(q+1) > 2 * lambda(q),
 with lambda(-1) = 0 by convention.  A sign sequence ("epsilon spec") is an
-ultimately periodic 0/1 sequence, zero for negative indices.
+ultimately periodic 0/1 sequence, zero for negative indices.  The k-th
+closed-form term has exponent ``term_exponent(k, lam)`` and sign
+``term_sign(k, eps)``; the sign pairs each difference eps_q - eps_{q-1}
+with digit q of k, the reading the continued fraction confirms.
 """
 
 from __future__ import annotations
@@ -23,22 +26,6 @@ from dataclasses import dataclass
 
 class LambdaRangeError(IndexError):
     """Explicit exponent list exhausted before the requested index."""
-
-
-def bit(k: int, q: int) -> int:
-    """Binary digit e_q(k) of a nonnegative integer, LSB first."""
-    if k < 0:
-        raise ValueError("negative argument; use the dyadic module for those")
-    return (k >> q) & 1
-
-
-def bits_of(k: int):
-    """Digits of k, LSB first, as a list (empty for 0)."""
-    out = []
-    while k:
-        out.append(k & 1)
-        k >>= 1
-    return out
 
 
 def count_10_blocks(k: int) -> int:
@@ -186,9 +173,6 @@ class EpsilonSpec:
         """(-1)^eps_n."""
         return -1 if self.value(n) else 1
 
-    def is_zero(self):
-        return not any(self.pre) and not any(self.period)
-
     def describe(self):
         if self.pre:
             return "pre:" + ",".join(map(str, self.pre)) + "+period:" + ",".join(map(str, self.period))
@@ -242,42 +226,17 @@ def term_exponent(k: int, lam: LambdaSpec) -> int:
     return total
 
 
-#: Readings of the sign-correction parity.  "digit" pairs the difference
-#: eps_q - eps_{q-1} with digit q and is the one the continued-fraction oracle
-#: confirms; the other two are retained for the executable adjudication.
-MUBAR_CONVENTIONS = ("digit", "spec-q", "literal-k")
-
-
-def eps_sign_parity(k: int, eps: EpsilonSpec, convention: str = "digit") -> int:
-    """Parity (0/1) of the epsilon-difference weight attached to index k."""
+def term_sign(k: int, eps: EpsilonSpec) -> int:
+    """Sign (+1/-1) of the k-th closed-form term: the parity of the "10"
+    block count plus the sum of eps_q - eps_{q-1} over the set digits q
+    of k."""
     if k < 0:
         raise ValueError("negative index")
-    if convention == "digit":
-        total = 0
-        q = 0
-        kk = k
-        while kk:
-            if kk & 1:
-                total += eps.value(q) - eps.value(q - 1)
-            kk >>= 1
-            q += 1
-        return total & 1
-    if convention == "spec-q":
-        total = 0
-        q = 0
-        kk = k
-        while kk:
-            if kk & 1:
-                total += eps.value(q - 1) - eps.value(q - 2)
-            kk >>= 1
-            q += 1
-        return total & 1
-    if convention == "literal-k":
-        return (k.bit_count() * (eps.value(k - 1) - eps.value(k - 2))) & 1
-    raise ValueError(f"unknown convention {convention!r}")
-
-
-def term_sign(k: int, eps: EpsilonSpec, convention: str = "digit") -> int:
-    """Sign (+1/-1) of the k-th closed-form term: parity of the "10" block
-    count plus the epsilon-difference weight."""
-    return -1 if (count_10_blocks(k) + eps_sign_parity(k, eps, convention)) & 1 else 1
+    total = count_10_blocks(k)
+    q = 0
+    while k:
+        if k & 1:
+            total += eps.value(q) - eps.value(q - 1)
+        k >>= 1
+        q += 1
+    return -1 if total & 1 else 1

@@ -92,8 +92,6 @@ def _cf_json(cf, conv) -> str:
 def _common() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--level", choices=("quick", "full"), default=argparse.SUPPRESS)
     return p
 
 
@@ -148,6 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_v = sub.add_parser("verify", parents=[common], help="run the named invariant checks")
     p_v.add_argument("scope", nargs="?", default="all")
     p_v.add_argument("--only", default=None, help="comma-separated check names")
+    p_v.add_argument("--seed", type=int, default=0)
+    p_v.add_argument("--level", choices=("quick", "full"), default="quick")
 
     p_o = sub.add_parser("oeis-check", parents=[common], help="compare against bundled b-files")
     p_o.add_argument("id", nargs="?", default=None)
@@ -157,8 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
     return root
 
 
-def _flag(args, name, default):
-    return getattr(args, name, default)
+def _as_json(args) -> bool:
+    # --json is accepted before and after the subcommand, so it may be unset
+    return getattr(args, "json", False)
 
 
 def _specs(args):
@@ -169,7 +170,7 @@ def _cmd_cf(args) -> int:
     lam, eps = _specs(args)
     f = build_F(lam, eps, args.precision)
     cf = fold_expand(f, args.n)
-    if _flag(args, "json", False):
+    if _as_json(args):
         print(_cf_json(cf, convergents(cf)))
         return 0
     for i, quot in enumerate(cf.quotients):
@@ -184,7 +185,7 @@ def _cmd_qseries(args) -> int:
     w = parse_omega(args.omega)
     if args.action == "pell":
         ok = pell_check_mod2(w, args.trunc)
-        if _flag(args, "json", False):
+        if _as_json(args):
             print(_dump({"omega": w.describe(), "trunc": args.trunc, "holds": ok}))
         else:
             verdict = "holds" if ok else "FAILS"
@@ -192,7 +193,7 @@ def _cmd_qseries(args) -> int:
         return 0 if ok else 1
     if args.action == "anumber":
         val = a_number(eps, w, args.g, args.terms)
-        if _flag(args, "json", False):
+        if _as_json(args):
             print(_dump({
                 "base": args.g,
                 "decimal": val.decimal(args.digits),
@@ -205,11 +206,11 @@ def _cmd_qseries(args) -> int:
         return 0
     handle = QSeriesHandle(w, lam, eps)
     terms = q_omega_window(handle, args.upto)
-    if _flag(args, "mod2", False):
+    if args.mod2:
         terms = [(e, abs(c)) for e, c in terms]
-    if _flag(args, "json", False):
+    if _as_json(args):
         print(_dump({
-            "mod2": bool(_flag(args, "mod2", False)),
+            "mod2": args.mod2,
             "omega": w.describe(),
             "terms": [[e, str(c)] for e, c in terms],
             "upto": args.upto,
@@ -234,21 +235,21 @@ def _cmd_stern(args) -> int:
     if args.which == "oeis-check":
         if args.id is None:
             raise ValueError("oeis-check needs --id")
-        return _run_oeis(args.id, args.bfile, args.limit, _flag(args, "json", False))
+        return _run_oeis(args.id, args.bfile, args.limit, _as_json(args))
     fn = _STERN_FUNCS[args.which]
     if args.start > args.to:
         raise ValueError(f"empty range: --from {args.start} > --to {args.to}")
     if args.start < 0 and args.which != "u":
         raise ValueError(f"sequence {args.which} is defined for n >= 0")
     values = [fn(n) for n in range(args.start, args.to + 1)]
-    if _flag(args, "json", False):
+    if _as_json(args):
         print(_dump({
             "from": args.start,
             "sequence": args.which,
             "to": args.to,
             "values": values,
         }))
-    elif _flag(args, "csv", False):
+    elif args.csv:
         print("n," + args.which)
         for n, v in zip(range(args.start, args.to + 1), values):
             print(f"{n},{v}")
@@ -266,12 +267,12 @@ def _cmd_automaton(args) -> int:
         if rel is None:
             msg = (f"no relation of degree <= {args.deg}, height <= {args.height} "
                    f"modulo X^{args.trunc}")
-            if _flag(args, "json", False):
+            if _as_json(args):
                 print(_dump({"found": False, "message": msg}))
             else:
                 print(msg)
             return 1
-        if _flag(args, "json", False):
+        if _as_json(args):
             print(_dump({
                 "coefficients": [format(c, "x") for c in rel.coeffs],
                 "degree_used": rel.degree_used(),
@@ -300,11 +301,11 @@ def _cmd_automaton(args) -> int:
         d = signed_dfao(w, parse_epsilon_spec(args.eps))
     else:
         d = build_dfao(w, args.tag)
-    if _flag(args, "minimize", False):
+    if args.minimize:
         d = minimize(d)
     if args.export == "dot":
         print(d.to_dot())
-    elif args.export == "json" or _flag(args, "json", False):
+    elif args.export == "json" or _as_json(args):
         print(d.to_json())
     else:
         print(f"states: {len(d)}, initial: {d._index[d.initial]}")
@@ -320,11 +321,11 @@ def _cmd_verify(args) -> int:
     if args.only:
         names = [s.strip() for s in args.only.split(",") if s.strip()]
     results = verify_mod.run_checks(
-        level=_flag(args, "level", "quick"),
-        seed=_flag(args, "seed", 0),
+        level=args.level,
+        seed=args.seed,
         names=names,
     )
-    print(verify_mod.render_report(results, as_json=_flag(args, "json", False)))
+    print(verify_mod.render_report(results, as_json=_as_json(args)))
     return 0 if all(r.ok for r in results) else 1
 
 
@@ -347,7 +348,7 @@ def _run_oeis(seq_id, bfile, limit, as_json) -> int:
 
 
 def _cmd_oeis(args) -> int:
-    as_json = _flag(args, "json", False)
+    as_json = _as_json(args)
     if args.id is not None:
         return _run_oeis(args.id, args.bfile, args.limit, as_json)
     worst = 0

@@ -46,17 +46,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QSeriesHandle:
-    """Q_w(X) for a 2-adic w: lazy access to the signed coefficient stream
-    k -> (exponent mu(k), sign * halfsum)."""
+    """Q_w(X) for a 2-adic w: the data of the signed coefficient stream
+    k -> (exponent mu(k), sign * halfsum), read by q_omega_window."""
 
     omega: Dyadic
     lam: LambdaSpec
     eps: EpsilonSpec
-    convention: str = "digit"
-
-    def term(self, k: int):
-        coeff = term_sign(k, self.eps, self.convention) * halfsum_binom(self.omega, k)
-        return (term_exponent(k, self.lam), coeff)
 
     def support_bound(self):
         """Largest k that can contribute, or None when w is not an integer."""
@@ -66,7 +61,7 @@ class QSeriesHandle:
         return n if n >= 0 else -n - 2
 
 
-def q_poly(n: int, lam: LambdaSpec, eps: EpsilonSpec, convention: str = "digit") -> SparsePoly:
+def q_poly(n: int, lam: LambdaSpec, eps: EpsilonSpec) -> SparsePoly:
     """Q_n(X) for integer n, any sign, as an exact integer polynomial.
 
     One code path: the digits of n (two's complement for n < 0) feed the
@@ -79,7 +74,7 @@ def q_poly(n: int, lam: LambdaSpec, eps: EpsilonSpec, convention: str = "digit")
     for k in range(0, bound + 1):
         c = halfsum_binom(w, k)
         if c:
-            terms.append((term_exponent(k, lam), term_sign(k, eps, convention)))
+            terms.append((term_exponent(k, lam), term_sign(k, eps)))
     return SparsePoly.build(terms)
 
 
@@ -92,7 +87,7 @@ def q_omega_window(handle: QSeriesHandle, k_max: int):
     out = []
     for k in range(k_max + 1):
         if flags[k]:
-            out.append((term_exponent(k, handle.lam), term_sign(k, handle.eps, handle.convention)))
+            out.append((term_exponent(k, handle.lam), term_sign(k, handle.eps)))
     return out
 
 
@@ -238,7 +233,7 @@ class ANumber:
         return f"{sign}{ip}.{scaled:0{digits}d}"
 
 
-def a_number(eps: EpsilonSpec, w: Dyadic, g: int, terms: int, convention: str = "digit") -> ANumber:
+def a_number(eps: EpsilonSpec, w: Dyadic, g: int, terms: int) -> ANumber:
     """The real number with digits driven by the Q_w coefficient stream in
     base g, summed exactly to the given number of terms."""
     if g < 2:
@@ -249,5 +244,5 @@ def a_number(eps: EpsilonSpec, w: Dyadic, g: int, terms: int, convention: str = 
     total = Fraction(0)
     for k in range(terms + 1):
         if flags[k]:
-            total += Fraction(term_sign(k, eps, convention), g**k)
+            total += Fraction(term_sign(k, eps), g**k)
     return ANumber(value=total, tail_bound=Fraction(2, g**terms), base=g, terms=terms)

@@ -3,9 +3,12 @@ binomial-parity convolution, Thue-Morse, three derived signed sequences,
 and the paperfolding family.
 
 Scalar entry points are memoized top-down recursions over exact Python
-integers.  The *_range / parity_convolve_range functions fill prefixes
-fast (numpy int64; every sequence here stays far below 2^63 on the ranges
-we sweep, and the scalar paths remain the exact reference).
+integers.  alpha, beta and gamma are defined as parity convolutions with
+Thue-Morse but computed only by their doubling recursions; calling
+parity_convolve with thue_morse evaluates the definition and is the
+independent check on them.  The *_range / parity_convolve_range functions
+fill prefixes fast (numpy int64; every sequence here stays far below 2^63
+on the ranges we sweep, and the scalar paths remain the exact reference).
 """
 
 from __future__ import annotations
@@ -112,63 +115,39 @@ def thue_morse(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _alpha_rec(n: int) -> int:
+def alpha(n: int) -> int:
+    """Convolution of Thue-Morse with the constant 1; alpha_{2n} =
+    alpha_n - alpha_{n-1}, alpha_{2n+1} = alpha_n, alpha_0 = alpha_1 = 1."""
     if n <= 1:
         return 1
     half = n >> 1
     if n & 1:
-        return _alpha_rec(half)
-    return _alpha_rec(half) - _alpha_rec(half - 1)
+        return alpha(half)
+    return alpha(half) - alpha(half - 1)
 
 
 @lru_cache(maxsize=None)
-def _beta_rec(n: int) -> int:
-    if n <= 1:
-        return 1 if n == 0 else -1
-    half = n >> 1
-    if n & 1:
-        return -_beta_rec(half)
-    return _beta_rec(half) - _beta_rec(half - 1)
-
-
-@lru_cache(maxsize=None)
-def _gamma_rec(n: int) -> int:
-    if n <= 1:
-        return 1 if n == 0 else -1
-    half = n >> 1
-    if n & 1:
-        return -_gamma_rec(half)
-    return _gamma_rec(half) + _gamma_rec(half - 1)
-
-
-def alpha(n: int, path: str = "recursion") -> int:
-    """Convolution of Thue-Morse with the constant 1; alpha_{2n} =
-    alpha_n - alpha_{n-1}, alpha_{2n+1} = alpha_n, alpha_0 = alpha_1 = 1."""
-    if path == "recursion":
-        return _alpha_rec(n)
-    if path == "transform":
-        return parity_convolve(thue_morse, lambda s: 1, n)
-    raise ValueError(f"unknown path {path!r}")
-
-
-def beta(n: int, path: str = "recursion") -> int:
+def beta(n: int) -> int:
     """Convolution of the constant 1 with Thue-Morse; beta_{2n} =
     beta_n - beta_{n-1}, beta_{2n+1} = -beta_n, beta_0 = 1, beta_1 = -1."""
-    if path == "recursion":
-        return _beta_rec(n)
-    if path == "transform":
-        return parity_convolve(lambda r: 1, thue_morse, n)
-    raise ValueError(f"unknown path {path!r}")
+    if n <= 1:
+        return 1 if n == 0 else -1
+    half = n >> 1
+    if n & 1:
+        return -beta(half)
+    return beta(half) - beta(half - 1)
 
 
-def gamma(n: int, path: str = "recursion") -> int:
+@lru_cache(maxsize=None)
+def gamma(n: int) -> int:
     """Convolution of Thue-Morse with itself; 3-periodic with values
     1, -1, 0."""
-    if path == "recursion":
-        return _gamma_rec(n)
-    if path == "transform":
-        return parity_convolve(thue_morse, thue_morse, n)
-    raise ValueError(f"unknown path {path!r}")
+    if n <= 1:
+        return 1 if n == 0 else -1
+    half = n >> 1
+    if n & 1:
+        return -gamma(half)
+    return gamma(half) + gamma(half - 1)
 
 
 def _rec_range(n_max: int, base0: int, base1: int, even_sign: int, odd_sign: int) -> list:

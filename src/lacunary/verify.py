@@ -543,9 +543,9 @@ def check_gamma_periodic(level, rng):
 def check_sequence_dual_paths(level, rng):
     bound = _n(level, 1 << 7, 1 << 9)
     for n in range(bound):
-        assert alpha(n) == alpha(n, path="transform"), f"alpha at {n}"
-        assert beta(n) == beta(n, path="transform"), f"beta at {n}"
-        assert gamma(n) == gamma(n, path="transform"), f"gamma at {n}"
+        assert alpha(n) == parity_convolve(thue_morse, lambda s: 1, n), f"alpha at {n}"
+        assert beta(n) == parity_convolve(lambda r: 1, thue_morse, n), f"beta at {n}"
+        assert gamma(n) == parity_convolve(thue_morse, thue_morse, n), f"gamma at {n}"
     assert parity_convolve(lambda r: 1, lambda s: 1, 4) == 3
     assert [thue_morse(n) for n in range(4)] == [1, -1, -1, 1]
     return f"recursion vs convolution for n < {bound}"

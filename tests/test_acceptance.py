@@ -41,7 +41,7 @@ from lacunary.qseries import (
     q_support_flags,
     q_term_count_range,
 )
-from lacunary.rings import gf2_mul, reduce_mod2
+from lacunary.rings import SparsePoly, gf2_mul, reduce_mod2
 from lacunary.stern import (
     alpha_range,
     beta_range,
@@ -76,6 +76,28 @@ def _closed_form_mask(n):
     return mask
 
 
+def _signed_closed_form(n, eps, mubar):
+    """Q_n for integer n >= 0 with Mersenne exponents; term k has the sign
+    of the parity of its 10-block count plus mubar(k, eps)."""
+    mask = _closed_form_mask(n)
+    return SparsePoly.build([
+        (k, -1 if (((k >> 1) & ~k).bit_count() + mubar(k, eps)) & 1 else 1)
+        for k in range(n + 1) if (mask >> k) & 1
+    ])
+
+
+def _mubar_digit(k, eps):
+    # digit q of k carries eps_q - eps_{q-1}: the reading the package uses
+    return sum(eps.value(q) - eps.value(q - 1)
+               for q in range(k.bit_length()) if (k >> q) & 1) & 1
+
+
+def _mubar_spec_q(k, eps):
+    # rival reading: digit q of k carries eps_{q-1} - eps_{q-2}
+    return sum(eps.value(q - 1) - eps.value(q - 2)
+               for q in range(k.bit_length()) if (k >> q) & 1) & 1
+
+
 def test_criterion_01_term_count_law():
     t0 = time.perf_counter()
     counts = q_term_count_range(4097)
@@ -99,12 +121,15 @@ def test_criterion_02_cf_equals_closed_form():
         conv = convergents(cf)
         assert conv.certified >= 13, (precision, conv.certified)
         for n in range(conv.certified):
-            assert q_poly(n, lam, eps, "digit") == conv.q[n], n
-    # the same battery adjudicates the sign-rule reading: the rival
-    # per-position variant disagrees with the expansion somewhere
+            assert q_poly(n, lam, eps) == conv.q[n], n
+    # the same battery adjudicates the sign-rule reading: built the same
+    # way, the digit reading matches the expansion and the rival
+    # per-position variant disagrees with it somewhere
     conv = convergents(cf_expand(build_F(MERS, EPS_10, 4096), 12))
+    for n in range(13):
+        assert _signed_closed_form(n, EPS_10, _mubar_digit) == conv.q[n], n
     rival_breaks = any(
-        q_poly(n, MERS, EPS_10, "spec-q") != conv.q[n] for n in range(13)
+        _signed_closed_form(n, EPS_10, _mubar_spec_q) != conv.q[n] for n in range(13)
     )
     assert rival_breaks
     _budget(t0, 60, "criterion 2")

@@ -173,7 +173,7 @@ class TestSigned:
     def test_matches_signed_stream(self, eps):
         d = signed_dfao(THIRD, eps)
         for k in range(512):
-            expect = term_sign(k, eps, "digit") * kernel_value(THIRD, k, "f")
+            expect = term_sign(k, eps) * kernel_value(THIRD, k, "f")
             assert d.evaluate(k) == expect, k
 
     def test_outputs_in_range(self):
@@ -185,7 +185,7 @@ class TestSigned:
         vec = d.evaluate_all(9)
         flags = kernel_range(THIRD, 511, "f")
         for k in range(512):
-            expect = term_sign(k, EpsilonSpec.zero(), "digit") * flags[k]
+            expect = term_sign(k, EpsilonSpec.zero()) * flags[k]
             assert vec[k] == expect
 
 

@@ -6,18 +6,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lacunary.bits import (
-    MUBAR_CONVENTIONS,
     EpsilonSpec,
     LambdaRangeError,
     LambdaSpec,
     binom_parity,
-    bit,
-    bits_of,
     count_10_blocks,
     count_10_blocks_rec,
     count_10_blocks_scan,
     dominates,
-    eps_sign_parity,
     parse_epsilon_spec,
     parse_lambda_spec,
     term_exponent,
@@ -56,11 +52,6 @@ class TestBinomParity:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             binom_parity(-1, 2)
-
-    def test_bit_and_bits_of(self):
-        assert [bit(6, q) for q in range(4)] == [0, 1, 1, 0]
-        assert bits_of(6) == [0, 1, 1]
-        assert bits_of(0) == []
 
 
 class TestLambdaSpec:
@@ -101,7 +92,8 @@ class TestEpsilonSpec:
         assert eps.sign(0) == -1 and eps.sign(1) == 1
 
     def test_parse(self):
-        assert parse_epsilon_spec("period:0").is_zero
+        assert parse_epsilon_spec("period:0") == EpsilonSpec.zero()
+        assert parse_epsilon_spec("period:0,1") != EpsilonSpec.zero()
         eps = parse_epsilon_spec("pre:1,0+period:0,1")
         assert eps.pre == (1, 0) and eps.period == (0, 1)
         with pytest.raises(ValueError):
@@ -135,12 +127,28 @@ class TestTermData:
             assert term_sign(k, eps) == (-1) ** count_10_blocks(k)
 
     def test_conventions_differ_observably(self):
-        # one concrete witness: periodic sign pattern, k with two set digits
+        # The rival readings of the sign-correction parity, written out here
+        # because the package keeps only the digit rule: "spec-q" pairs digit
+        # q with eps_{q-1} - eps_{q-2}, "literal-k" weights eps_{k-1} -
+        # eps_{k-2} by the digit count of k.
+        def spec_q(k, eps):
+            return sum(eps.value(q - 1) - eps.value(q - 2)
+                       for q in range(k.bit_length()) if (k >> q) & 1) & 1
+
+        def literal_k(k, eps):
+            return (k.bit_count() * (eps.value(k - 1) - eps.value(k - 2))) & 1
+
+        def digit(k, eps):
+            # the parity term_sign adds to the 10-block count
+            return 0 if term_sign(k, eps) == (-1) ** count_10_blocks(k) else 1
+
+        # one concrete witness per rival, k = 3 with two set digits
         eps = EpsilonSpec((), (1, 0))
-        parities = {c: eps_sign_parity(3, eps, c) for c in MUBAR_CONVENTIONS}
-        assert parities["digit"] == 0
-        assert parities["spec-q"] == 1
-        assert len(MUBAR_CONVENTIONS) == 3
+        assert digit(3, eps) == 0
+        assert spec_q(3, eps) == 1
+        eps = EpsilonSpec((), (1, 1, 0))
+        assert digit(3, eps) == 1
+        assert literal_k(3, eps) == 0
 
     def test_digit_convention_small_table(self):
         # adjudicated reading, hand-checked against the expansion oracle:

@@ -287,6 +287,23 @@ class TestAutomaton:
                          "--tag", "signed", "--eps", "period:1,0")
         assert rc == 0 and out.startswith("states:")
 
+    # SHA-256 of stdout for a signed automaton: the product of the f-kernel
+    # machine with the sign trackers must keep its labels, BFS order and
+    # minimized form byte for byte.
+    @pytest.mark.parametrize("extra, digest", [
+        (("--export", "json"),
+         "38471e3930958f407cb4b16b136e5c09c70d1e4973230121a9e35ee4a34e87cf"),
+        (("--export", "dot"),
+         "bd32f57d1e7c20fc31035a56a1e6b837a87e7d9e71f4b166ae83a5e7b5acc5fb"),
+        (("--minimize",),
+         "4d2a943efd59963291b2ee5cfcab4c821efa984cbea3632f3a75cb32c99d6987"),
+    ], ids=["json", "dot", "minimize"])
+    def test_signed_output_unchanged(self, capsys, extra, digest):
+        rc, out, _ = run(capsys, "automaton", "build", "--omega", "rat:1/7", "--tag", "signed",
+                         "--eps", "pre:1+period:0,1", *extra)
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_verify_sweep(self, capsys):
         rc, out, _ = run(capsys, "automaton", "verify", "--omega", "rat:3/7",
                          "--upto", "4096")
@@ -331,6 +348,30 @@ class TestVerify:
     def test_unknown_name(self, capsys):
         rc, _, err = run(capsys, "verify", "--only", "no.such-check")
         assert rc == 2 and "error:" in err
+
+    def test_seed_and_level(self, capsys):
+        outs = []
+        for argv in (("verify", "--seed", "7", "--level", "quick", "--json"),
+                     ("--json", "verify", "--seed", "7"),
+                     ("verify", "--json", "--seed", "0"),
+                     ("verify", "--json")):
+            rc, out, _ = run(capsys, *argv, "--only", "dyadic.roundtrip-canonical")
+            assert rc == 0
+            obj = json.loads(out)
+            assert obj["passed"] == 1 and obj["failed"] == 0
+            outs.append(re.sub(r'"seconds": [^,\n]+', '"seconds": _', out))
+        # --seed 0 and --level quick are the defaults
+        assert outs[0] == outs[1] and outs[2] == outs[3]
+
+    @pytest.mark.parametrize("argv", [
+        ("cf", "--level", "full"),
+        ("qseries", "--seed", "1"),
+        ("--seed", "1", "verify"),
+    ])
+    def test_seed_and_level_only_on_verify(self, capsys, argv):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == ""
+        assert "error:" in err
 
 
 class TestOeis:

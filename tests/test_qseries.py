@@ -9,14 +9,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lacunary.bits import (
-    MUBAR_CONVENTIONS,
     EpsilonSpec,
     LambdaSpec,
     term_exponent,
     term_sign,
 )
 from lacunary.contfrac import build_F, cf_expand, convergents
-from lacunary.dyadic import Dyadic, kernel_range, parse_omega
+from lacunary.dyadic import Dyadic, halfsum_binom, kernel_range, parse_omega
 from lacunary.qseries import (
     ANumber,
     QSeriesHandle,
@@ -67,6 +66,25 @@ def _mubar_digit(k, eps_value):
     return total % 2
 
 
+# Two rival readings of the sign-correction parity, kept here only to show
+# that the continued fraction rejects them: "spec-q" pairs digit q with
+# eps_{q-1} - eps_{q-2}, "literal-k" weights eps_{k-1} - eps_{k-2} by the
+# digit count of k.
+
+def _mubar_spec_q(k, eps_value):
+    total = 0
+    for q, b in enumerate(_bits(k)):
+        total += b * (eps_value(q - 1) - eps_value(q - 2))
+    return total % 2
+
+
+def _mubar_literal_k(k, eps_value):
+    return (len([b for b in _bits(k) if b]) * (eps_value(k - 1) - eps_value(k - 2))) % 2
+
+
+RIVALS = {"spec-q": _mubar_spec_q, "literal-k": _mubar_literal_k}
+
+
 def _binom2(m, k):
     """Parity of C(m, k) for any integer m, nonnegative k."""
     if m >= 0:
@@ -81,15 +99,16 @@ def _exponent(k, lam_value):
     return total
 
 
-def q_poly_oracle(n, lam_value, eps_value):
-    """Signed monomial list of Q_n, straight from the definitions."""
+def q_poly_oracle(n, lam_value, eps_value, mubar=_mubar_digit):
+    """Signed monomial list of Q_n, straight from the definitions, with the
+    sign-correction parity mubar (the digit reading unless a rival is given)."""
     bound = n if n >= 0 else -n - 2
     terms = {}
     for k in range(bound + 1):
         if (n + k) % 2:
             continue
         if _binom2((n + k) // 2, k):
-            sign = (-1) ** (_runs_sign(k) + _mubar_digit(k, eps_value))
+            sign = (-1) ** (_runs_sign(k) + mubar(k, eps_value))
             terms[_exponent(k, lam_value)] = sign
     return terms
 
@@ -140,7 +159,7 @@ class TestQPoly:
 
 
 class TestAdjudication:
-    """The sign convention is pinned by the continued fraction itself.
+    """The sign rule is pinned by the continued fraction itself.
 
     Alternating sign patterns cannot separate the candidates (every
     consecutive difference is a unit), so the battery includes a pattern
@@ -158,9 +177,10 @@ class TestAdjudication:
     def test_digit_convention_matches_cf(self, eps):
         qs = self._cf_denominators(eps, 12)
         for n in range(13):
-            assert q_poly(n, MERS, eps, "digit") == qs[n], n
+            assert q_poly(n, MERS, eps) == qs[n], n
+            assert q_poly_oracle(n, MERS.value, eps.value) == _as_terms(qs[n]), n
 
-    @pytest.mark.parametrize("convention", [c for c in MUBAR_CONVENTIONS if c != "digit"])
+    @pytest.mark.parametrize("convention", sorted(RIVALS))
     def test_other_conventions_fail_cf(self, convention):
         mismatch = []
         for eps in self.BATTERY:
@@ -168,13 +188,9 @@ class TestAdjudication:
             mismatch += [
                 (eps, n)
                 for n in range(13)
-                if q_poly(n, MERS, eps, convention) != qs[n]
+                if q_poly_oracle(n, MERS.value, eps.value, RIVALS[convention]) != _as_terms(qs[n])
             ]
         assert mismatch, convention
-
-    def test_unknown_convention_rejected(self):
-        with pytest.raises(ValueError):
-            q_poly(3, MERS, ZERO, "antique")
 
 
 class TestWindow:
@@ -201,11 +217,11 @@ class TestWindow:
         assert len(large) > len(small)
 
     def test_term_agrees_with_window(self):
-        h = QSeriesHandle(parse_omega("rat:1/5"), MERS, ZERO)
-        window = dict(q_omega_window(h, 40))
+        w = parse_omega("rat:1/5")
+        window = dict(q_omega_window(QSeriesHandle(w, MERS, ZERO), 40))
         for k in range(41):
-            e, c = h.term(k)
-            assert window.get(e, 0) == c
+            c = term_sign(k, ZERO) * halfsum_binom(w, k)
+            assert window.get(term_exponent(k, MERS), 0) == c
 
     def test_support_flags_match_kernel(self):
         w = parse_omega("rat:3/7")
@@ -300,12 +316,11 @@ class TestANumber:
 
     def test_matches_term_stream(self):
         w = parse_omega("rat:1/3")
-        h = QSeriesHandle(w, MERS, EPS_10)
         total = Fraction(0)
         flags = kernel_range(w, 25, "f")
         for k in range(26):
             if flags[k]:
-                total += Fraction(term_sign(k, EPS_10, "digit"), 10**k)
+                total += Fraction(term_sign(k, EPS_10), 10**k)
         assert a_number(EPS_10, w, 10, 25).value == total
 
     def test_decimal_rendering(self):

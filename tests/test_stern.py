@@ -99,9 +99,9 @@ class TestSigned:
 
     @given(st.integers(0, 1 << 10))
     def test_dual_paths(self, n):
-        assert alpha(n) == alpha(n, path="transform")
-        assert beta(n) == beta(n, path="transform")
-        assert gamma(n) == gamma(n, path="transform")
+        assert alpha(n) == parity_convolve(thue_morse, lambda s: 1, n)
+        assert beta(n) == parity_convolve(lambda r: 1, thue_morse, n)
+        assert gamma(n) == parity_convolve(thue_morse, thue_morse, n)
 
     def test_recurrences(self):
         for n in range(1, 400):
