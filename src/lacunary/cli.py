@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from .bits import LambdaRangeError, parse_epsilon_spec, parse_lambda_spec
 from .contfrac import build_F, convergents, fold_expand
@@ -25,14 +26,7 @@ from .dyadic import (
 from .oeis import PROFILES, check_oeis
 from .qseries import QSeriesHandle, a_number, pell_check_mod2, q_omega_window
 from .rings import SeriesPrecisionError
-from .stern import (
-    alpha,
-    beta,
-    gamma,
-    stern_carlitz,
-    stern_u,
-    stern_v,
-)
+from .stern import carlitz_window, doubling_window
 from .automaton import OrbitError, build_dfao, find_algebraic_relation, minimize, signed_dfao
 from . import verify as verify_mod
 
@@ -89,6 +83,30 @@ def _cf_json(cf, conv) -> str:
     return "{\n" + ",\n".join(f'  "{k}": {v}' for k, v in fields) + "\n}"
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one line, `error: ...`, and exits 2."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
+def _action(p, dest, choices) -> None:
+    """An optional positional whose choice main checks after parsing: an
+    unknown option is reported first, not its value as a bad choice."""
+    p.add_argument(dest, nargs="?", default=choices[0], metavar="{" + ",".join(choices) + "}")
+    p.set_defaults(_choice=(dest, choices))
+
+
+def _check_choice(parser, args) -> None:
+    if not hasattr(args, "_choice"):
+        return
+    dest, choices = args._choice
+    value = getattr(args, dest)
+    if value not in choices:
+        parser.error(f"argument {dest}: invalid choice: {value!r} "
+                     f"(choose from {', '.join(map(repr, choices))})")
+
+
 def _common() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
@@ -97,19 +115,18 @@ def _common() -> argparse.ArgumentParser:
 
 def build_parser() -> argparse.ArgumentParser:
     common = _common()
-    root = argparse.ArgumentParser(prog="lacunary", parents=[common])
+    root = _Parser(prog="lacunary", parents=[common])
     sub = root.add_subparsers(dest="command", required=True)
 
     p_cf = sub.add_parser("cf", parents=[common], help="continued fraction expansion")
-    p_cf.add_argument("action", nargs="?", default="expand", choices=("expand",))
+    _action(p_cf, "action", ("expand",))
     p_cf.add_argument("--lambda", dest="lam", default="mersenne")
     p_cf.add_argument("--eps", default="period:0")
     p_cf.add_argument("--n", type=int, default=None, help="max partial quotients past A_0")
     p_cf.add_argument("--precision", type=int, default=1024)
 
     p_q = sub.add_parser("qseries", parents=[common], help="closed-form series windows")
-    p_q.add_argument("action", nargs="?", default="window",
-                     choices=("window", "pell", "anumber"))
+    _action(p_q, "action", ("window", "pell", "anumber"))
     p_q.add_argument("--omega", default="rat:1/3")
     p_q.add_argument("--lambda", dest="lam", default="mersenne")
     p_q.add_argument("--eps", default="period:0")
@@ -121,8 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_q.add_argument("--digits", type=int, default=40)
 
     p_s = sub.add_parser("stern", parents=[common], help="sequence tables")
-    p_s.add_argument("which", nargs="?", default="u",
-                     choices=("u", "v", "alpha", "beta", "gamma", "carlitz", "oeis-check"))
+    _action(p_s, "which", ("u", "v", "alpha", "beta", "gamma", "carlitz", "oeis-check"))
     p_s.add_argument("--from", dest="start", type=int, default=0)
     p_s.add_argument("--to", type=int, default=16)
     p_s.add_argument("--csv", action="store_true")
@@ -131,8 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_s.add_argument("--limit", type=int, default=None)
 
     p_a = sub.add_parser("automaton", parents=[common], help="finite automata for coefficients")
-    p_a.add_argument("action", nargs="?", default="build",
-                     choices=("build", "verify", "algrel"))
+    _action(p_a, "action", ("build", "verify", "algrel"))
     p_a.add_argument("--omega", default="rat:1/3")
     p_a.add_argument("--tag", default="f", choices=("f", "g", "h", "signed"))
     p_a.add_argument("--eps", default="period:0")
@@ -221,13 +236,10 @@ def _cmd_qseries(args) -> int:
     return 0
 
 
+# which -> fn(a, b), the table [a, b] as a list
 _STERN_FUNCS = {
-    "u": stern_u,
-    "v": stern_v,
-    "alpha": alpha,
-    "beta": beta,
-    "gamma": gamma,
-    "carlitz": stern_carlitz,
+    **{which: partial(doubling_window, which) for which in ("u", "v", "alpha", "beta", "gamma")},
+    "carlitz": carlitz_window,
 }
 
 
@@ -241,7 +253,7 @@ def _cmd_stern(args) -> int:
         raise ValueError(f"empty range: --from {args.start} > --to {args.to}")
     if args.start < 0 and args.which != "u":
         raise ValueError(f"sequence {args.which} is defined for n >= 0")
-    values = [fn(n) for n in range(args.start, args.to + 1)]
+    values = fn(args.start, args.to)
     if _as_json(args):
         print(_dump({
             "from": args.start,
@@ -371,6 +383,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_choice(parser, args)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -6,9 +6,15 @@ Scalar entry points are memoized top-down recursions over exact Python
 integers.  alpha, beta and gamma are defined as parity convolutions with
 Thue-Morse but computed only by their doubling recursions; calling
 parity_convolve with thue_morse evaluates the definition and is the
-independent check on them.  The *_range / parity_convolve_range functions
-fill prefixes fast (numpy int64; every sequence here stays far below 2^63
-on the ranges we sweep, and the scalar paths remain the exact reference).
+independent check on them.
+
+Tables are filled by window, as lists of exact Python integers:
+doubling_window fills any [a, b] of u, v, alpha, beta or gamma from the
+window of half its indices, in time O(b - a + log b), and the *_range
+functions are its windows from 0.  carlitz_window evaluates Carlitz's sum
+in numpy int64 blocks of about 2^16 cells, (b - a) * b / 2 cell tests in
+all; carlitz_range and parity_convolve_range return numpy int64 arrays.
+The scalar paths stay the reference the windows are checked against.
 """
 
 from __future__ import annotations
@@ -50,17 +56,6 @@ def stern_v(n: int) -> int:
     return stern_v(half)
 
 
-def stern_range(n_max: int) -> list:
-    """[u_0, ..., u_{n_max-1}] by one bottom-up pass."""
-    if n_max <= 0:
-        return []
-    out = [1] * min(n_max, 2)
-    for n in range(2, n_max):
-        half = n >> 1
-        out.append(out[half] if n & 1 else out[half] + out[half - 1])
-    return out
-
-
 def parity_convolve(a, b, n: int) -> int:
     """sum over 0 <= 2r <= n of C(n-r, r) mod 2 times a(r) * b(n-r).
 
@@ -100,11 +95,43 @@ def stern_carlitz(n: int) -> int:
     return parity_convolve(lambda r: 1, lambda s: 1, n)
 
 
+_CELLS = 1 << 16
+
+
+def carlitz_window(a: int, b: int) -> list:
+    """[stern_carlitz(n) for n in a..b], the cells (n, r) tested in numpy
+    int64 blocks of about _CELLS, with binom_parity's rule: C(n-r, r) is
+    odd iff adding r to n-2r carries nowhere."""
+    import numpy as np
+
+    if a < 0:
+        raise ValueError("negative index")
+    if b >= 1 << 62:
+        raise ValueError("Carlitz's sum is evaluated in int64: n must be below 2^62")
+    if a > b:
+        return []
+    out = np.zeros(b - a + 1, dtype=np.int64)
+    n_step = min(b - a + 1, 1 << 8)
+    r_step = _CELLS // n_step
+    for n0 in range(a, b + 1, n_step):
+        n1 = min(n0 + n_step, b + 1)
+        ns = np.arange(n0, n1, dtype=np.int64)[:, None]
+        r_end = (n1 - 1) // 2 + 1
+        for r0 in range(0, r_end, r_step):
+            r1 = min(r0 + r_step, r_end)
+            rs = np.arange(r0, r1, dtype=np.int64)
+            d = ns - 2 * rs
+            hit = (d & rs) == 0
+            if 2 * (r1 - 1) > n0:
+                hit &= d >= 0  # drop the cells with 2r > n
+            out[n0 - a:n1 - a] += np.count_nonzero(hit, axis=1)
+    return out.tolist()
+
+
 def carlitz_range(n_max: int) -> np.ndarray:
     import numpy as np
 
-    ones = np.ones(n_max, dtype=np.int64)
-    return parity_convolve_range(ones, ones)
+    return np.array(carlitz_window(0, n_max - 1), dtype=np.int64)
 
 
 def thue_morse(n: int) -> int:
@@ -150,27 +177,71 @@ def gamma(n: int) -> int:
     return gamma(half) + gamma(half - 1)
 
 
-def _rec_range(n_max: int, base0: int, base1: int, even_sign: int, odd_sign: int) -> list:
-    # shared doubling fill: s_{2n} = s_n + even_sign*s_{n-1}, s_{2n+1} = odd_sign*s_n
-    if n_max <= 0:
+# (s_0, s_1; c0, c1, d0, d1): s_{2n} = c0*s_n + c1*s_{n-1} and
+# s_{2n+1} = d0*s_n + d1*s_{n+1}
+_DOUBLING = {
+    "u": (1, 1, 1, 1, 1, 0),
+    "v": (0, 1, 1, 0, 1, 1),
+    "alpha": (1, 1, 1, -1, 1, 0),
+    "beta": (1, -1, 1, -1, -1, 0),
+    "gamma": (1, -1, 1, 1, -1, 0),
+}
+_PREFIX = 64
+
+
+def doubling_window(which: str, a: int, b: int) -> list:
+    """[s_a, ..., s_b] for s in _DOUBLING, each window filled from
+    [a//2 - 1, b//2 + 1], down to a prefix of about _PREFIX + b - a terms;
+    u also at negative indices."""
+    s0, s1, c0, c1, d0, d1 = _DOUBLING[which]
+    if a > b:
         return []
-    out = [base0, base1][:n_max]
-    for n in range(2, n_max):
-        half = n >> 1
-        out.append(odd_sign * out[half] if n & 1 else out[half] + even_sign * out[half - 1])
-    return out
+    if a < 0:
+        if which != "u":
+            raise ValueError(f"sequence {which} is defined for n >= 0")
+        # u_{-1} = 0 and u_{-n} = u_{n-2}
+        vals = doubling_window("u", -min(b, -2) - 2, -a - 2)[::-1] if a <= -2 else []
+        if b >= -1:
+            vals.append(0)
+        return vals + doubling_window("u", 0, b)
+    chain = []
+    while a > _PREFIX:
+        chain.append((a, b))
+        a, b = (a >> 1) - 1, (b >> 1) + 1
+    vals = [s0, s1]
+    for m in range(2, b + 1):
+        n = m >> 1
+        vals.append(d0 * vals[n] + d1 * vals[n + 1] if m & 1 else c0 * vals[n] + c1 * vals[n - 1])
+    vals = vals[a:b + 1]
+    for lo, hi in reversed(chain):
+        # vals holds s_a..s_b with a = lo//2 - 1 and b = hi//2 + 1
+        even, odd = lo + (lo & 1), lo | 1
+        i, n_even = (even >> 1) - a, (hi - even) // 2 + 1
+        j, n_odd = (odd >> 1) - a, (hi - odd) // 2 + 1
+        out = [0] * (hi - lo + 1)
+        out[even - lo::2] = [c0 * x + c1 * y for x, y in
+                             zip(vals[i:i + n_even], vals[i - 1:i - 1 + n_even])]
+        out[odd - lo::2] = [d0 * x + d1 * y for x, y in
+                            zip(vals[j:j + n_odd], vals[j + 1:j + 1 + n_odd])]
+        vals, a, b = out, lo, hi
+    return vals
+
+
+def stern_range(n_max: int) -> list:
+    """[u_0, ..., u_{n_max-1}]."""
+    return doubling_window("u", 0, n_max - 1)
 
 
 def alpha_range(n_max: int) -> list:
-    return _rec_range(n_max, 1, 1, -1, 1)
+    return doubling_window("alpha", 0, n_max - 1)
 
 
 def beta_range(n_max: int) -> list:
-    return _rec_range(n_max, 1, -1, -1, -1)
+    return doubling_window("beta", 0, n_max - 1)
 
 
 def gamma_range(n_max: int) -> list:
-    return _rec_range(n_max, 1, -1, 1, -1)
+    return doubling_window("gamma", 0, n_max - 1)
 
 
 def fold_v(n: int) -> int:

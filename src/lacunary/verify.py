@@ -72,6 +72,7 @@ from .stern import (
     alpha,
     beta,
     carlitz_range,
+    carlitz_window,
     fold_v,
     gamma,
     gamma_range,
@@ -504,7 +505,12 @@ def check_cf_fold_vs_euclid(level, rng):
 
 def check_stern_carlitz(level, rng):
     bound = _n(level, 1 << 10, 1 << 14)
-    assert carlitz_range(bound).tolist() == stern_range(bound), "Carlitz sum vs recursion"
+    expected = stern_range(bound)
+    assert carlitz_range(bound).tolist() == expected, "Carlitz sum vs recursion"
+    # a window off 0, as `stern carlitz --from` fills it: 1300 wide, or
+    # the upper half at the quick level
+    lo = max(bound - 1300, bound // 2)
+    assert carlitz_window(lo, bound - 1) == expected[lo:], f"Carlitz window from {lo}"
     return f"n < {bound}"
 
 

@@ -58,6 +58,27 @@ class TestStern:
         rc, _, err = run(capsys, "stern", "u", "--from", "5", "--to", "1")
         assert rc == 2 and "empty range" in err
 
+    def test_far_window_equals_scalars(self, capsys):
+        from lacunary.stern import stern_u
+        start = 10 ** 15
+        rc, out, _ = run(capsys, "stern", "u", "--from", str(start), "--to", str(start + 100))
+        assert rc == 0
+        assert out.strip() == ",".join(str(stern_u(n)) for n in range(start, start + 101))
+
+    @pytest.mark.parametrize("which", ["u", "v", "alpha", "beta", "gamma", "carlitz"])
+    def test_single_index(self, capsys, which):
+        from lacunary.stern import alpha, beta, gamma, stern_carlitz, stern_u, stern_v
+        scalar = {"u": stern_u, "v": stern_v, "alpha": alpha, "beta": beta,
+                  "gamma": gamma, "carlitz": stern_carlitz}[which]
+        rc, out, _ = run(capsys, "stern", which, "--from", "1234", "--to", "1234", "--csv")
+        assert rc == 0 and out.splitlines() == [f"n,{which}", f"1234,{scalar(1234)}"]
+
+    def test_carlitz_past_int64(self, capsys):
+        rc, out, err = run(capsys, "stern", "carlitz", "--from", str(1 << 62),
+                           "--to", str(1 << 62))
+        assert rc == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
 
 class TestQSeries:
     def test_integer_window_text(self, capsys):
@@ -420,6 +441,35 @@ class TestUsageAndDeterminism:
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
         assert run(capsys, "qseries", "--help")[0] == 0
+
+    @pytest.mark.parametrize("argv", [
+        (),
+        ("frobnicate",),
+        ("cf", "bogus"),
+        ("cf", "--precision", "abc"),
+        ("stern", "w", "--to", "3"),
+        ("automaton", "--tag", "x"),
+        ("cf", "--level", "full"),
+        ("verify", "--level", "medium"),
+    ])
+    def test_argparse_errors_are_one_line(self, capsys, argv):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ("cf", "--level", "full"),
+        ("cf", "--precision", "64", "--level", "full"),
+        ("stern", "--level", "u"),
+    ])
+    def test_unknown_option_is_named(self, capsys, argv):
+        rc, _, err = run(capsys, *argv)
+        assert rc == 2
+        assert err == "error: unrecognized arguments: --level\n"
+
+    def test_bad_positional_choice_is_named(self, capsys):
+        rc, _, err = run(capsys, "qseries", "pel")
+        assert rc == 2 and err.startswith("error: argument action: invalid choice: 'pel'")
 
     def test_non_dyadic_omega(self, capsys):
         rc, _, err = run(capsys, "qseries", "--omega", "rat:1/6")

@@ -5,12 +5,15 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+from lacunary import stern
 from lacunary.stern import (
     alpha,
     alpha_range,
     beta,
     beta_range,
     carlitz_range,
+    carlitz_window,
+    doubling_window,
     fold_v,
     fold_w,
     fold_z,
@@ -64,6 +67,74 @@ class TestSternU:
             assert stern_v(n + 1) == stern_u(n)
         with pytest.raises(ValueError):
             stern_v(-1)
+
+
+SCALARS = {"u": stern_u, "v": stern_v, "alpha": alpha, "beta": beta, "gamma": gamma}
+
+
+def scalar_table(which, a, b):
+    return [SCALARS[which](n) for n in range(a, b + 1)]
+
+
+class TestWindows:
+    @pytest.mark.parametrize("which", sorted(SCALARS))
+    def test_smallest_windows(self, which):
+        for a, b in ((0, 0), (1, 1), (0, 1), (2, 2), (0, 2)):
+            assert doubling_window(which, a, b) == scalar_table(which, a, b)
+        assert doubling_window(which, 5, 4) == []
+
+    @pytest.mark.parametrize("which", sorted(SCALARS))
+    def test_around_prefix_cutoff(self, which):
+        cut = stern._PREFIX
+        for a in range(cut - 3, cut + 5):
+            for b in (a, a + 1, a + 6, 2 * cut + 3, 4 * cut + 1):
+                assert doubling_window(which, a, b) == scalar_table(which, a, b), (a, b)
+
+    @pytest.mark.parametrize("which", sorted(SCALARS))
+    @pytest.mark.parametrize("a, b", [
+        (10 ** 15, 10 ** 15 + 100),
+        ((1 << 40) - 100, (1 << 40) + 100),
+        ((1 << 40) + 1, (1 << 40) + 1),
+        (12345, 14000),
+    ])
+    def test_far_windows(self, which, a, b):
+        assert doubling_window(which, a, b) == scalar_table(which, a, b)
+
+    @given(st.sampled_from(sorted(SCALARS)), st.integers(0, 1 << 48), st.integers(0, 70))
+    def test_random_windows(self, which, a, width):
+        assert doubling_window(which, a, a + width) == scalar_table(which, a, a + width)
+
+    @pytest.mark.parametrize("a, b", [
+        (-1, -1), (-2, -2), (-3, -1), (-2, 0), (-5, 5), (-300, 40), (-40, 300),
+        (-10 ** 15 - 50, -10 ** 15 + 50),
+    ])
+    def test_u_across_zero(self, a, b):
+        assert doubling_window("u", a, b) == scalar_table("u", a, b)
+
+    def test_negative_only_for_u(self):
+        with pytest.raises(ValueError, match="n >= 0"):
+            doubling_window("alpha", -1, 3)
+
+    @pytest.mark.parametrize("a, b", [
+        (0, 0), (1, 1), (0, 1), (3000, 3000),
+        (0, 700),          # three blocks of n
+        (1000, 1700),      # several blocks of r for each block of n
+        (1800, 3100),
+    ])
+    def test_carlitz_window(self, a, b):
+        assert carlitz_window(a, b) == scalar_table("u", a, b)
+
+    def test_carlitz_single_index_over_two_r_blocks(self):
+        # one n, so a block is one row of at most 2^16 values of r
+        n = (1 << 17) + 5
+        assert carlitz_window(n, n) == [stern_u(n)]
+
+    def test_carlitz_window_limits(self):
+        assert carlitz_window(9, 8) == []
+        with pytest.raises(ValueError, match="negative"):
+            carlitz_window(-1, 4)
+        with pytest.raises(ValueError, match="2\\^62"):
+            carlitz_window(1 << 62, 1 << 62)
 
 
 class TestTransforms:
