@@ -2,10 +2,13 @@
 rational w, plus periodicity detection and a GF(2)(X)-algebraicity probe.
 
 Digits of k are fed LSB-first: the kernel recurrences split on the parity
-of k, so the low bit must be consumed first.  States are labeled by a
-(family tag, shift-orbit element) pair; the identically-zero state is
-materialized as an explicit absorbing "dead" state so the twelve table
-entries below stay visible in code.
+of k, so the low bit must be consumed first.  A Dfao is index tables:
+states are numbered 0..n-1 in the order a breadth-first closure from the
+initial state discovers them, and each has a successor index per digit and
+an output.  Labels, here (family tag, shift-orbit position) pairs, are kept
+only for export; the identically-zero state is materialized as an explicit
+absorbing "dead" state so the twelve table entries below stay visible in
+code.
 
 Transition table (state family x digit, p = parity of the current orbit
 element; the orbit element always advances by one shift):
@@ -30,7 +33,7 @@ if TYPE_CHECKING:
 
 from .bits import EpsilonSpec
 from .dyadic import Dyadic
-from .rings import gf2_mul
+from .rings import flags_to_mask, gf2_mul
 
 __all__ = [
     "Dfao",
@@ -69,31 +72,18 @@ def orbit(w: Dyadic):
 
 @dataclass(frozen=True)
 class Dfao:
-    """Deterministic finite automaton with output, input digits LSB-first.
+    """Deterministic finite automaton with output, input digits LSB-first,
+    held as index tables over the states 0..n-1.
 
-    states are hashable labels; delta maps (state, bit) -> state; out maps
-    state -> value in {-1, 0, +1}.  Indexed arrays are precompiled for the
-    evaluation loop."""
+    step[i] = (next on 0, next on 1) and out[i] in {-1, 0, +1} describe
+    state i; initial is an index.  states[i] is the label of state i, kept
+    only for export."""
 
     states: tuple
-    initial: object
-    delta: dict
-    out: dict
+    step: tuple
+    out: tuple
+    initial: int
     meta: dict = field(default_factory=dict)
-    _index: dict = field(default_factory=dict, repr=False, compare=False)
-    _step: tuple = field(default=(), repr=False, compare=False)
-    _outv: tuple = field(default=(), repr=False, compare=False)
-
-    def __post_init__(self):
-        idx = {s: i for i, s in enumerate(self.states)}
-        step = []
-        outv = []
-        for s in self.states:
-            step.append((idx[self.delta[(s, 0)]], idx[self.delta[(s, 1)]]))
-            outv.append(self.out[s])
-        object.__setattr__(self, "_index", idx)
-        object.__setattr__(self, "_step", tuple(step))
-        object.__setattr__(self, "_outv", tuple(outv))
 
     def __len__(self):
         return len(self.states)
@@ -101,19 +91,18 @@ class Dfao:
     def evaluate(self, k: int) -> int:
         return self.evaluate_from(self.initial, k)
 
-    def evaluate_from(self, state, k: int) -> int:
-        """Value at k of the sequence realized by `state`."""
+    def evaluate_from(self, i: int, k: int) -> int:
+        """Value at k of the sequence realized by state i."""
         if k < 0:
             raise ValueError("negative input")
-        i = self._index[state]
-        step = self._step
+        step = self.step
         while k:
             i = step[i][k & 1]
             k >>= 1
-        return self._outv[i]
+        return self.out[i]
 
-    def realized(self, state, length: int) -> tuple:
-        return tuple(self.evaluate_from(state, k) for k in range(length))
+    def realized(self, i: int, length: int) -> tuple:
+        return tuple(self.evaluate_from(i, k) for k in range(length))
 
     def evaluate_all(self, bits: int) -> np.ndarray:
         """Outputs for every k < 2^bits at once, feeding each k as exactly
@@ -122,65 +111,69 @@ class Dfao:
         One state-array doubling per digit position."""
         import numpy as np
 
-        d0 = np.array([t[0] for t in self._step], dtype=np.int32)
-        d1 = np.array([t[1] for t in self._step], dtype=np.int32)
-        arr = np.array([self._index[self.initial]], dtype=np.int32)
+        d0, d1 = np.array(self.step, dtype=np.int32).T
+        arr = np.array([self.initial], dtype=np.int32)
         for _ in range(bits):
             arr = np.concatenate([d0[arr], d1[arr]])
-        return np.array(self._outv, dtype=np.int32)[arr]
+        return np.array(self.out, dtype=np.int32)[arr]
 
     def to_dot(self) -> str:
-        idx = self._index
         lines = [
             "digraph dfao {",
             "  rankdir=LR;",
             '  node [shape=circle, fontname="monospace"];',
             '  __start [shape=none, label=""];',
-            f"  __start -> s{idx[self.initial]};",
+            f"  __start -> s{self.initial};",
         ]
-        for s in self.states:
-            label = f"{_label_str(s)} / {self.out[s]}"
-            lines.append(f'  s{idx[s]} [label="{label}"];')
-        for s in self.states:
-            for b in (0, 1):
-                lines.append(f'  s{idx[s]} -> s{idx[self.delta[(s, b)]]} [label="{b}"];')
+        for i, s in enumerate(self.states):
+            lines.append(f'  s{i} [label="{_label_str(s)} / {self.out[i]}"];')
+        for i, (t0, t1) in enumerate(self.step):
+            lines.append(f'  s{i} -> s{t0} [label="0"];')
+            lines.append(f'  s{i} -> s{t1} [label="1"];')
         lines.append("}")
         return "\n".join(lines)
 
     def to_json(self) -> str:
-        idx = self._index
         obj = {
             "input": "lsb-first",
             "states": [
-                {"id": i, "label": _label_str(s), "output": self.out[s]}
+                {"id": i, "label": _label_str(s), "output": self.out[i]}
                 for i, s in enumerate(self.states)
             ],
-            "initial": idx[self.initial],
-            "transitions": [
-                [idx[self.delta[(s, 0)]], idx[self.delta[(s, 1)]]] for s in self.states
-            ],
-            "meta": {k: v for k, v in self.meta.items()},
+            "initial": self.initial,
+            "transitions": self.step,
+            "meta": self.meta,
         }
         return json.dumps(obj, sort_keys=True, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "Dfao":
+        """Inverse of to_json.  Ids must be 0..n-1 in order and every
+        transition and the initial state must name one of them."""
         obj = json.loads(text)
         if obj.get("input") != "lsb-first":
             raise ValueError("unknown input convention")
-        labels = [st["label"] for st in obj["states"]]
-        out = {labels[st["id"]]: st["output"] for st in obj["states"]}
-        delta = {}
-        for i, (t0, t1) in enumerate(obj["transitions"]):
-            delta[(labels[i], 0)] = labels[t0]
-            delta[(labels[i], 1)] = labels[t1]
+        states = obj["states"]
+        n = len(states)
+        if [st["id"] for st in states] != list(range(n)):
+            raise ValueError(f"state ids must be 0..{n - 1} in order")
+        trans = obj["transitions"]
+        if len(trans) != n or not all(isinstance(t, list) and len(t) == 2
+                                      and all(_is_index(x, n) for x in t) for t in trans):
+            raise ValueError(f"transitions must be {n} pairs of state ids")
+        if not _is_index(obj["initial"], n):
+            raise ValueError(f"initial state {obj['initial']!r} is not a state id")
         return cls(
-            states=tuple(labels),
-            initial=labels[obj["initial"]],
-            delta=delta,
-            out=out,
+            states=tuple(st["label"] for st in states),
+            step=tuple(map(tuple, trans)),
+            out=tuple(st["output"] for st in states),
+            initial=obj["initial"],
             meta=obj.get("meta", {}),
         )
+
+
+def _is_index(x, n: int) -> bool:
+    return type(x) is int and 0 <= x < n
 
 
 def _label_str(s) -> str:
@@ -230,36 +223,34 @@ def build_dfao(w: Dyadic, tag: str = "f") -> Dfao:
             return 1
         return parities[j]
 
-    initial = (tag, 0)
-    states, delta = _close([initial], step)
-    out = {s: output(s) for s in states}
+    states, table = _close((tag, 0), step)
     meta = {
         "omega": w.describe(),
         "tag": tag,
         "orbit": [e.describe() for e in elems],
         "orbit_preperiod": len(pre),
     }
-    return Dfao(states=tuple(states), initial=initial, delta=delta, out=out, meta=meta)
+    return Dfao(tuple(states), table, tuple(map(output, states)), 0, meta)
 
 
-def _close(roots, step):
-    """BFS closure; returns (ordered states, delta dict)."""
-    order = []
-    seen = set()
-    queue = list(roots)
-    delta = {}
-    while queue:
-        s = queue.pop(0)
-        if s in seen:
-            continue
-        seen.add(s)
-        order.append(s)
+def _close(root, step):
+    """Closure of root under step(state, bit), numbering each state when it
+    is first discovered: the order in which a FIFO search visits them, root
+    at index 0.  Returns (states, index table of (next on 0, next on 1))."""
+    states = [root]
+    index = {root: 0}
+    table = []
+    for s in states:
+        row = []
         for b in (0, 1):
             t = step(s, b)
-            delta[(s, b)] = t
-            if t not in seen:
-                queue.append(t)
-    return order, delta
+            i = index.get(t)
+            if i is None:
+                i = index[t] = len(states)
+                states.append(t)
+            row.append(i)
+        table.append(tuple(row))
+    return states, tuple(table)
 
 
 def signed_dfao(w: Dyadic, eps: EpsilonSpec) -> Dfao:
@@ -287,11 +278,12 @@ def signed_dfao(w: Dyadic, eps: EpsilonSpec) -> Dfao:
         r = c - p_len - 1
         return (eps.period[(r + 1) % r_len] ^ eps.period[r]) & 1
 
+    # a product state is (kernel state index, prev digit, nu, mb, class)
     def step(state, b):
         k, prev, nu, mb, c = state
         nu2 = nu ^ (1 if (b == 1 and prev == 0) else 0)
         mb2 = mb ^ (cls_diff(c) if b else 0)
-        return (ker.delta[(k, b)], b, nu2, mb2, cls_next(c))
+        return (ker.step[k][b], b, nu2, mb2, cls_next(c))
 
     def output(state):
         k, prev, nu, mb, c = state
@@ -299,56 +291,42 @@ def signed_dfao(w: Dyadic, eps: EpsilonSpec) -> Dfao:
             return 0
         return -1 if (nu ^ mb) & 1 else 1
 
-    initial = (ker.initial, None, 0, 0, 0)
-    states, delta = _close([initial], step)
-    out = {s: output(s) for s in states}
+    states, table = _close((ker.initial, None, 0, 0, 0), step)
     meta = {
         "omega": w.describe(),
         "tag": "signed-f",
         "eps": eps.describe(),
         "orbit": ker.meta["orbit"],
     }
-    return Dfao(states=tuple(states), initial=initial, delta=delta, out=out, meta=meta)
+    labels = tuple((ker.states[s[0]],) + s[1:] for s in states)
+    return Dfao(labels, table, tuple(map(output, states)), 0, meta)
 
 
 def minimize(d: Dfao) -> Dfao:
     """Moore-style partition refinement; labels of merged states are kept
-    in the metadata, the quotient states are renamed m0, m1, ..."""
-    block = {s: d.out[s] for s in d.states}
+    in the metadata, the quotient states are renamed m0, m1, ... in order
+    of their first member."""
+    block = d.out
+    count = len(set(block))
     while True:
-        sig = {
-            s: (block[s], block[d.delta[(s, 0)]], block[d.delta[(s, 1)]])
-            for s in d.states
-        }
         renum = {}
-        for s in d.states:
-            renum.setdefault(sig[s], len(renum))
-        new_block = {s: renum[sig[s]] for s in d.states}
-        if len(set(new_block.values())) == len(set(block.values())):
-            block = new_block
+        block = [renum.setdefault((block[i], block[t0], block[t1]), len(renum))
+                 for i, (t0, t1) in enumerate(d.step)]
+        if len(renum) == count:
             break
-        block = new_block
-    n_blocks = len(set(block.values()))
-    labels = [f"m{i}" for i in range(n_blocks)]
-    members = {i: [] for i in range(n_blocks)}
-    for s in d.states:
-        members[block[s]].append(_label_str(s))
-    delta = {}
-    out = {}
-    for s in d.states:
-        b = block[s]
-        delta[(labels[b], 0)] = labels[block[d.delta[(s, 0)]]]
-        delta[(labels[b], 1)] = labels[block[d.delta[(s, 1)]]]
-        out[labels[b]] = d.out[s]
+        count = len(renum)
+    labels = tuple(f"m{b}" for b in range(count))
+    members = [[] for _ in labels]
+    step = [None] * count
+    out = [None] * count
+    for i, (t0, t1) in enumerate(d.step):
+        b = block[i]
+        members[b].append(_label_str(d.states[i]))
+        step[b] = (block[t0], block[t1])
+        out[b] = d.out[i]
     meta = dict(d.meta)
-    meta["merged"] = {labels[i]: members[i] for i in range(n_blocks)}
-    return Dfao(
-        states=tuple(labels),
-        initial=labels[block[d.initial]],
-        delta=delta,
-        out=out,
-        meta=meta,
-    )
+    meta["merged"] = dict(zip(labels, members))
+    return Dfao(labels, tuple(step), tuple(out), block[d.initial], meta)
 
 
 @dataclass(frozen=True)
@@ -377,14 +355,6 @@ class Relation:
         return f"{body} = 0  (mod X^{self.truncation})"
 
 
-def _seq_mask(seq, n: int) -> int:
-    mask = 0
-    for k in range(n):
-        if seq[k] & 1:
-            mask |= 1 << k
-    return mask
-
-
 def find_algebraic_relation(seq, degree_bound: int, height_bound: int, truncation: int | None = None):
     """Search for c_0..c_D over GF2[X], deg c_i <= height bound, with
     sum of c_i * S^(2^i) = 0 modulo X^N, where S has the given 0/1
@@ -405,7 +375,7 @@ def find_algebraic_relation(seq, degree_bound: int, height_bound: int, truncatio
             f"truncation {n} below solvability margin "
             f"{4 * (degree_bound + 1) * (height_bound + 1)}"
         )
-    s_mask = _seq_mask(seq, n)
+    s_mask = flags_to_mask(seq[k] & 1 for k in range(n))
     window = (1 << n) - 1
 
     if s_mask.bit_length() <= n // 2:
@@ -464,7 +434,7 @@ def verify_relation(rel: Relation, seq) -> bool:
     if n > len(seq):
         raise ValueError("prefix shorter than the relation's truncation")
     window = (1 << n) - 1
-    s_mask = _seq_mask(seq, n)
+    s_mask = flags_to_mask(seq[k] & 1 for k in range(n))
     total = 0
     power = s_mask
     for i, c in enumerate(rel.coeffs):

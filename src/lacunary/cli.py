@@ -107,6 +107,18 @@ def _check_choice(parser, args) -> None:
                      f"(choose from {', '.join(map(repr, choices))})")
 
 
+def _check_root_options(root, argv) -> None:
+    """Names an unknown option given before the subcommand: left to
+    argparse, the value after it would be reported as a bad subcommand."""
+    for arg in argv:
+        if not arg.startswith("-"):
+            return
+        name = arg.partition("=")[0]
+        if not any(opt == name or (name.startswith("--") and opt.startswith(name))
+                   for opt in root._option_string_actions):
+            root.error(f"unrecognized arguments: {arg}")
+
+
 def _common() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
@@ -271,6 +283,8 @@ def _cmd_stern(args) -> int:
 
 
 def _cmd_automaton(args) -> int:
+    if args.action == "verify" and args.upto < 1:
+        raise ValueError(f"--upto must be at least 1, got {args.upto}")
     w = parse_omega(args.omega)
     if args.action == "algrel":
         from .qseries import q_support_flags
@@ -320,11 +334,9 @@ def _cmd_automaton(args) -> int:
     elif args.export == "json" or _as_json(args):
         print(d.to_json())
     else:
-        print(f"states: {len(d)}, initial: {d._index[d.initial]}")
-        for i, s in enumerate(d.states):
-            t0 = d._index[d.delta[(s, 0)]]
-            t1 = d._index[d.delta[(s, 1)]]
-            print(f"  {i}: out {d.out[s]:+d}, 0 -> {t0}, 1 -> {t1}")
+        print(f"states: {len(d)}, initial: {d.initial}")
+        for i, (t0, t1) in enumerate(d.step):
+            print(f"  {i}: out {d.out[i]:+d}, 0 -> {t0}, 1 -> {t1}")
     return 0
 
 
@@ -381,7 +393,10 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
+        _check_root_options(parser, argv)
         args = parser.parse_args(argv)
         _check_choice(parser, args)
     except SystemExit as exc:

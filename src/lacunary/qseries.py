@@ -23,7 +23,7 @@ if TYPE_CHECKING:
 
 from .bits import EpsilonSpec, LambdaSpec, term_exponent, term_sign
 from .dyadic import Dyadic, halfsum_binom, kernel_range, kernel_value
-from .rings import NEG_INF, SparsePoly, gf2_mul
+from .rings import NEG_INF, SparsePoly, flags_to_mask, gf2_mul
 
 __all__ = [
     "QSeriesHandle",
@@ -134,23 +134,12 @@ def is_polynomial(handle: QSeriesHandle, scan_bound: int | None = None):
     return ("unknown", last)
 
 
-def _q_mask(w: Dyadic, k_max: int) -> int:
-    """GF2 mask of Q_w mod 2 through X^k_max, Mersenne exponents mu(k) = k."""
-    flags = kernel_range(w, k_max, "f")
-    mask = 0
-    for k, v in enumerate(flags):
-        if v:
-            mask |= 1 << k
-    return mask
-
-
 def pell_check_mod2(w: Dyadic, trunc: int) -> bool:
     """Q_w^2 - Q_{w+1} Q_{w-1} = 1 mod 2, checked through X^trunc with
     Mersenne exponents.  Signs are invisible mod 2, so only the kernel
     masks enter."""
-    m0 = _q_mask(w, trunc)
-    mp = _q_mask(w.add_int(1), trunc)
-    mm = _q_mask(w.add_int(-1), trunc)
+    m0, mp, mm = (flags_to_mask(kernel_range(v, trunc, "f"))
+                  for v in (w, w.add_int(1), w.add_int(-1)))
     lhs = gf2_mul(m0, m0) ^ gf2_mul(mp, mm)
     return lhs & ((1 << (trunc + 1)) - 1) == 1
 

@@ -161,6 +161,13 @@ def gf2_mul(a: int, b: int) -> int:
     return acc
 
 
+def flags_to_mask(flags) -> int:
+    """GF(2) mask of a coefficient stream: bit k is set where flags[k] is
+    true.  Built through one base-2 string, so linear in the length."""
+    bits = "".join("1" if v else "0" for v in flags)
+    return int(bits[::-1], 2) if bits else 0
+
+
 def reduce_mod2(p: SparsePoly) -> int:
     """Ring map Z[X] -> GF(2)[X], as a mask; error if any coefficient is
     non-integral."""

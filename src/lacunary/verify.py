@@ -62,6 +62,7 @@ from .qseries import (
 )
 from .rings import (
     SparsePoly,
+    flags_to_mask,
     gf2_mul,
     reduce_mod2,
     series_from_poly,
@@ -130,14 +131,6 @@ def _rand_dyadic(rng) -> Dyadic:
     if rng.random() < 0.4:
         return Dyadic.from_int(rng.randint(-(1 << 16), 1 << 16))
     return _rand_rational_dyadic(rng)
-
-
-def _mask_from_flags(flags) -> int:
-    m = 0
-    for k, v in enumerate(flags):
-        if v:
-            m |= 1 << k
-    return m
 
 
 # ---------------------------------------------------------------- core-arith
@@ -611,7 +604,7 @@ def check_q_chebyshev_mod2(level, rng):
     eps = EpsilonSpec.zero()
     for n in range(bound):
         assert reduce_mod2(zpolys[n]) == masks[n], f"integer vs GF2 recurrence at n={n}"
-        qmask = _mask_from_flags(kernel_range(Dyadic.from_int(n), n, "f"))
+        qmask = flags_to_mask(kernel_range(Dyadic.from_int(n), n, "f"))
         assert qmask == masks[n], f"closed form vs recurrence at n={n}"
         assert reduce_mod2(q_poly(n, lam, eps)) == masks[n]
     return f"n < {bound}"
@@ -733,8 +726,8 @@ def check_dfao_padding_stability(level, rng):
     autos = [build_dfao(w, t) for w in _omega_values() for t in ("f", "g", "h")]
     autos += [signed_dfao(Dyadic.from_rational(1, 3), EpsilonSpec((), (1, 0)))]
     for d in autos:
-        for s in d.states:
-            assert d.out[d.delta[(s, 0)]] == d.out[s], f"zero step changes output at {s}"
+        for i, (t0, _) in enumerate(d.step):
+            assert d.out[t0] == d.out[i], f"zero step changes output at {d.states[i]}"
     return f"{len(autos)} automata, every state"
 
 
@@ -759,10 +752,9 @@ def check_dfao_kernel_closure(level, rng):
         for tag in ("f", "g", "h"):
             d = build_dfao(w, tag)
             half = length // 2
-            prefixes = {s: d.realized(s, length) for s in d.states}
-            shorts = {p[:half] for p in prefixes.values()}
-            for s in d.states:
-                seq = prefixes[s]
+            prefixes = [d.realized(i, length) for i in range(len(d))]
+            shorts = {p[:half] for p in prefixes}
+            for s, seq in zip(d.states, prefixes):
                 even = tuple(seq[2 * k] for k in range(half))
                 odd = tuple(seq[2 * k + 1] for k in range(half))
                 assert even in shorts, f"even subsequence of {s} escapes the kernel"

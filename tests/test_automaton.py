@@ -210,6 +210,41 @@ class TestSerialization:
         with pytest.raises(ValueError):
             Dfao.from_json(json.dumps(obj))
 
+    @pytest.mark.parametrize("make", [
+        lambda: build_dfao(THIRD, "f"),
+        lambda: signed_dfao(_rat(1, 7), EpsilonSpec((1,), (0, 1))),
+        lambda: minimize(build_dfao(_rat(-1, 131), "g")),
+    ], ids=["f", "signed", "minimized"])
+    def test_json_round_trip_bytes(self, make):
+        text = make().to_json()
+        assert Dfao.from_json(text).to_json() == text
+
+    def test_from_json_rejects_unordered_ids(self):
+        obj = json.loads(build_dfao(THIRD, "f").to_json())
+        obj["states"][0]["id"], obj["states"][1]["id"] = 1, 0
+        with pytest.raises(ValueError, match="state ids"):
+            Dfao.from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize("transitions", [
+        lambda t: t[:-1],
+        lambda t: t[:-1] + [[0, len(t)]],
+        lambda t: t[:-1] + [[0, -1]],
+        lambda t: t[:-1] + [[0]],
+        lambda t: t[:-1] + [0],
+    ], ids=["count", "past-end", "negative", "not-pair", "not-list"])
+    def test_from_json_rejects_bad_transitions(self, transitions):
+        obj = json.loads(build_dfao(THIRD, "f").to_json())
+        obj["transitions"] = transitions(obj["transitions"])
+        with pytest.raises(ValueError, match="transitions"):
+            Dfao.from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize("initial", [7, -1, "0"])
+    def test_from_json_rejects_bad_initial(self, initial):
+        obj = json.loads(build_dfao(THIRD, "f").to_json())
+        obj["initial"] = initial
+        with pytest.raises(ValueError, match="initial"):
+            Dfao.from_json(json.dumps(obj))
+
     def test_dot_output(self):
         dot = build_dfao(THIRD, "f").to_dot()
         assert dot.startswith("digraph")

@@ -325,6 +325,30 @@ class TestAutomaton:
         assert rc == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # SHA-256 of stdout for a plain g-kernel automaton (period 130 orbit):
+    # the index tables must keep the BFS numbering, the minimized form and
+    # both exports byte for byte.
+    @pytest.mark.parametrize("extra, digest", [
+        ((), "e8a4a7ac7320cfad2d9b03ebbdcc8a6ecce127051f21aa6ccbc96eea4e655f00"),
+        (("--minimize",),
+         "ec460560ecd601ef03d286c8e4bbecbf5a3541ef89561c0bb97aa4272a463502"),
+        (("--export", "json"),
+         "b24d49f12562892be8a86ea90f9f261b6fc2d123db93fbf984e1aa838bb1d344"),
+        (("--export", "dot"),
+         "c5dae2edc9d100f0461bdd8fc202503a730c37e27e52fac832dfbbfa6cd58332"),
+    ], ids=["text", "minimize", "json", "dot"])
+    def test_plain_output_unchanged(self, capsys, extra, digest):
+        rc, out, _ = run(capsys, "automaton", "build", "--omega", "rat:-1/131", "--tag", "g",
+                         *extra)
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("upto", ["0", "-5"])
+    def test_verify_rejects_empty_range(self, capsys, upto):
+        rc, out, err = run(capsys, "automaton", "verify", "--upto", upto)
+        assert rc == 2 and out == ""
+        assert err == f"error: --upto must be at least 1, got {upto}\n"
+
     def test_verify_sweep(self, capsys):
         rc, out, _ = run(capsys, "automaton", "verify", "--omega", "rat:3/7",
                          "--upto", "4096")
@@ -461,11 +485,14 @@ class TestUsageAndDeterminism:
         ("cf", "--level", "full"),
         ("cf", "--precision", "64", "--level", "full"),
         ("stern", "--level", "u"),
+        ("--seed", "1", "verify"),
+        ("--level", "full", "verify"),
     ])
     def test_unknown_option_is_named(self, capsys, argv):
         rc, _, err = run(capsys, *argv)
+        unknown = next(a for a in argv if a in ("--level", "--seed"))
         assert rc == 2
-        assert err == "error: unrecognized arguments: --level\n"
+        assert err == f"error: unrecognized arguments: {unknown}\n"
 
     def test_bad_positional_choice_is_named(self, capsys):
         rc, _, err = run(capsys, "qseries", "pel")

@@ -13,6 +13,7 @@ from lacunary.rings import (
     SeriesPrecisionError,
     SparsePoly,
     ZeroSeriesError,
+    flags_to_mask,
     gf2_mul,
     poly_from_json,
     poly_to_json,
@@ -96,6 +97,15 @@ class TestGF2:
     @given(st.integers(0, 1 << 16), st.integers(0, 1 << 16))
     def test_gf2_mul_matches_poly_product(self, a, b):
         assert gf2_mul(a, b) == reduce_mod2(lift(a) * lift(b))
+
+    @given(st.lists(st.integers(-2, 2), max_size=200))
+    def test_flags_to_mask_matches_bit_loop(self, flags):
+        want = 0
+        for k, v in enumerate(flags):
+            if v:
+                want |= 1 << k
+        assert flags_to_mask(flags) == want
+        assert flags_to_mask(iter(flags)) == want
 
     def test_reduce_mod2(self):
         p = poly_q((4, 3), (2, -2), (0, 1))
