@@ -69,7 +69,6 @@ from .stern import (
 )
 from .qseries import (
     ANumber,
-    QSeriesHandle,
     a_number,
     chebyshev_u_scaled,
     fibonacci_poly,
@@ -113,7 +112,7 @@ __all__ = [
     "alpha", "beta", "carlitz_range", "fold_v", "fold_w", "fold_z", "gamma",
     "parity_convolve", "stern_carlitz", "stern_range", "stern_u", "stern_v",
     "thue_morse",
-    "ANumber", "QSeriesHandle", "a_number", "chebyshev_u_scaled",
+    "ANumber", "a_number", "chebyshev_u_scaled",
     "fibonacci_poly", "is_polynomial", "morgan_voyce", "pell_check_mod2",
     "q_omega_window", "q_poly", "q_support_flags", "q_term_count_range",
     "Dfao", "OrbitError", "Relation", "build_dfao", "find_algebraic_relation",

@@ -12,7 +12,8 @@ Conventions used throughout the package:
 
 An exponent sequence ("lambda spec") is a strictly increasing sequence of
 positive integers whose growth is 2-lacunary: lambda(q+1) > 2 * lambda(q),
-with lambda(-1) = 0 by convention.  A sign sequence ("epsilon spec") is an
+with lambda(-1) = 0 by convention: Mersenne, or a finite list checked for
+2-lacunary growth when parsed.  A sign sequence ("epsilon spec") is an
 ultimately periodic 0/1 sequence, zero for negative indices.  The k-th
 closed-form term has exponent ``term_exponent(k, lam)`` and sign
 ``term_sign(k, eps)``; the sign pairs each difference eps_q - eps_{q-1}
@@ -66,75 +67,55 @@ def dominates(k: int, m: int) -> bool:
     return (k & ~m) == 0
 
 
+@dataclass(frozen=True)
 class LambdaSpec:
     """Strictly 2-lacunary exponent sequence 0 < l_0 < l_1 < ..., l_{q+1} > 2 l_q.
 
-    Three variants: the Mersenne sequence l_q = 2^(q+1) - 1, a finite explicit
-    list (requests past the end raise LambdaRangeError), and a closed-form
-    rule.  Growth is validated lazily as indices are touched.
+    ``values`` is a finite list, checked for growth when the spec is made
+    (requests past its end raise LambdaRangeError), or None for the
+    Mersenne sequence l_q = 2^(q+1) - 1.
     """
 
-    def __init__(self, kind: str, values=None, rule=None, name: str = ""):
-        self.kind = kind
-        self._values = list(values) if values is not None else None
-        self._rule = rule
-        self.name = name or kind
-        self._cache = {}
-        self._checked_upto = -1
+    values: tuple | None = None
+
+    def __post_init__(self):
+        if self.values is None:
+            return
+        if not self.values:
+            raise ValueError("empty exponent list")
+        if self.values[0] <= 0:
+            raise ValueError(f"lambda_0 = {self.values[0]} must be positive")
+        for i, (prev, v) in enumerate(zip(self.values, self.values[1:]), 1):
+            if v <= 2 * prev:
+                raise ValueError(f"not 2-lacunary: lambda_{i} = {v} <= 2 * lambda_{i-1} = {2 * prev}")
 
     @classmethod
     def mersenne(cls):
-        return cls("mersenne", name="mersenne")
+        return cls(None)
 
     @classmethod
     def from_list(cls, values):
-        if not values:
-            raise ValueError("empty exponent list")
-        return cls("list", values=values, name="list:" + ",".join(str(v) for v in values))
-
-    @classmethod
-    def from_rule(cls, rule, name="rule"):
-        return cls("rule", rule=rule, name=name)
+        return cls(tuple(values))
 
     @property
     def is_mersenne(self):
-        return self.kind == "mersenne"
+        return self.values is None
 
-    def known_length(self):
-        """Number of available indices, or None when unbounded."""
-        return len(self._values) if self.kind == "list" else None
-
-    def _raw(self, q: int) -> int:
-        if self.kind == "mersenne":
-            return (1 << (q + 1)) - 1
-        if self.kind == "list":
-            if q >= len(self._values):
-                raise LambdaRangeError(f"lambda range: index {q} beyond explicit list of length {len(self._values)}")
-            return self._values[q]
-        if q in self._cache:
-            return self._cache[q]
-        v = self._rule(q)
-        if not isinstance(v, int):
-            raise ValueError("exponent rule must return ints")
-        self._cache[q] = v
-        return v
+    @property
+    def name(self):
+        return "mersenne" if self.values is None else "list:" + ",".join(map(str, self.values))
 
     def value(self, q: int) -> int:
-        """lambda_q, with lambda_{-1} = 0.  Validates growth up to q."""
+        """lambda_q, with lambda_{-1} = 0."""
         if q < -1:
             raise ValueError("exponent index below -1")
         if q == -1:
             return 0
-        while self._checked_upto < q:
-            i = self._checked_upto + 1
-            v = self._raw(i)
-            prev = 0 if i == 0 else self._raw(i - 1)
-            if i == 0 and v <= 0:
-                raise ValueError(f"lambda_0 = {v} must be positive")
-            if i > 0 and v <= 2 * prev:
-                raise ValueError(f"not 2-lacunary: lambda_{i} = {v} <= 2 * lambda_{i-1} = {2 * prev}")
-            self._checked_upto = i
-        return self._raw(q)
+        if self.values is None:
+            return (1 << (q + 1)) - 1
+        if q >= len(self.values):
+            raise LambdaRangeError(f"lambda range: index {q} beyond explicit list of length {len(self.values)}")
+        return self.values[q]
 
     def gap(self, q: int) -> int:
         """lambda_q - lambda_{q-1} (q >= 0)."""

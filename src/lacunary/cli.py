@@ -16,7 +16,6 @@ from functools import partial
 from .bits import LambdaRangeError, parse_epsilon_spec, parse_lambda_spec
 from .contfrac import build_F, convergents, fold_expand
 from .dyadic import (
-    Dyadic,
     NotTwoAdicError,
     OpaqueStreamError,
     StreamDepthError,
@@ -24,7 +23,7 @@ from .dyadic import (
     parse_omega,
 )
 from .oeis import PROFILES, check_oeis
-from .qseries import QSeriesHandle, a_number, pell_check_mod2, q_omega_window
+from .qseries import a_number, pell_check_mod2, q_omega_window
 from .rings import SeriesPrecisionError
 from .stern import carlitz_window, doubling_window
 from .automaton import OrbitError, build_dfao, find_algebraic_relation, minimize, signed_dfao
@@ -189,6 +188,12 @@ def _as_json(args) -> bool:
     return getattr(args, "json", False)
 
 
+def _check_at_least(option: str, value: int, low: int) -> None:
+    """Rejects an option below its least meaningful value before any work."""
+    if value < low:
+        raise ValueError(f"{option} must be at least {low}, got {value}")
+
+
 def _specs(args):
     return parse_lambda_spec(args.lam), parse_epsilon_spec(args.eps)
 
@@ -208,6 +213,10 @@ def _cmd_cf(args) -> int:
 
 
 def _cmd_qseries(args) -> int:
+    if args.action == "window":
+        _check_at_least("--upto", args.upto, 0)
+    elif args.action == "pell":
+        _check_at_least("--trunc", args.trunc, 0)
     lam, eps = _specs(args)
     w = parse_omega(args.omega)
     if args.action == "pell":
@@ -231,8 +240,7 @@ def _cmd_qseries(args) -> int:
         else:
             print(val.decimal(args.digits))
         return 0
-    handle = QSeriesHandle(w, lam, eps)
-    terms = q_omega_window(handle, args.upto)
+    terms = q_omega_window(w, lam, eps, args.upto)
     if args.mod2:
         terms = [(e, abs(c)) for e, c in terms]
     if _as_json(args):
@@ -283,8 +291,10 @@ def _cmd_stern(args) -> int:
 
 
 def _cmd_automaton(args) -> int:
-    if args.action == "verify" and args.upto < 1:
-        raise ValueError(f"--upto must be at least 1, got {args.upto}")
+    if args.action == "verify":
+        _check_at_least("--upto", args.upto, 1)
+    elif args.action == "algrel":
+        _check_at_least("--trunc", args.trunc, 1)
     w = parse_omega(args.omega)
     if args.action == "algrel":
         from .qseries import q_support_flags

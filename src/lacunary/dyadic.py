@@ -156,7 +156,8 @@ class Dyadic:
             return (self.num * pow(self.den, -1, 1 << length)) & ((1 << length) - 1)
         if length > self.depth:
             raise StreamDepthError(f"stream exhausted: window {length} beyond safe depth {self.depth}")
-        return sum(int(self.rule(j)) << j for j in range(length) if self.rule(j))
+        digits = "".join(str(int(self.rule(j)) & 1) for j in range(length))
+        return int(digits[::-1], 2)
 
     def parity(self) -> int:
         if self.rule is None:

@@ -26,7 +26,6 @@ from .dyadic import Dyadic, halfsum_binom, kernel_range, kernel_value
 from .rings import NEG_INF, SparsePoly, flags_to_mask, gf2_mul
 
 __all__ = [
-    "QSeriesHandle",
     "q_poly",
     "q_omega_window",
     "q_support_flags",
@@ -44,21 +43,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QSeriesHandle:
-    """Q_w(X) for a 2-adic w: the data of the signed coefficient stream
-    k -> (exponent mu(k), sign * halfsum), read by q_omega_window."""
-
-    omega: Dyadic
-    lam: LambdaSpec
-    eps: EpsilonSpec
-
-    def support_bound(self):
-        """Largest k that can contribute, or None when w is not an integer."""
-        if self.omega.classify() != "integer":
-            return None
-        n = self.omega.num
-        return n if n >= 0 else -n - 2
+def _support_bound(n: int) -> int:
+    """Largest k that contributes to Q_n for integer n (negative for n = -1,
+    whose Q is zero)."""
+    return n if n >= 0 else -n - 2
 
 
 def q_poly(n: int, lam: LambdaSpec, eps: EpsilonSpec) -> SparsePoly:
@@ -68,7 +56,7 @@ def q_poly(n: int, lam: LambdaSpec, eps: EpsilonSpec) -> SparsePoly:
     half-sum binomial.  The cutoff -n-2 for negative n is forced by the
     binomial itself: for k >= -n-1 the upper argument n+k+1 is a nonnegative
     integer smaller than 2k+1."""
-    bound = n if n >= 0 else -n - 2
+    bound = _support_bound(n)
     w = Dyadic.from_int(n)
     terms = []
     for k in range(0, bound + 1):
@@ -78,16 +66,16 @@ def q_poly(n: int, lam: LambdaSpec, eps: EpsilonSpec) -> SparsePoly:
     return SparsePoly.build(terms)
 
 
-def q_omega_window(handle: QSeriesHandle, k_max: int):
-    """Nonzero terms (exponent, coefficient) for k <= k_max, ascending.
+def q_omega_window(w: Dyadic, lam: LambdaSpec, eps: EpsilonSpec, k_max: int):
+    """Nonzero terms (exponent, coefficient) of Q_w for k <= k_max, ascending.
 
     Exponents ascend with k because each lambda gap exceeds the sum of all
     earlier ones; extending k_max never changes earlier entries."""
-    flags = kernel_range(handle.omega, k_max, "f")
+    flags = kernel_range(w, k_max, "f")
     out = []
     for k in range(k_max + 1):
         if flags[k]:
-            out.append((term_exponent(k, handle.lam), term_sign(k, handle.eps)))
+            out.append((term_exponent(k, lam), term_sign(k, eps)))
     return out
 
 
@@ -112,24 +100,24 @@ def q_term_count_range(n_max: int) -> np.ndarray:
     return out
 
 
-def is_polynomial(handle: QSeriesHandle, scan_bound: int | None = None):
+def is_polynomial(w: Dyadic, lam: LambdaSpec, scan_bound: int | None = None):
     """("yes", degree) | ("no", None) | ("unknown", largest nonzero k below
     scan_bound, if any scan was requested).
 
     Integer w always keeps its top term (k = w resp. k = -w-2 survives), so
     the degree is mu of the cutoff; rational non-integer w never terminates;
     opaque streams are undecidable and only scanned empirically."""
-    kind = handle.omega.classify()
+    kind = w.classify()
     if kind == "integer":
-        bound = handle.support_bound()
+        bound = _support_bound(w.num)
         if bound < 0:
             return ("yes", NEG_INF)
-        return ("yes", term_exponent(bound, handle.lam))
+        return ("yes", term_exponent(bound, lam))
     if kind == "rational-non-integer":
         return ("no", None)
     if scan_bound is None:
         return ("unknown", None)
-    flags = q_support_flags(handle.omega, scan_bound)
+    flags = q_support_flags(w, scan_bound)
     last = max((k for k, v in enumerate(flags) if v), default=None)
     return ("unknown", last)
 

@@ -47,14 +47,12 @@ from .dyadic import (
 )
 from .periodic import detect_ultimate_period
 from .qseries import (
-    QSeriesHandle,
     chebyshev_mask_range,
     chebyshev_u_scaled_range,
     fibonacci_poly,
     is_polynomial,
     morgan_voyce,
     pell_check_mod2,
-    q_omega_window,
     q_poly,
     q_support_flags,
     q_term_count_range,
@@ -250,7 +248,7 @@ def check_mu_injective(level, rng):
             vals.append(2 * vals[-1] + rng.randint(1, 4))
         lams.append(LambdaSpec.from_list(vals))
     for lam in lams:
-        kmax = 1 << lam.known_length()
+        kmax = 1 << len(lam.values)
         seen = set()
         for k in range(kmax):
             mu = term_exponent(k, lam)
@@ -379,6 +377,9 @@ _EPS_SET = (
     EpsilonSpec((1,), (0, 1)),
 )
 
+# lambda_q = 3 * 2^q - 2, listed past every window and index checked here
+_RULE_LAM = LambdaSpec.from_list([3 * 2**q - 2 for q in range(16)])
+
 
 def check_cf_convergent_coefficients(level, rng):
     prec = _n(level, 1 << 9, 1 << 11)
@@ -422,7 +423,7 @@ def check_cf_term_count_stern(level, rng):
     cases = [
         (LambdaSpec.mersenne(), _n(level, 1 << 9, 1 << 10), _n(level, 16, 24)),
         (LambdaSpec.from_list([1, 4, 9, 19, 39]), 39, None),
-        (LambdaSpec.from_rule(lambda q: 3 * (1 << q) - 2), _n(level, 1 << 8, 1 << 9), None),
+        (_RULE_LAM, _n(level, 1 << 8, 1 << 9), None),
     ]
     checked = 0
     for lam, prec, budget in cases:
@@ -574,7 +575,7 @@ def check_q_cf_oracle(level, rng):
 def check_q_negative_reflection(level, rng):
     lams = [
         (LambdaSpec.mersenne(), 64),
-        (LambdaSpec.from_rule(lambda q: 3 * (1 << q) - 2), 64),
+        (_RULE_LAM, 64),
         (LambdaSpec.from_list([1, 4, 9, 19, 39]), 33),
     ]
     eps = EpsilonSpec.zero()
@@ -664,21 +665,19 @@ def check_q_support_aperiodic(level, rng):
 
 def check_q_polynomial_dichotomy(level, rng):
     lam = LambdaSpec.mersenne()
-    eps = EpsilonSpec.zero()
     for n in (5, -7, 12):
-        handle = QSeriesHandle(Dyadic.from_int(n), lam, eps)
-        verdict, deg = is_polynomial(handle)
+        w = Dyadic.from_int(n)
+        verdict, deg = is_polynomial(w, lam)
         assert verdict == "yes"
         cut = n if n >= 0 else -n - 2
         assert deg == cut, f"degree of the integer case {n}"
-        flags = q_support_flags(handle.omega, cut + 64)
+        flags = q_support_flags(w, cut + 64)
         last = max(k for k, v in enumerate(flags) if v)
         assert last == cut, f"window termination for {n}"
     for a, b in ((1, 3), (1, 5), (-1, 3)):
-        handle = QSeriesHandle(Dyadic.from_rational(a, b), lam, eps)
-        assert is_polynomial(handle)[0] == "no"
+        assert is_polynomial(Dyadic.from_rational(a, b), lam)[0] == "no"
     stream = Dyadic.from_stream(lambda j: j.bit_count() & 1, 1 << 10, "thue-morse")
-    verdict, _ = is_polynomial(QSeriesHandle(stream, lam, eps))
+    verdict, _ = is_polynomial(stream, lam)
     assert verdict == "unknown"
     return "integers terminate at the predicted cutoff; rationals refuse; streams abstain"
 

@@ -67,14 +67,26 @@ class TestLambdaSpec:
             lam.value(3)
 
     def test_growth_validated(self):
-        lam = LambdaSpec.from_list([1, 2, 5])   # 2 <= 2*1 violates strictness
-        with pytest.raises(ValueError):
-            lam.value(1)
+        # 2 <= 2*1 violates strictness; the whole list is checked when made
+        with pytest.raises(ValueError, match=r"lambda_1 = 2 <= 2 \* lambda_0 = 2"):
+            LambdaSpec.from_list([1, 2, 5])
+        with pytest.raises(ValueError, match="lambda_0 = 0 must be positive"):
+            LambdaSpec.from_list([0, 3])
+        with pytest.raises(ValueError, match="empty exponent list"):
+            LambdaSpec.from_list([])
 
     def test_rule_variant(self):
-        lam = LambdaSpec.from_rule(lambda q: 3 * (1 << q) - 2)
+        lam = LambdaSpec.from_list([3 * 2**q - 2 for q in range(16)])
         assert [lam.value(q) for q in range(4)] == [1, 4, 10, 22]
         assert lam.gap(2) == 6
+        assert lam.value(15) == 3 * 2**15 - 2
+
+    def test_plain_values(self):
+        assert LambdaSpec.from_list([1, 4, 10, 22]) == LambdaSpec.from_list((1, 4, 10, 22))
+        assert LambdaSpec.mersenne() == LambdaSpec.mersenne()
+        assert LambdaSpec.mersenne() != LambdaSpec.from_list([1, 3, 7, 15])
+        assert LambdaSpec.from_list([1, 3]).name == "list:1,3"
+        assert repr(LambdaSpec.mersenne()) == "LambdaSpec(mersenne)"
 
     def test_parse(self):
         assert parse_lambda_spec("mersenne").is_mersenne

@@ -494,6 +494,30 @@ class TestUsageAndDeterminism:
         assert rc == 2
         assert err == f"error: unrecognized arguments: {unknown}\n"
 
+    @pytest.mark.parametrize("argv, line", [
+        (("qseries", "--upto", "-1"), "error: --upto must be at least 0, got -1"),
+        (("qseries", "pell", "--trunc", "-1"), "error: --trunc must be at least 0, got -1"),
+        (("automaton", "algrel", "--trunc", "0"), "error: --trunc must be at least 1, got 0"),
+    ])
+    def test_range_option_is_named(self, capsys, argv, line):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == ""
+        assert err == line + "\n"
+
+    def test_pell_constant_term(self, capsys):
+        rc, out, _ = run(capsys, "qseries", "pell", "--trunc", "0")
+        assert rc == 0 and "holds to X^0" in out
+
+    @pytest.mark.parametrize("argv", [
+        ("cf", "--lambda", "list:1,3,7,5", "--precision", "4"),
+        ("qseries", "--lambda", "list:1,3,7,5", "--upto", "3"),
+    ])
+    def test_non_lacunary_list_rejected_when_parsed(self, capsys, argv):
+        # the window stops before lambda_3, but the whole list is checked
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == ""
+        assert err == "error: not 2-lacunary: lambda_3 = 5 <= 2 * lambda_2 = 14\n"
+
     def test_bad_positional_choice_is_named(self, capsys):
         rc, _, err = run(capsys, "qseries", "pel")
         assert rc == 2 and err.startswith("error: argument action: invalid choice: 'pel'")

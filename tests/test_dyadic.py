@@ -115,6 +115,19 @@ class TestStreams:
         with pytest.raises(StreamDepthError, match="stream exhausted"):
             s.digits_window(17)
 
+    def test_window_reads_each_digit_once(self):
+        calls = []
+
+        def rule(j):
+            calls.append(j)
+            return 2 + (j & 1)   # digits are the values mod 2
+
+        s = Dyadic.from_stream(rule, 64, "two-three")
+        digits = sum(s.digit(j) << j for j in range(8))
+        calls.clear()
+        assert s.digits_window(8) == digits == 0b10101010
+        assert calls == list(range(8))
+
     def test_identity_equality_and_no_cycle(self):
         s = Dyadic.from_stream(lambda j: 0, 64, "zeros")
         t = Dyadic.from_stream(lambda j: 0, 64, "zeros")

@@ -18,7 +18,6 @@ from lacunary.contfrac import build_F, cf_expand, convergents
 from lacunary.dyadic import Dyadic, halfsum_binom, kernel_range, parse_omega
 from lacunary.qseries import (
     ANumber,
-    QSeriesHandle,
     a_number,
     chebyshev_mask_range,
     chebyshev_u_scaled,
@@ -141,7 +140,7 @@ class TestQPoly:
             assert got == q_poly_oracle(n, lambda q: vals[q], EPS_10.value), n
 
     def test_oracle_rule_lambda(self):
-        lam = LambdaSpec.from_rule(lambda q: 3 * 2**q - 2)
+        lam = LambdaSpec.from_list([3 * 2**q - 2 for q in range(16)])
         for n in range(-12, 13):
             got = _as_terms(q_poly(n, lam, ZERO))
             assert got == q_poly_oracle(n, lambda q: 3 * 2**q - 2, ZERO.value), n
@@ -196,29 +195,26 @@ class TestAdjudication:
 class TestWindow:
     def test_integer_window_matches_poly(self):
         for n in [0, 1, 5, 12, 31]:
-            h = QSeriesHandle(Dyadic.from_int(n), MERS, EPS_10)
-            window = q_omega_window(h, n + 8)
+            window = q_omega_window(Dyadic.from_int(n), MERS, EPS_10, n + 8)
             assert dict(window) == _as_terms(q_poly(n, MERS, EPS_10))
 
     def test_negative_one_is_empty(self):
-        h = QSeriesHandle(Dyadic.from_int(-1), MERS, ZERO)
-        assert q_omega_window(h, 32) == []
+        assert q_omega_window(Dyadic.from_int(-1), MERS, ZERO, 32) == []
 
     def test_exponents_strictly_ascend(self):
-        h = QSeriesHandle(parse_omega("rat:1/3"), MERS, ZERO)
-        window = q_omega_window(h, 64)
+        window = q_omega_window(parse_omega("rat:1/3"), MERS, ZERO, 64)
         exps = [e for e, _ in window]
         assert exps == sorted(exps) and len(set(exps)) == len(exps)
 
     def test_prefix_stability(self):
-        h = QSeriesHandle(parse_omega("rat:-5/7"), MERS, EPS_10)
-        small, large = q_omega_window(h, 32), q_omega_window(h, 96)
+        w = parse_omega("rat:-5/7")
+        small, large = q_omega_window(w, MERS, EPS_10, 32), q_omega_window(w, MERS, EPS_10, 96)
         assert large[: len(small)] == small
         assert len(large) > len(small)
 
     def test_term_agrees_with_window(self):
         w = parse_omega("rat:1/5")
-        window = dict(q_omega_window(QSeriesHandle(w, MERS, ZERO), 40))
+        window = dict(q_omega_window(w, MERS, ZERO, 40))
         for k in range(41):
             c = term_sign(k, ZERO) * halfsum_binom(w, k)
             assert window.get(term_exponent(k, MERS), 0) == c
@@ -230,23 +226,19 @@ class TestWindow:
 
 class TestPolynomiality:
     def test_integer_yes_with_degree(self):
-        h = QSeriesHandle(Dyadic.from_int(5), MERS, ZERO)
-        assert is_polynomial(h) == ("yes", 5)
-        h = QSeriesHandle(Dyadic.from_int(-7), LIST_LAM, ZERO)
-        assert is_polynomial(h) == ("yes", term_exponent(5, LIST_LAM))
+        assert is_polynomial(Dyadic.from_int(5), MERS) == ("yes", 5)
+        assert is_polynomial(Dyadic.from_int(-7), LIST_LAM) == ("yes", term_exponent(5, LIST_LAM))
 
     def test_negative_one_degree(self):
-        h = QSeriesHandle(Dyadic.from_int(-1), MERS, ZERO)
-        assert is_polynomial(h) == ("yes", NEG_INF)
+        assert is_polynomial(Dyadic.from_int(-1), MERS) == ("yes", NEG_INF)
 
     def test_rational_no(self):
-        h = QSeriesHandle(parse_omega("rat:12/5"), MERS, ZERO)
-        assert is_polynomial(h) == ("no", None)
+        assert is_polynomial(parse_omega("rat:12/5"), MERS) == ("no", None)
 
     def test_opaque_unknown(self):
-        h = QSeriesHandle(parse_omega("stream:thue-morse"), MERS, ZERO)
-        assert is_polynomial(h) == ("unknown", None)
-        verdict, last = is_polynomial(h, scan_bound=24)
+        w = parse_omega("stream:thue-morse")
+        assert is_polynomial(w, MERS) == ("unknown", None)
+        verdict, last = is_polynomial(w, MERS, scan_bound=24)
         assert verdict == "unknown" and last is not None and last <= 24
 
 
