@@ -360,11 +360,12 @@ def find_algebraic_relation(seq, degree_bound: int, height_bound: int, truncatio
     sum of c_i * S^(2^i) = 0 modulo X^N, where S has the given 0/1
     coefficient prefix.  Returns a verified Relation or None.
 
-    Candidate columns X^j * S^(2^i) are built by bit-spreading the prefix;
-    the returned relation is re-verified through the carry-less product
-    routine, a separate code path.  A prefix whose support dies before N/2
-    is reported through the exact relation S^2 + P*S = 0 with P the
-    polynomial itself, flagged "polynomial-input"."""
+    Candidate columns X^j * S^(2^i) are built from the nonzero positions of
+    the prefix, each multiplied by 2^i; the returned relation is
+    re-verified through the carry-less product routine, a separate code
+    path.  A prefix whose support dies before N/2 is reported through the
+    exact relation S^2 + P*S = 0 with P the polynomial itself, flagged
+    "polynomial-input"."""
     n = len(seq) if truncation is None else truncation
     if n > len(seq):
         raise ValueError(f"prefix has {len(seq)} terms, truncation {n} needs more")
@@ -375,7 +376,10 @@ def find_algebraic_relation(seq, degree_bound: int, height_bound: int, truncatio
             f"truncation {n} below solvability margin "
             f"{4 * (degree_bound + 1) * (height_bound + 1)}"
         )
-    s_mask = flags_to_mask(seq[k] & 1 for k in range(n))
+    import numpy as np
+
+    odd = np.asarray(seq[:n]) & 1
+    s_mask = flags_to_mask(odd)
     window = (1 << n) - 1
 
     if s_mask.bit_length() <= n // 2:
@@ -384,15 +388,13 @@ def find_algebraic_relation(seq, degree_bound: int, height_bound: int, truncatio
         coeffs[1] = 1
         return _certify(Relation(tuple(coeffs), n, "polynomial-input"), seq)
 
-    # S^(2^i) mod X^n by digit spreading
+    # S^(2^i) mod X^n: the term X^k of S becomes X^(k * 2^i)
+    support = np.flatnonzero(odd)
     powers = []
     for i in range(degree_bound + 1):
-        spread = 0
-        stride = 1 << i
-        for k in range(0, (n - 1) // stride + 1):
-            if (s_mask >> k) & 1:
-                spread |= 1 << (k * stride)
-        powers.append(spread & window)
+        spread = np.zeros(n, dtype=bool)
+        spread[support[support <= (n - 1) >> i] << i] = True
+        powers.append(flags_to_mask(spread))
 
     basis = {}
     col_id = 0
@@ -433,8 +435,10 @@ def verify_relation(rel: Relation, seq) -> bool:
     n = rel.truncation
     if n > len(seq):
         raise ValueError("prefix shorter than the relation's truncation")
+    import numpy as np
+
     window = (1 << n) - 1
-    s_mask = flags_to_mask(seq[k] & 1 for k in range(n))
+    s_mask = flags_to_mask(np.asarray(seq[:n]) & 1)
     total = 0
     power = s_mask
     for i, c in enumerate(rel.coeffs):

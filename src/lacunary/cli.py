@@ -29,6 +29,11 @@ from .stern import carlitz_window, doubling_window
 from .automaton import OrbitError, build_dfao, find_algebraic_relation, minimize, signed_dfao
 from . import verify as verify_mod
 
+#: Largest k-range of one kernel sweep (qseries window/pell, automaton
+#: verify/algrel); the benchmark catalogue goes to 2^20.
+_KERNEL_CAP = 1 << 24
+_KERNEL_CAP_TEXT = f"{_KERNEL_CAP} (2^24)"
+
 _USAGE_ERRORS = (
     ValueError,
     KeyError,
@@ -133,7 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
     _action(p_cf, "action", ("expand",))
     p_cf.add_argument("--lambda", dest="lam", default="mersenne")
     p_cf.add_argument("--eps", default="period:0")
-    p_cf.add_argument("--n", type=int, default=None, help="max partial quotients past A_0")
+    p_cf.add_argument("--n", type=int, default=None,
+                      help="max partial quotients past A_0 (at least 0)")
     p_cf.add_argument("--precision", type=int, default=1024)
 
     p_q = sub.add_parser("qseries", parents=[common], help="closed-form series windows")
@@ -141,12 +147,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_q.add_argument("--omega", default="rat:1/3")
     p_q.add_argument("--lambda", dest="lam", default="mersenne")
     p_q.add_argument("--eps", default="period:0")
-    p_q.add_argument("--upto", type=int, default=64)
+    p_q.add_argument("--upto", type=int, default=64,
+                     help=f"window: largest k, 0 to {_KERNEL_CAP_TEXT}")
     p_q.add_argument("--mod2", action="store_true")
-    p_q.add_argument("--trunc", type=int, default=128)
+    p_q.add_argument("--trunc", type=int, default=128,
+                     help=f"pell: check through X^trunc, 0 to {_KERNEL_CAP_TEXT}")
     p_q.add_argument("--g", type=int, default=10)
-    p_q.add_argument("--terms", type=int, default=60)
-    p_q.add_argument("--digits", type=int, default=40)
+    p_q.add_argument("--terms", type=int, default=60, help="anumber: last k summed (at least 0)")
+    p_q.add_argument("--digits", type=int, default=40,
+                     help="anumber: decimal digits shown (at least 0)")
 
     p_s = sub.add_parser("stern", parents=[common], help="sequence tables")
     _action(p_s, "which", ("u", "v", "alpha", "beta", "gamma", "carlitz", "oeis-check"))
@@ -164,10 +173,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_a.add_argument("--eps", default="period:0")
     p_a.add_argument("--export", default=None, choices=("dot", "json"))
     p_a.add_argument("--minimize", action="store_true")
-    p_a.add_argument("--upto", type=int, default=65536)
-    p_a.add_argument("--deg", type=int, default=4)
-    p_a.add_argument("--height", type=int, default=64)
-    p_a.add_argument("--trunc", type=int, default=4096)
+    p_a.add_argument("--upto", type=int, default=65536,
+                     help=f"verify: check k < upto, 1 to {_KERNEL_CAP_TEXT}")
+    p_a.add_argument("--deg", type=int, default=4, help="algrel: largest i in S^(2^i) (at least 1)")
+    p_a.add_argument("--height", type=int, default=64,
+                     help="algrel: largest coefficient degree (at least 0)")
+    p_a.add_argument("--trunc", type=int, default=4096,
+                     help=f"algrel: relation modulo X^trunc, 1 to {_KERNEL_CAP_TEXT}")
 
     p_v = sub.add_parser("verify", parents=[common], help="run the named invariant checks")
     p_v.add_argument("scope", nargs="?", default="all")
@@ -194,11 +206,21 @@ def _check_at_least(option: str, value: int, low: int) -> None:
         raise ValueError(f"{option} must be at least {low}, got {value}")
 
 
+def _check_kernel_size(option: str, value: int, low: int) -> None:
+    """Rejects a kernel sweep size outside [low, _KERNEL_CAP] before any
+    work: the sweep allocates a byte per k."""
+    _check_at_least(option, value, low)
+    if value > _KERNEL_CAP:
+        raise ValueError(f"{option} must be at most {_KERNEL_CAP_TEXT}, got {value}")
+
+
 def _specs(args):
     return parse_lambda_spec(args.lam), parse_epsilon_spec(args.eps)
 
 
 def _cmd_cf(args) -> int:
+    if args.n is not None:
+        _check_at_least("--n", args.n, 0)
     lam, eps = _specs(args)
     f = build_F(lam, eps, args.precision)
     cf = fold_expand(f, args.n)
@@ -214,9 +236,12 @@ def _cmd_cf(args) -> int:
 
 def _cmd_qseries(args) -> int:
     if args.action == "window":
-        _check_at_least("--upto", args.upto, 0)
+        _check_kernel_size("--upto", args.upto, 0)
     elif args.action == "pell":
-        _check_at_least("--trunc", args.trunc, 0)
+        _check_kernel_size("--trunc", args.trunc, 0)
+    else:
+        _check_at_least("--terms", args.terms, 0)
+        _check_at_least("--digits", args.digits, 0)
     lam, eps = _specs(args)
     w = parse_omega(args.omega)
     if args.action == "pell":
@@ -292,9 +317,11 @@ def _cmd_stern(args) -> int:
 
 def _cmd_automaton(args) -> int:
     if args.action == "verify":
-        _check_at_least("--upto", args.upto, 1)
+        _check_kernel_size("--upto", args.upto, 1)
     elif args.action == "algrel":
-        _check_at_least("--trunc", args.trunc, 1)
+        _check_kernel_size("--trunc", args.trunc, 1)
+        _check_at_least("--deg", args.deg, 1)
+        _check_at_least("--height", args.height, 0)
     w = parse_omega(args.omega)
     if args.action == "algrel":
         from .qseries import q_support_flags
@@ -322,14 +349,17 @@ def _cmd_automaton(args) -> int:
             print(f"verified to O(X^{rel.truncation})")
         return 0
     if args.action == "verify":
+        import numpy as np
+
         bits = max(1, (args.upto - 1).bit_length())
         for tag in ("f", "g", "h"):
             d = build_dfao(w, tag)
-            got = d.evaluate_all(bits)[: args.upto].tolist()
+            got = d.evaluate_all(bits)[: args.upto]
             want = kernel_range(w, args.upto - 1, tag)
-            if got != want:
-                bad = next(k for k in range(args.upto) if got[k] != want[k])
-                print(f"MISMATCH: tag {tag}, k = {bad}: automaton {got[bad]}, direct {want[bad]}")
+            if not np.array_equal(got, want):
+                bad = int(np.flatnonzero(got != want)[0])
+                print(f"MISMATCH: tag {tag}, k = {bad}: "
+                      f"automaton {int(got[bad])}, direct {int(want[bad])}")
                 return 1
         print(f"automaton output matches direct evaluation for all k < {args.upto} (tags f, g, h)")
         return 0

@@ -29,6 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 from .periodic import detect_ultimate_period
 
@@ -321,16 +325,32 @@ def kernel_value(w: Dyadic, k: int, tag: str) -> int:
     return 1 if (kk & ~_window_plus(w, k + b, need)) == 0 else 0
 
 
-def kernel_range(w: Dyadic, k_max: int, tag: str = "f") -> list:
-    """[kernel_value(w, k, tag) for k in 0..k_max], sharing one digit window
-    of w across the whole sweep (the windowed add is carry-exact, so low
-    digits of w + c never depend on digits beyond the window)."""
+_BLOCK = 1 << 16   # k per numpy block of kernel_range
+
+
+def kernel_range(w: Dyadic, k_max: int, tag: str = "f") -> np.ndarray:
+    """kernel_value(w, k, tag) for k in 0..k_max, as a numpy bool array.
+
+    One digit window of w, at most 64 digits, serves the whole sweep; the
+    test (2k+a) & ~(w+k+b) == 0 runs in uint64 over blocks of _BLOCK
+    values of k.  Wrap-around mod 2^64 keeps the low digits of w + k + b
+    exact, because carries only move upward, and 2k+a has no digit above
+    the window."""
+    import numpy as np
+
     if k_max < 0:
         raise ValueError("negative range")
     a, b = _kernel_offsets(tag)
     length = (2 * k_max + 1).bit_length() + 1
-    win = w.digits_window(length)
-    return [1 if (2 * k + a) & ~(win + k + b) == 0 else 0 for k in range(k_max + 1)]
+    if length > 64:
+        raise ValueError(f"kernel sweep to k = {k_max} needs a {length}-digit window; "
+                         "uint64 holds 64")
+    win = np.uint64(w.digits_window(length))
+    out = np.empty(k_max + 1, dtype=bool)
+    for k0 in range(0, k_max + 1, _BLOCK):
+        ks = np.arange(k0, min(k0 + _BLOCK, k_max + 1), dtype=np.uint64)
+        out[k0:k0 + len(ks)] = ((2 * ks + a) & ~(win + ks + b)) == 0
+    return out
 
 
 def digit_pair_period(w: Dyadic, max_digits: int):

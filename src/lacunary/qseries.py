@@ -71,17 +71,15 @@ def q_omega_window(w: Dyadic, lam: LambdaSpec, eps: EpsilonSpec, k_max: int):
 
     Exponents ascend with k because each lambda gap exceeds the sum of all
     earlier ones; extending k_max never changes earlier entries."""
-    flags = kernel_range(w, k_max, "f")
-    out = []
-    for k in range(k_max + 1):
-        if flags[k]:
-            out.append((term_exponent(k, lam), term_sign(k, eps)))
-    return out
+    import numpy as np
+
+    ks = np.flatnonzero(kernel_range(w, k_max, "f")).tolist()
+    return [(term_exponent(k, lam), term_sign(k, eps)) for k in ks]
 
 
-def q_support_flags(w: Dyadic, k_max: int) -> list:
-    """0/1 flags: does k contribute a monomial to Q_w.  Signs never vanish,
-    so this is exactly the half-sum kernel."""
+def q_support_flags(w: Dyadic, k_max: int) -> np.ndarray:
+    """Bool array over k = 0..k_max: does k contribute a monomial to Q_w.
+    Signs never vanish, so this is exactly the half-sum kernel."""
     return kernel_range(w, k_max, "f")
 
 
@@ -117,9 +115,10 @@ def is_polynomial(w: Dyadic, lam: LambdaSpec, scan_bound: int | None = None):
         return ("no", None)
     if scan_bound is None:
         return ("unknown", None)
-    flags = q_support_flags(w, scan_bound)
-    last = max((k for k, v in enumerate(flags) if v), default=None)
-    return ("unknown", last)
+    import numpy as np
+
+    ks = np.flatnonzero(q_support_flags(w, scan_bound))
+    return ("unknown", int(ks[-1]) if ks.size else None)
 
 
 def pell_check_mod2(w: Dyadic, trunc: int) -> bool:
@@ -217,9 +216,9 @@ def a_number(eps: EpsilonSpec, w: Dyadic, g: int, terms: int) -> ANumber:
         raise ValueError("base must be at least 2")
     if terms < 0:
         raise ValueError("negative term count")
-    flags = kernel_range(w, terms, "f")
+    import numpy as np
+
     total = Fraction(0)
-    for k in range(terms + 1):
-        if flags[k]:
-            total += Fraction(term_sign(k, eps), g**k)
+    for k in np.flatnonzero(kernel_range(w, terms, "f")).tolist():
+        total += Fraction(term_sign(k, eps), g**k)
     return ANumber(value=total, tail_bound=Fraction(2, g**terms), base=g, terms=terms)

@@ -148,24 +148,39 @@ class SparsePoly:
 
 
 def gf2_mul(a: int, b: int) -> int:
-    """Carry-less product of two GF(2) polynomials packed in ints."""
+    """Carry-less product of two GF(2) polynomials packed in ints.
+
+    The sparser operand is read a byte at a time: each nonzero byte v adds
+    one shifted row v * b, taken from a table of the byte multiples of the
+    denser operand that is filled as each byte value first appears."""
     if a.bit_count() > b.bit_count():
         a, b = b, a
+    rows = {}
     acc = 0
-    e = 0
-    while a:
-        if a & 1:
-            acc ^= b << e
-        a >>= 1
-        e += 1
+    for i, v in enumerate(a.to_bytes((a.bit_length() + 7) // 8, "little")):
+        if v:
+            r = rows.get(v)
+            if r is None:
+                r = 0
+                for j in range(v.bit_length()):
+                    if (v >> j) & 1:
+                        r ^= b << j
+                rows[v] = r
+            acc ^= r << (8 * i)
     return acc
 
 
 def flags_to_mask(flags) -> int:
     """GF(2) mask of a coefficient stream: bit k is set where flags[k] is
-    true.  Built through one base-2 string, so linear in the length."""
-    bits = "".join("1" if v else "0" for v in flags)
-    return int(bits[::-1], 2) if bits else 0
+    true.  flags is a numpy bool array, as kernel_range returns, or any
+    iterable of truth values; the bits are packed by numpy, so the cost is
+    linear in the length."""
+    import numpy as np
+
+    if not isinstance(flags, np.ndarray):
+        flags = np.fromiter(flags, dtype=bool)
+    packed = np.packbits(flags.astype(bool, copy=False), bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little")
 
 
 def reduce_mod2(p: SparsePoly) -> int:

@@ -108,7 +108,7 @@ class TestBuildDfao:
         d = build_dfao(w, tag)
         flags = kernel_range(w, 1023, tag)
         got = d.evaluate_all(10)
-        assert got.tolist() == flags
+        assert np.array_equal(got, flags)
 
     def test_evaluate_all_matches_evaluate(self):
         d = build_dfao(THIRD, "f")
@@ -265,6 +265,14 @@ class TestRelation:
             assert rel.coeffs == (8, 1, 4, 0, 0)
             assert rel.degree_used() == 2 and rel.height_used() == 3
         assert "S^2" in rel.describe() and "mod X^4096" in rel.describe()
+
+    def test_every_truncation_certifies(self):
+        # S^(2^i) keeps every term below X^n; a column that lost one would
+        # give a relation failing re-verification (ArithmeticError) or none
+        seq = self._stream(600)
+        for n in range(48, 601):
+            rel = find_algebraic_relation(seq, 2, 3, n)
+            assert rel is not None and rel.verified, n
 
     def test_verify_rejects_corruption(self):
         seq = self._stream(2048)

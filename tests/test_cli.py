@@ -120,7 +120,7 @@ class TestQSeries:
         assert rc == 0 and out.strip() == "0.0"
         rc, out, err = run(capsys, "qseries", "anumber", "--digits", "-3")
         assert rc == 2 and out == ""
-        assert err.splitlines() == ["error: digits must be nonnegative"]
+        assert err.splitlines() == ["error: --digits must be at least 0, got -3"]
 
     def test_long_period_window_unchanged(self, capsys):
         # 1/1000003 has a digit period of 10^6 - 2; only the window is read
@@ -208,7 +208,7 @@ class TestCf:
     def test_negative_quotient_cap(self, capsys):
         rc, out, err = run(capsys, "cf", "--n", "-3", "--precision", "64")
         assert rc == 2 and out == ""
-        assert err.splitlines() == ["error: max_quotients must be nonnegative"]
+        assert err.splitlines() == ["error: --n must be at least 0, got -3"]
 
     def test_zero_quotient_cap(self, capsys):
         rc, out, _ = run(capsys, "cf", "--n", "0", "--precision", "64")
@@ -348,6 +348,20 @@ class TestAutomaton:
         rc, out, err = run(capsys, "automaton", "verify", "--upto", upto)
         assert rc == 2 and out == ""
         assert err == f"error: --upto must be at least 1, got {upto}\n"
+
+    def test_verify_names_first_mismatch(self, capsys, monkeypatch):
+        real = lacunary.cli.kernel_range
+
+        def corrupted(w, k_max, tag="f"):
+            flags = real(w, k_max, tag)
+            flags[5] = not flags[5]
+            return flags
+
+        monkeypatch.setattr(lacunary.cli, "kernel_range", corrupted)
+        rc, out, _ = run(capsys, "automaton", "verify", "--omega", "rat:1/3", "--upto", "64")
+        flag = int(real(lacunary.cli.parse_omega("rat:1/3"), 5, "f")[5])
+        assert rc == 1
+        assert out == f"MISMATCH: tag f, k = 5: automaton {flag}, direct {1 - flag}\n"
 
     def test_verify_sweep(self, capsys):
         rc, out, _ = run(capsys, "automaton", "verify", "--omega", "rat:3/7",
@@ -498,11 +512,42 @@ class TestUsageAndDeterminism:
         (("qseries", "--upto", "-1"), "error: --upto must be at least 0, got -1"),
         (("qseries", "pell", "--trunc", "-1"), "error: --trunc must be at least 0, got -1"),
         (("automaton", "algrel", "--trunc", "0"), "error: --trunc must be at least 1, got 0"),
+        (("cf", "--n", "-1"), "error: --n must be at least 0, got -1"),
+        (("qseries", "anumber", "--terms", "-1"), "error: --terms must be at least 0, got -1"),
+        (("qseries", "anumber", "--digits", "-3"), "error: --digits must be at least 0, got -3"),
+        (("automaton", "algrel", "--deg", "0"), "error: --deg must be at least 1, got 0"),
+        (("automaton", "algrel", "--height", "-1"), "error: --height must be at least 0, got -1"),
     ])
     def test_range_option_is_named(self, capsys, argv, line):
         rc, out, err = run(capsys, *argv)
         assert rc == 2 and out == ""
         assert err == line + "\n"
+
+    # Only the rejection is run: a kernel sweep allocates a byte per k, so a
+    # size past the cap is refused before any work.
+    @pytest.mark.parametrize("argv, option", [
+        (("qseries", "--upto"), "--upto"),
+        (("qseries", "window", "--upto"), "--upto"),
+        (("qseries", "pell", "--trunc"), "--trunc"),
+        (("automaton", "verify", "--upto"), "--upto"),
+        (("automaton", "algrel", "--omega", "rat:1/3", "--deg", "1", "--trunc"), "--trunc"),
+    ])
+    @pytest.mark.parametrize("size", [(1 << 24) + 1, 99999999999])
+    def test_kernel_size_cap_is_named(self, capsys, argv, option, size):
+        rc, out, err = run(capsys, *argv, str(size))
+        assert rc == 2 and out == ""
+        assert err == f"error: {option} must be at most 16777216 (2^24), got {size}\n"
+
+    @pytest.mark.parametrize("command, options", [
+        ("qseries", ("--upto", "--trunc")),
+        ("automaton", ("--upto", "--trunc")),
+    ])
+    def test_kernel_size_cap_in_help(self, capsys, command, options):
+        rc, out, _ = run(capsys, command, "--help")
+        assert rc == 0
+        help_text = " ".join(out.split())
+        for option in options:
+            assert re.search(rf"{option} \S+ [^-]*16777216 \(2\^24\)", help_text), option
 
     def test_pell_constant_term(self, capsys):
         rc, out, _ = run(capsys, "qseries", "pell", "--trunc", "0")

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -21,6 +22,7 @@ from lacunary.dyadic import (
     leading_zeros,
     parse_omega,
 )
+from lacunary.stern import stern_u
 
 odd = st.integers(0, 400).map(lambda n: 2 * n + 1)
 signed_odd = st.integers(-400, 400).map(lambda n: 2 * n + 1)
@@ -205,7 +207,8 @@ class TestHalfsum:
         for w in (Dyadic.from_int(9), Dyadic.from_rational(3, 7)):
             for tag in ("f", "g", "h"):
                 flags = kernel_range(w, 40, tag)
-                assert flags == [kernel_value(w, k, tag) for k in range(41)]
+                assert flags.dtype == bool
+                assert np.array_equal(flags, [kernel_value(w, k, tag) for k in range(41)])
 
     def test_kernel_base_values(self):
         for w in (Dyadic.from_int(4), Dyadic.from_int(7), Dyadic.from_rational(1, 5)):
@@ -228,6 +231,33 @@ class TestHalfsum:
             kernel_value(w, 3, "x")
         with pytest.raises(ValueError, match="unknown tag 'x'"):
             kernel_range(w, 3, "x")
+
+    @pytest.mark.parametrize("n", [5460, 10922])
+    def test_kernel_count_past_a_byte(self, n):
+        # u_5460 = 377 and u_10922 = 610: a count that a uint8 flag array
+        # or a byte-wide sum would wrap
+        assert stern_u(n) > 255
+        flags = kernel_range(Dyadic.from_int(n), n)
+        assert flags.dtype == bool
+        assert np.count_nonzero(flags) == stern_u(n)
+
+    @pytest.mark.parametrize("w", [Dyadic.from_rational(-7, 101), Dyadic.from_int(-12345),
+                                   parse_omega("stream:paperfolding")])
+    def test_kernel_range_across_blocks(self, w):
+        # numpy fills 2^16 values of k per block: sample every block edge
+        k_max = 3 * (1 << 16) + 5
+        for tag in ("f", "g", "h"):
+            flags = kernel_range(w, k_max, tag)
+            assert len(flags) == k_max + 1
+            for edge in (0, 1 << 16, 2 << 16, 3 << 16):
+                for k in range(max(0, edge - 3), min(k_max, edge + 3) + 1):
+                    assert flags[k] == kernel_value(w, k, tag), (tag, k)
+
+    @pytest.mark.parametrize("k_max", [1 << 62, 1 << 80])
+    def test_kernel_range_window_fits_uint64(self, k_max):
+        # refused before anything is allocated
+        with pytest.raises(ValueError, match="uint64 holds 64"):
+            kernel_range(Dyadic.from_int(3), k_max)
 
     @given(st.integers(-400, 400), odd, st.integers(0, 80))
     def test_f_is_g_plus_h_mod2(self, a, b, k):

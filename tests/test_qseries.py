@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import groupby
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -221,7 +222,7 @@ class TestWindow:
 
     def test_support_flags_match_kernel(self):
         w = parse_omega("rat:3/7")
-        assert q_support_flags(w, 50) == kernel_range(w, 50, "f")
+        assert np.array_equal(q_support_flags(w, 50), kernel_range(w, 50, "f"))
 
 
 class TestPolynomiality:
@@ -240,6 +241,13 @@ class TestPolynomiality:
         assert is_polynomial(w, MERS) == ("unknown", None)
         verdict, last = is_polynomial(w, MERS, scan_bound=24)
         assert verdict == "unknown" and last is not None and last <= 24
+
+    @pytest.mark.parametrize("rule", [lambda j: j.bit_count() & 1, lambda j: 1],
+                             ids=["thue-morse", "all-ones"])
+    def test_opaque_scan_reports_last_term(self, rule):
+        w = Dyadic.from_stream(rule, 1 << 10, "scan")
+        want = max((k for k in range(301) if halfsum_binom(w, k)), default=None)
+        assert is_polynomial(w, MERS, scan_bound=300) == ("unknown", want)
 
 
 class TestPell:

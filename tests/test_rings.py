@@ -1,7 +1,9 @@
 """Polynomial and truncated-series arithmetic."""
 
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -98,6 +100,43 @@ class TestGF2:
     def test_gf2_mul_matches_poly_product(self, a, b):
         assert gf2_mul(a, b) == reduce_mod2(lift(a) * lift(b))
 
+    # Operands of 1 to 5000 bits, kept sparse so that the product over Q
+    # stays cheap: the byte table of gf2_mul meets many byte boundaries.
+    @given(st.sets(st.integers(0, 4999), min_size=1, max_size=48),
+           st.sets(st.integers(0, 4999), min_size=1, max_size=48))
+    def test_gf2_mul_long_sparse_operands(self, a_bits, b_bits):
+        a = sum(1 << e for e in a_bits)
+        b = sum(1 << e for e in b_bits)
+        assert gf2_mul(a, b) == reduce_mod2(lift(a) * lift(b))
+
+    @pytest.mark.parametrize("bits", [1, 7, 8, 9, 63, 64, 65, 255, 256, 257, 600])
+    def test_gf2_mul_dense_operands(self, bits):
+        rng = random.Random(bits)
+        a = rng.getrandbits(bits) | 1 << (bits - 1)
+        b = rng.getrandbits(bits) | 1 << (bits - 1)
+        assert gf2_mul(a, b) == reduce_mod2(lift(a) * lift(b))
+
+    @pytest.mark.parametrize("bits", [1, 8, 9, 1000, 5000])
+    def test_gf2_mul_zero_single_bit_all_ones(self, bits):
+        ones = (1 << bits) - 1
+        top = 1 << (bits - 1)
+        for m in (ones, top, 1):
+            assert gf2_mul(0, m) == 0 and gf2_mul(m, 0) == 0
+            assert gf2_mul(top, m) == m << (bits - 1) == gf2_mul(m, top)
+        # (1 + X + ... + X^(n-1))^2 = 1 + X^2 + ... + X^(2n-2) over GF(2)
+        square = sum(1 << (2 * e) for e in range(bits))
+        assert gf2_mul(ones, ones) == square
+        if bits <= 1000:
+            assert square == reduce_mod2(lift(ones) * lift(ones))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gf2_mul_unequal_density(self, seed):
+        rng = random.Random(seed)
+        dense = rng.getrandbits(5000) | 1 << 4999
+        sparse = sum(1 << rng.randrange(5000) for _ in range(3)) or 1
+        want = reduce_mod2(lift(sparse) * lift(dense))
+        assert gf2_mul(sparse, dense) == want == gf2_mul(dense, sparse)
+
     @given(st.lists(st.integers(-2, 2), max_size=200))
     def test_flags_to_mask_matches_bit_loop(self, flags):
         want = 0
@@ -106,6 +145,7 @@ class TestGF2:
                 want |= 1 << k
         assert flags_to_mask(flags) == want
         assert flags_to_mask(iter(flags)) == want
+        assert flags_to_mask(np.array(flags, dtype=bool)) == want
 
     def test_reduce_mod2(self):
         p = poly_q((4, 3), (2, -2), (0, 1))
