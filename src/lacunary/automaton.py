@@ -48,8 +48,8 @@ __all__ = [
 ]
 
 
-class OrbitError(TypeError):
-    """Shift-orbit enumeration needs a rational 2-adic integer."""
+class OrbitError(ValueError, TypeError):
+    """Usage error: shift-orbit enumeration needs a rational 2-adic integer."""
 
 
 def orbit(w: Dyadic):
@@ -57,7 +57,7 @@ def orbit(w: Dyadic):
 
     Rational w guarantees termination: numerators over the fixed odd
     denominator stay bounded."""
-    if not w.is_rational():
+    if w.classify() == "unknown":
         raise OrbitError("orbit requires rational 2-adic input")
     seen = {}
     chain = []
@@ -441,7 +441,8 @@ def verify_relation(rel: Relation, seq) -> bool:
     s_mask = flags_to_mask(np.asarray(seq[:n]) & 1)
     total = 0
     power = s_mask
-    for i, c in enumerate(rel.coeffs):
+    # no squaring past the last nonzero coefficient, whose powers go unused
+    for i, c in enumerate(rel.coeffs[: rel.degree_used() + 1]):
         if i > 0:
             power = gf2_mul(power, power) & window
         if c:

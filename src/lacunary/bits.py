@@ -25,8 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-class LambdaRangeError(IndexError):
-    """Explicit exponent list exhausted before the requested index."""
+class LambdaRangeError(ValueError, IndexError):
+    """Usage error: the explicit exponent list is exhausted before the
+    requested index."""
 
 
 def count_10_blocks(k: int) -> int:

@@ -13,20 +13,13 @@ import json
 import sys
 from functools import partial
 
-from .bits import LambdaRangeError, parse_epsilon_spec, parse_lambda_spec
+from .bits import parse_epsilon_spec, parse_lambda_spec
 from .contfrac import build_F, convergents, fold_expand
-from .dyadic import (
-    NotTwoAdicError,
-    OpaqueStreamError,
-    StreamDepthError,
-    kernel_range,
-    parse_omega,
-)
+from .dyadic import kernel_range, parse_omega
 from .oeis import PROFILES, check_oeis
 from .qseries import a_number, pell_check_mod2, q_omega_window
-from .rings import SeriesPrecisionError
 from .stern import carlitz_window, doubling_window
-from .automaton import OrbitError, build_dfao, find_algebraic_relation, minimize, signed_dfao
+from .automaton import build_dfao, find_algebraic_relation, minimize, signed_dfao
 from . import verify as verify_mod
 
 #: Largest k-range of one kernel sweep (qseries window/pell, automaton
@@ -34,17 +27,9 @@ from . import verify as verify_mod
 _KERNEL_CAP = 1 << 24
 _KERNEL_CAP_TEXT = f"{_KERNEL_CAP} (2^24)"
 
-_USAGE_ERRORS = (
-    ValueError,
-    KeyError,
-    NotTwoAdicError,
-    OpaqueStreamError,
-    StreamDepthError,
-    SeriesPrecisionError,
-    FileNotFoundError,
-    LambdaRangeError,
-    OrbitError,
-)
+#: Bad input, an unreadable --bfile included: exit 2.  The package's own
+#: usage errors are ValueErrors.
+_USAGE_ERRORS = (ValueError, KeyError, OSError)
 
 
 def _dump(payload) -> str:
@@ -182,7 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help=f"algrel: relation modulo X^trunc, 1 to {_KERNEL_CAP_TEXT}")
 
     p_v = sub.add_parser("verify", parents=[common], help="run the named invariant checks")
-    p_v.add_argument("scope", nargs="?", default="all")
     p_v.add_argument("--only", default=None, help="comma-separated check names")
     p_v.add_argument("--seed", type=int, default=0)
     p_v.add_argument("--level", choices=("quick", "full"), default="quick")
@@ -443,6 +427,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return _HANDLERS[args.command](args)
+    # ahead of ArithmeticError: SeriesPrecisionError is both
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

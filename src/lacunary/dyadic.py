@@ -41,12 +41,14 @@ class NotTwoAdicError(ValueError):
     """Denominator is even: the rational is not a 2-adic integer."""
 
 
-class StreamDepthError(IndexError):
-    """A digit past the declared safe depth of a stream was requested."""
+class StreamDepthError(ValueError, IndexError):
+    """Usage error: a digit past the declared safe depth of a stream was
+    requested."""
 
 
-class OpaqueStreamError(TypeError):
-    """Operation needs arithmetic that an opaque digit stream cannot support."""
+class OpaqueStreamError(ValueError, TypeError):
+    """Usage error: the operation needs arithmetic that an opaque digit
+    stream cannot support."""
 
 
 @dataclass(frozen=True)
@@ -195,9 +197,6 @@ class Dyadic:
             return "integer" if self.den == 1 else "rational-non-integer"
         return "unknown"
 
-    def is_rational(self) -> bool:
-        return self.rule is None
-
     def describe(self) -> str:
         if self.rule is None:
             return str(self.num) if self.den == 1 else f"{self.num}/{self.den}"
@@ -284,10 +283,7 @@ def binom_parity_dyadic(w: Dyadic, k: int) -> int:
 def _window_plus(w: Dyadic, c: int, length: int) -> int:
     """Digits [0, length) of w + c, via windowed addition (carries only move
     upward, so a window of w of the same length determines the result)."""
-    mask = (1 << length) - 1
-    if w.rule is None:
-        return ((w.num + c * w.den) * pow(w.den, -1, 1 << length)) & mask
-    return (w.digits_window(length) + c) & mask
+    return (w.digits_window(length) + c) & ((1 << length) - 1)
 
 
 def halfsum_binom(w: Dyadic, k: int) -> int:

@@ -134,6 +134,10 @@ def check_oeis(seq_id: str, bfile_text: str | None = None, limit: int | None = N
         entries = entries[:limit]
     if not entries:
         raise ValueError(f"empty overlap for {seq_id}")
+    # the Stern scalars recurse once per binary digit of the index
+    for m, _ in entries:
+        if m.bit_length() > 64:
+            raise ValueError(f"b-file index {m} has more than 64 bits")
     for m, v in entries:
         ours = prof.compute(m)
         if prof.reduce_fixture(v) != ours:

@@ -29,8 +29,9 @@ class ZeroSeriesError(ZeroDivisionError):
     """Inversion of the zero series."""
 
 
-class SeriesPrecisionError(ArithmeticError):
-    """A truncated series window is too shallow for the request."""
+class SeriesPrecisionError(ValueError, ArithmeticError):
+    """Usage error: a truncated series window is too shallow for the
+    request."""
 
 
 def _norm_q(c):

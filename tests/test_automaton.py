@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from lacunary import cli, dyadic
+from lacunary import automaton, cli, dyadic
 from lacunary.automaton import (
     DEAD,
     Dfao,
@@ -280,6 +280,28 @@ class TestRelation:
         bad = Relation((rel.coeffs[0] ^ 2,) + rel.coeffs[1:], rel.truncation, rel.kind)
         assert verify_relation(rel, seq)
         assert not verify_relation(bad, seq)
+
+    def test_no_squaring_past_last_coefficient(self, monkeypatch):
+        # trailing zero coefficients never change the verdict, so their
+        # powers of S are not computed
+        seq = self._stream(2048)
+        rel = find_algebraic_relation(seq, 4, 64, 2048)
+        bad = Relation((rel.coeffs[0] ^ 2,) + rel.coeffs[1:], rel.truncation, rel.kind)
+        lone = Relation((1,), rel.truncation, rel.kind)
+        squarings = []
+
+        def counting(a, b, real=automaton.gf2_mul):
+            if a is b:
+                squarings.append(a.bit_length())
+            return real(a, b)
+
+        monkeypatch.setattr(automaton, "gf2_mul", counting)
+        for r, verdict in ((rel, True), (bad, False), (lone, False)):
+            for pad in (0, 1, 5):
+                padded = Relation(r.coeffs + (0,) * pad, r.truncation, r.kind)
+                squarings.clear()
+                assert verify_relation(padded, seq) is verdict
+                assert len(squarings) == padded.degree_used() == r.degree_used()
 
     def test_polynomial_input_branch(self):
         seq = kernel_range(Dyadic.from_int(6), 63, "f")

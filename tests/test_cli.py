@@ -1,6 +1,8 @@
 """Command-line interface: output shapes, exit codes, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -9,16 +11,24 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import lacunary.cli
 import lacunary.contfrac
 
-from lacunary.bits import EpsilonSpec, LambdaSpec
+from lacunary.automaton import OrbitError
+from lacunary.bits import EpsilonSpec, LambdaRangeError, LambdaSpec
 from lacunary.cli import main
 from lacunary.contfrac import ContinuedFraction, convergents
+from lacunary.dyadic import Dyadic, OpaqueStreamError, StreamDepthError
 from lacunary.qseries import q_poly
-from lacunary.rings import SparsePoly, poly_from_json, poly_to_json, reduce_mod2
+from lacunary.rings import (
+    SeriesPrecisionError,
+    SparsePoly,
+    poly_from_json,
+    poly_to_json,
+    reduce_mod2,
+)
 
 
 def run(capsys, *argv):
@@ -408,6 +418,11 @@ class TestVerify:
         rc, _, err = run(capsys, "verify", "--only", "no.such-check")
         assert rc == 2 and "error:" in err
 
+    def test_stray_positional_rejected(self, capsys):
+        # verify takes no positional: a stray word must not run every check
+        rc, out, err = run(capsys, "verify", "junk")
+        assert (rc, out, err) == (2, "", "error: unrecognized arguments: junk\n")
+
     def test_seed_and_level(self, capsys):
         outs = []
         for argv in (("verify", "--seed", "7", "--level", "quick", "--json"),
@@ -452,6 +467,30 @@ class TestOeis:
         rc, _, err = run(capsys, "oeis-check", "A002487", "--bfile",
                          "/no/such/file.txt")
         assert rc == 2 and "error:" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("oeis-check", "A002487", "--bfile"),
+        ("stern", "oeis-check", "--id", "A002487", "--bfile"),
+    ])
+    def test_directory_bfile(self, capsys, tmp_path, argv):
+        rc, out, err = run(capsys, *argv, str(tmp_path))
+        assert rc == 2 and out == ""
+        assert err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+
+    def test_bfile_index_past_64_bits(self, capsys, tmp_path):
+        # the Stern scalars recurse per binary digit: 1100 digits would
+        # end in a RecursionError, so the index is refused first
+        bfile = tmp_path / "b002487.txt"
+        bfile.write_text(f"{1 << 1100} 1\n")
+        rc, out, err = run(capsys, "oeis-check", "A002487", "--bfile", str(bfile))
+        assert rc == 2 and out == ""
+        assert err == f"error: b-file index {1 << 1100} has more than 64 bits\n"
+
+    def test_bfile_index_of_64_bits_is_compared(self, capsys, tmp_path):
+        bfile = tmp_path / "b002487.txt"
+        bfile.write_text(f"{(1 << 64) - 1} 1\n")
+        rc, out, _ = run(capsys, "oeis-check", "A002487", "--bfile", str(bfile))
+        assert rc in (0, 1) and out.startswith("A002487: ")
 
     @pytest.mark.parametrize("argv", [
         ("oeis-check", "A002487", "--limit", "-1"),
@@ -581,6 +620,42 @@ class TestUsageAndDeterminism:
         assert rc == 2
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    # one argv per package usage error that argv alone can reach, with the
+    # exact line it prints
+    @pytest.mark.parametrize("argv, line", [
+        (("cf", "--lambda", "list:1,3", "--precision", "64"),
+         "error: lambda range: index 2 beyond explicit list of length 2"),
+        (("qseries", "pell", "--omega", "stream:thue-morse"),
+         "error: unsupported on opaque stream: add_int (use windowed digits)"),
+        (("automaton", "build", "--omega", "stream:thue-morse"),
+         "error: orbit requires rational 2-adic input"),
+        (("cf", "--precision", "0"),
+         "error: precision: window 0 ends above first exponent 1"),
+    ], ids=["LambdaRangeError", "OpaqueStreamError", "OrbitError", "SeriesPrecisionError"])
+    def test_package_usage_error_exits_two(self, capsys, argv, line):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out, err) == (2, "", line + "\n")
+
+    def test_stream_depth_exits_two(self, capsys, monkeypatch):
+        # the demo streams are deep enough for every capped sweep, so a
+        # shallow stream stands in for the omega
+        shallow = Dyadic.from_stream(lambda j: 1, 3, "shallow")
+        monkeypatch.setattr(lacunary.cli, "parse_omega", lambda text: shallow)
+        rc, out, err = run(capsys, "qseries", "--upto", "64")
+        assert (rc, out, err) == (2, "", "error: stream exhausted: window 9 beyond safe depth 3\n")
+
+    @pytest.mark.parametrize("cls, old_base", [
+        (LambdaRangeError, IndexError),
+        (StreamDepthError, IndexError),
+        (OpaqueStreamError, TypeError),
+        (OrbitError, TypeError),
+        (SeriesPrecisionError, ArithmeticError),
+    ])
+    def test_usage_errors_keep_old_base(self, cls, old_base):
+        exc = cls("message")
+        assert isinstance(exc, ValueError) and isinstance(exc, old_base)
+        assert str(exc) == "message"
+
     def test_zero_denominator(self, capsys):
         rc, _, err = run(capsys, "qseries", "--omega", "rat:1/0")
         assert rc == 2 and "error:" in err
@@ -599,3 +674,90 @@ class TestUsageAndDeterminism:
                                       for o in (out1, out2))
             assert n1 == n2 == 1
         assert rc1 == rc2 == 0 and out1 == out2
+
+
+# A bounded argv grammar: every subcommand, action and option from a fixed
+# vocabulary, with valid and malformed specs.  verify runs one quick check
+# only, and no --bfile is drawn.
+_INTS = st.one_of(st.integers(-3, 64).map(str), st.just("abc"))
+_OMEGAS = st.sampled_from([
+    "rat:1/3", "rat:-5/7", "rat:2/31", "int:5", "int:-3", "rat:1/6", "rat:1/0",
+    "rat:x", "bits:pre=1;period=0,1", "bits:period=", "bits:x",
+    "stream:thue-morse", "stream:paperfolding", "stream:nope", "",
+])
+_LAMBDAS = st.sampled_from([
+    "mersenne", "list:1,3,7,15", "list:1,3", "list:1,3,7,5", "list:0,1", "list:",
+    "list:x", "bogus",
+])
+_EPSILONS = st.sampled_from([
+    "period:0", "period:1,0", "pre:1,0+period:0,1", "pre:1", "period:", "period:2",
+    "bogus",
+])
+_IDS = st.sampled_from(["A002487", "A049347", "A168561", "A000001", "junk"])
+_QUICK_CHECKS = st.sampled_from([
+    "core.ring-axioms", "stern.gamma-periodic", "dyadic.digit-lemma-v",
+    "qseries.pell-congruence", "no.such-check",
+])
+_FLAG = st.just(None)
+
+# command -> (positional choices, {option: values or _FLAG})
+_GRAMMAR = {
+    "cf": (("expand",), {
+        "--lambda": _LAMBDAS, "--eps": _EPSILONS, "--n": _INTS, "--precision": _INTS,
+    }),
+    "qseries": (("window", "pell", "anumber"), {
+        "--omega": _OMEGAS, "--lambda": _LAMBDAS, "--eps": _EPSILONS, "--upto": _INTS,
+        "--mod2": _FLAG, "--trunc": _INTS, "--g": _INTS, "--terms": _INTS,
+        "--digits": _INTS,
+    }),
+    "stern": (("u", "v", "alpha", "beta", "gamma", "carlitz", "oeis-check"), {
+        "--from": _INTS, "--to": _INTS, "--csv": _FLAG, "--id": _IDS, "--limit": _INTS,
+    }),
+    "automaton": (("build", "verify", "algrel"), {
+        "--omega": _OMEGAS, "--tag": st.sampled_from(["f", "g", "h", "signed", "x"]),
+        "--eps": _EPSILONS, "--export": st.sampled_from(["dot", "json", "svg"]),
+        "--minimize": _FLAG, "--upto": _INTS, "--deg": _INTS, "--height": _INTS,
+        "--trunc": _INTS,
+    }),
+    "oeis-check": (("A002487", "A049347", "A168561", "A000001", "junk"), {
+        "--limit": _INTS,
+    }),
+    "verify": ((), {
+        "--seed": _INTS, "--level": st.sampled_from(["quick", "medium"]),
+    }),
+}
+# options no subcommand takes, or only another one does
+_FOREIGN = {"--seed": _INTS, "--level": _FLAG, "--nope": _FLAG, "--help": _FLAG}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_GRAMMAR)))
+    choices, options = _GRAMMAR[command]
+    options = {**_FOREIGN, **options}
+    argv = [command]
+    if draw(st.booleans()):
+        argv.append(draw(st.sampled_from(choices + ("bogus",))))
+    if command == "verify":
+        argv += ["--only", draw(_QUICK_CHECKS)]
+    for name in draw(st.lists(st.sampled_from(sorted(options)), max_size=4, unique=True)):
+        value = draw(options[name])
+        argv += [name] if value is None else [name, value]
+    where = draw(st.sampled_from(["none", "before", "after"]))
+    if where == "before":
+        argv.insert(0, "--json")
+    elif where == "after":
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=150)
+@given(_argv())
+def test_every_argv_ends_in_an_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1, 2), argv
+    if rc == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)

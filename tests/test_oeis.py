@@ -1,5 +1,7 @@
 """B-file parsing and the bundled sequence cross-checks."""
 
+import dataclasses
+
 import pytest
 
 from lacunary.oeis import PROFILES, check_oeis, fixture_path, parse_bfile
@@ -57,6 +59,26 @@ class TestCheckOeis:
     def test_empty_overlap(self):
         with pytest.raises(ValueError, match="empty overlap"):
             check_oeis("A078812", bfile_text="0 1\n")
+
+    @pytest.mark.parametrize("seq_id", sorted(PROFILES))
+    def test_index_past_64_bits_rejected(self, seq_id, monkeypatch):
+        # refused before any value is computed, also after a valid entry
+        prof = PROFILES[seq_id]
+        calls = []
+        monkeypatch.setitem(PROFILES, seq_id, dataclasses.replace(
+            prof, compute=lambda m: calls.append(m) or prof.compute(m)))
+        text = f"{prof.min_index} 0\n{1 << 64} 0\n"
+        with pytest.raises(ValueError, match=f"b-file index {1 << 64} has more than 64 bits"):
+            check_oeis(seq_id, bfile_text=text)
+        assert calls == []
+
+    @pytest.mark.parametrize("seq_id", sorted(PROFILES))
+    def test_index_of_64_bits_compared(self, seq_id):
+        m = (1 << 64) - 1
+        report = check_oeis(seq_id, bfile_text=f"{m} 0\n{m} 1\n")
+        # the same index with two values: one of them is not ours
+        assert report.compared == 2 and not report.ok
+        assert report.first_mismatch[0] == m
 
     def test_unknown_id(self):
         with pytest.raises(KeyError, match="no profile"):
