@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from functools import partial
+from itertools import islice, starmap
 
 from .bits import parse_epsilon_spec, parse_lambda_spec
 from .contfrac import build_F, convergents, fold_expand
@@ -27,6 +28,11 @@ from . import verify as verify_mod
 _KERNEL_CAP = 1 << 24
 _KERNEL_CAP_TEXT = f"{_KERNEL_CAP} (2^24)"
 
+#: Largest cf --precision: the work grows faster than the window, and the
+#: benchmark catalogue goes to 2^14.
+_PRECISION_CAP = 1 << 20
+_PRECISION_CAP_TEXT = f"{_PRECISION_CAP} (2^20)"
+
 #: Bad input, an unreadable --bfile included: exit 2.  The package's own
 #: usage errors are ValueErrors.
 _USAGE_ERRORS = (ValueError, KeyError, OSError)
@@ -34,6 +40,42 @@ _USAGE_ERRORS = (ValueError, KeyError, OSError)
 
 def _dump(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2)
+
+
+#: Strings per write of a streamed table: one chunk of its text is held at
+#: a time, never the whole document.
+_CHUNK = 1 << 12
+
+
+def _write_joined(sep: str, strs) -> None:
+    """sys.stdout.write(sep.join(strs)), _CHUNK strings at a time."""
+    write = sys.stdout.write
+    strs = iter(strs)
+    first = True
+    while chunk := list(islice(strs, _CHUNK)):
+        if not first:
+            write(sep)
+        write(sep.join(chunk))
+        first = False
+
+
+def _write_dump(payload: dict, key: str, items) -> None:
+    """print(_dump(payload)) written as it is formed, for a payload of
+    scalars and one list, payload[key]; items are that list's entries as
+    _dump lays them out."""
+    write = sys.stdout.write
+    write("{")
+    for i, name in enumerate(sorted(payload)):
+        write(f'{"," if i else ""}\n  {json.dumps(name)}: ')
+        if name != key:
+            write(json.dumps(payload[name]))
+        elif not payload[key]:
+            write("[]")
+        else:
+            write("[\n")
+            _write_joined(",\n", items)
+            write("\n  ]")
+    write("\n}\n")
 
 
 def _json_list(items, indent: str) -> str:
@@ -125,7 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cf.add_argument("--eps", default="period:0")
     p_cf.add_argument("--n", type=int, default=None,
                       help="max partial quotients past A_0 (at least 0)")
-    p_cf.add_argument("--precision", type=int, default=1024)
+    p_cf.add_argument("--precision", type=int, default=1024,
+                      help=f"depth of the series window, at most {_PRECISION_CAP_TEXT}")
 
     p_q = sub.add_parser("qseries", parents=[common], help="closed-form series windows")
     _action(p_q, "action", ("window", "pell", "anumber"))
@@ -190,12 +233,17 @@ def _check_at_least(option: str, value: int, low: int) -> None:
         raise ValueError(f"{option} must be at least {low}, got {value}")
 
 
+def _check_at_most(option: str, value: int, cap: int, cap_text: str) -> None:
+    """Rejects an option above its cap before any work."""
+    if value > cap:
+        raise ValueError(f"{option} must be at most {cap_text}, got {value}")
+
+
 def _check_kernel_size(option: str, value: int, low: int) -> None:
     """Rejects a kernel sweep size outside [low, _KERNEL_CAP] before any
     work: the sweep allocates a byte per k."""
     _check_at_least(option, value, low)
-    if value > _KERNEL_CAP:
-        raise ValueError(f"{option} must be at most {_KERNEL_CAP_TEXT}, got {value}")
+    _check_at_most(option, value, _KERNEL_CAP, _KERNEL_CAP_TEXT)
 
 
 def _specs(args):
@@ -205,6 +253,7 @@ def _specs(args):
 def _cmd_cf(args) -> int:
     if args.n is not None:
         _check_at_least("--n", args.n, 0)
+    _check_at_most("--precision", args.precision, _PRECISION_CAP, _PRECISION_CAP_TEXT)
     lam, eps = _specs(args)
     f = build_F(lam, eps, args.precision)
     cf = fold_expand(f, args.n)
@@ -253,15 +302,12 @@ def _cmd_qseries(args) -> int:
     if args.mod2:
         terms = [(e, abs(c)) for e, c in terms]
     if _as_json(args):
-        print(_dump({
-            "mod2": args.mod2,
-            "omega": w.describe(),
-            "terms": [[e, str(c)] for e, c in terms],
-            "upto": args.upto,
-        }))
+        payload = {"mod2": args.mod2, "omega": w.describe(), "terms": terms, "upto": args.upto}
+        _write_dump(payload, "terms", starmap('    [\n      {},\n      "{}"\n    ]'.format, terms))
     else:
-        body = ", ".join(f"{e}: {c}" for e, c in terms)
-        print("{" + body + "}")
+        sys.stdout.write("{")
+        _write_joined(", ", starmap("{}: {}".format, terms))
+        sys.stdout.write("}\n")
     return 0
 
 
@@ -284,18 +330,15 @@ def _cmd_stern(args) -> int:
         raise ValueError(f"sequence {args.which} is defined for n >= 0")
     values = fn(args.start, args.to)
     if _as_json(args):
-        print(_dump({
-            "from": args.start,
-            "sequence": args.which,
-            "to": args.to,
-            "values": values,
-        }))
+        payload = {"from": args.start, "sequence": args.which, "to": args.to, "values": values}
+        _write_dump(payload, "values", map("    {}".format, values))
     elif args.csv:
-        print("n," + args.which)
-        for n, v in zip(range(args.start, args.to + 1), values):
-            print(f"{n},{v}")
+        sys.stdout.write(f"n,{args.which}\n")
+        _write_joined("\n", map("{},{}".format, range(args.start, args.to + 1), values))
+        sys.stdout.write("\n")
     else:
-        print(",".join(str(v) for v in values))
+        _write_joined(",", map(str, values))
+        sys.stdout.write("\n")
     return 0
 
 
@@ -366,8 +409,10 @@ def _cmd_automaton(args) -> int:
 
 def _cmd_verify(args) -> int:
     names = None
-    if args.only:
+    if args.only is not None:
         names = [s.strip() for s in args.only.split(",") if s.strip()]
+        if not names:
+            raise ValueError("--only names no check")
     results = verify_mod.run_checks(
         level=args.level,
         seed=args.seed,

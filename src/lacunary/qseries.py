@@ -73,8 +73,42 @@ def q_omega_window(w: Dyadic, lam: LambdaSpec, eps: EpsilonSpec, k_max: int):
     earlier ones; extending k_max never changes earlier entries."""
     import numpy as np
 
-    ks = np.flatnonzero(kernel_range(w, k_max, "f")).tolist()
-    return [(term_exponent(k, lam), term_sign(k, eps)) for k in ks]
+    ks = np.flatnonzero(kernel_range(w, k_max, "f"))
+    return list(zip(_term_exponents(ks, lam), _term_signs(ks, eps).tolist()))
+
+
+def _term_signs(ks: np.ndarray, eps: EpsilonSpec) -> np.ndarray:
+    """term_sign(k, eps) for each k of the ascending int64 array ks, as an
+    int64 array of +1/-1.  The sign is (-1)^popcount(((k >> 1) & ~k) ^
+    (k & flips)), flips holding digit q iff eps_q != eps_{q-1}; the parity
+    is taken by XOR-folding, since np.bitwise_count needs numpy 2."""
+    top = int(ks[-1]).bit_length() if ks.size else 0
+    flips = sum((eps.value(q) ^ eps.value(q - 1)) << q for q in range(top))
+    x = ((ks >> 1) & ~ks) ^ (ks & flips)
+    for shift in (32, 16, 8, 4, 2, 1):
+        x ^= x >> shift
+    return 1 - 2 * (x & 1)
+
+
+def _term_exponents(ks: np.ndarray, lam: LambdaSpec) -> list:
+    """[term_exponent(k, lam) for k in ks], ks an ascending int64 array.
+
+    Mersenne exponents are the ks themselves.  For a list, mu(k) is at most
+    lambda_{top-1}, top the digit count of the largest k, so when that
+    value is below 2^63 the gap columns are summed in int64; otherwise the
+    scalar rule runs on exact Python ints, and raises LambdaRangeError for
+    a k past the end of the list."""
+    if lam.is_mersenne:
+        return ks.tolist()
+    top = int(ks[-1]).bit_length() if ks.size else 0
+    if top > len(lam.values) or (top and lam.values[top - 1] >= 1 << 63):
+        return [term_exponent(k, lam) for k in ks.tolist()]
+    import numpy as np
+
+    mu = np.zeros_like(ks)
+    for q in range(top):
+        mu += ((ks >> q) & 1) * lam.gap(q)
+    return mu.tolist()
 
 
 def q_support_flags(w: Dyadic, k_max: int) -> np.ndarray:
@@ -218,7 +252,11 @@ def a_number(eps: EpsilonSpec, w: Dyadic, g: int, terms: int) -> ANumber:
         raise ValueError("negative term count")
     import numpy as np
 
-    total = Fraction(0)
-    for k in np.flatnonzero(kernel_range(w, terms, "f")).tolist():
-        total += Fraction(term_sign(k, eps), g**k)
-    return ANumber(value=total, tail_bound=Fraction(2, g**terms), base=g, terms=terms)
+    # Horner's rule over the nonzero k: num / g^last is the sum so far
+    ks = np.flatnonzero(kernel_range(w, terms, "f"))
+    num = last = 0
+    for k, sign in zip(ks.tolist(), _term_signs(ks, eps).tolist()):
+        num = num * g ** (k - last) + sign
+        last = k
+    return ANumber(value=Fraction(num, g**last), tail_bound=Fraction(2, g**terms),
+                   base=g, terms=terms)

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,11 +18,17 @@ import lacunary.cli
 import lacunary.contfrac
 
 from lacunary.automaton import OrbitError
-from lacunary.bits import EpsilonSpec, LambdaRangeError, LambdaSpec
-from lacunary.cli import main
+from lacunary.bits import (
+    EpsilonSpec,
+    LambdaRangeError,
+    LambdaSpec,
+    parse_epsilon_spec,
+    parse_lambda_spec,
+)
+from lacunary.cli import _dump, main
 from lacunary.contfrac import ContinuedFraction, convergents
-from lacunary.dyadic import Dyadic, OpaqueStreamError, StreamDepthError
-from lacunary.qseries import q_poly
+from lacunary.dyadic import Dyadic, OpaqueStreamError, StreamDepthError, parse_omega
+from lacunary.qseries import q_omega_window, q_poly
 from lacunary.rings import (
     SeriesPrecisionError,
     SparsePoly,
@@ -283,6 +290,72 @@ def test_cf_json_writer_matches_dump(cf):
     assert lacunary.cli._cf_json(cf, conv) == want
 
 
+def _printed(fn, *args):
+    """(return value, stdout) of fn(*args)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = fn(*args)
+    return rc, out.getvalue()
+
+
+# The streamed tables against the whole-document writers they replace:
+# print(_dump(...)), one print per CSV row, and one joined text line.  A
+# chunk of 1 or 3 strings puts chunk edges inside these small tables.
+_CHUNKS = st.sampled_from([1, 3, lacunary.cli._CHUNK])
+
+
+@given(st.sampled_from(["u", "v", "alpha", "beta", "gamma", "carlitz"]),
+       st.integers(-40, 300), st.integers(0, 11), _CHUNKS)
+@example("u", -5, 0, 1)
+@example("u", -9, 9, 3)
+@example("carlitz", 7, 0, 3)
+def test_stern_writers_match_print(which, start, extra, chunk):
+    if which != "u":
+        start = abs(start)
+    to = start + extra
+    values = lacunary.cli._STERN_FUNCS[which](start, to)
+
+    def rows():
+        print("n," + which)
+        for n, v in zip(range(start, to + 1), values):
+            print(f"{n},{v}")
+
+    want = {
+        "--json": _dump({"from": start, "sequence": which, "to": to, "values": values}) + "\n",
+        "--csv": _printed(rows)[1],
+        "text": ",".join(str(v) for v in values) + "\n",
+    }
+    argv = ["stern", which, "--from", str(start), "--to", str(to)]
+    with mock.patch.object(lacunary.cli, "_CHUNK", chunk):
+        for form, text in want.items():
+            assert _printed(main, argv + ([] if form == "text" else [form])) == (0, text), form
+
+
+@given(st.sampled_from(["int:-1", "int:0", "int:6", "rat:1/3", "rat:-5/7", "stream:thue-morse"]),
+       st.sampled_from(["mersenne", "list:1,3,7,15,31,63,127,255"]),
+       st.sampled_from(["period:0", "pre:1+period:0,1"]),
+       st.integers(0, 255), st.booleans(), _CHUNKS)
+@example("int:-1", "mersenne", "period:0", 40, False, 3)    # no terms
+@example("int:0", "mersenne", "period:0", 40, True, 3)      # one term
+@example("rat:1/3", "mersenne", "period:0,1", 12, False, 1)
+def test_qseries_writers_match_dump(omega, lam, eps, upto, mod2, chunk):
+    w = parse_omega(omega)
+    terms = q_omega_window(w, parse_lambda_spec(lam), parse_epsilon_spec(eps), upto)
+    if mod2:
+        terms = [(e, abs(c)) for e, c in terms]
+    payload = {"mod2": mod2, "omega": w.describe(),
+               "terms": [[e, str(c)] for e, c in terms], "upto": upto}
+    want = {
+        "--json": _dump(payload) + "\n",
+        "text": "{" + ", ".join(f"{e}: {c}" for e, c in terms) + "}\n",
+    }
+    argv = ["qseries", "--omega", omega, "--lambda", lam, "--eps", eps, "--upto", str(upto)]
+    argv += ["--mod2"] if mod2 else []
+    with mock.patch.object(lacunary.cli, "_CHUNK", chunk):
+        for form, text in want.items():
+            assert _printed(main, argv + ([] if form == "text" else [form])) == (0, text), form
+
+
 def test_import_leaves_numpy_unloaded():
     src = os.path.dirname(os.path.dirname(lacunary.cli.__file__))
     code = "import sys, lacunary.cli; print('numpy' in sys.modules)"
@@ -417,6 +490,16 @@ class TestVerify:
     def test_unknown_name(self, capsys):
         rc, _, err = run(capsys, "verify", "--only", "no.such-check")
         assert rc == 2 and "error:" in err
+
+    @pytest.mark.parametrize("only", [",", " ", ""])
+    def test_only_naming_no_check(self, capsys, monkeypatch, only):
+        # exit 2 before any work, not a vacuous "0/0 checks passed"
+        def boom(**kwargs):
+            raise AssertionError("no check may run")
+
+        monkeypatch.setattr(lacunary.cli.verify_mod, "run_checks", boom)
+        rc, out, err = run(capsys, "verify", "--only", only)
+        assert (rc, out, err) == (2, "", "error: --only names no check\n")
 
     def test_stray_positional_rejected(self, capsys):
         # verify takes no positional: a stray word must not run every check
@@ -587,6 +670,30 @@ class TestUsageAndDeterminism:
         help_text = " ".join(out.split())
         for option in options:
             assert re.search(rf"{option} \S+ [^-]*16777216 \(2\^24\)", help_text), option
+
+    # Only the rejection is run; at the cap itself build_F is reached.
+    @pytest.mark.parametrize("size", [(1 << 20) + 1, 99999999999])
+    def test_precision_cap_is_named(self, capsys, monkeypatch, size):
+        def boom(*args):
+            raise AssertionError("build_F must not run")
+
+        monkeypatch.setattr(lacunary.cli, "build_F", boom)
+        rc, out, err = run(capsys, "cf", "--precision", str(size))
+        assert (rc, out) == (2, "")
+        assert err == f"error: --precision must be at most 1048576 (2^20), got {size}\n"
+
+    def test_precision_at_cap_is_accepted(self, capsys, monkeypatch):
+        def reached(lam, eps, precision):
+            raise ValueError(f"build_F reached at {precision}")
+
+        monkeypatch.setattr(lacunary.cli, "build_F", reached)
+        rc, _, err = run(capsys, "cf", "--precision", str(1 << 20))
+        assert (rc, err) == (2, "error: build_F reached at 1048576\n")
+
+    def test_precision_cap_in_help(self, capsys):
+        rc, out, _ = run(capsys, "cf", "--help")
+        assert rc == 0
+        assert re.search(r"--precision \S+ [^-]*1048576 \(2\^20\)", " ".join(out.split()))
 
     def test_pell_constant_term(self, capsys):
         rc, out, _ = run(capsys, "qseries", "pell", "--trunc", "0")

@@ -6,11 +6,12 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lacunary.bits import (
     EpsilonSpec,
+    LambdaRangeError,
     LambdaSpec,
     term_exponent,
     term_sign,
@@ -31,6 +32,8 @@ from lacunary.qseries import (
     q_poly,
     q_support_flags,
     q_term_count_range,
+    _term_exponents,
+    _term_signs,
 )
 from lacunary.rings import (
     NEG_INF,
@@ -334,3 +337,81 @@ class TestANumber:
             a_number(ZERO, Dyadic.from_int(1), 1, 5)
         with pytest.raises(ValueError):
             a_number(ZERO, Dyadic.from_int(1), 10, -1)
+
+
+# The numpy window against the scalar rules term_exponent and term_sign.
+_omegas = st.one_of(
+    st.tuples(st.integers(-10**6, 10**6), st.integers(-999, 999).filter(lambda b: b % 2))
+    .map(lambda ab: Dyadic.from_rational(*ab)),
+    st.integers(-10**6, 10**6).map(Dyadic.from_int),
+    st.sampled_from(["stream:thue-morse", "stream:paperfolding"]).map(parse_omega),
+)
+_epsilons = st.builds(
+    lambda pre, period: EpsilonSpec(tuple(pre), tuple(period)),
+    st.lists(st.integers(0, 1), max_size=5),
+    st.lists(st.integers(0, 1), min_size=1, max_size=4),
+)
+
+
+@st.composite
+def _lambdas(draw):
+    """Mersenne, or a 2-lacunary list of 1 to 13 values (too short for some
+    windows) whose tail from a drawn index is scaled, often past 2^63."""
+    if draw(st.booleans()):
+        return MERS
+    values = [draw(st.integers(1, 3))]
+    for _ in range(draw(st.integers(0, 12))):
+        values.append(2 * values[-1] + draw(st.integers(1, 3)))
+    cut = draw(st.integers(0, len(values)))
+    scale = draw(st.sampled_from([1, 1 << 50, 1 << 60, 1 << 64]))
+    return LambdaSpec.from_list(values[:cut] + [v * scale for v in values[cut:]])
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except LambdaRangeError as exc:
+        return f"LambdaRangeError: {exc}"
+
+
+@given(_omegas, _lambdas(), _epsilons, st.integers(0, 3000))
+@example(parse_omega("rat:1/3"), LambdaSpec.from_list([1, 3, 7, 1 << 70, 1 << 72]), ZERO, 20)
+@example(parse_omega("rat:1/3"), LambdaSpec.from_list([1, 3, 7, 15]), EPS_PRE, 40)
+@example(Dyadic.from_int(7), LambdaSpec.from_list([1, 3, (1 << 63) - 1]), EPS_10, 7)  # mu(7) = 2^63 - 1
+@example(Dyadic.from_int(7), LambdaSpec.from_list([1, 3, 1 << 63]), EPS_10, 7)
+def test_window_matches_scalar_terms(w, lam, eps, k_max):
+    def scalar():
+        ks = np.flatnonzero(kernel_range(w, k_max, "f")).tolist()
+        return [(term_exponent(k, lam), term_sign(k, eps)) for k in ks]
+
+    got = _outcome(lambda: q_omega_window(w, lam, eps, k_max))
+    assert got == _outcome(scalar)
+    if isinstance(got, list):
+        assert all(type(e) is int and type(c) is int for e, c in got)
+
+
+@given(_omegas, _epsilons, st.integers(2, 16), st.integers(0, 600))
+def test_a_number_matches_scalar_signs(w, eps, g, terms):
+    ks = np.flatnonzero(kernel_range(w, terms, "f")).tolist()
+    want = sum((Fraction(term_sign(k, eps), g**k) for k in ks), Fraction(0))
+    assert a_number(eps, w, g, terms).value == want
+
+
+# Windows stop below k = 2^12 here, so the high digits are drawn directly.
+_high_ks = st.lists(st.integers(0, (1 << 62) - 1), max_size=20).map(sorted)
+
+
+@given(_high_ks, _epsilons)
+def test_vector_signs_on_high_digits(ks, eps):
+    got = _term_signs(np.array(ks, dtype=np.int64), eps).tolist()
+    assert got == [term_sign(k, eps) for k in ks]
+
+
+@given(_high_ks, st.lists(st.integers(1, 2), min_size=62, max_size=62))
+def test_vector_exponents_on_high_digits(ks, steps):
+    # lambda_q <= 2^(q+2) - 2, so lambda_61 and every mu(k) fit in int64
+    values = [steps[0]]
+    for d in steps[1:]:
+        values.append(2 * values[-1] + d)
+    lam = LambdaSpec.from_list(values)
+    assert _term_exponents(np.array(ks, dtype=np.int64), lam) == [term_exponent(k, lam) for k in ks]
