@@ -26,12 +26,10 @@ from . import verify as verify_mod
 #: Largest k-range of one kernel sweep (qseries window/pell, automaton
 #: verify/algrel); the benchmark catalogue goes to 2^20.
 _KERNEL_CAP = 1 << 24
-_KERNEL_CAP_TEXT = f"{_KERNEL_CAP} (2^24)"
 
 #: Largest cf --precision: the work grows faster than the window, and the
 #: benchmark catalogue goes to 2^14.
 _PRECISION_CAP = 1 << 20
-_PRECISION_CAP_TEXT = f"{_PRECISION_CAP} (2^20)"
 
 #: Bad input, an unreadable --bfile included: exit 2.  The package's own
 #: usage errors are ValueErrors.
@@ -168,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cf.add_argument("--n", type=int, default=None,
                       help="max partial quotients past A_0 (at least 0)")
     p_cf.add_argument("--precision", type=int, default=1024,
-                      help=f"depth of the series window, at most {_PRECISION_CAP_TEXT}")
+                      help=f"depth of the series window, at most {_cap_text(_PRECISION_CAP)}")
 
     p_q = sub.add_parser("qseries", parents=[common], help="closed-form series windows")
     _action(p_q, "action", ("window", "pell", "anumber"))
@@ -176,10 +174,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_q.add_argument("--lambda", dest="lam", default="mersenne")
     p_q.add_argument("--eps", default="period:0")
     p_q.add_argument("--upto", type=int, default=64,
-                     help=f"window: largest k, 0 to {_KERNEL_CAP_TEXT}")
+                     help=f"window: largest k, 0 to {_cap_text(_KERNEL_CAP)}")
     p_q.add_argument("--mod2", action="store_true")
     p_q.add_argument("--trunc", type=int, default=128,
-                     help=f"pell: check through X^trunc, 0 to {_KERNEL_CAP_TEXT}")
+                     help=f"pell: check through X^trunc, 0 to {_cap_text(_KERNEL_CAP)}")
     p_q.add_argument("--g", type=int, default=10)
     p_q.add_argument("--terms", type=int, default=60, help="anumber: last k summed (at least 0)")
     p_q.add_argument("--digits", type=int, default=40,
@@ -202,12 +200,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_a.add_argument("--export", default=None, choices=("dot", "json"))
     p_a.add_argument("--minimize", action="store_true")
     p_a.add_argument("--upto", type=int, default=65536,
-                     help=f"verify: check k < upto, 1 to {_KERNEL_CAP_TEXT}")
+                     help=f"verify: check k < upto, 1 to {_cap_text(_KERNEL_CAP)}")
     p_a.add_argument("--deg", type=int, default=4, help="algrel: largest i in S^(2^i) (at least 1)")
     p_a.add_argument("--height", type=int, default=64,
                      help="algrel: largest coefficient degree (at least 0)")
     p_a.add_argument("--trunc", type=int, default=4096,
-                     help=f"algrel: relation modulo X^trunc, 1 to {_KERNEL_CAP_TEXT}")
+                     help=f"algrel: relation modulo X^trunc, 1 to {_cap_text(_KERNEL_CAP)}")
 
     p_v = sub.add_parser("verify", parents=[common], help="run the named invariant checks")
     p_v.add_argument("--only", default=None, help="comma-separated check names")
@@ -233,17 +231,22 @@ def _check_at_least(option: str, value: int, low: int) -> None:
         raise ValueError(f"{option} must be at least {low}, got {value}")
 
 
-def _check_at_most(option: str, value: int, cap: int, cap_text: str) -> None:
+def _cap_text(cap: int) -> str:
+    """A power-of-two cap as shown to users: "1048576 (2^20)"."""
+    return f"{cap} (2^{cap.bit_length() - 1})"
+
+
+def _check_at_most(option: str, value: int, cap: int) -> None:
     """Rejects an option above its cap before any work."""
     if value > cap:
-        raise ValueError(f"{option} must be at most {cap_text}, got {value}")
+        raise ValueError(f"{option} must be at most {_cap_text(cap)}, got {value}")
 
 
 def _check_kernel_size(option: str, value: int, low: int) -> None:
     """Rejects a kernel sweep size outside [low, _KERNEL_CAP] before any
     work: the sweep allocates a byte per k."""
     _check_at_least(option, value, low)
-    _check_at_most(option, value, _KERNEL_CAP, _KERNEL_CAP_TEXT)
+    _check_at_most(option, value, _KERNEL_CAP)
 
 
 def _specs(args):
@@ -253,7 +256,7 @@ def _specs(args):
 def _cmd_cf(args) -> int:
     if args.n is not None:
         _check_at_least("--n", args.n, 0)
-    _check_at_most("--precision", args.precision, _PRECISION_CAP, _PRECISION_CAP_TEXT)
+    _check_at_most("--precision", args.precision, _PRECISION_CAP)
     lam, eps = _specs(args)
     f = build_F(lam, eps, args.precision)
     cf = fold_expand(f, args.n)

@@ -74,7 +74,11 @@ def q_omega_window(w: Dyadic, lam: LambdaSpec, eps: EpsilonSpec, k_max: int):
     import numpy as np
 
     ks = np.flatnonzero(kernel_range(w, k_max, "f"))
-    return list(zip(_term_exponents(ks, lam), _term_signs(ks, eps).tolist()))
+    signs = _term_signs(ks, eps).tolist()
+    if lam.is_mersenne:
+        return list(zip(ks.tolist(), signs))
+    # list exponents may pass int64, so they stay exact Python ints
+    return [(term_exponent(k, lam), s) for k, s in zip(ks.tolist(), signs)]
 
 
 def _term_signs(ks: np.ndarray, eps: EpsilonSpec) -> np.ndarray:
@@ -88,27 +92,6 @@ def _term_signs(ks: np.ndarray, eps: EpsilonSpec) -> np.ndarray:
     for shift in (32, 16, 8, 4, 2, 1):
         x ^= x >> shift
     return 1 - 2 * (x & 1)
-
-
-def _term_exponents(ks: np.ndarray, lam: LambdaSpec) -> list:
-    """[term_exponent(k, lam) for k in ks], ks an ascending int64 array.
-
-    Mersenne exponents are the ks themselves.  For a list, mu(k) is at most
-    lambda_{top-1}, top the digit count of the largest k, so when that
-    value is below 2^63 the gap columns are summed in int64; otherwise the
-    scalar rule runs on exact Python ints, and raises LambdaRangeError for
-    a k past the end of the list."""
-    if lam.is_mersenne:
-        return ks.tolist()
-    top = int(ks[-1]).bit_length() if ks.size else 0
-    if top > len(lam.values) or (top and lam.values[top - 1] >= 1 << 63):
-        return [term_exponent(k, lam) for k in ks.tolist()]
-    import numpy as np
-
-    mu = np.zeros_like(ks)
-    for q in range(top):
-        mu += ((ks >> q) & 1) * lam.gap(q)
-    return mu.tolist()
 
 
 def q_support_flags(w: Dyadic, k_max: int) -> np.ndarray:

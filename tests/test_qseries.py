@@ -32,7 +32,6 @@ from lacunary.qseries import (
     q_poly,
     q_support_flags,
     q_term_count_range,
-    _term_exponents,
     _term_signs,
 )
 from lacunary.rings import (
@@ -406,12 +405,3 @@ def test_vector_signs_on_high_digits(ks, eps):
     got = _term_signs(np.array(ks, dtype=np.int64), eps).tolist()
     assert got == [term_sign(k, eps) for k in ks]
 
-
-@given(_high_ks, st.lists(st.integers(1, 2), min_size=62, max_size=62))
-def test_vector_exponents_on_high_digits(ks, steps):
-    # lambda_q <= 2^(q+2) - 2, so lambda_61 and every mu(k) fit in int64
-    values = [steps[0]]
-    for d in steps[1:]:
-        values.append(2 * values[-1] + d)
-    lam = LambdaSpec.from_list(values)
-    assert _term_exponents(np.array(ks, dtype=np.int64), lam) == [term_exponent(k, lam) for k in ks]
