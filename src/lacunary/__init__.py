@@ -48,6 +48,7 @@ from .contfrac import (
     Convergents,
     build_F,
     cf_expand,
+    convergent_side,
     convergents,
     fold_expand,
     phi_oracle,
@@ -108,7 +109,7 @@ __all__ = [
     "kernel_value", "parse_omega",
     "InsufficientDataError", "detect_ultimate_period",
     "ContinuedFraction", "Convergents", "build_F", "cf_expand",
-    "convergents", "fold_expand", "phi_oracle",
+    "convergent_side", "convergents", "fold_expand", "phi_oracle",
     "alpha", "beta", "carlitz_range", "fold_v", "fold_w", "fold_z", "gamma",
     "parity_convolve", "stern_carlitz", "stern_range", "stern_u", "stern_v",
     "thue_morse",

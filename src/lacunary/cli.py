@@ -12,10 +12,10 @@ import argparse
 import json
 import sys
 from functools import partial
-from itertools import islice, starmap
+from itertools import chain, islice, starmap
 
 from .bits import parse_epsilon_spec, parse_lambda_spec
-from .contfrac import build_F, convergents, fold_expand
+from .contfrac import build_F, convergent_side, fold_expand
 from .dyadic import kernel_range, parse_omega
 from .oeis import PROFILES, check_oeis
 from .qseries import a_number, pell_check_mod2, q_omega_window
@@ -31,6 +31,14 @@ _KERNEL_CAP = 1 << 24
 #: benchmark catalogue goes to 2^14.
 _PRECISION_CAP = 1 << 20
 
+#: Longest stern table, --to - --from + 1 values: a table is held as a list
+#: of ints (2^22 u values as JSON: 3.1 s, 207 MB peak); CI writes 2000001.
+_TABLE_CAP = 1 << 22
+
+#: Largest stern carlitz --to: Carlitz's sum costs about (to - from) * to / 2
+#: cell tests (0 to 2^16: 3.6 s); the benchmark catalogue goes to 3200.
+_CARLITZ_CAP = 1 << 16
+
 #: Bad input, an unreadable --bfile included: exit 2.  The package's own
 #: usage errors are ValueErrors.
 _USAGE_ERRORS = (ValueError, KeyError, OSError)
@@ -44,72 +52,77 @@ def _dump(payload) -> str:
 #: a time, never the whole document.
 _CHUNK = 1 << 12
 
+#: Strings per write of a streamed list of polynomials: one polynomial of
+#: a 2^14 cf window averages about 9 KB of text, so a table's chunk of them
+#: would hold tens of MB.
+_POLY_CHUNK = 16
 
-def _write_joined(sep: str, strs) -> None:
-    """sys.stdout.write(sep.join(strs)), _CHUNK strings at a time."""
+
+def _write_joined(sep: str, strs, per_write=None) -> None:
+    """sys.stdout.write(sep.join(strs)), per_write strings at a time
+    (_CHUNK if None)."""
     write = sys.stdout.write
     strs = iter(strs)
+    per_write = per_write or _CHUNK
     first = True
-    while chunk := list(islice(strs, _CHUNK)):
+    while chunk := list(islice(strs, per_write)):
         if not first:
             write(sep)
         write(sep.join(chunk))
         first = False
 
 
-def _write_dump(payload: dict, key: str, items) -> None:
-    """print(_dump(payload)) written as it is formed, for a payload of
-    scalars and one list, payload[key]; items are that list's entries as
-    _dump lays them out."""
+def _write_dump(scalars: dict, lists: dict, per_write=None) -> None:
+    """print(_dump({**scalars, **lists})) written as it is formed: lists[key]
+    yields the entries of the list at key as _dump lays them out, and
+    _write_joined writes them per_write at a time."""
     write = sys.stdout.write
     write("{")
-    for i, name in enumerate(sorted(payload)):
+    for i, name in enumerate(sorted({**scalars, **lists})):
         write(f'{"," if i else ""}\n  {json.dumps(name)}: ')
-        if name != key:
-            write(json.dumps(payload[name]))
-        elif not payload[key]:
+        if name in scalars:
+            write(json.dumps(scalars[name]))
+            continue
+        items = iter(lists[name])
+        first = next(items, None)
+        if first is None:
             write("[]")
         else:
             write("[\n")
-            _write_joined(",\n", items)
+            _write_joined(",\n", chain((first,), items), per_write)
             write("\n  ]")
     write("\n}\n")
 
 
-def _json_list(items, indent: str) -> str:
-    """A list as _dump lays it out, from its items already laid out one
-    level deeper than indent."""
-    if not items:
-        return "[]"
-    return "".join(("[\n", ",\n".join(items), "\n", indent, "]"))
+_TERM = '        [\n          {},\n          "{}"\n        ]'.format
 
 
-def _poly_list(polys) -> str:
-    """_dump's layout of [poly_to_json(p) for p in polys] as a top-level value."""
-    return _json_list([
-        '    {\n      "ring": "Q",\n      "terms": '
-        + _json_list([f'        [\n          {e},\n          "{c}"\n        ]'
-                      for e, c in p.terms], "      ")
-        + "\n    }"
-        for p in polys
-    ], "  ")
+def _poly_items(polys):
+    """_dump's layout of poly_to_json(p) as an entry of a top-level list,
+    for each p as it is drawn from polys."""
+    for p in polys:
+        if p.terms:
+            terms = ",\n".join(starmap(_TERM, p.terms))
+            yield f'    {{\n      "ring": "Q",\n      "terms": [\n{terms}\n      ]\n    }}'
+        else:
+            yield '    {\n      "ring": "Q",\n      "terms": []\n    }'
 
 
-def _cf_json(cf, conv) -> str:
-    """_dump of the cf --json payload, byte for byte, written directly: the
-    pure-Python indenting encoder and a dict per polynomial cost several
-    times the output itself."""
-    flags = ["    true" if i < cf.certified else "    false" for i in range(len(cf.quotients))]
-    fields = (
-        ("a", _poly_list(cf.quotients)),
-        ("certified", _json_list(flags, "  ")),
-        ("certified_count", json.dumps(cf.certified)),
-        ("p", _poly_list(conv.p)),
-        ("precision", json.dumps(cf.precision)),
-        ("q", _poly_list(conv.q)),
-        ("terminated", json.dumps(cf.terminated)),
+def _write_cf_json(cf) -> None:
+    """print(_dump(...)) of the cf --json payload, written as it is formed:
+    P is one pass of its recurrence and Q a second, and each polynomial
+    goes out as it is formed, so neither side is ever held."""
+    n, certified = len(cf.quotients), cf.certified
+    _write_dump(
+        {"certified_count": certified, "precision": cf.precision, "terminated": cf.terminated},
+        {
+            "a": _poly_items(cf.quotients),
+            "certified": ("    true" if i < certified else "    false" for i in range(n)),
+            "p": _poly_items(convergent_side(cf.quotients, "p")),
+            "q": _poly_items(convergent_side(cf.quotients, "q")),
+        },
+        _POLY_CHUNK,
     )
-    return "{\n" + ",\n".join(f'  "{k}": {v}' for k, v in fields) + "\n}"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -154,72 +167,6 @@ def _common() -> argparse.ArgumentParser:
     return p
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = _common()
-    root = _Parser(prog="lacunary", parents=[common])
-    sub = root.add_subparsers(dest="command", required=True)
-
-    p_cf = sub.add_parser("cf", parents=[common], help="continued fraction expansion")
-    _action(p_cf, "action", ("expand",))
-    p_cf.add_argument("--lambda", dest="lam", default="mersenne")
-    p_cf.add_argument("--eps", default="period:0")
-    p_cf.add_argument("--n", type=int, default=None,
-                      help="max partial quotients past A_0 (at least 0)")
-    p_cf.add_argument("--precision", type=int, default=1024,
-                      help=f"depth of the series window, at most {_cap_text(_PRECISION_CAP)}")
-
-    p_q = sub.add_parser("qseries", parents=[common], help="closed-form series windows")
-    _action(p_q, "action", ("window", "pell", "anumber"))
-    p_q.add_argument("--omega", default="rat:1/3")
-    p_q.add_argument("--lambda", dest="lam", default="mersenne")
-    p_q.add_argument("--eps", default="period:0")
-    p_q.add_argument("--upto", type=int, default=64,
-                     help=f"window: largest k, 0 to {_cap_text(_KERNEL_CAP)}")
-    p_q.add_argument("--mod2", action="store_true")
-    p_q.add_argument("--trunc", type=int, default=128,
-                     help=f"pell: check through X^trunc, 0 to {_cap_text(_KERNEL_CAP)}")
-    p_q.add_argument("--g", type=int, default=10)
-    p_q.add_argument("--terms", type=int, default=60, help="anumber: last k summed (at least 0)")
-    p_q.add_argument("--digits", type=int, default=40,
-                     help="anumber: decimal digits shown (at least 0)")
-
-    p_s = sub.add_parser("stern", parents=[common], help="sequence tables")
-    _action(p_s, "which", ("u", "v", "alpha", "beta", "gamma", "carlitz", "oeis-check"))
-    p_s.add_argument("--from", dest="start", type=int, default=0)
-    p_s.add_argument("--to", type=int, default=16)
-    p_s.add_argument("--csv", action="store_true")
-    p_s.add_argument("--id", default=None)
-    p_s.add_argument("--bfile", default=None)
-    p_s.add_argument("--limit", type=int, default=None)
-
-    p_a = sub.add_parser("automaton", parents=[common], help="finite automata for coefficients")
-    _action(p_a, "action", ("build", "verify", "algrel"))
-    p_a.add_argument("--omega", default="rat:1/3")
-    p_a.add_argument("--tag", default="f", choices=("f", "g", "h", "signed"))
-    p_a.add_argument("--eps", default="period:0")
-    p_a.add_argument("--export", default=None, choices=("dot", "json"))
-    p_a.add_argument("--minimize", action="store_true")
-    p_a.add_argument("--upto", type=int, default=65536,
-                     help=f"verify: check k < upto, 1 to {_cap_text(_KERNEL_CAP)}")
-    p_a.add_argument("--deg", type=int, default=4, help="algrel: largest i in S^(2^i) (at least 1)")
-    p_a.add_argument("--height", type=int, default=64,
-                     help="algrel: largest coefficient degree (at least 0)")
-    p_a.add_argument("--trunc", type=int, default=4096,
-                     help=f"algrel: relation modulo X^trunc, 1 to {_cap_text(_KERNEL_CAP)}")
-
-    p_v = sub.add_parser("verify", parents=[common], help="run the named invariant checks")
-    p_v.add_argument("--only", default=None, help="comma-separated check names")
-    p_v.add_argument("--seed", type=int, default=0)
-    p_v.add_argument("--level", choices=("quick", "full"), default="quick")
-
-    p_o = sub.add_parser("oeis-check", parents=[common], help="compare against bundled b-files")
-    p_o.add_argument("id", nargs="?", default=None)
-    p_o.add_argument("--bfile", default=None)
-    p_o.add_argument("--limit", type=int, default=None)
-
-    return root
-
-
 def _as_json(args) -> bool:
     # --json is accepted before and after the subcommand, so it may be unset
     return getattr(args, "json", False)
@@ -253,6 +200,16 @@ def _specs(args):
     return parse_lambda_spec(args.lam), parse_epsilon_spec(args.eps)
 
 
+def _cf_options(p) -> None:
+    _action(p, "action", ("expand",))
+    p.add_argument("--lambda", dest="lam", default="mersenne")
+    p.add_argument("--eps", default="period:0")
+    p.add_argument("--n", type=int, default=None,
+                   help="max partial quotients past A_0 (at least 0)")
+    p.add_argument("--precision", type=int, default=1024,
+                   help=f"depth of the series window, at most {_cap_text(_PRECISION_CAP)}")
+
+
 def _cmd_cf(args) -> int:
     if args.n is not None:
         _check_at_least("--n", args.n, 0)
@@ -261,13 +218,29 @@ def _cmd_cf(args) -> int:
     f = build_F(lam, eps, args.precision)
     cf = fold_expand(f, args.n)
     if _as_json(args):
-        print(_cf_json(cf, convergents(cf)))
+        _write_cf_json(cf)
         return 0
     for i, quot in enumerate(cf.quotients):
         mark = "" if i < cf.certified else "   (uncertified)"
         print(f"A_{i} = {quot}{mark}")
     print(f"certified: {cf.certified} of {len(cf.quotients)} quotients at precision {cf.precision}")
     return 0
+
+
+def _qseries_options(p) -> None:
+    _action(p, "action", ("window", "pell", "anumber"))
+    p.add_argument("--omega", default="rat:1/3")
+    p.add_argument("--lambda", dest="lam", default="mersenne")
+    p.add_argument("--eps", default="period:0")
+    p.add_argument("--upto", type=int, default=64,
+                   help=f"window: largest k, 0 to {_cap_text(_KERNEL_CAP)}")
+    p.add_argument("--mod2", action="store_true")
+    p.add_argument("--trunc", type=int, default=128,
+                   help=f"pell: check through X^trunc, 0 to {_cap_text(_KERNEL_CAP)}")
+    p.add_argument("--g", type=int, default=10)
+    p.add_argument("--terms", type=int, default=60, help="anumber: last k summed (at least 0)")
+    p.add_argument("--digits", type=int, default=40,
+                   help="anumber: decimal digits shown (at least 0)")
 
 
 def _cmd_qseries(args) -> int:
@@ -305,8 +278,8 @@ def _cmd_qseries(args) -> int:
     if args.mod2:
         terms = [(e, abs(c)) for e, c in terms]
     if _as_json(args):
-        payload = {"mod2": args.mod2, "omega": w.describe(), "terms": terms, "upto": args.upto}
-        _write_dump(payload, "terms", starmap('    [\n      {},\n      "{}"\n    ]'.format, terms))
+        _write_dump({"mod2": args.mod2, "omega": w.describe(), "upto": args.upto},
+                    {"terms": starmap('    [\n      {},\n      "{}"\n    ]'.format, terms)})
     else:
         sys.stdout.write("{")
         _write_joined(", ", starmap("{}: {}".format, terms))
@@ -321,6 +294,18 @@ _STERN_FUNCS = {
 }
 
 
+def _stern_options(p) -> None:
+    _action(p, "which", ("u", "v", "alpha", "beta", "gamma", "carlitz", "oeis-check"))
+    p.add_argument("--from", dest="start", type=int, default=0)
+    p.add_argument("--to", type=int, default=16,
+                   help=f"last index: at most {_cap_text(_TABLE_CAP)} values from --from, "
+                        f"and carlitz --to at most {_cap_text(_CARLITZ_CAP)}")
+    p.add_argument("--csv", action="store_true")
+    p.add_argument("--id", default=None)
+    p.add_argument("--bfile", default=None)
+    p.add_argument("--limit", type=int, default=None)
+
+
 def _cmd_stern(args) -> int:
     if args.which == "oeis-check":
         if args.id is None:
@@ -331,10 +316,13 @@ def _cmd_stern(args) -> int:
         raise ValueError(f"empty range: --from {args.start} > --to {args.to}")
     if args.start < 0 and args.which != "u":
         raise ValueError(f"sequence {args.which} is defined for n >= 0")
+    _check_at_most("--to - --from + 1", args.to - args.start + 1, _TABLE_CAP)
+    if args.which == "carlitz":
+        _check_at_most("--to", args.to, _CARLITZ_CAP)
     values = fn(args.start, args.to)
     if _as_json(args):
-        payload = {"from": args.start, "sequence": args.which, "to": args.to, "values": values}
-        _write_dump(payload, "values", map("    {}".format, values))
+        _write_dump({"from": args.start, "sequence": args.which, "to": args.to},
+                    {"values": map("    {}".format, values)})
     elif args.csv:
         sys.stdout.write(f"n,{args.which}\n")
         _write_joined("\n", map("{},{}".format, range(args.start, args.to + 1), values))
@@ -343,6 +331,22 @@ def _cmd_stern(args) -> int:
         _write_joined(",", map(str, values))
         sys.stdout.write("\n")
     return 0
+
+
+def _automaton_options(p) -> None:
+    _action(p, "action", ("build", "verify", "algrel"))
+    p.add_argument("--omega", default="rat:1/3")
+    p.add_argument("--tag", default="f", choices=("f", "g", "h", "signed"))
+    p.add_argument("--eps", default="period:0")
+    p.add_argument("--export", default=None, choices=("dot", "json"))
+    p.add_argument("--minimize", action="store_true")
+    p.add_argument("--upto", type=int, default=65536,
+                   help=f"verify: check k < upto, 1 to {_cap_text(_KERNEL_CAP)}")
+    p.add_argument("--deg", type=int, default=4, help="algrel: largest i in S^(2^i) (at least 1)")
+    p.add_argument("--height", type=int, default=64,
+                   help="algrel: largest coefficient degree (at least 0)")
+    p.add_argument("--trunc", type=int, default=4096,
+                   help=f"algrel: relation modulo X^trunc, 1 to {_cap_text(_KERNEL_CAP)}")
 
 
 def _cmd_automaton(args) -> int:
@@ -410,6 +414,12 @@ def _cmd_automaton(args) -> int:
     return 0
 
 
+def _verify_options(p) -> None:
+    p.add_argument("--only", default=None, help="comma-separated check names")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--level", choices=("quick", "full"), default="quick")
+
+
 def _cmd_verify(args) -> int:
     names = None
     if args.only is not None:
@@ -443,6 +453,12 @@ def _run_oeis(seq_id, bfile, limit, as_json) -> int:
     return 0 if report.ok else 1
 
 
+def _oeis_options(p) -> None:
+    p.add_argument("id", nargs="?", default=None)
+    p.add_argument("--bfile", default=None)
+    p.add_argument("--limit", type=int, default=None)
+
+
 def _cmd_oeis(args) -> int:
     as_json = _as_json(args)
     if args.id is not None:
@@ -453,20 +469,38 @@ def _cmd_oeis(args) -> int:
     return worst
 
 
-_HANDLERS = {
-    "cf": _cmd_cf,
-    "qseries": _cmd_qseries,
-    "stern": _cmd_stern,
-    "automaton": _cmd_automaton,
-    "verify": _cmd_verify,
-    "oeis-check": _cmd_oeis,
+#: Subcommand -> (help, add_options(parser), handler(args) -> exit code)
+_COMMANDS = {
+    "cf": ("continued fraction expansion", _cf_options, _cmd_cf),
+    "qseries": ("closed-form series windows", _qseries_options, _cmd_qseries),
+    "stern": ("sequence tables", _stern_options, _cmd_stern),
+    "automaton": ("finite automata for coefficients", _automaton_options, _cmd_automaton),
+    "verify": ("run the named invariant checks", _verify_options, _cmd_verify),
+    "oeis-check": ("compare against bundled b-files", _oeis_options, _cmd_oeis),
 }
 
 
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The root parser and its six subcommands, with the options of command
+    only, or of every subcommand when command is None: main parses one
+    subcommand, and building the others' options would cost it about as
+    much as a small op."""
+    common = _common()
+    root = _Parser(prog="lacunary", parents=[common])
+    sub = root.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_options, _) in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        if command is None or name == command:
+            add_options(p)
+    return root
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
+    # The root's options take no value, so the first other entry is the
+    # subcommand argparse will parse.
+    parser = build_parser(next((arg for arg in argv if not arg.startswith("-")), None))
     try:
         _check_root_options(parser, argv)
         args = parser.parse_args(argv)
@@ -474,7 +508,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return _HANDLERS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     # ahead of ArithmeticError: SeriesPrecisionError is both
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .bits import EpsilonSpec, LambdaRangeError, LambdaSpec
 from .rings import (
@@ -288,21 +289,27 @@ def _step(a: SparsePoly, cur: SparsePoly, prev: SparsePoly) -> SparsePoly:
     return SparsePoly(tuple(sorted(acc.items())))
 
 
-def convergents(cf: ContinuedFraction) -> Convergents:
-    """P_0 = A_0, Q_0 = 1, then P_n = A_n P_{n-1} + P_{n-2} and likewise
-    for Q; satisfies P_{n+1} Q_n - P_n Q_{n+1} = (-1)^n on the certified
-    prefix."""
+def convergent_side(quotients, side: str):
+    """P_n (side "p") or Q_n (side "q") for n = 0, 1, ..., len(quotients) - 1,
+    each yielded as it is formed by X_n = A_n X_{n-1} + X_{n-2} from
+    P_{-1} = 1, P_0 = A_0 and Q_{-1} = 0, Q_0 = 1; only the last two are
+    held, so a caller that writes each X_n out never holds the side."""
     one = SparsePoly.one()
-    zero = SparsePoly.zero()
-    p_prev, q_prev = one, zero              # index -1
-    p_cur, q_cur = cf.quotients[0], one     # index 0
-    ps, qs = [p_cur], [q_cur]
-    for a in cf.quotients[1:]:
-        p_cur, p_prev = _step(a, p_cur, p_prev), p_cur
-        q_cur, q_prev = _step(a, q_cur, q_prev), q_cur
-        ps.append(p_cur)
-        qs.append(q_cur)
-    return Convergents(p=tuple(ps), q=tuple(qs), certified=cf.certified)
+    prev, cur = {"p": (one, quotients[0]), "q": (SparsePoly.zero(), one)}[side]
+    yield cur
+    for a in islice(quotients, 1, None):
+        prev, cur = cur, _step(a, cur, prev)
+        yield cur
+
+
+def convergents(cf: ContinuedFraction) -> Convergents:
+    """Both sides of convergent_side, held; satisfies
+    P_{n+1} Q_n - P_n Q_{n+1} = (-1)^n on the certified prefix."""
+    return Convergents(
+        p=tuple(convergent_side(cf.quotients, "p")),
+        q=tuple(convergent_side(cf.quotients, "q")),
+        certified=cf.certified,
+    )
 
 
 def phi_oracle(n: int) -> Convergents:

@@ -1,5 +1,6 @@
 """Command-line interface: output shapes, exit codes, determinism."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -195,10 +196,10 @@ class TestCf:
 
 
     def test_text_skips_convergents(self, capsys, monkeypatch):
-        def boom(cf):
+        def boom(quotients, side):
             raise AssertionError("text output must not compute P/Q")
 
-        monkeypatch.setattr(lacunary.cli, "convergents", boom)
+        monkeypatch.setattr(lacunary.cli, "convergent_side", boom)
         rc, out, _ = run(capsys, "cf", "--n", "4", "--precision", "64")
         assert rc == 0
         assert out.splitlines() == [
@@ -286,8 +287,34 @@ def test_cf_json_writer_matches_dump(cf):
         "certified_count": cf.certified,
         "precision": cf.precision,
         "terminated": cf.terminated,
-    }, sort_keys=True, indent=2)
-    assert lacunary.cli._cf_json(cf, conv) == want
+    }, sort_keys=True, indent=2) + "\n"
+    # a write of 1 or 3 polynomials puts write edges inside these small lists
+    for chunk in (1, 3, lacunary.cli._POLY_CHUNK):
+        with mock.patch.object(lacunary.cli, "_POLY_CHUNK", chunk):
+            assert _printed(lacunary.cli._write_cf_json, cf) == (None, want), chunk
+
+
+class _Writes(io.StringIO):
+    """A stdout that records the length of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, s):
+        self.sizes.append(len(s))
+        return super().write(s)
+
+
+def test_cf_json_is_written_as_it_is_formed():
+    out = _Writes()
+    with contextlib.redirect_stdout(out):
+        assert main(["cf", "--precision", "4096", "--json"]) == 0
+    text = out.getvalue()
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "974eaef6393a489b35f4c4ec674ede461dbbf867f757f61c0f4e7dec532c748f")
+    assert len(out.sizes) > 100
+    assert max(out.sizes) < len(text) / 10
 
 
 def _printed(fn, *args):
@@ -695,6 +722,47 @@ class TestUsageAndDeterminism:
         assert rc == 0
         assert re.search(r"--precision \S+ [^-]*1048576 \(2\^20\)", " ".join(out.split()))
 
+    # Only the rejection is run, before the table function is reached.
+    @pytest.mark.parametrize("argv, line", [
+        (("u", "--from", "0", "--to", "1000000000000"),
+         "--to - --from + 1 must be at most 4194304 (2^22), got 1000000000001"),
+        (("beta", "--from", "5", "--to", str(5 + (1 << 22))),
+         "--to - --from + 1 must be at most 4194304 (2^22), got 4194305"),
+        (("carlitz", "--to", "10000000"),
+         "--to - --from + 1 must be at most 4194304 (2^22), got 10000001"),
+        (("carlitz", "--from", "65537", "--to", "65537"),
+         "--to must be at most 65536 (2^16), got 65537"),
+        (("carlitz", "--from", "9999990", "--to", "10000000"),
+         "--to must be at most 65536 (2^16), got 10000000"),
+    ])
+    def test_stern_cap_is_named(self, capsys, monkeypatch, argv, line):
+        def boom(a, b):
+            raise AssertionError("the table must not be filled")
+
+        for which in lacunary.cli._STERN_FUNCS:
+            monkeypatch.setitem(lacunary.cli._STERN_FUNCS, which, boom)
+        rc, out, err = run(capsys, "stern", *argv)
+        assert (rc, out, err) == (2, "", f"error: {line}\n")
+
+    @pytest.mark.parametrize("which, start, to", [
+        ("u", -5, (1 << 22) - 6),
+        ("gamma", 10 ** 15, 10 ** 15 + (1 << 22) - 1),
+        ("carlitz", 0, 1 << 16),
+    ])
+    def test_stern_at_cap_is_accepted(self, capsys, monkeypatch, which, start, to):
+        def reached(a, b):
+            raise ValueError(f"table reached at {a}..{b}")
+
+        monkeypatch.setitem(lacunary.cli._STERN_FUNCS, which, reached)
+        rc, _, err = run(capsys, "stern", which, "--from", str(start), "--to", str(to))
+        assert (rc, err) == (2, f"error: table reached at {start}..{to}\n")
+
+    def test_stern_caps_in_help(self, capsys):
+        rc, out, _ = run(capsys, "stern", "--help")
+        assert rc == 0
+        assert re.search(r"--to \S+ [^-]*4194304 \(2\^22\) values .*carlitz --to at most "
+                         r"65536 \(2\^16\)", " ".join(out.split()))
+
     def test_pell_constant_term(self, capsys):
         rc, out, _ = run(capsys, "qseries", "pell", "--trunc", "0")
         assert rc == 0 and "holds to X^0" in out
@@ -781,6 +849,55 @@ class TestUsageAndDeterminism:
                                       for o in (out1, out2))
             assert n1 == n2 == 1
         assert rc1 == rc2 == 0 and out1 == out2
+
+
+# Samples of each way argv leaves argparse: help, usage errors and parsed values.
+_PARSER_ARGV = [
+    (), ("--help",), ("-h",), ("--json",), ("frobnicate",), ("--json", "frobnicate"),
+    ("--nope", "cf"), ("--level", "full", "verify"), ("--js", "cf", "--n", "2"),
+    ("--", "cf"), ("cf", "--", "expand"),
+    *((name, "--help") for name in lacunary.cli._COMMANDS),
+    *(("--json", name) for name in lacunary.cli._COMMANDS),
+    ("cf", "bogus"), ("cf", "--precision", "abc"), ("cf", "--level", "full"),
+    ("cf", "--n", "3", "--precision", "64", "--json"),
+    ("cf", "expand", "--lambda", "list:1,3,7", "--eps", "period:1"),
+    ("qseries", "pell", "--trunc", "9", "--mod2"), ("qseries", "pel"),
+    ("stern", "w", "--to", "3"), ("stern", "--level", "u"), ("stern", "carlitz", "--csv"),
+    ("automaton", "--tag", "x"), ("automaton", "algrel", "--deg", "2", "--minimize"),
+    ("automaton", "build", "--export", "svg"),
+    ("verify", "--level", "medium"), ("verify", "--only", "a,b", "--seed", "3"),
+    ("oeis-check", "A002487", "--limit", "5"), ("oeis-check", "--bfile"),
+]
+
+
+def _main_parse(monkeypatch, argv, full):
+    """(exit code, stdout, stderr, parsed namespaces) of main(argv) with
+    every handler replaced by a recorder; full builds the whole tree."""
+    seen = []
+    with monkeypatch.context() as m:
+        m.setattr(lacunary.cli, "_COMMANDS", {
+            name: (text, add, lambda args: seen.append(vars(args)) or 0)
+            for name, (text, add, _) in lacunary.cli._COMMANDS.items()
+        })
+        if full:
+            build = lacunary.cli.build_parser
+            m.setattr(lacunary.cli, "build_parser", lambda command=None: build())
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(list(argv))
+    return rc, out.getvalue(), err.getvalue(), seen
+
+
+@pytest.mark.parametrize("argv", _PARSER_ARGV, ids=" ".join)
+def test_parser_of_one_subcommand_matches_full_tree(monkeypatch, argv):
+    assert _main_parse(monkeypatch, argv, full=False) == _main_parse(monkeypatch, argv, full=True)
+
+
+def test_parser_builds_one_subcommand_options():
+    sub = next(a for a in lacunary.cli.build_parser("cf")._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices["stern"]._option_string_actions) == {"-h", "--help", "--json"}
+    assert "--precision" in sub.choices["cf"]._option_string_actions
 
 
 # A bounded argv grammar: every subcommand, action and option from a fixed

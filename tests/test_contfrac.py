@@ -3,14 +3,19 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+import gc
+import weakref
+
+from hypothesis import example, given, strategies as st
 
 from lacunary.bits import EpsilonSpec, LambdaRangeError, LambdaSpec
 from lacunary.contfrac import (
     ContinuedFraction,
+    Convergents,
     _divmod,
     build_F,
     cf_expand,
+    convergent_side,
     convergents,
     fold_expand,
     phi_oracle,
@@ -101,6 +106,29 @@ def test_convergents_follow_the_recurrence(quotients):
         assert list(seq) == want[1:]
         # integral coefficients are stored as int, as every SparsePoly does
         assert all(type(c) is int or c.denominator > 1 for p in seq for _, c in p.terms)
+
+
+@given(_quotients, st.integers(0, 6))
+@example([SparsePoly.build([(2, Fraction(-2, 3))])], 1)                   # a lone A_0
+@example([SparsePoly.zero(), SparsePoly.build([(1, Fraction(1, 2)), (0, 3)])], 2)
+def test_convergents_are_the_two_sides(quotients, certified):
+    cf = ContinuedFraction(tuple(quotients), min(certified, len(quotients)), None, False)
+    sides = [convergent_side(cf.quotients, side) for side in ("p", "q")]
+    assert convergents(cf) == Convergents(*map(tuple, sides), certified=cf.certified)
+
+
+def test_side_holds_only_the_last_two():
+    # X_n for n >= 1 is formed by the recurrence, so nothing but the
+    # generator can hold it once the caller lets it go
+    x = SparsePoly.x_power(1)
+    for side in ("p", "q"):
+        refs = []
+        for n, poly in enumerate(convergent_side((x,) * 12, side)):
+            refs.append(weakref.ref(poly))
+            del poly
+            gc.collect()
+            assert [i for i, r in enumerate(refs[1:], 1) if r() is not None] == \
+                list(range(max(1, n - 1), n + 1)), (side, n)
 
 
 def _assert_best_approx(f, conv, i):
