@@ -5,18 +5,13 @@ finite automata for the mod-2 coefficient streams."""
 
 from .rings import (
     NEG_INF,
-    LaurentSeries,
     NotReducibleError,
     SeriesPrecisionError,
     SparsePoly,
-    ZeroSeriesError,
     gf2_mul,
     poly_from_json,
     poly_to_json,
     reduce_mod2,
-    series_from_poly,
-    series_invert,
-    series_mul,
 )
 from .bits import (
     EpsilonSpec,
@@ -46,6 +41,7 @@ from .periodic import InsufficientDataError, detect_ultimate_period
 from .contfrac import (
     ContinuedFraction,
     Convergents,
+    LaurentSeries,
     build_F,
     cf_expand,
     convergent_side,
@@ -98,9 +94,8 @@ from .verify import CheckResult, run_checks
 __version__ = "0.1.0"
 
 __all__ = [
-    "NEG_INF", "LaurentSeries", "NotReducibleError", "SeriesPrecisionError",
-    "SparsePoly", "ZeroSeriesError", "gf2_mul", "poly_from_json", "poly_to_json",
-    "reduce_mod2", "series_from_poly", "series_invert", "series_mul",
+    "NEG_INF", "NotReducibleError", "SeriesPrecisionError", "SparsePoly",
+    "gf2_mul", "poly_from_json", "poly_to_json", "reduce_mod2",
     "EpsilonSpec", "LambdaRangeError", "LambdaSpec", "binom_parity",
     "count_10_blocks", "dominates", "parse_epsilon_spec", "parse_lambda_spec",
     "term_exponent", "term_sign",
@@ -108,7 +103,7 @@ __all__ = [
     "binom_parity_dyadic", "digit_pair_period", "halfsum_binom", "kernel_range",
     "kernel_value", "parse_omega",
     "InsufficientDataError", "detect_ultimate_period",
-    "ContinuedFraction", "Convergents", "build_F", "cf_expand",
+    "ContinuedFraction", "Convergents", "LaurentSeries", "build_F", "cf_expand",
     "convergent_side", "convergents", "fold_expand", "phi_oracle",
     "alpha", "beta", "carlitz_range", "fold_v", "fold_w", "fold_z", "gamma",
     "parity_convolve", "stern_carlitz", "stern_range", "stern_u", "stern_v",

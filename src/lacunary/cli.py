@@ -27,6 +27,12 @@ from . import verify as verify_mod
 #: verify/algrel); the benchmark catalogue goes to 2^20.
 _KERNEL_CAP = 1 << 24
 
+#: Largest algrel search, (deg + 1)(height + 1) * trunc bits: the
+#: elimination can hold that many candidate columns of trunc bits each
+#: (2^33 bits is 1 GiB).  The default bounds at the --trunc cap come to
+#: 325 * 2^24, and the benchmark catalogue's largest search to 325 * 2^16.
+_SEARCH_CAP = 1 << 33
+
 #: Largest cf --precision: the work grows faster than the window, and the
 #: benchmark catalogue goes to 2^14.
 _PRECISION_CAP = 1 << 20
@@ -238,7 +244,8 @@ def _qseries_options(p) -> None:
     p.add_argument("--trunc", type=int, default=128,
                    help=f"pell: check through X^trunc, 0 to {_cap_text(_KERNEL_CAP)}")
     p.add_argument("--g", type=int, default=10)
-    p.add_argument("--terms", type=int, default=60, help="anumber: last k summed (at least 0)")
+    p.add_argument("--terms", type=int, default=60,
+                   help=f"anumber: last k summed, 0 to {_cap_text(_KERNEL_CAP)}")
     p.add_argument("--digits", type=int, default=40,
                    help="anumber: decimal digits shown (at least 0)")
 
@@ -249,7 +256,7 @@ def _cmd_qseries(args) -> int:
     elif args.action == "pell":
         _check_kernel_size("--trunc", args.trunc, 0)
     else:
-        _check_at_least("--terms", args.terms, 0)
+        _check_kernel_size("--terms", args.terms, 0)
         _check_at_least("--digits", args.digits, 0)
     lam, eps = _specs(args)
     w = parse_omega(args.omega)
@@ -344,7 +351,8 @@ def _automaton_options(p) -> None:
                    help=f"verify: check k < upto, 1 to {_cap_text(_KERNEL_CAP)}")
     p.add_argument("--deg", type=int, default=4, help="algrel: largest i in S^(2^i) (at least 1)")
     p.add_argument("--height", type=int, default=64,
-                   help="algrel: largest coefficient degree (at least 0)")
+                   help="algrel: largest coefficient degree (at least 0); "
+                        f"(--deg + 1) * (--height + 1) * --trunc at most {_cap_text(_SEARCH_CAP)}")
     p.add_argument("--trunc", type=int, default=4096,
                    help=f"algrel: relation modulo X^trunc, 1 to {_cap_text(_KERNEL_CAP)}")
 
@@ -356,6 +364,8 @@ def _cmd_automaton(args) -> int:
         _check_kernel_size("--trunc", args.trunc, 1)
         _check_at_least("--deg", args.deg, 1)
         _check_at_least("--height", args.height, 0)
+        _check_at_most("(--deg + 1) * (--height + 1) * --trunc",
+                       (args.deg + 1) * (args.height + 1) * args.trunc, _SEARCH_CAP)
     w = parse_omega(args.omega)
     if args.action == "algrel":
         from .qseries import q_support_flags

@@ -28,13 +28,23 @@ from fractions import Fraction
 from itertools import islice
 
 from .bits import EpsilonSpec, LambdaRangeError, LambdaSpec
-from .rings import (
-    LaurentSeries,
-    SeriesPrecisionError,
-    SparsePoly,
-    ZeroSeriesError,
-    _norm_q,
-)
+from .rings import SeriesPrecisionError, SparsePoly, _norm_q
+
+
+@dataclass(frozen=True)
+class LaurentSeries:
+    """A window of a Laurent series in descending powers of X: coeffs maps
+    exponent to coefficient, with no zero entries, and an exponent at or
+    above -cutoff that it lacks has coefficient 0.  Nothing below -cutoff
+    is known; a deeper window is another series."""
+
+    coeffs: dict
+    cutoff: int
+
+    def coeff(self, e):
+        if e >= -self.cutoff:
+            return self.coeffs.get(e, 0)
+        raise SeriesPrecisionError(f"precision: coefficient at X^{e} below cutoff {-self.cutoff}")
 
 
 def build_F(lam: LambdaSpec, eps: EpsilonSpec, precision: int) -> LaurentSeries:
@@ -62,12 +72,7 @@ def build_F(lam: LambdaSpec, eps: EpsilonSpec, precision: int) -> LaurentSeries:
         coeffs[-v] = eps.sign(q)
         last = v
         q += 1
-    return LaurentSeries(
-        coeffs,
-        top=-lam0,
-        cutoff=precision,
-        expect_integral_cf=True,
-    )
+    return LaurentSeries(coeffs, precision)
 
 
 @dataclass(frozen=True)
@@ -75,7 +80,7 @@ class ContinuedFraction:
     """Partial quotients A_0, A_1, ... with a certified prefix length.
 
     certified counts quotients from A_0 on; precision is the source window
-    (None when the input was exact, in which case everything is certified);
+    (None for quotients that come from no window, as phi_oracle's);
     terminated means the remainder vanished exactly, so the expansion is the
     complete one of a rational function.
     """
@@ -129,32 +134,24 @@ def _divmod(num: dict, den: dict):
     return quot, r
 
 
-def _series_as_fraction(f: LaurentSeries):
-    """f as (numerator map, denominator map X^N, certifiable window N or None)."""
-    if f.exact:
-        if not f.coeffs:
-            raise ZeroSeriesError("zero series")
-        shift = max(0, -min(f.coeffs))
-        return {e + shift: c for e, c in f.coeffs.items()}, {shift: 1}, None
-    n = f.cutoff
-    if not f.coeffs:
-        raise SeriesPrecisionError("precision: no nonzero coefficient in window")
-    return {e + n: c for e, c in f.coeffs.items() if e >= -n}, {n: 1}, n
-
-
 def cf_expand(f: LaurentSeries, max_quotients: int | None = None) -> ContinuedFraction:
-    """Expand f as [A_0; A_1, A_2, ...].
+    """Expand f as [A_0; A_1, A_2, ...] by Euclid on (window * X^N, X^N).
 
     max_quotients bounds the number of quotients after A_0; None means run
     until the certified window is exhausted (one trailing uncertified
     quotient is kept so the flag is visible) or the remainder vanishes.
-    Certified quotients of a series built with expect_integral_cf must come
-    out with integer coefficients; a rational coefficient there means the
-    window certified something false and is reported as an error.
+    Certified quotients must come out with integer coefficients: every
+    window build_F makes is +-1 at 2-lacunary exponents, whose quotients are
+    +-1 monomials (see fold_expand), so a rational coefficient there means
+    the window certified something false and is reported as an error.
     """
     if max_quotients is not None and max_quotients < 0:
         raise ValueError("max_quotients must be nonnegative")
-    num, den, window = _series_as_fraction(f)
+    window = f.cutoff
+    num = {e + window: c for e, c in f.coeffs.items() if e >= -window}
+    if not num:
+        raise SeriesPrecisionError("precision: no nonzero coefficient in window")
+    den = {window: 1}
     q0, rem = _divmod(num, den)
     quotients = [SparsePoly.build(q0.items())]
     a, b = den, rem
@@ -168,8 +165,7 @@ def cf_expand(f: LaurentSeries, max_quotients: int | None = None) -> ContinuedFr
         poly = SparsePoly.build(qd.items())
         quotients.append(poly)
         deg_q += poly.degree
-        ok = window is None or 2 * deg_q + 1 <= window
-        if ok and prefix_ok:
+        if 2 * deg_q + 1 <= window and prefix_ok:
             certified += 1
         else:
             if i == 1:
@@ -182,13 +178,12 @@ def cf_expand(f: LaurentSeries, max_quotients: int | None = None) -> ContinuedFr
                 a, b = b, rem
                 break
         a, b = b, rem
-    if f.expect_integral_cf:
-        for poly in quotients[:certified]:
-            for _, c in poly.terms:
-                if not isinstance(c, int):
-                    raise ArithmeticError(
-                        f"certified partial quotient has non-integral coefficient {c}"
-                    )
+    for poly in quotients[:certified]:
+        for _, c in poly.terms:
+            if not isinstance(c, int):
+                raise ArithmeticError(
+                    f"certified partial quotient has non-integral coefficient {c}"
+                )
     return ContinuedFraction(
         quotients=tuple(quotients),
         certified=certified,
@@ -213,8 +208,6 @@ def fold_expand(f: LaurentSeries, max_quotients: int | None = None) -> Continued
     if max_quotients is not None and max_quotients < 0:
         raise ValueError("max_quotients must be nonnegative")
     window = f.cutoff
-    if window is None:
-        raise ValueError("fold_expand needs a truncated window")
     terms = sorted((-e, c) for e, c in f.coeffs.items() if e >= -window)
     if not terms:
         raise SeriesPrecisionError("precision: no nonzero coefficient in window")
@@ -258,13 +251,6 @@ def fold_expand(f: LaurentSeries, max_quotients: int | None = None) -> Continued
     quotients = (SparsePoly.zero(),) + tuple(
         SparsePoly(((e, c),)) for e, c in zip(exp[:count], sgn)
     )
-    if f.expect_integral_cf:
-        for poly in quotients[:certified]:
-            for _, c in poly.terms:
-                if not isinstance(c, int):
-                    raise ArithmeticError(
-                        f"certified partial quotient has non-integral coefficient {c}"
-                    )
     return ContinuedFraction(
         quotients=quotients,
         certified=certified,

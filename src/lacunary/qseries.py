@@ -210,9 +210,14 @@ class ANumber:
     the geometric tail bound."""
 
     value: Fraction
-    tail_bound: Fraction
     base: int
     terms: int
+
+    @property
+    def tail_bound(self) -> Fraction:
+        """Bound on what the terms past k = terms add: 2 / g^terms.  Formed
+        on demand, since g^terms has about terms digits."""
+        return Fraction(2, self.base**self.terms)
 
     def decimal(self, digits: int = 40) -> str:
         if digits < 0:
@@ -241,5 +246,4 @@ def a_number(eps: EpsilonSpec, w: Dyadic, g: int, terms: int) -> ANumber:
     for k, sign in zip(ks.tolist(), _term_signs(ks, eps).tolist()):
         num = num * g ** (k - last) + sign
         last = k
-    return ANumber(value=Fraction(num, g**last), tail_bound=Fraction(2, g**terms),
-                   base=g, terms=terms)
+    return ANumber(value=Fraction(num, g**last), base=g, terms=terms)

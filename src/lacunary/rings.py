@@ -1,14 +1,10 @@
-"""Exact sparse polynomials over Q, GF(2) polynomials as int masks, and
-truncated Laurent series.
+"""Exact sparse polynomials over Q and GF(2) polynomials as int masks.
 
 Polynomials over Q (Python int / Fraction, integer-valued coefficients
 stored as plain int) are sparse term lists with strictly increasing
 exponents and no zero coefficients.  GF(2) polynomials are Python ints,
 bit i holding the coefficient of X^i: addition is xor and `gf2_mul` is the
-carry-less product.  Laurent series in descending powers of X are truncated
-windows with explicit precision bookkeeping: a series knows its top
-exponent and the cutoff below which nothing is known.  All arithmetic is
-exact; nothing is ever rounded.
+carry-less product.  All arithmetic is exact; nothing is ever rounded.
 """
 
 from __future__ import annotations
@@ -23,10 +19,6 @@ NEG_INF = float("-inf")
 
 class NotReducibleError(ArithmeticError):
     """Mod-2 reduction hit a coefficient that is not an integer."""
-
-
-class ZeroSeriesError(ZeroDivisionError):
-    """Inversion of the zero series."""
 
 
 class SeriesPrecisionError(ValueError, ArithmeticError):
@@ -204,121 +196,3 @@ def poly_from_json(obj: dict) -> SparsePoly:
     if obj.get("ring") != "Q":
         raise ValueError(f"unknown ring {obj.get('ring')!r}")
     return SparsePoly.build((int(e), Fraction(c)) for e, c in obj["terms"])
-
-
-@dataclass(eq=False)
-class LaurentSeries:
-    """Truncated Laurent series in descending powers of X, rational coefficients.
-
-    Coefficients are defined for every exponent in [-cutoff, top]; exponents
-    above `top` are identically zero.  `cutoff is None` marks an exact series
-    (a Laurent polynomial: nothing exists below the stored window either).
-    A deeper window is a new series built from the source at that depth.
-    Treated as immutable after construction.
-    """
-
-    coeffs: dict
-    top: object          # int, or NEG_INF for the zero series
-    cutoff: object       # int, or None when exact
-    expect_integral_cf: bool = False   # set by the lacunary builder; see contfrac
-
-    def __post_init__(self):
-        self.coeffs = {e: _coerce_q(c) for e, c in self.coeffs.items() if c}
-        if self.coeffs:
-            hi = max(self.coeffs)
-            if self.top is NEG_INF or hi > self.top:
-                self.top = hi
-
-    @property
-    def exact(self):
-        return self.cutoff is None
-
-    def coeff(self, e):
-        if self.top is not NEG_INF and e > self.top:
-            return 0
-        if self.exact or e >= -self.cutoff:
-            return self.coeffs.get(e, 0)
-        raise SeriesPrecisionError(f"precision: coefficient at X^{e} below cutoff {-self.cutoff}")
-
-    def lead_exponent(self):
-        return max(self.coeffs) if self.coeffs else NEG_INF
-
-    def poly_part(self) -> SparsePoly:
-        return SparsePoly.build((e, c) for e, c in self.coeffs.items() if e >= 0)
-
-    def __str__(self):
-        terms = sorted(self.coeffs.items(), reverse=True)
-        shown = [f"{c}*X^{e}" for e, c in terms[:8]]
-        tail = " + ..." if len(terms) > 8 else ""
-        lo = "exact" if self.exact else f"O(X^{-self.cutoff - 1})"
-        return (" + ".join(shown) or "0") + tail + f"  [{lo}]"
-
-
-def series_from_poly(p: SparsePoly, denom_power: int = 0) -> LaurentSeries:
-    """Exact series P(X)/X^d."""
-    coeffs = {e - denom_power: c for e, c in p.terms}
-    top = max(coeffs) if coeffs else NEG_INF
-    return LaurentSeries(coeffs, top, None)
-
-
-def series_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-    a_top = a.top if a.top is not NEG_INF else 0
-    b_top = b.top if b.top is not NEG_INF else 0
-    if a.exact and b.exact:
-        cutoff = None
-    else:
-        parts = []
-        if not a.exact:
-            parts.append(a.cutoff - b_top)
-        if not b.exact:
-            parts.append(b.cutoff - a_top)
-        cutoff = min(parts)
-    acc = {}
-    for e1, c1 in a.coeffs.items():
-        for e2, c2 in b.coeffs.items():
-            e = e1 + e2
-            if cutoff is not None and e < -cutoff:
-                continue
-            s = _norm_q(acc.get(e, 0) + c1 * c2)
-            if s:
-                acc[e] = s
-            else:
-                acc.pop(e, None)
-    top = (a.top + b.top) if (a.top is not NEG_INF and b.top is not NEG_INF) else NEG_INF
-    return LaurentSeries(acc, top, cutoff)
-
-
-def series_invert(a: LaurentSeries, depth: int | None = None) -> LaurentSeries:
-    """Multiplicative inverse.
-
-    For a truncated input with lead exponent d and cutoff N the result is
-    certified down to exponent -(N + 2d); a * invert(a) equals 1 up to terms
-    below that window.  For an exact non-monomial input, `depth` asks for the
-    result window (default 32).
-    """
-    if not a.coeffs:
-        if a.exact:
-            raise ZeroSeriesError("zero series")
-        raise SeriesPrecisionError("precision: window shows no nonzero term to invert")
-    d = a.lead_exponent()
-    lead = a.coeffs[d]
-    if a.exact and len(a.coeffs) == 1:
-        return LaurentSeries({-d: _norm_q(Fraction(1, 1) / lead)}, -d, None)
-    if a.exact:
-        want = depth if depth is not None else 32
-        m = max(want - d, 8)
-        cut = d + m
-    else:
-        m = a.cutoff + d      # unit-series terms known beyond the lead
-        cut = a.cutoff + 2 * d
-    # unit u(t) = a * t^? read in t = 1/X; u[j] = coeff of X^(d - j)
-    u = [a.coeffs.get(d - j, 0) for j in range(m + 1)]
-    v = [_norm_q(Fraction(1, 1) / lead)]
-    for j in range(1, m + 1):
-        s = 0
-        for i in range(1, j + 1):
-            if u[i]:
-                s += u[i] * v[j - i]
-        v.append(_norm_q(Fraction(-s, 1) / lead))
-    coeffs = {-d - j: c for j, c in enumerate(v) if c}
-    return LaurentSeries(coeffs, -d, cut)

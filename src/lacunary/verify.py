@@ -63,9 +63,6 @@ from .rings import (
     flags_to_mask,
     gf2_mul,
     reduce_mod2,
-    series_from_poly,
-    series_invert,
-    series_mul,
 )
 from .stern import (
     alpha,
@@ -147,29 +144,6 @@ def check_ring_axioms(level, rng):
         assert gf2_mul(a, b ^ c) == gf2_mul(a, b) ^ gf2_mul(a, c), "GF2 distributivity"
         assert gf2_mul(a, b) == gf2_mul(b, a), "GF2 commutativity"
     return f"{2 * trials} random triples per law, both rings"
-
-
-def check_series_invert_identity(level, rng):
-    trials = _n(level, 10, 30)
-    done = 0
-    for _ in range(trials):
-        p = _rand_poly(rng, max_deg=5, max_terms=4)
-        if p.degree < 0:
-            continue
-        a = series_from_poly(p, denom_power=rng.randint(0, 4))
-        inv = series_invert(a, depth=24)
-        prod = series_mul(a, inv)
-        lo = 0 if prod.exact else -prod.cutoff
-        for e in range(min(prod.top, 12), lo - 1, -1):
-            want = 1 if e == 0 else 0
-            assert prod.coeff(e) == want, f"a * inv(a) has {prod.coeff(e)} at X^{e}"
-        done += 1
-    # the lacunary series itself: polynomial part X, then -X^-1
-    F = build_F(LambdaSpec.mersenne(), EpsilonSpec.zero(), 64)
-    inv = series_invert(F)
-    assert inv.poly_part() == SparsePoly.x_power(1), "1/F polynomial part"
-    assert inv.coeff(-1) == -1, "1/F next coefficient"
-    return f"{done} random series plus the lacunary series"
 
 
 def check_reduce_mod2_homomorphism(level, rng):
@@ -836,7 +810,6 @@ def check_cli_coverage(level, rng):
 
 CHECKS = [
     ("core.ring-axioms", check_ring_axioms),
-    ("core.series-invert-identity", check_series_invert_identity),
     ("core.reduce-mod2-homomorphism", check_reduce_mod2_homomorphism),
     ("bits.lucas-support-count", check_lucas_support_count),
     ("bits.lucas-pascal-row", check_lucas_pascal_row),

@@ -680,6 +680,7 @@ class TestUsageAndDeterminism:
         (("qseries", "pell", "--trunc"), "--trunc"),
         (("automaton", "verify", "--upto"), "--upto"),
         (("automaton", "algrel", "--omega", "rat:1/3", "--deg", "1", "--trunc"), "--trunc"),
+        (("qseries", "anumber", "--terms"), "--terms"),
     ])
     @pytest.mark.parametrize("size", [(1 << 24) + 1, 99999999999])
     def test_kernel_size_cap_is_named(self, capsys, argv, option, size):
@@ -688,7 +689,7 @@ class TestUsageAndDeterminism:
         assert err == f"error: {option} must be at most 16777216 (2^24), got {size}\n"
 
     @pytest.mark.parametrize("command, options", [
-        ("qseries", ("--upto", "--trunc")),
+        ("qseries", ("--upto", "--trunc", "--terms")),
         ("automaton", ("--upto", "--trunc")),
     ])
     def test_kernel_size_cap_in_help(self, capsys, command, options):
@@ -697,6 +698,42 @@ class TestUsageAndDeterminism:
         help_text = " ".join(out.split())
         for option in options:
             assert re.search(rf"{option} \S+ [^-]*16777216 \(2\^24\)", help_text), option
+
+    # Only the rejection is run: the elimination could hold (deg + 1)(height
+    # + 1) columns of trunc bits, so a search past 2^33 bits is refused
+    # before the stream is formed.
+    @pytest.mark.parametrize("trunc, deg, height", [
+        (1 << 24, 1, (1 << 21) - 1),
+        (1 << 24, 7, 64),
+        (1 << 20, 4, 8191),
+        (2, 10 ** 12, 0),
+    ])
+    def test_relation_search_cap_is_named(self, capsys, monkeypatch, trunc, deg, height):
+        def boom(*args):
+            raise AssertionError("the search must not start")
+
+        monkeypatch.setattr(lacunary.qseries, "q_support_flags", boom)
+        monkeypatch.setattr(lacunary.cli, "find_algebraic_relation", boom)
+        rc, out, err = run(capsys, "automaton", "algrel", "--omega", "stream:thue-morse",
+                           "--trunc", str(trunc), "--deg", str(deg), "--height", str(height))
+        assert (rc, out) == (2, "")
+        assert err == ("error: (--deg + 1) * (--height + 1) * --trunc must be at most "
+                       f"8589934592 (2^33), got {(deg + 1) * (height + 1) * trunc}\n")
+
+    @pytest.mark.parametrize("extra", [(), ("--deg", "7", "--height", "63")])
+    def test_relation_search_at_cap_is_accepted(self, capsys, monkeypatch, extra):
+        def reached(w, upto):
+            raise ValueError(f"stream reached to {upto}")
+
+        monkeypatch.setattr(lacunary.qseries, "q_support_flags", reached)
+        rc, _, err = run(capsys, "automaton", "algrel", "--trunc", str(1 << 24), *extra)
+        assert (rc, err) == (2, f"error: stream reached to {(1 << 24) - 1}\n")
+
+    def test_relation_search_cap_in_help(self, capsys):
+        rc, out, _ = run(capsys, "automaton", "--help")
+        assert rc == 0
+        assert re.search(r"--height \S+ .*\(--deg \+ 1\) \* \(--height \+ 1\) \* --trunc "
+                         r"at most 8589934592 \(2\^33\)", " ".join(out.split()))
 
     # Only the rejection is run; at the cap itself build_F is reached.
     @pytest.mark.parametrize("size", [(1 << 20) + 1, 99999999999])

@@ -12,6 +12,7 @@ from lacunary.bits import EpsilonSpec, LambdaRangeError, LambdaSpec
 from lacunary.contfrac import (
     ContinuedFraction,
     Convergents,
+    LaurentSeries,
     _divmod,
     build_F,
     cf_expand,
@@ -20,15 +21,7 @@ from lacunary.contfrac import (
     fold_expand,
     phi_oracle,
 )
-from lacunary.rings import (
-    NEG_INF,
-    LaurentSeries,
-    SeriesPrecisionError,
-    SparsePoly,
-    reduce_mod2,
-    series_from_poly,
-    series_mul,
-)
+from lacunary.rings import NEG_INF, SeriesPrecisionError, SparsePoly, reduce_mod2
 
 MERS = LambdaSpec.mersenne()
 ZERO = EpsilonSpec.zero()
@@ -64,7 +57,7 @@ class TestBuildF:
             f.coeff(-17)
         g = build_F(MERS, ZERO, 64)
         assert g.coeff(-31) == 1
-        for e in range(f.top, -17, -1):
+        for e in range(-1, -17, -1):
             assert g.coeff(e) == f.coeff(e), e
 
 
@@ -132,12 +125,14 @@ def test_side_holds_only_the_last_two():
 
 
 def _assert_best_approx(f, conv, i):
-    """F * Q_i - P_i must vanish at all exponents >= -deg Q_i."""
+    """F * Q_i - P_i must vanish at every exponent >= -deg Q_i that the
+    window fixes (those >= deg Q_i - N): the polynomial X^N (F * Q_i - P_i)
+    has no term at or above N + max(-deg Q_i, deg Q_i - N)."""
+    n = f.cutoff
     q, p = conv.q[i], conv.p[i]
-    prod = series_mul(f, series_from_poly(q))
-    lo = -q.degree if prod.exact else max(-q.degree, -prod.cutoff)
-    for e in range(max(prod.top, p.degree), lo - 1, -1):
-        assert prod.coeff(e) == p.coeff(e), f"residual term at X^{e} for convergent {i}"
+    residual = SparsePoly.build((e + n, c) for e, c in f.coeffs.items()) * q - p.shift(n)
+    lo = n + max(-q.degree, q.degree - n)
+    assert residual.degree < lo, f"residual term at X^{residual.degree - n} for convergent {i}"
 
 
 class TestExpansion:
@@ -190,21 +185,18 @@ class TestExpansion:
         ).quotients[: cf.certified]
 
     def test_terminating_input(self):
-        # 1/X expands exactly as [0; X]
-        f = series_from_poly(SparsePoly.x_power(1))
-        from lacunary.rings import series_invert
-        cf = cf_expand(series_invert(f))
+        # X^-1 + X^-3 = (X^2 + 1) / X^3 expands to its end as [0; X, -X, -X]
+        cf = cf_expand(build_F(MERS, ZERO, 3), 10)
         assert cf.terminated
-        assert cf.precision is None
-        assert cf.quotients[1] == SparsePoly.x_power(1)
+        assert cf.precision == 3
+        x = SparsePoly.x_power(1)
+        assert cf.quotients == (SparsePoly.zero(), x, -x, -x)
 
     def test_integrality_enforcement(self):
-        # 2/X + 1/X^2 has a non-integral quotient; the lacunary flag trips
-        s = LaurentSeries(
-            coeffs={-1: 2, -2: 1}, top=-1, cutoff=None, expect_integral_cf=True
-        )
-        with pytest.raises(ArithmeticError):
-            cf_expand(s)
+        # 2/X + 1/X^2 has a non-integral certified quotient, which no window
+        # of +-1 at 2-lacunary exponents has; no flag asks for the check
+        with pytest.raises(ArithmeticError, match="non-integral"):
+            cf_expand(LaurentSeries({-1: 2, -2: 1}, cutoff=8))
 
     def test_fold_recovers_prefix(self):
         # the convergents of the certified quotient prefix are the prefix of
@@ -266,13 +258,8 @@ class TestFold:
         {1: 1, -3: 1},              # exponent above X^-1
     ])
     def test_rejects_non_lacunary_window(self, coeffs):
-        f = LaurentSeries(coeffs, top=max(coeffs), cutoff=16)
         with pytest.raises(ValueError, match="2-lacunary"):
-            fold_expand(f)
-
-    def test_rejects_exact_series(self):
-        with pytest.raises(ValueError, match="truncated window"):
-            fold_expand(LaurentSeries({-1: 1}, top=-1, cutoff=None))
+            fold_expand(LaurentSeries(coeffs, cutoff=16))
 
 
 class TestPhiOracle:

@@ -326,9 +326,9 @@ class TestANumber:
         assert a_number(EPS_10, w, 10, 25).value == total
 
     def test_decimal_rendering(self):
-        a = ANumber(value=Fraction(1, 3), tail_bound=Fraction(0), base=10, terms=0)
+        a = ANumber(value=Fraction(1, 3), base=10, terms=0)
         assert a.decimal(5) == "0.33333"
-        b = ANumber(value=Fraction(-1, 2), tail_bound=Fraction(0), base=10, terms=0)
+        b = ANumber(value=Fraction(-1, 2), base=10, terms=0)
         assert b.decimal(4) == "-0.5000"
 
     def test_guards(self):

@@ -1,4 +1,4 @@
-"""Polynomial and truncated-series arithmetic."""
+"""Polynomial arithmetic over Q and GF(2), and the series window guard."""
 
 import random
 from fractions import Fraction
@@ -8,21 +8,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 import lacunary
+from lacunary.contfrac import LaurentSeries
 from lacunary.rings import (
     NEG_INF,
-    LaurentSeries,
     NotReducibleError,
     SeriesPrecisionError,
     SparsePoly,
-    ZeroSeriesError,
     flags_to_mask,
     gf2_mul,
     poly_from_json,
     poly_to_json,
     reduce_mod2,
-    series_from_poly,
-    series_invert,
-    series_mul,
 )
 
 x = SparsePoly.x_power
@@ -188,30 +184,12 @@ class TestJson:
 
 
 class TestLaurentSeries:
-    def test_poly_part_and_str(self):
-        s = series_from_poly(poly_q((2, 1), (0, -1)))
-        assert s.exact
-        assert s.poly_part() == poly_q((2, 1), (0, -1))
-
     def test_window_guard(self):
-        s = LaurentSeries(coeffs={-1: 1}, top=-1, cutoff=8)
+        s = LaurentSeries({-1: 1}, cutoff=8)
         assert s.coeff(-1) == 1
         assert s.coeff(-8) == 0
         with pytest.raises(SeriesPrecisionError):
             s.coeff(-9)
-
-    def test_mul_inverse_window(self):
-        a = series_from_poly(poly_q((1, 1), (0, 1)))   # X + 1
-        inv = series_invert(a, depth=16)
-        prod = series_mul(a, inv)
-        assert prod.cutoff >= 8
-        for e in range(prod.top, -prod.cutoff - 1, -1):
-            assert prod.coeff(e) == (1 if e == 0 else 0)
-
-    def test_invert_rejects_zero(self):
-        z = series_from_poly(SparsePoly.zero())
-        with pytest.raises(ZeroSeriesError, match="zero series"):
-            series_invert(z)
 
 
 def test_package_exports_resolve():

@@ -23,7 +23,7 @@ class TestRegistry:
         assert names == {p.rstrip(".") for p in EXPECTED_PREFIXES}
 
     def test_registry_size(self):
-        assert len(verify.CHECKS) == 45
+        assert len(verify.CHECKS) == 44
 
 
 class TestRunChecks:
