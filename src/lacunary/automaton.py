@@ -26,13 +26,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import product, starmap
+from json.encoder import encode_basestring_ascii as _encode
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     import numpy as np
 
 from .bits import EpsilonSpec
-from .dyadic import Dyadic
+from .dyadic import Dyadic, fraction_format
 from .rings import flags_to_mask, gf2_mul
 
 __all__ = [
@@ -52,21 +54,28 @@ class OrbitError(ValueError, TypeError):
     """Usage error: shift-orbit enumeration needs a rational 2-adic integer."""
 
 
-def orbit(w: Dyadic):
-    """(preperiod list, cycle list) of the distinct shifts T^j w.
+def _numerator_orbit(w: Dyadic):
+    """(numerators, cut): the distinct shifts T^j w are numerators[j] over
+    w's denominator, in orbit order, and the cycle starts at index cut.
 
+    Walks the numerator map x -> (x - (x&1)*den) >> 1 on plain ints.
     Rational w guarantees termination: numerators over the fixed odd
     denominator stay bounded."""
     if w.classify() == "unknown":
         raise OrbitError("orbit requires rational 2-adic input")
+    den = w.den
     seen = {}
-    chain = []
-    cur = w
-    while cur not in seen:
-        seen[cur] = len(chain)
-        chain.append(cur)
-        cur = cur.shift()
-    cut = seen[cur]
+    x = w.num
+    while x not in seen:
+        seen[x] = len(seen)
+        x = (x - (x & 1) * den) >> 1
+    return list(seen), seen[x]
+
+
+def orbit(w: Dyadic):
+    """(preperiod list, cycle list) of the distinct shifts T^j w."""
+    nums, cut = _numerator_orbit(w)
+    chain = [Dyadic(num=x, den=w.den) for x in nums]
     return chain[:cut], chain[cut:]
 
 
@@ -125,8 +134,8 @@ class Dfao:
             '  __start [shape=none, label=""];',
             f"  __start -> s{self.initial};",
         ]
-        for i, s in enumerate(self.states):
-            lines.append(f'  s{i} [label="{_label_str(s)} / {self.out[i]}"];')
+        for i, s in enumerate(_label_texts(self.states)):
+            lines.append(f'  s{i} [label="{s} / {self.out[i]}"];')
         for i, (t0, t1) in enumerate(self.step):
             lines.append(f'  s{i} -> s{t0} [label="0"];')
             lines.append(f'  s{i} -> s{t1} [label="1"];')
@@ -134,22 +143,20 @@ class Dfao:
         return "\n".join(lines)
 
     def to_json(self) -> str:
-        obj = {
-            "input": "lsb-first",
-            "states": [
-                {"id": i, "label": _label_str(s), "output": self.out[i]}
-                for i, s in enumerate(self.states)
-            ],
-            "initial": self.initial,
-            "transitions": self.step,
-            "meta": self.meta,
-        }
-        return json.dumps(obj, sort_keys=True, indent=2)
+        """json.dumps(obj, sort_keys=True, indent=2) of {"input", "states",
+        "initial", "transitions", "meta"}, laid out one format string per
+        state and per transition; labels and strings go through json's C
+        string encoder."""
+        labels = map(_encode, _label_texts(self.states))
+        states = ",\n".join(map(_STATE, range(len(self.states)), labels, self.out))
+        transitions = ",\n".join(starmap(_PAIR, self.step))
+        return _DOCUMENT(self.initial, _layout(self.meta, 1), states, transitions)
 
     @classmethod
     def from_json(cls, text: str) -> "Dfao":
         """Inverse of to_json.  Ids must be 0..n-1 in order and every
-        transition and the initial state must name one of them."""
+        transition and the initial state must name one of them; labels are
+        strings, outputs ints in {-1, 0, 1} and meta an object."""
         obj = json.loads(text)
         if obj.get("input") != "lsb-first":
             raise ValueError("unknown input convention")
@@ -157,32 +164,71 @@ class Dfao:
         n = len(states)
         if [st["id"] for st in states] != list(range(n)):
             raise ValueError(f"state ids must be 0..{n - 1} in order")
+        labels = tuple(st["label"] for st in states)
+        if not all(type(x) is str for x in labels):
+            raise ValueError("state labels must be strings")
+        out = tuple(st["output"] for st in states)
+        if not all(type(x) is int and -1 <= x <= 1 for x in out):
+            raise ValueError("state outputs must be -1, 0 or 1")
         trans = obj["transitions"]
         if len(trans) != n or not all(isinstance(t, list) and len(t) == 2
                                       and all(_is_index(x, n) for x in t) for t in trans):
             raise ValueError(f"transitions must be {n} pairs of state ids")
         if not _is_index(obj["initial"], n):
             raise ValueError(f"initial state {obj['initial']!r} is not a state id")
-        return cls(
-            states=tuple(st["label"] for st in states),
-            step=tuple(map(tuple, trans)),
-            out=tuple(st["output"] for st in states),
-            initial=obj["initial"],
-            meta=obj.get("meta", {}),
-        )
+        meta = obj.get("meta", {})
+        if type(meta) is not dict:
+            raise ValueError("meta must be an object")
+        return cls(states=labels, step=tuple(map(tuple, trans)), out=out,
+                   initial=obj["initial"], meta=meta)
 
 
 def _is_index(x, n: int) -> bool:
     return type(x) is int and 0 <= x < n
 
 
-def _label_str(s) -> str:
-    if isinstance(s, str):
-        return s
-    return "(" + ", ".join(str(p) for p in s) + ")"
+def _label_texts(states) -> list:
+    """The text of each label: a str as it is, a tuple as "(a, b, ...)" of
+    str() of its components, through one %-template per tuple length."""
+    forms = {n: "(" + ", ".join(["%s"] * n) + ")"
+             for n in {len(s) for s in states if not isinstance(s, str)}}
+    return [s if isinstance(s, str) else forms[len(s)] % s for s in states]
+
+
+# to_json's layout: json.dumps(..., sort_keys=True, indent=2), with the
+# states and transitions formed one entry at a time
+_DOCUMENT = ('{{\n  "initial": {},\n  "input": "lsb-first",\n  "meta": {},\n'
+             '  "states": [\n{}\n  ],\n  "transitions": [\n{}\n  ]\n}}').format
+_STATE = '    {{\n      "id": {},\n      "label": {},\n      "output": {}\n    }}'.format
+_PAIR = "    [\n      {},\n      {}\n    ]".format
+
+
+def _layout(obj, level: int) -> str:
+    """json.dumps(obj, sort_keys=True, indent=2) of a JSON value (str keys)
+    nested level deep.  A list of str is encoded entry by entry in C; any
+    other value but a dict or list goes to json.dumps alone."""
+    if isinstance(obj, str):
+        return _encode(obj)
+    if isinstance(obj, dict):
+        entries = [f"{_encode(k)}: {_layout(obj[k], level + 1)}" for k in sorted(obj)]
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple)):
+        if set(map(type, obj)) == {str}:
+            entries = map(_encode, obj)
+        else:
+            entries = [_layout(x, level + 1) for x in obj]
+        brackets = "[]"
+    else:
+        return json.dumps(obj)
+    inner = "\n" + "  " * (level + 1)
+    body = ("," + inner).join(entries)
+    if not body:
+        return brackets
+    return f"{brackets[0]}{inner}{body}\n{'  ' * level}{brackets[1]}"
 
 
 DEAD = "dead"
+_FAMILIES = "fgh"
 
 # (family, parity) x digit -> family; None is the dead state
 _KERNEL_STEP = {
@@ -198,58 +244,65 @@ _KERNEL_STEP = {
 def build_dfao(w: Dyadic, tag: str = "f") -> Dfao:
     """Automaton computing k -> kernel_value(w, k, tag), built by closing
     the (family, orbit position) state set under the transition table.
-    Only states reachable from the initial one are kept."""
-    if tag not in ("f", "g", "h"):
+    Only states reachable from the initial one are kept.
+
+    The closure runs on integer codes: (family, j) is fam * n + j, with
+    fam the family's index in "fgh" and n the orbit length, and the dead
+    state is 3n.  Labels and outputs are decoded once it is done."""
+    if tag not in _FAMILIES:
         raise ValueError(f"unknown tag {tag!r}")
-    pre, cyc = orbit(w)
-    elems = pre + cyc
-    parities = [e.parity() for e in elems]
-    last, loop = len(elems) - 1, len(pre)
+    nums, loop = _numerator_orbit(w)
+    n = len(nums)
+    parities = [x & 1 for x in nums]
+    after = list(range(1, n))           # orbit position after j
+    after.append(loop)
+    dead = 3 * n
+    # (fam index, parity) -> code offset of the family entered on 0 and on 1,
+    # None for the dead state
+    moves = [[tuple(None if f2 is None else _FAMILIES.index(f2) * n
+                    for f2 in _KERNEL_STEP[fam, p]) for p in (0, 1)]
+             for fam in _FAMILIES]
 
-    def step(state, b):
-        if state == DEAD:
-            return DEAD
-        fam, j = state
-        fam2 = _KERNEL_STEP[(fam, parities[j])][b]
-        return DEAD if fam2 is None else (fam2, j + 1 if j < last else loop)
+    def step(s):
+        if s == dead:
+            return (dead, dead)
+        fam, j = divmod(s, n)
+        a, b = moves[fam][parities[j]]
+        j = after[j]
+        return (dead if a is None else a + j, dead if b is None else b + j)
 
-    def output(state):
-        if state == DEAD:
-            return 0
-        fam, j = state
-        if fam == "f":
-            return 1 - parities[j]
-        if fam == "g":
-            return 1
-        return parities[j]
-
-    states, table = _close((tag, 0), step)
+    codes, table = _close(_FAMILIES.index(tag) * n, step)
+    # output by code: f-states 1 - p, g-states 1, h-states p, dead 0
+    outputs = [1 - p for p in parities] + [1] * n + parities + [0]
+    labels = tuple(DEAD if s == dead else (_FAMILIES[s // n], s % n) for s in codes)
     meta = {
         "omega": w.describe(),
         "tag": tag,
-        "orbit": [e.describe() for e in elems],
-        "orbit_preperiod": len(pre),
+        "orbit": list(map(fraction_format(w.den), nums)),
+        "orbit_preperiod": loop,
     }
-    return Dfao(tuple(states), table, tuple(map(output, states)), 0, meta)
+    return Dfao(labels, table, tuple(map(outputs.__getitem__, codes)), 0, meta)
 
 
 def _close(root, step):
-    """Closure of root under step(state, bit), numbering each state when it
-    is first discovered: the order in which a FIFO search visits them, root
-    at index 0.  Returns (states, index table of (next on 0, next on 1))."""
+    """Closure of root under step(state) = (next on 0, next on 1), numbering
+    each state when it is first discovered: the order in which a FIFO search
+    visits them, root at index 0.  Returns (states, index table of (next on
+    0, next on 1))."""
     states = [root]
     index = {root: 0}
     table = []
-    for s in states:
-        row = []
-        for b in (0, 1):
-            t = step(s, b)
-            i = index.get(t)
-            if i is None:
-                i = index[t] = len(states)
-                states.append(t)
-            row.append(i)
-        table.append(tuple(row))
+    # map sees the states appended while it runs
+    for t0, t1 in map(step, states):
+        i0 = index.get(t0)
+        if i0 is None:
+            i0 = index[t0] = len(states)
+            states.append(t0)
+        i1 = index.get(t1)
+        if i1 is None:
+            i1 = index[t1] = len(states)
+            states.append(t1)
+        table.append((i0, i1))
     return states, tuple(table)
 
 
@@ -262,7 +315,12 @@ def signed_dfao(w: Dyadic, eps: EpsilonSpec) -> Dfao:
     (previous digit plus running parity, counting a block when the current
     digit is 1 and the previous was 0); and the position automaton for the
     digitwise sign differences of eps, which accumulates d_q = eps_q -
-    eps_{q-1} mod 2 at every 1 digit of k."""
+    eps_{q-1} mod 2 at every 1 digit of k.
+
+    The last two run together as one tracker whose states (prev digit, nu,
+    mb, class) are numbered in a table, and the closure runs on packed
+    product states k * T + r: kernel state index k, tracker state index r,
+    T tracker states."""
     ker = build_dfao(w, "f")
     p_len, r_len = len(eps.pre), len(eps.period)
     n_cls = p_len + 1 + r_len
@@ -278,28 +336,36 @@ def signed_dfao(w: Dyadic, eps: EpsilonSpec) -> Dfao:
         r = c - p_len - 1
         return (eps.period[(r + 1) % r_len] ^ eps.period[r]) & 1
 
-    # a product state is (kernel state index, prev digit, nu, mb, class)
-    def step(state, b):
-        k, prev, nu, mb, c = state
+    def track(state, b):
+        prev, nu, mb, c = state
         nu2 = nu ^ (1 if (b == 1 and prev == 0) else 0)
         mb2 = mb ^ (cls_diff(c) if b else 0)
-        return (ker.step[k][b], b, nu2, mb2, cls_next(c))
+        return (b, nu2, mb2, cls_next(c))
 
-    def output(state):
-        k, prev, nu, mb, c = state
-        if ker.out[k] == 0:
-            return 0
-        return -1 if (nu ^ mb) & 1 else 1
+    tracks = list(product((None, 0, 1), (0, 1), (0, 1), range(n_cls)))
+    t_len = len(tracks)
+    t_index = {t: r for r, t in enumerate(tracks)}
+    t_step = [(t_index[track(t, 0)], t_index[track(t, 1)]) for t in tracks]
+    k_step = [(k0 * t_len, k1 * t_len) for k0, k1 in ker.step]
 
-    states, table = _close((ker.initial, None, 0, 0, 0), step)
+    def step(s):
+        k, r = divmod(s, t_len)
+        k0, k1 = k_step[k]
+        r0, r1 = t_step[r]
+        return (k0 + r0, k1 + r1)
+
+    codes, table = _close(ker.initial * t_len + t_index[None, 0, 0, 0], step)
+    signs = [-1 if nu ^ mb else 1 for _, nu, mb, _ in tracks]
+    pairs = [divmod(s, t_len) for s in codes]
+    labels = tuple((ker.states[k], *tracks[r]) for k, r in pairs)
+    out = tuple(ker.out[k] * signs[r] for k, r in pairs)
     meta = {
         "omega": w.describe(),
         "tag": "signed-f",
         "eps": eps.describe(),
         "orbit": ker.meta["orbit"],
     }
-    labels = tuple((ker.states[s[0]],) + s[1:] for s in states)
-    return Dfao(labels, table, tuple(map(output, states)), 0, meta)
+    return Dfao(labels, table, out, 0, meta)
 
 
 def minimize(d: Dfao) -> Dfao:
@@ -316,12 +382,13 @@ def minimize(d: Dfao) -> Dfao:
             break
         count = len(renum)
     labels = tuple(f"m{b}" for b in range(count))
+    texts = _label_texts(d.states)
     members = [[] for _ in labels]
     step = [None] * count
     out = [None] * count
     for i, (t0, t1) in enumerate(d.step):
         b = block[i]
-        members[b].append(_label_str(d.states[i]))
+        members[b].append(texts[i])
         step[b] = (block[t0], block[t1])
         out[b] = d.out[i]
     meta = dict(d.meta)

@@ -419,8 +419,9 @@ def _cmd_automaton(args) -> int:
         print(d.to_json())
     else:
         print(f"states: {len(d)}, initial: {d.initial}")
-        for i, (t0, t1) in enumerate(d.step):
-            print(f"  {i}: out {d.out[i]:+d}, 0 -> {t0}, 1 -> {t1}")
+        _write_joined("\n", map("  {}: out {:+d}, 0 -> {}, 1 -> {}".format,
+                                range(len(d)), d.out, *zip(*d.step)))
+        sys.stdout.write("\n")
     return 0
 
 

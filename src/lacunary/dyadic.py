@@ -199,8 +199,14 @@ class Dyadic:
 
     def describe(self) -> str:
         if self.rule is None:
-            return str(self.num) if self.den == 1 else f"{self.num}/{self.den}"
+            return fraction_format(self.den)(self.num)
         return f"stream:{self.name}"
+
+
+def fraction_format(den: int):
+    """num -> the text of num/den as Dyadic.describe gives it: the numerator
+    alone for an integer (den 1), "num/den" otherwise."""
+    return str if den == 1 else f"{{}}/{den}".format
 
 
 def _digit_cycle(a: int, b: int) -> tuple:

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from lacunary import automaton, cli, dyadic
 from lacunary.automaton import (
@@ -75,6 +75,60 @@ class TestOrbit:
             assert w.digit(j) == (w.digits_window(j + 1) >> j) & 1
             expect = w.pre[j] if j < len(w.pre) else w.per[(j - len(w.pre)) % len(w.per)]
             assert w.digit(j) == expect, j
+
+
+# Integers, and rationals with a preperiod (1/3, 5/3, -5/3, -11/5) and
+# without one (-1/3, -3/7): a positive non-integer always has a preperiod.
+ORBIT_OMEGAS = ["int:0", "int:-1", "int:6", "int:-7", "rat:1/3", "rat:5/3",
+                "rat:-5/3", "rat:-11/5", "rat:-1/3", "rat:-3/7"]
+
+
+class TestIntegerOrbit:
+    """build_dfao walks the orbit on numerators; its meta and labels must
+    agree with the Dyadic orbit()."""
+
+    @pytest.mark.parametrize("text", ORBIT_OMEGAS)
+    def test_meta_matches_orbit(self, text):
+        w = parse_omega(text)
+        pre, cyc = orbit(w)
+        for tag in ("f", "g", "h"):
+            d = build_dfao(w, tag)
+            assert d.meta["orbit"] == [e.describe() for e in pre + cyc]
+            assert d.meta["orbit_preperiod"] == len(pre)
+
+    def test_preperiods_covered(self):
+        lengths = {text: len(orbit(parse_omega(text))[0]) for text in ORBIT_OMEGAS}
+        assert lengths["rat:-5/3"] > 0 and lengths["rat:5/3"] > 0
+        assert lengths["rat:-1/3"] == lengths["rat:-3/7"] == lengths["int:-1"] == 0
+
+    @pytest.mark.parametrize("text", ORBIT_OMEGAS)
+    @pytest.mark.parametrize("tag", ["f", "g", "h"])
+    def test_labels_follow_orbit(self, text, tag):
+        # every state (family, j) sits at orbit element j, steps to element
+        # j + 1 (or back to the cycle start) by the kernel table and outputs
+        # that element's kernel value at 0
+        pre, cyc = orbit(parse_omega(text))
+        elems = pre + cyc
+        d = build_dfao(parse_omega(text), tag)
+        assert d.states[d.initial] == (tag, 0)
+        for i, label in enumerate(d.states):
+            if label == DEAD:
+                assert d.step[i] == (i, i) and d.out[i] == 0
+                continue
+            fam, j = label
+            p = elems[j].parity()
+            assert d.out[i] == {"f": 1 - p, "g": 1, "h": p}[fam]
+            nxt = j + 1 if j + 1 < len(elems) else len(pre)
+            for b in (0, 1):
+                fam2 = automaton._KERNEL_STEP[fam, p][b]
+                assert d.states[d.step[i][b]] == (DEAD if fam2 is None else (fam2, nxt))
+
+    def test_stream_rejected_with_same_text(self):
+        w = parse_omega("stream:paperfolding")
+        for call in (lambda: orbit(w), lambda: build_dfao(w, "g"),
+                     lambda: signed_dfao(w, EPS_10)):
+            with pytest.raises(OrbitError, match=r"^orbit requires rational 2-adic input$"):
+                call()
 
 
 class TestNoDigitCycleOnHotPaths:
@@ -219,6 +273,22 @@ class TestSerialization:
         text = make().to_json()
         assert Dfao.from_json(text).to_json() == text
 
+    @pytest.mark.parametrize("field, value", [
+        ("output", "1"),
+        ("output", True),
+        ("output", 2),
+        ("label", ["f", 0]),
+        ("meta", ["orbit"]),
+    ], ids=["output-str", "output-bool", "output-2", "label-list", "meta-list"])
+    def test_from_json_rejects_bad_field(self, field, value):
+        obj = json.loads(build_dfao(THIRD, "f").to_json())
+        if field == "meta":
+            obj["meta"] = value
+        else:
+            obj["states"][1][field] = value
+        with pytest.raises(ValueError, match=field):
+            Dfao.from_json(json.dumps(obj))
+
     def test_from_json_rejects_unordered_ids(self):
         obj = json.loads(build_dfao(THIRD, "f").to_json())
         obj["states"][0]["id"], obj["states"][1]["id"] = 1, 0
@@ -327,3 +397,74 @@ class TestRelation:
     def test_truncation_beyond_prefix(self):
         with pytest.raises(ValueError):
             find_algebraic_relation(self._stream(100), 1, 1, 512)
+
+
+def _reference_json(d: Dfao) -> str:
+    """The encoder to_json replaced, kept as the oracle: json.dumps of the
+    whole document, labels as "(a, b, ...)" of str() of their components."""
+    def text(s):
+        return s if isinstance(s, str) else "(" + ", ".join(str(p) for p in s) + ")"
+
+    return json.dumps({
+        "input": "lsb-first",
+        "states": [{"id": i, "label": text(s), "output": d.out[i]}
+                   for i, s in enumerate(d.states)],
+        "initial": d.initial,
+        "transitions": d.step,
+        "meta": d.meta,
+    }, sort_keys=True, indent=2)
+
+
+# quotes, backslashes, non-ASCII (a surrogate pair included) and control
+# characters
+_TEXT = st.text(st.sampled_from('ab"\\\x00\x1f\n\t\x7f\u00e9\u2028\U0001d11e'), max_size=6)
+_LEAF = st.one_of(st.integers(-3, 300), _TEXT, st.none(), st.booleans())
+_LABEL = st.one_of(
+    _TEXT,
+    st.just(DEAD),
+    st.recursive(_LEAF, lambda inner: st.lists(inner, max_size=3).map(tuple),
+                 max_leaves=6).filter(lambda x: isinstance(x, tuple)),
+)
+_META = st.dictionaries(_TEXT, st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _TEXT),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=8), max_size=4)
+
+
+@st.composite
+def _dfaos(draw, labels=_LABEL):
+    n = draw(st.integers(1, 5))
+    index = st.integers(0, n - 1)
+    return Dfao(
+        states=tuple(draw(st.lists(labels, min_size=n, max_size=n))),
+        step=tuple(draw(st.lists(st.tuples(index, index), min_size=n, max_size=n))),
+        out=tuple(draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=n, max_size=n))),
+        initial=draw(index),
+        meta=draw(_META),
+    )
+
+
+_W7, _W131, _W6 = parse_omega("rat:1/7"), parse_omega("rat:-1/131"), parse_omega("int:6")
+
+
+class TestJsonOracle:
+    @given(_dfaos())
+    @example(build_dfao(_W7, "f"))
+    @example(build_dfao(_W131, "g"))
+    @example(build_dfao(_W6, "h"))
+    @example(signed_dfao(_W7, EpsilonSpec((1,), (0, 1))))
+    @example(signed_dfao(_W131, EPS_10))
+    @example(signed_dfao(_W6, EpsilonSpec.zero()))
+    @example(minimize(build_dfao(_W7, "g")))
+    @example(minimize(signed_dfao(_W131, EpsilonSpec((), (1, 1, 0)))))
+    @example(minimize(build_dfao(_W6, "f")))
+    @example(Dfao(("only",), ((0, 0),), (1,), 0))
+    def test_to_json_matches_json_dumps(self, d):
+        text = d.to_json()
+        assert isinstance(text, str)
+        assert text == _reference_json(d)
+
+    @given(_dfaos(labels=_TEXT | st.just(DEAD)))
+    def test_from_json_output_is_laid_out_as_json_dumps(self, d):
+        back = Dfao.from_json(_reference_json(d))
+        assert back.to_json() == _reference_json(back) == _reference_json(d)
