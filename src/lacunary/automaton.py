@@ -27,14 +27,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import product, starmap
-from json.encoder import encode_basestring_ascii as _encode
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     import numpy as np
 
 from .bits import EpsilonSpec
-from .dyadic import Dyadic, fraction_format
+from .dyadic import Dyadic, fraction_format, numerator_orbit
+from .jsontext import SLOT, encode, layout, separator, template
 from .rings import flags_to_mask, gf2_mul
 
 __all__ = [
@@ -55,21 +55,10 @@ class OrbitError(ValueError, TypeError):
 
 
 def _numerator_orbit(w: Dyadic):
-    """(numerators, cut): the distinct shifts T^j w are numerators[j] over
-    w's denominator, in orbit order, and the cycle starts at index cut.
-
-    Walks the numerator map x -> (x - (x&1)*den) >> 1 on plain ints.
-    Rational w guarantees termination: numerators over the fixed odd
-    denominator stay bounded."""
+    """numerator_orbit of w, which must be rational."""
     if w.classify() == "unknown":
         raise OrbitError("orbit requires rational 2-adic input")
-    den = w.den
-    seen = {}
-    x = w.num
-    while x not in seen:
-        seen[x] = len(seen)
-        x = (x - (x & 1) * den) >> 1
-    return list(seen), seen[x]
+    return numerator_orbit(w.num, w.den)
 
 
 def orbit(w: Dyadic):
@@ -135,6 +124,7 @@ class Dfao:
             f"  __start -> s{self.initial};",
         ]
         for i, s in enumerate(_label_texts(self.states)):
+            s = s.replace("\\", "\\\\").replace('"', '\\"')
             lines.append(f'  s{i} [label="{s} / {self.out[i]}"];')
         for i, (t0, t1) in enumerate(self.step):
             lines.append(f'  s{i} -> s{t0} [label="0"];')
@@ -144,38 +134,42 @@ class Dfao:
 
     def to_json(self) -> str:
         """json.dumps(obj, sort_keys=True, indent=2) of {"input", "states",
-        "initial", "transitions", "meta"}, laid out one format string per
-        state and per transition; labels and strings go through json's C
-        string encoder."""
-        labels = map(_encode, _label_texts(self.states))
-        states = ",\n".join(map(_STATE, range(len(self.states)), labels, self.out))
-        transitions = ",\n".join(starmap(_PAIR, self.step))
-        return _DOCUMENT(self.initial, _layout(self.meta, 1), states, transitions)
+        "initial", "transitions", "meta"}, laid out one format call per state
+        and per transition; labels go through json's C string encoder."""
+        labels = map(encode, _label_texts(self.states))
+        states = separator(1).join(map(_STATE, range(len(self.states)), labels, self.out))
+        transitions = separator(1).join(starmap(_PAIR, self.step))
+        return _DOCUMENT(self.initial, layout(self.meta, 1), states, transitions)
 
     @classmethod
     def from_json(cls, text: str) -> "Dfao":
-        """Inverse of to_json.  Ids must be 0..n-1 in order and every
-        transition and the initial state must name one of them; labels are
-        strings, outputs ints in {-1, 0, 1} and meta an object."""
+        """Inverse of to_json; ValueError names the field unless ids are 0..n-1
+        in order, every transition and the initial state name one of them,
+        labels are strings, outputs ints in {-1, 0, 1} and meta an object."""
         obj = json.loads(text)
+        if type(obj) is not dict:
+            raise ValueError("the document must be an object")
         if obj.get("input") != "lsb-first":
             raise ValueError("unknown input convention")
-        states = obj["states"]
+        states = obj.get("states")
+        if type(states) is not list or not all(type(st) is dict for st in states):
+            raise ValueError("states must be a list of objects")
         n = len(states)
-        if [st["id"] for st in states] != list(range(n)):
+        ids = [st.get("id") for st in states]
+        if ids != list(range(n)) or not all(type(i) is int for i in ids):
             raise ValueError(f"state ids must be 0..{n - 1} in order")
-        labels = tuple(st["label"] for st in states)
+        labels = tuple(st.get("label") for st in states)
         if not all(type(x) is str for x in labels):
             raise ValueError("state labels must be strings")
-        out = tuple(st["output"] for st in states)
+        out = tuple(st.get("output") for st in states)
         if not all(type(x) is int and -1 <= x <= 1 for x in out):
             raise ValueError("state outputs must be -1, 0 or 1")
-        trans = obj["transitions"]
-        if len(trans) != n or not all(isinstance(t, list) and len(t) == 2
-                                      and all(_is_index(x, n) for x in t) for t in trans):
+        trans = obj.get("transitions")
+        if type(trans) is not list or len(trans) != n or not all(
+                isinstance(t, list) and len(t) == 2 and all(_is_index(x, n) for x in t) for t in trans):
             raise ValueError(f"transitions must be {n} pairs of state ids")
-        if not _is_index(obj["initial"], n):
-            raise ValueError(f"initial state {obj['initial']!r} is not a state id")
+        if not _is_index(obj.get("initial"), n):
+            raise ValueError(f"initial state {obj.get('initial')!r} is not a state id")
         meta = obj.get("meta", {})
         if type(meta) is not dict:
             raise ValueError("meta must be an object")
@@ -195,36 +189,11 @@ def _label_texts(states) -> list:
     return [s if isinstance(s, str) else forms[len(s)] % s for s in states]
 
 
-# to_json's layout: json.dumps(..., sort_keys=True, indent=2), with the
-# states and transitions formed one entry at a time
-_DOCUMENT = ('{{\n  "initial": {},\n  "input": "lsb-first",\n  "meta": {},\n'
-             '  "states": [\n{}\n  ],\n  "transitions": [\n{}\n  ]\n}}').format
-_STATE = '    {{\n      "id": {},\n      "label": {},\n      "output": {}\n    }}'.format
-_PAIR = "    [\n      {},\n      {}\n    ]".format
-
-
-def _layout(obj, level: int) -> str:
-    """json.dumps(obj, sort_keys=True, indent=2) of a JSON value (str keys)
-    nested level deep.  A list of str is encoded entry by entry in C; any
-    other value but a dict or list goes to json.dumps alone."""
-    if isinstance(obj, str):
-        return _encode(obj)
-    if isinstance(obj, dict):
-        entries = [f"{_encode(k)}: {_layout(obj[k], level + 1)}" for k in sorted(obj)]
-        brackets = "{}"
-    elif isinstance(obj, (list, tuple)):
-        if set(map(type, obj)) == {str}:
-            entries = map(_encode, obj)
-        else:
-            entries = [_layout(x, level + 1) for x in obj]
-        brackets = "[]"
-    else:
-        return json.dumps(obj)
-    inner = "\n" + "  " * (level + 1)
-    body = ("," + inner).join(entries)
-    if not body:
-        return brackets
-    return f"{brackets[0]}{inner}{body}\n{'  ' * level}{brackets[1]}"
+# to_json's document, one state and one transition pair
+_DOCUMENT = template({"initial": SLOT, "input": "lsb-first", "meta": SLOT,
+                      "states": [SLOT], "transitions": [SLOT]})
+_STATE = template({"id": SLOT, "label": SLOT, "output": SLOT}, 2)
+_PAIR = template([SLOT, SLOT], 2)
 
 
 DEAD = "dead"

@@ -4,19 +4,20 @@ Subcommands: cf, qseries, stern, automaton, verify, oeis-check.  Exit
 codes: 0 success, 1 a verification failed, 2 usage error.  JSON output is
 deterministic: keys sorted, no timestamps, coefficients rendered as
 decimal strings; the one timing is the per-check seconds of verify --json.
+jsontext lays out every document, the long ones a piece at a time.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import partial
-from itertools import chain, islice, starmap
+from itertools import chain, islice, repeat, starmap
 
 from .bits import parse_epsilon_spec, parse_lambda_spec
 from .contfrac import build_F, convergent_side, fold_expand
 from .dyadic import kernel_range, parse_omega
+from .jsontext import SLOT, TEXT, document, layout, separator, template
 from .oeis import PROFILES, check_oeis
 from .qseries import a_number, pell_check_mod2, q_omega_window
 from .stern import carlitz_window, doubling_window
@@ -50,10 +51,6 @@ _CARLITZ_CAP = 1 << 16
 _USAGE_ERRORS = (ValueError, KeyError, OSError)
 
 
-def _dump(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2)
-
-
 #: Strings per write of a streamed table: one chunk of its text is held at
 #: a time, never the whole document.
 _CHUNK = 1 << 12
@@ -78,57 +75,33 @@ def _write_joined(sep: str, strs, per_write=None) -> None:
         first = False
 
 
-def _write_dump(scalars: dict, lists: dict, per_write=None) -> None:
-    """print(_dump({**scalars, **lists})) written as it is formed: lists[key]
-    yields the entries of the list at key as _dump lays them out, and
-    _write_joined writes them per_write at a time."""
-    write = sys.stdout.write
-    write("{")
-    for i, name in enumerate(sorted({**scalars, **lists})):
-        write(f'{"," if i else ""}\n  {json.dumps(name)}: ')
-        if name in scalars:
-            write(json.dumps(scalars[name]))
-            continue
-        items = iter(lists[name])
-        first = next(items, None)
-        if first is None:
-            write("[]")
-        else:
-            write("[\n")
-            _write_joined(",\n", chain((first,), items), per_write)
-            write("\n  ]")
-    write("\n}\n")
-
-
-_TERM = '        [\n          {},\n          "{}"\n        ]'.format
+# poly_to_json(p) as a top-level list's entry, a term of it, a qseries window term
+_POLY = template({"ring": "Q", "terms": [SLOT]}, 2)
+_ZERO_POLY = layout({"ring": "Q", "terms": []}, 2)
+_TERM = template([SLOT, TEXT], 4)
+_QTERM = template([SLOT, TEXT], 2)
 
 
 def _poly_items(polys):
-    """_dump's layout of poly_to_json(p) as an entry of a top-level list,
-    for each p as it is drawn from polys."""
+    """layout(poly_to_json(p), 2) for each p as it is drawn from polys."""
     for p in polys:
-        if p.terms:
-            terms = ",\n".join(starmap(_TERM, p.terms))
-            yield f'    {{\n      "ring": "Q",\n      "terms": [\n{terms}\n      ]\n    }}'
-        else:
-            yield '    {\n      "ring": "Q",\n      "terms": []\n    }'
+        yield _POLY(separator(3).join(starmap(_TERM, p.terms))) if p.terms else _ZERO_POLY
 
 
 def _write_cf_json(cf) -> None:
-    """print(_dump(...)) of the cf --json payload, written as it is formed:
+    """print(layout(...)) of the cf --json payload, written as it is formed:
     P is one pass of its recurrence and Q a second, and each polynomial
     goes out as it is formed, so neither side is ever held."""
     n, certified = len(cf.quotients), cf.certified
-    _write_dump(
+    _write_joined("", document(
         {"certified_count": certified, "precision": cf.precision, "terminated": cf.terminated},
         {
             "a": _poly_items(cf.quotients),
-            "certified": ("    true" if i < certified else "    false" for i in range(n)),
+            "certified": chain(repeat(layout(True), certified), repeat(layout(False), n - certified)),
             "p": _poly_items(convergent_side(cf.quotients, "p")),
             "q": _poly_items(convergent_side(cf.quotients, "q")),
         },
-        _POLY_CHUNK,
-    )
+    ), _POLY_CHUNK)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -263,7 +236,7 @@ def _cmd_qseries(args) -> int:
     if args.action == "pell":
         ok = pell_check_mod2(w, args.trunc)
         if _as_json(args):
-            print(_dump({"omega": w.describe(), "trunc": args.trunc, "holds": ok}))
+            print(layout({"omega": w.describe(), "trunc": args.trunc, "holds": ok}))
         else:
             verdict = "holds" if ok else "FAILS"
             print(f"Q^2 - Q(+1)Q(-1) = 1 mod 2 {verdict} to X^{args.trunc} for omega = {w.describe()}")
@@ -271,7 +244,7 @@ def _cmd_qseries(args) -> int:
     if args.action == "anumber":
         val = a_number(eps, w, args.g, args.terms)
         if _as_json(args):
-            print(_dump({
+            print(layout({
                 "base": args.g,
                 "decimal": val.decimal(args.digits),
                 "den": str(val.value.denominator),
@@ -285,8 +258,8 @@ def _cmd_qseries(args) -> int:
     if args.mod2:
         terms = [(e, abs(c)) for e, c in terms]
     if _as_json(args):
-        _write_dump({"mod2": args.mod2, "omega": w.describe(), "upto": args.upto},
-                    {"terms": starmap('    [\n      {},\n      "{}"\n    ]'.format, terms)})
+        _write_joined("", document({"mod2": args.mod2, "omega": w.describe(), "upto": args.upto},
+                                   {"terms": starmap(_QTERM, terms)}))
     else:
         sys.stdout.write("{")
         _write_joined(", ", starmap("{}: {}".format, terms))
@@ -328,8 +301,8 @@ def _cmd_stern(args) -> int:
         _check_at_most("--to", args.to, _CARLITZ_CAP)
     values = fn(args.start, args.to)
     if _as_json(args):
-        _write_dump({"from": args.start, "sequence": args.which, "to": args.to},
-                    {"values": map("    {}".format, values)})
+        _write_joined("", document({"from": args.start, "sequence": args.which, "to": args.to},
+                                   {"values": map(str, values)}))
     elif args.csv:
         sys.stdout.write(f"n,{args.which}\n")
         _write_joined("\n", map("{},{}".format, range(args.start, args.to + 1), values))
@@ -375,12 +348,12 @@ def _cmd_automaton(args) -> int:
             msg = (f"no relation of degree <= {args.deg}, height <= {args.height} "
                    f"modulo X^{args.trunc}")
             if _as_json(args):
-                print(_dump({"found": False, "message": msg}))
+                print(layout({"found": False, "message": msg}))
             else:
                 print(msg)
             return 1
         if _as_json(args):
-            print(_dump({
+            print(layout({
                 "coefficients": [format(c, "x") for c in rel.coeffs],
                 "degree_used": rel.degree_used(),
                 "found": True,
@@ -453,7 +426,7 @@ def _run_oeis(seq_id, bfile, limit, as_json) -> int:
             text = fh.read()
     report = check_oeis(seq_id, bfile_text=text, limit=limit)
     if as_json:
-        print(_dump({
+        print(layout({
             "compared": report.compared,
             "id": report.seq_id,
             "ok": report.ok,

@@ -117,7 +117,9 @@ class Dyadic:
     def _cycle(self) -> tuple:
         if self.classify() != "rational-non-integer":
             return ((), ())
-        return _digit_cycle(self.num, self.den)
+        nums, cut = numerator_orbit(self.num, self.den)
+        digits = tuple(x & 1 for x in nums)
+        return digits[:cut], digits[cut:]
 
     @property
     def pre(self) -> tuple:
@@ -209,20 +211,16 @@ def fraction_format(den: int):
     return str if den == 1 else f"{{}}/{den}".format
 
 
-def _digit_cycle(a: int, b: int) -> tuple:
-    """(preperiod, period) digit tuples of a/b for odd b > 1: the orbit of
-    the numerator map x -> (x - x0)/2 over fixed b, run until it repeats.
-    Time and memory grow with the digit period."""
-    digits = []
+def numerator_orbit(num: int, den: int) -> tuple:
+    """(numerators, cut): the distinct shifts of num/den (den odd) are
+    numerators[j]/den in orbit order, cycling from index cut.  The map x ->
+    (x - (x&1)*den) >> 1 is bounded, so the walk is linear in the period."""
     seen = {}
-    x = a
+    x = num
     while x not in seen:
-        seen[x] = len(digits)
-        d = x & 1
-        digits.append(d)
-        x = (x - d * b) >> 1
-    cut = seen[x]
-    return tuple(digits[:cut]), tuple(digits[cut:])
+        seen[x] = len(seen)
+        x = (x - (x & 1) * den) >> 1
+    return list(seen), seen[x]
 
 
 _STREAM_DEPTH = 1 << 20   # safe depth of the built-in demo streams

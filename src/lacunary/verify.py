@@ -45,6 +45,7 @@ from .dyadic import (
     leading_ones,
     leading_zeros,
 )
+from .jsontext import layout
 from .periodic import detect_ultimate_period
 from .qseries import (
     chebyshev_mask_range,
@@ -882,25 +883,18 @@ def run_checks(level: str = "quick", seed: int = 0, names=None) -> list:
 
 
 def render_report(results, as_json: bool = False) -> str:
+    passed = sum(1 for r in results if r.ok)
     if as_json:
-        import json
-        return json.dumps(
-            {
-                "checks": [
-                    {"name": r.name, "ok": r.ok, "detail": r.detail, "seconds": r.seconds}
-                    for r in results
-                ],
-                "passed": sum(1 for r in results if r.ok),
-                "failed": sum(1 for r in results if not r.ok),
-            },
-            sort_keys=True,
-            indent=2,
-        )
+        return layout({
+            "checks": [{"name": r.name, "ok": r.ok, "detail": r.detail, "seconds": r.seconds}
+                       for r in results],
+            "passed": passed,
+            "failed": len(results) - passed,
+        })
     width = max(len(r.name) for r in results) if results else 10
     lines = []
     for r in results:
         mark = "PASS" if r.ok else "FAIL"
         lines.append(f"{r.name:<{width}}  {mark}  [{r.seconds:7.2f}s]  {r.detail}")
-    passed = sum(1 for r in results if r.ok)
     lines.append(f"{passed}/{len(results)} checks passed")
     return "\n".join(lines)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from lacunary import automaton, cli, dyadic
+from lacunary import automaton, cli
 from lacunary.automaton import (
     DEAD,
     Dfao,
@@ -58,14 +58,15 @@ class TestOrbit:
 
     @given(st.integers(-4000, 4000), st.integers(1, 1000))
     def test_numerator_orbit_matches_digit_loop(self, a, half):
-        # the shift orbit walks numerators; pre/per come from the cached
-        # digit loop, a separate code path
+        # the shift orbit and pre/per share the numerator walk; digit()
+        # reads digits off num * den^-1 mod 2^(j+1), a separate code path
         w = _rat(a, 2 * half + 1)
         assume(w.classify() == "rational-non-integer")
         pre, cyc = orbit(w)
         assert len(pre) == len(w.pre)
         assert len(cyc) == len(w.per)
         assert [e.parity() for e in pre + cyc] == list(w.pre + w.per)
+        assert [w.digit(j) for j in range(len(pre + cyc))] == list(w.pre + w.per)
 
     @given(st.integers(-4000, 4000), st.integers(1, 1000))
     def test_digit_matches_window_and_cycle(self, a, half):
@@ -133,13 +134,14 @@ class TestIntegerOrbit:
 
 class TestNoDigitCycleOnHotPaths:
     """Parsing, the orbit, the automata and qseries work from (num, den)
-    alone; none of them may compute the digit period."""
+    alone; none of them may read the digit preperiod or period."""
 
     def test_guard(self, monkeypatch, capsys):
-        def boom(a, b):
-            raise AssertionError(f"digit cycle computed for {a}/{b}")
+        def boom(w):
+            raise AssertionError(f"digit cycle read for {w.describe()}")
 
-        monkeypatch.setattr(dyadic, "_digit_cycle", boom)
+        monkeypatch.setattr(Dyadic, "pre", property(boom))
+        monkeypatch.setattr(Dyadic, "per", property(boom))
         w = parse_omega("rat:1/4099")
         pre, cyc = orbit(w)
         assert (len(pre), len(cyc)) == (1, 4098)
@@ -243,6 +245,10 @@ class TestSigned:
             assert vec[k] == expect
 
 
+# a field left out of the document
+_MISSING = object()
+
+
 class TestSerialization:
     def test_json_round_trip_behavior(self):
         d = build_dfao(THIRD, "f")
@@ -277,15 +283,31 @@ class TestSerialization:
         ("output", "1"),
         ("output", True),
         ("output", 2),
+        ("output", _MISSING),
+        ("id", True),
         ("label", ["f", 0]),
         ("meta", ["orbit"]),
-    ], ids=["output-str", "output-bool", "output-2", "label-list", "meta-list"])
+        ("document", []),
+        ("document", "x"),
+        ("states", _MISSING),
+        ("states", [1]),
+        ("states", {"a": 1}),
+        ("transitions", _MISSING),
+        ("initial", _MISSING),
+    ], ids=["output-str", "output-bool", "output-2", "output-missing", "id-bool", "label-list",
+            "meta-list", "document-list", "document-str", "states-missing", "states-ints",
+            "states-object", "transitions-missing", "initial-missing"])
     def test_from_json_rejects_bad_field(self, field, value):
         obj = json.loads(build_dfao(THIRD, "f").to_json())
-        if field == "meta":
-            obj["meta"] = value
+        if field == "document":
+            obj = value
         else:
-            obj["states"][1][field] = value
+            # a state's own field is set on state 1, any other on the document
+            node = obj["states"][1] if field in ("id", "output", "label") else obj
+            if value is _MISSING:
+                del node[field]
+            else:
+                node[field] = value
         with pytest.raises(ValueError, match=field):
             Dfao.from_json(json.dumps(obj))
 
@@ -320,6 +342,12 @@ class TestSerialization:
         assert dot.startswith("digraph")
         assert "__start" in dot and "rankdir=LR" in dot
         assert dot.count("->") >= 2 * 7
+        # quotes and backslashes in labels are escaped inside the DOT strings
+        odd = Dfao(('a"b', "c\\", "dead"), ((1, 2), (2, 2), (2, 2)), (1, -1, 0), 0)
+        lines = odd.to_dot().splitlines()
+        assert '  s0 [label="a\\"b / 1"];' in lines
+        assert '  s1 [label="c\\\\ / -1"];' in lines
+        assert Dfao.from_json(odd.to_json()).to_dot() == odd.to_dot()
 
 
 class TestRelation:

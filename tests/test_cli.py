@@ -26,7 +26,7 @@ from lacunary.bits import (
     parse_epsilon_spec,
     parse_lambda_spec,
 )
-from lacunary.cli import _dump, main
+from lacunary.cli import main
 from lacunary.contfrac import ContinuedFraction, convergents
 from lacunary.dyadic import Dyadic, OpaqueStreamError, StreamDepthError, parse_omega
 from lacunary.qseries import q_omega_window, q_poly
@@ -317,6 +317,11 @@ def test_cf_json_is_written_as_it_is_formed():
     assert max(out.sizes) < len(text) / 10
 
 
+def _dumps(payload) -> str:
+    """The JSON oracle: print(json.dumps(payload, sort_keys=True, indent=2))."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 def _printed(fn, *args):
     """(return value, stdout) of fn(*args)."""
     out = io.StringIO()
@@ -326,8 +331,9 @@ def _printed(fn, *args):
 
 
 # The streamed tables against the whole-document writers they replace:
-# print(_dump(...)), one print per CSV row, and one joined text line.  A
-# chunk of 1 or 3 strings puts chunk edges inside these small tables.
+# print(json.dumps(..., sort_keys=True, indent=2)), one print per CSV row,
+# and one joined text line.  A chunk of 1 or 3 strings puts chunk edges
+# inside these small tables.
 _CHUNKS = st.sampled_from([1, 3, lacunary.cli._CHUNK])
 
 
@@ -348,7 +354,7 @@ def test_stern_writers_match_print(which, start, extra, chunk):
             print(f"{n},{v}")
 
     want = {
-        "--json": _dump({"from": start, "sequence": which, "to": to, "values": values}) + "\n",
+        "--json": _dumps({"from": start, "sequence": which, "to": to, "values": values}),
         "--csv": _printed(rows)[1],
         "text": ",".join(str(v) for v in values) + "\n",
     }
@@ -373,7 +379,7 @@ def test_qseries_writers_match_dump(omega, lam, eps, upto, mod2, chunk):
     payload = {"mod2": mod2, "omega": w.describe(),
                "terms": [[e, str(c)] for e, c in terms], "upto": upto}
     want = {
-        "--json": _dump(payload) + "\n",
+        "--json": _dumps(payload),
         "text": "{" + ", ".join(f"{e}: {c}" for e, c in terms) + "}\n",
     }
     argv = ["qseries", "--omega", omega, "--lambda", lam, "--eps", eps, "--upto", str(upto)]
@@ -618,6 +624,30 @@ class TestOeis:
     def test_stern_alias_requires_id(self, capsys):
         rc, _, err = run(capsys, "stern", "oeis-check")
         assert rc == 2 and "needs --id" in err
+
+
+# (argv, exit code) of every subcommand that writes JSON
+@pytest.mark.parametrize("argv, code", [
+    (("cf", "--n", "5", "--precision", "128", "--eps", "pre:1+period:0,1", "--json"), 0),
+    (("qseries", "window", "--omega", "rat:-5/7", "--upto", "40", "--json"), 0),
+    (("qseries", "pell", "--omega", "rat:1/5", "--trunc", "64", "--json"), 0),
+    (("qseries", "anumber", "--omega", "rat:1/3", "--terms", "30", "--json"), 0),
+    (("stern", "u", "--from", "-4", "--to", "12", "--json"), 0),
+    (("stern", "oeis-check", "--id", "A049347", "--limit", "32", "--json"), 0),
+    (("automaton", "build", "--omega", "rat:1/7", "--tag", "signed", "--json"), 0),
+    (("automaton", "build", "--omega", "rat:-1/131", "--minimize", "--export", "json"), 0),
+    (("automaton", "algrel", "--omega", "rat:1/3", "--trunc", "2048", "--json"), 0),
+    (("automaton", "algrel", "--omega", "rat:1/3", "--deg", "1", "--height", "0",
+      "--trunc", "64", "--json"), 1),
+    (("oeis-check", "A002487", "--limit", "64", "--json"), 0),
+    (("verify", "--only", "stern.carlitz-identity,core.ring-axioms", "--json"), 0),
+], ids=["cf", "qseries-window", "qseries-pell", "qseries-anumber", "stern", "stern-oeis",
+        "automaton-build", "automaton-export", "algrel-found", "algrel-absent", "oeis-check",
+        "verify"])
+def test_json_is_laid_out_as_json_dumps(capsys, argv, code):
+    rc, out, _ = run(capsys, *argv)
+    assert rc == code
+    assert out == _dumps(json.loads(out))
 
 
 class TestUsageAndDeterminism:
