@@ -37,18 +37,6 @@ from .dyadic import Dyadic, fraction_format, numerator_orbit
 from .jsontext import SLOT, encode, layout, separator, template
 from .rings import flags_to_mask, gf2_mul
 
-__all__ = [
-    "Dfao",
-    "OrbitError",
-    "orbit",
-    "build_dfao",
-    "signed_dfao",
-    "minimize",
-    "Relation",
-    "find_algebraic_relation",
-    "verify_relation",
-]
-
 
 class OrbitError(ValueError, TypeError):
     """Usage error: shift-orbit enumeration needs a rational 2-adic integer."""

@@ -1,15 +1,17 @@
 """Command-line front end.
 
 Subcommands: cf, qseries, stern, automaton, verify, oeis-check.  Exit
-codes: 0 success, 1 a verification failed, 2 usage error.  JSON output is
-deterministic: keys sorted, no timestamps, coefficients rendered as
-decimal strings; the one timing is the per-check seconds of verify --json.
-jsontext lays out every document, the long ones a piece at a time.
+codes: 0 success, 1 a verification failed or stdout failed or closed,
+2 usage error.  JSON output is deterministic: keys sorted, no timestamps,
+coefficients rendered as decimal strings; the one timing is the per-check
+seconds of verify --json.  jsontext lays out every document (one list for
+oeis-check with no id), the long ones a piece at a time.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import partial
 from itertools import chain, islice, repeat, starmap
@@ -46,9 +48,10 @@ _TABLE_CAP = 1 << 22
 #: cell tests (0 to 2^16: 3.6 s); the benchmark catalogue goes to 3200.
 _CARLITZ_CAP = 1 << 16
 
-#: Bad input, an unreadable --bfile included: exit 2.  The package's own
-#: usage errors are ValueErrors.
-_USAGE_ERRORS = (ValueError, KeyError, OSError)
+#: Bad input, an unreadable --bfile included: exit 2.  An unknown
+#: oeis-check id or verify --only name is a KeyError, every other usage
+#: error a ValueError.
+_USAGE_ERRORS = (ValueError, KeyError)
 
 
 #: Strings per write of a streamed table: one chunk of its text is held at
@@ -290,7 +293,7 @@ def _cmd_stern(args) -> int:
     if args.which == "oeis-check":
         if args.id is None:
             raise ValueError("oeis-check needs --id")
-        return _run_oeis(args.id, args.bfile, args.limit, _as_json(args))
+        return _cmd_oeis(args)
     fn = _STERN_FUNCS[args.which]
     if args.start > args.to:
         raise ValueError(f"empty range: --from {args.start} > --to {args.to}")
@@ -419,24 +422,6 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.ok for r in results) else 1
 
 
-def _run_oeis(seq_id, bfile, limit, as_json) -> int:
-    text = None
-    if bfile is not None:
-        with open(bfile, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    report = check_oeis(seq_id, bfile_text=text, limit=limit)
-    if as_json:
-        print(layout({
-            "compared": report.compared,
-            "id": report.seq_id,
-            "ok": report.ok,
-            "summary": report.summary(),
-        }))
-    else:
-        print(report.summary())
-    return 0 if report.ok else 1
-
-
 def _oeis_options(p) -> None:
     p.add_argument("id", nargs="?", default=None)
     p.add_argument("--bfile", default=None)
@@ -444,13 +429,24 @@ def _oeis_options(p) -> None:
 
 
 def _cmd_oeis(args) -> int:
-    as_json = _as_json(args)
-    if args.id is not None:
-        return _run_oeis(args.id, args.bfile, args.limit, as_json)
-    worst = 0
-    for seq_id in sorted(PROFILES):
-        worst = max(worst, _run_oeis(seq_id, None, args.limit, as_json))
-    return worst
+    """Checks args.id against args.bfile (its fixture if None), or with no
+    id every bundled sequence against its fixture, whose JSON is one list."""
+    text = None
+    if args.id is not None and args.bfile is not None:
+        try:
+            with open(args.bfile, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:  # an unreadable --bfile is bad input
+            raise ValueError(str(exc)) from exc
+    reports = [check_oeis(name, bfile_text=text, limit=args.limit)
+               for name in (sorted(PROFILES) if args.id is None else [args.id])]
+    if _as_json(args):
+        fields = [{"compared": r.compared, "id": r.seq_id, "ok": r.ok, "summary": r.summary()}
+                  for r in reports]
+        print(layout(fields if args.id is None else fields[0]))
+    else:
+        print("\n".join(r.summary() for r in reports))
+    return 0 if all(r.ok for r in reports) else 1
 
 
 #: Subcommand -> (help, add_options(parser), handler(args) -> exit code)
@@ -492,7 +488,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return _COMMANDS[args.command][2](args)
+        code = _COMMANDS[args.command][2](args)
+        sys.stdout.flush()  # a closed or full stdout fails here at the latest
+        return code
     # ahead of ArithmeticError: SeriesPrecisionError is both
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -500,6 +498,26 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # stdout failed, or closed as `| head` closes it
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: {exc}", file=sys.stderr)
+        _drop_failed_stdout()
+        return 1
+
+
+def _drop_failed_stdout() -> None:
+    """Points a stdout that still cannot be flushed at os.devnull, so the
+    flush at exit cannot fail again (the SIGPIPE recipe of Python's docs)."""
+    try:
+        sys.stdout.flush()
+    except OSError:
+        try:
+            fd = sys.stdout.fileno()
+        except OSError:  # io.UnsupportedOperation
+            return
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
 
 
 if __name__ == "__main__":

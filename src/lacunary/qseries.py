@@ -22,25 +22,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 from .bits import EpsilonSpec, LambdaSpec, term_exponent, term_sign
-from .dyadic import Dyadic, halfsum_binom, kernel_range, kernel_value
+from .dyadic import Dyadic, halfsum_binom, kernel_range
 from .rings import NEG_INF, SparsePoly, flags_to_mask, gf2_mul
-
-__all__ = [
-    "q_poly",
-    "q_omega_window",
-    "q_support_flags",
-    "kernel_value",
-    "kernel_range",
-    "is_polynomial",
-    "pell_check_mod2",
-    "chebyshev_u_scaled",
-    "chebyshev_u_scaled_range",
-    "chebyshev_mask_range",
-    "fibonacci_poly",
-    "morgan_voyce",
-    "ANumber",
-    "a_number",
-]
 
 
 def _support_bound(n: int) -> int:

@@ -25,7 +25,8 @@ from .automaton import (
     signed_dfao,
     verify_relation,
 )
-from .bits import EpsilonSpec, LambdaSpec, term_sign
+from .bits import (EpsilonSpec, LambdaSpec, binom_parity, count_10_blocks, count_10_blocks_rec,
+                   dominates, term_exponent, term_sign)
 from .contfrac import (
     ContinuedFraction,
     build_F,
@@ -79,7 +80,6 @@ from .stern import (
     stern_v,
     thue_morse,
 )
-from .bits import binom_parity, count_10_blocks, count_10_blocks_rec, term_exponent
 
 
 @dataclass(frozen=True)
@@ -191,7 +191,6 @@ def check_lucas_pascal_row(level, rng):
 
 
 def check_domination_partial_order(level, rng):
-    from .bits import dominates
     trials = _n(level, 100, 400)
     for m in range(256):
         assert dominates(m, m), "reflexivity"

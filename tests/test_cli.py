@@ -2,10 +2,12 @@
 
 import argparse
 import contextlib
+import errno
 import hashlib
 import io
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -17,6 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import lacunary.cli
 import lacunary.contfrac
+import lacunary.oeis
 
 from lacunary.automaton import OrbitError
 from lacunary.bits import (
@@ -389,12 +392,39 @@ def test_qseries_writers_match_dump(omega, lam, eps, upto, mod2, chunk):
             assert _printed(main, argv + ([] if form == "text" else [form])) == (0, text), form
 
 
-def test_import_leaves_numpy_unloaded():
-    src = os.path.dirname(os.path.dirname(lacunary.cli.__file__))
-    code = "import sys, lacunary.cli; print('numpy' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+_PACKAGE_DIR = os.path.dirname(lacunary.cli.__file__)
+_MODULES = sorted(info.name for info in pkgutil.iter_modules([_PACKAGE_DIR]))
+
+
+def _fresh_stdout(code: str) -> str:
+    """What code prints in a fresh interpreter that imports this package."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(_PACKAGE_DIR))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
-    assert done.stdout == "False\n"
+    return done.stdout
+
+
+def test_import_leaves_numpy_unloaded():
+    assert _fresh_stdout("import sys, lacunary.cli; print('numpy' in sys.modules)") == "False\n"
+
+
+@pytest.mark.parametrize("module", _MODULES)
+def test_import_layering(module):
+    # Each name is imported from the module that defines it and the package
+    # root re-exports nothing, so a module loads only what it uses.
+    loaded = set(_fresh_stdout(
+        f"import sys, lacunary.{module}; "
+        "print(*(name for name in sys.modules if name.startswith('lacunary.')))"
+    ).split()) - {f"lacunary.{module}"}
+    if module in ("bits", "jsontext", "periodic", "rings"):
+        assert loaded == set()
+    if module == "cli":
+        # perfbench collects the package's caches from sys.modules after it
+        assert loaded == {f"lacunary.{name}" for name in _MODULES if name != "cli"}
+    else:
+        assert "lacunary.cli" not in loaded
+    if module not in ("cli", "verify"):
+        assert "lacunary.verify" not in loaded
 
 
 class TestAutomaton:
@@ -573,6 +603,27 @@ class TestOeis:
         rc, out, _ = run(capsys, "oeis-check", "--limit", "40")
         assert rc == 0 and len(out.strip().splitlines()) == 7
 
+    def test_all_profiles_json_is_one_list(self, capsys):
+        rc, out, _ = run(capsys, "oeis-check", "--limit", "10", "--json")
+        reports = json.loads(out)
+        assert rc == 0 and len(reports) == 7
+        assert reports == [json.loads(run(capsys, "oeis-check", seq_id, "--limit", "10", "--json")[1])
+                           for seq_id in sorted(lacunary.oeis.PROFILES)]
+
+    @pytest.mark.parametrize("form", [(), ("--json",)])
+    def test_all_profiles_exit_with_the_worst(self, capsys, monkeypatch, form):
+        check = lacunary.cli.check_oeis
+
+        def one_mismatch(seq_id, **kwargs):
+            report = check(seq_id, **kwargs)
+            if seq_id != "A049347":
+                return report
+            return lacunary.oeis.CheckReport(seq_id, report.compared, False, (0, 1, 2))
+
+        monkeypatch.setattr(lacunary.cli, "check_oeis", one_mismatch)
+        rc, out, _ = run(capsys, "oeis-check", "--limit", "10", *form)
+        assert rc == 1 and out.count("MISMATCH") == 1 and out.count("OK") == 6
+
     def test_doctored_bfile(self, capsys, tmp_path):
         bad = tmp_path / "b002487.txt"
         bad.write_text("0 0\n1 999\n")
@@ -640,14 +691,44 @@ class TestOeis:
     (("automaton", "algrel", "--omega", "rat:1/3", "--deg", "1", "--height", "0",
       "--trunc", "64", "--json"), 1),
     (("oeis-check", "A002487", "--limit", "64", "--json"), 0),
+    (("oeis-check", "--limit", "10", "--json"), 0),
     (("verify", "--only", "stern.carlitz-identity,core.ring-axioms", "--json"), 0),
 ], ids=["cf", "qseries-window", "qseries-pell", "qseries-anumber", "stern", "stern-oeis",
         "automaton-build", "automaton-export", "algrel-found", "algrel-absent", "oeis-check",
-        "verify"])
+        "oeis-check-all", "verify"])
 def test_json_is_laid_out_as_json_dumps(capsys, argv, code):
     rc, out, _ = run(capsys, *argv)
     assert rc == code
     assert out == _dumps(json.loads(out))
+
+
+class _FailingStdout(io.StringIO):
+    """A stdout whose every write raises error."""
+
+    def __init__(self, error):
+        super().__init__()
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+
+@pytest.mark.parametrize("argv", [
+    ("stern", "u", "--to", "20", "--csv"),
+    ("cf", "--n", "3", "--precision", "64", "--json"),
+    ("oeis-check", "A002487", "--limit", "5"),
+])
+@pytest.mark.parametrize("error, lines", [
+    (BrokenPipeError(errno.EPIPE, "Broken pipe"), []),
+    (OSError(errno.ENOSPC, "No space left on device"),
+     ["error: [Errno 28] No space left on device"]),
+], ids=["closed", "full"])
+def test_failed_stdout_exits_1(argv, error, lines):
+    # a closed pipe (`| head`) is reported by its exit code only
+    err = io.StringIO()
+    with contextlib.redirect_stdout(_FailingStdout(error)), contextlib.redirect_stderr(err):
+        rc = main(list(argv))
+    assert rc == 1 and err.getvalue().splitlines() == lines
 
 
 class TestUsageAndDeterminism:

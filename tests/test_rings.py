@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-import lacunary
 from lacunary.contfrac import LaurentSeries
 from lacunary.rings import (
     NEG_INF,
@@ -190,8 +189,3 @@ class TestLaurentSeries:
         assert s.coeff(-8) == 0
         with pytest.raises(SeriesPrecisionError):
             s.coeff(-9)
-
-
-def test_package_exports_resolve():
-    missing = [name for name in lacunary.__all__ if not hasattr(lacunary, name)]
-    assert not missing
