@@ -85,24 +85,39 @@ _TERM = template([SLOT, TEXT], 4)
 _QTERM = template([SLOT, TEXT], 2)
 
 
-def _poly_items(polys):
-    """layout(poly_to_json(p), 2) for each p as it is drawn from polys."""
+class _TermTexts(dict):
+    """(e, c) -> _TERM(e, c), formatted on first use.  The P_n and Q_n of a
+    cf reuse a few terms many times over (Q_n has coefficients 0 and +-1),
+    and a coefficient equal to an int is stored as that int, so equal keys
+    have equal text."""
+
+    def __missing__(self, term):
+        text = self[term] = _TERM(*term)
+        return text
+
+
+def _poly_items(polys, texts):
+    """layout(poly_to_json(p), 2) for each p as it is drawn from polys, its
+    terms' text looked up in texts, a _TermTexts."""
+    join, text = separator(3).join, texts.__getitem__
     for p in polys:
-        yield _POLY(separator(3).join(starmap(_TERM, p.terms))) if p.terms else _ZERO_POLY
+        yield _POLY(join(map(text, p.terms))) if p.terms else _ZERO_POLY
 
 
 def _write_cf_json(cf) -> None:
     """print(layout(...)) of the cf --json payload, written as it is formed:
     P is one pass of its recurrence and Q a second, and each polynomial
-    goes out as it is formed, so neither side is ever held."""
+    goes out as it is formed, so neither side is ever held.  Each distinct
+    term is formatted once."""
     n, certified = len(cf.quotients), cf.certified
+    texts = _TermTexts()
     _write_joined("", document(
         {"certified_count": certified, "precision": cf.precision, "terminated": cf.terminated},
         {
-            "a": _poly_items(cf.quotients),
+            "a": _poly_items(cf.quotients, texts),
             "certified": chain(repeat(layout(True), certified), repeat(layout(False), n - certified)),
-            "p": _poly_items(convergent_side(cf.quotients, "p")),
-            "q": _poly_items(convergent_side(cf.quotients, "q")),
+            "p": _poly_items(convergent_side(cf.quotients, "p"), texts),
+            "q": _poly_items(convergent_side(cf.quotients, "q"), texts),
         },
     ), _POLY_CHUNK)
 
@@ -141,12 +156,6 @@ def _check_root_options(root, argv) -> None:
         if not any(opt == name or (name.startswith("--") and opt.startswith(name))
                    for opt in root._option_string_actions):
             root.error(f"unrecognized arguments: {arg}")
-
-
-def _common() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
-    return p
 
 
 def _as_json(args) -> bool:
@@ -277,38 +286,50 @@ _STERN_FUNCS = {
 }
 
 
+# A table's options and stern oeis-check's, each option's default None so
+# that one given to the other kind is refused: (option, dest) pairs
+_TABLE_OPTIONS = (("--from", "start"), ("--to", "to"), ("--csv", "csv"))
+_CHECK_OPTIONS = (("--id", "id"), ("--bfile", "bfile"), ("--limit", "limit"))
+
+
 def _stern_options(p) -> None:
     _action(p, "which", ("u", "v", "alpha", "beta", "gamma", "carlitz", "oeis-check"))
-    p.add_argument("--from", dest="start", type=int, default=0)
-    p.add_argument("--to", type=int, default=16,
+    p.add_argument("--from", dest="start", type=int, default=None)
+    p.add_argument("--to", type=int, default=None,
                    help=f"last index: at most {_cap_text(_TABLE_CAP)} values from --from, "
                         f"and carlitz --to at most {_cap_text(_CARLITZ_CAP)}")
-    p.add_argument("--csv", action="store_true")
+    p.add_argument("--csv", action="store_true", default=None)
     p.add_argument("--id", default=None)
     p.add_argument("--bfile", default=None)
     p.add_argument("--limit", type=int, default=None)
 
 
 def _cmd_stern(args) -> int:
-    if args.which == "oeis-check":
+    table = args.which != "oeis-check"
+    for option, dest in _CHECK_OPTIONS if table else _TABLE_OPTIONS:
+        if getattr(args, dest) is not None:
+            raise ValueError(f"stern {args.which} takes no {option}")
+    if not table:
         if args.id is None:
             raise ValueError("oeis-check needs --id")
         return _cmd_oeis(args)
     fn = _STERN_FUNCS[args.which]
-    if args.start > args.to:
-        raise ValueError(f"empty range: --from {args.start} > --to {args.to}")
-    if args.start < 0 and args.which != "u":
+    start = 0 if args.start is None else args.start
+    to = 16 if args.to is None else args.to
+    if start > to:
+        raise ValueError(f"empty range: --from {start} > --to {to}")
+    if start < 0 and args.which != "u":
         raise ValueError(f"sequence {args.which} is defined for n >= 0")
-    _check_at_most("--to - --from + 1", args.to - args.start + 1, _TABLE_CAP)
+    _check_at_most("--to - --from + 1", to - start + 1, _TABLE_CAP)
     if args.which == "carlitz":
-        _check_at_most("--to", args.to, _CARLITZ_CAP)
-    values = fn(args.start, args.to)
+        _check_at_most("--to", to, _CARLITZ_CAP)
+    values = fn(start, to)
     if _as_json(args):
-        _write_joined("", document({"from": args.start, "sequence": args.which, "to": args.to},
+        _write_joined("", document({"from": start, "sequence": args.which, "to": to},
                                    {"values": map(str, values)}))
     elif args.csv:
         sys.stdout.write(f"n,{args.which}\n")
-        _write_joined("\n", map("{},{}".format, range(args.start, args.to + 1), values))
+        _write_joined("\n", map("{},{}".format, range(start, to + 1), values))
         sys.stdout.write("\n")
     else:
         _write_joined(",", map(str, values))
@@ -431,8 +452,10 @@ def _oeis_options(p) -> None:
 def _cmd_oeis(args) -> int:
     """Checks args.id against args.bfile (its fixture if None), or with no
     id every bundled sequence against its fixture, whose JSON is one list."""
+    if args.id is None and args.bfile is not None:
+        raise ValueError("--bfile needs an id")
     text = None
-    if args.id is not None and args.bfile is not None:
+    if args.bfile is not None:
         try:
             with open(args.bfile, "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -460,27 +483,45 @@ _COMMANDS = {
 }
 
 
+def _add_json(p) -> None:
+    """--json, left unset when not given: the subcommand's must not undo
+    the root's."""
+    p.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
+
+
 def build_parser(command=None) -> argparse.ArgumentParser:
-    """The root parser and its six subcommands, with the options of command
-    only, or of every subcommand when command is None: main parses one
-    subcommand, and building the others' options would cost it about as
-    much as a small op."""
-    common = _common()
-    root = _Parser(prog="lacunary", parents=[common])
+    """The root parser with command's subparser only, or with all six when
+    command is None or names no subcommand.  main parses one subcommand,
+    and building the other five would cost it about half a small op: best
+    of 7 x 200 calls on a 2-CPU VM, build_parser("cf") takes 0.4 ms, where
+    the six subparsers it built before took 0.9-1.0 ms."""
+    root = _Parser(prog="lacunary")
+    _add_json(root)
     sub = root.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_options, _) in _COMMANDS.items():
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        if command is None or name == command:
-            add_options(p)
+    for name in [command] if command in _COMMANDS else _COMMANDS:
+        help_text, add_options, _ = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        _add_json(p)
+        add_options(p)
     return root
+
+
+def _named_command(argv):
+    """The subcommand argv names, if only --json or an abbreviation of it
+    comes before it; else None.  Then the whole tree is built, so that
+    `-h cf` and `-- cf` read as they would with all six subcommands."""
+    for arg in argv:
+        if not arg.startswith("-"):
+            return arg
+        if len(arg) < 3 or not "--json".startswith(arg):
+            return None
+    return None
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # The root's options take no value, so the first other entry is the
-    # subcommand argparse will parse.
-    parser = build_parser(next((arg for arg in argv if not arg.startswith("-")), None))
+    parser = build_parser(_named_command(argv))
     try:
         _check_root_options(parser, argv)
         args = parser.parse_args(argv)

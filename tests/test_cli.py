@@ -94,6 +94,21 @@ class TestStern:
         rc, out, _ = run(capsys, "stern", which, "--from", "1234", "--to", "1234", "--csv")
         assert rc == 0 and out.splitlines() == [f"n,{which}", f"1234,{scalar(1234)}"]
 
+    # a table takes no oeis-check option and stern oeis-check no table
+    # option, not even one given at its default value
+    @pytest.mark.parametrize("argv, refused", [
+        *((("stern", which, option, "2"), option)
+          for which in ("u", "carlitz") for option in ("--id", "--bfile", "--limit")),
+        *((("stern", "oeis-check", "--id", "A002487", *extra), extra[0])
+          for extra in (("--from", "0"), ("--to", "16"), ("--csv",))),
+        (("stern", "u", "--to", "3", "--id", "A002487", "--bfile", "/nope", "--limit", "2"),
+         "--id"),
+    ])
+    def test_options_of_the_other_kind_are_refused(self, capsys, argv, refused):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == ""
+        assert err.splitlines() == [f"error: stern {argv[1]} takes no {refused}"]
+
     def test_carlitz_past_int64(self, capsys):
         rc, out, err = run(capsys, "stern", "carlitz", "--from", str(1 << 62),
                            "--to", str(1 << 62))
@@ -297,6 +312,17 @@ def test_cf_json_writer_matches_dump(cf):
             assert _printed(lacunary.cli._write_cf_json, cf) == (None, want), chunk
 
 
+def test_cf_json_formats_each_distinct_term_once(monkeypatch):
+    calls = []
+    term = lacunary.cli._TERM
+    monkeypatch.setattr(lacunary.cli, "_TERM", lambda e, c: calls.append((e, c)) or term(e, c))
+    rc, out = _printed(main, ["cf", "--precision", "1024", "--json"])
+    written = [(e, c) for key in "apq" for poly in json.loads(out)[key] for e, c in poly["terms"]]
+    assert rc == 0 and len(written) > 4 * len(set(written))
+    assert len(calls) == len(set(written))
+    assert {(e, str(c)) for e, c in calls} == set(written)
+
+
 class _Writes(io.StringIO):
     """A stdout that records the length of each write."""
 
@@ -406,6 +432,15 @@ def _fresh_stdout(code: str) -> str:
 
 def test_import_leaves_numpy_unloaded():
     assert _fresh_stdout("import sys, lacunary.cli; print('numpy' in sys.modules)") == "False\n"
+
+
+def test_cf_json_leaves_numpy_unloaded():
+    assert _fresh_stdout(
+        "import contextlib, io, sys, lacunary.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = lacunary.cli.main(['cf', '--precision', '1024', '--json'])\n"
+        "print(rc, 'numpy' in sys.modules)"
+    ) == "0 False\n"
 
 
 @pytest.mark.parametrize("module", _MODULES)
@@ -634,6 +669,16 @@ class TestOeis:
         rc, _, err = run(capsys, "oeis-check", "A002487", "--bfile",
                          "/no/such/file.txt")
         assert rc == 2 and "error:" in err
+
+    @pytest.mark.parametrize("extra", [(), ("--limit", "3"), ("--json",)])
+    def test_bfile_without_id_is_refused_first(self, capsys, monkeypatch, extra):
+        def boom(*args, **kwargs):
+            raise AssertionError("no sequence may be checked")
+
+        monkeypatch.setattr(lacunary.cli, "check_oeis", boom)
+        rc, out, err = run(capsys, "oeis-check", "--bfile", "/no/such/file", *extra)
+        assert rc == 2 and out == ""
+        assert err.splitlines() == ["error: --bfile needs an id"]
 
     @pytest.mark.parametrize("argv", [
         ("oeis-check", "A002487", "--bfile"),
@@ -1004,6 +1049,8 @@ _PARSER_ARGV = [
     (), ("--help",), ("-h",), ("--json",), ("frobnicate",), ("--json", "frobnicate"),
     ("--nope", "cf"), ("--level", "full", "verify"), ("--js", "cf", "--n", "2"),
     ("--", "cf"), ("cf", "--", "expand"),
+    ("-h", "cf"), ("--he", "stern"), ("--json", "-h", "automaton"), ("--jso", "cf"),
+    ("--json=1", "cf"),
     *((name, "--help") for name in lacunary.cli._COMMANDS),
     *(("--json", name) for name in lacunary.cli._COMMANDS),
     ("cf", "bogus"), ("cf", "--precision", "abc"), ("cf", "--level", "full"),
@@ -1041,16 +1088,21 @@ def test_parser_of_one_subcommand_matches_full_tree(monkeypatch, argv):
     assert _main_parse(monkeypatch, argv, full=False) == _main_parse(monkeypatch, argv, full=True)
 
 
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def test_parser_builds_one_subcommand_options():
-    sub = next(a for a in lacunary.cli.build_parser("cf")._actions
-               if isinstance(a, argparse._SubParsersAction))
-    assert set(sub.choices["stern"]._option_string_actions) == {"-h", "--help", "--json"}
-    assert "--precision" in sub.choices["cf"]._option_string_actions
+    sub = _subparsers(lacunary.cli.build_parser("cf"))
+    assert set(sub) == {"cf"}
+    assert {"--json", "--precision"} <= set(sub["cf"]._option_string_actions)
+    for command in (None, "frobnicate"):
+        assert set(_subparsers(lacunary.cli.build_parser(command))) == set(lacunary.cli._COMMANDS)
 
 
 # A bounded argv grammar: every subcommand, action and option from a fixed
 # vocabulary, with valid and malformed specs.  verify runs one quick check
-# only, and no --bfile is drawn.
+# only, and --bfile names a missing file only.
 _INTS = st.one_of(st.integers(-3, 64).map(str), st.just("abc"))
 _OMEGAS = st.sampled_from([
     "rat:1/3", "rat:-5/7", "rat:2/31", "int:5", "int:-3", "rat:1/6", "rat:1/0",
@@ -1071,8 +1123,9 @@ _QUICK_CHECKS = st.sampled_from([
     "qseries.pell-congruence", "no.such-check",
 ])
 _FLAG = st.just(None)
+_MISSING = st.just("/no/such/b-file.txt")
 
-# command -> (positional choices, {option: values or _FLAG})
+# command words -> (positional choices, {option: values or _FLAG})
 _GRAMMAR = {
     "cf": (("expand",), {
         "--lambda": _LAMBDAS, "--eps": _EPSILONS, "--n": _INTS, "--precision": _INTS,
@@ -1083,7 +1136,12 @@ _GRAMMAR = {
         "--digits": _INTS,
     }),
     "stern": (("u", "v", "alpha", "beta", "gamma", "carlitz", "oeis-check"), {
-        "--from": _INTS, "--to": _INTS, "--csv": _FLAG, "--id": _IDS, "--limit": _INTS,
+        "--from": _INTS, "--to": _INTS, "--csv": _FLAG, "--id": _IDS, "--bfile": _MISSING,
+        "--limit": _INTS,
+    }),
+    # drawn as often as a subcommand: the table options it refuses
+    "stern oeis-check": ((), {
+        "--id": _IDS, "--bfile": _MISSING, "--limit": _INTS, "--from": _INTS, "--csv": _FLAG,
     }),
     "automaton": (("build", "verify", "algrel"), {
         "--omega": _OMEGAS, "--tag": st.sampled_from(["f", "g", "h", "signed", "x"]),
@@ -1092,7 +1150,7 @@ _GRAMMAR = {
         "--trunc": _INTS,
     }),
     "oeis-check": (("A002487", "A049347", "A168561", "A000001", "junk"), {
-        "--limit": _INTS,
+        "--limit": _INTS, "--bfile": _MISSING,
     }),
     "verify": ((), {
         "--seed": _INTS, "--level": st.sampled_from(["quick", "medium"]),
@@ -1107,7 +1165,7 @@ def _argv(draw):
     command = draw(st.sampled_from(sorted(_GRAMMAR)))
     choices, options = _GRAMMAR[command]
     options = {**_FOREIGN, **options}
-    argv = [command]
+    argv = command.split()
     if draw(st.booleans()):
         argv.append(draw(st.sampled_from(choices + ("bogus",))))
     if command == "verify":
