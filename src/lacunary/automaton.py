@@ -361,7 +361,6 @@ class Relation:
     coeffs: tuple          # c_0..c_D as GF2 masks (bit j = X^j)
     truncation: int
     kind: str              # "generic" | "polynomial-input"
-    verified: bool = False
 
     def degree_used(self) -> int:
         return max((i for i, c in enumerate(self.coeffs) if c), default=0)
@@ -379,18 +378,18 @@ class Relation:
         return f"{body} = 0  (mod X^{self.truncation})"
 
 
-def find_algebraic_relation(seq, degree_bound: int, height_bound: int, truncation: int | None = None):
+def find_algebraic_relation(seq, degree_bound: int, height_bound: int, truncation: int):
     """Search for c_0..c_D over GF2[X], deg c_i <= height bound, with
-    sum of c_i * S^(2^i) = 0 modulo X^N, where S has the given 0/1
-    coefficient prefix.  Returns a verified Relation or None.
+    sum of c_i * S^(2^i) = 0 modulo X^N, N the truncation, where S has the
+    given 0/1 coefficient prefix.  Returns a Relation or None.
 
     Candidate columns X^j * S^(2^i) are built from the nonzero positions of
-    the prefix, each multiplied by 2^i; the returned relation is
-    re-verified through the carry-less product routine, a separate code
-    path.  A prefix whose support dies before N/2 is reported through the
-    exact relation S^2 + P*S = 0 with P the polynomial itself, flagged
-    "polynomial-input"."""
-    n = len(seq) if truncation is None else truncation
+    the prefix, each multiplied by 2^i; the returned relation has passed
+    verify_relation, a separate code path, and one that fails it raises
+    ArithmeticError.  A prefix whose support dies before N/2 is reported
+    through the exact relation S^2 + P*S = 0 with P the polynomial itself,
+    flagged "polynomial-input"."""
+    n = truncation
     if n > len(seq):
         raise ValueError(f"prefix has {len(seq)} terms, truncation {n} needs more")
     if degree_bound < 1 or height_bound < 0:
@@ -420,15 +419,14 @@ def find_algebraic_relation(seq, degree_bound: int, height_bound: int, truncatio
         spread[support[support <= (n - 1) >> i] << i] = True
         powers.append(flags_to_mask(spread))
 
+    # column X^j * S^(2^i) is bit i * (H + 1) + j of a combination, so c_i
+    # is its i-th slice of H + 1 bits
+    width = height_bound + 1
     basis = {}
-    col_id = 0
-    combos = {}
     for i in range(degree_bound + 1):
-        for j in range(height_bound + 1):
+        for j in range(width):
             vec = (powers[i] << j) & window
-            combo = 1 << col_id
-            combos[col_id] = (i, j)
-            col_id += 1
+            combo = 1 << (i * width + j)
             while vec:
                 low = vec & -vec
                 if low not in basis:
@@ -438,18 +436,17 @@ def find_algebraic_relation(seq, degree_bound: int, height_bound: int, truncatio
                 vec ^= bvec
                 combo ^= bcombo
             if not vec:
-                coeffs = [0] * (degree_bound + 1)
-                for cid, (ci, cj) in combos.items():
-                    if (combo >> cid) & 1:
-                        coeffs[ci] |= 1 << cj
-                return _certify(Relation(tuple(coeffs), n, "generic"), seq)
+                coeffs = tuple(combo >> (d * width) & ((1 << width) - 1)
+                               for d in range(degree_bound + 1))
+                return _certify(Relation(coeffs, n, "generic"), seq)
     return None
 
 
 def _certify(rel: Relation, seq) -> Relation:
+    """rel, once verify_relation accepts it; ArithmeticError otherwise."""
     if not verify_relation(rel, seq):
         raise ArithmeticError("solver produced a relation that fails independent verification")
-    return Relation(rel.coeffs, rel.truncation, rel.kind, verified=True)
+    return rel
 
 
 def verify_relation(rel: Relation, seq) -> bool:

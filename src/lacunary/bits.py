@@ -62,12 +62,6 @@ def binom_parity(m: int, k: int) -> int:
     return 1 if (k & ~m) == 0 else 0
 
 
-def dominates(k: int, m: int) -> bool:
-    """True iff every binary digit of k is <= the matching digit of m,
-    equivalently binom_parity(m, k) == 1."""
-    return (k & ~m) == 0
-
-
 @dataclass(frozen=True)
 class LambdaSpec:
     """Strictly 2-lacunary exponent sequence 0 < l_0 < l_1 < ..., l_{q+1} > 2 l_q.

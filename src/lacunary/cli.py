@@ -40,6 +40,10 @@ _SEARCH_CAP = 1 << 33
 #: benchmark catalogue goes to 2^14.
 _PRECISION_CAP = 1 << 20
 
+#: Most anumber --digits: the decimal is formatted from one int of that
+#: many digits, which stays under CPython's 4300-digit int-to-str limit.
+_DIGITS_CAP = 1 << 12
+
 #: Longest stern table, --to - --from + 1 values: a table is held as a list
 #: of ints (2^22 u values as JSON: 3.1 s, 207 MB peak); CI writes 2000001.
 _TABLE_CAP = 1 << 22
@@ -232,7 +236,7 @@ def _qseries_options(p) -> None:
     p.add_argument("--terms", type=int, default=60,
                    help=f"anumber: last k summed, 0 to {_cap_text(_KERNEL_CAP)}")
     p.add_argument("--digits", type=int, default=40,
-                   help="anumber: decimal digits shown (at least 0)")
+                   help=f"anumber: decimal digits shown, 0 to {_cap_text(_DIGITS_CAP)}")
 
 
 def _cmd_qseries(args) -> int:
@@ -243,6 +247,7 @@ def _cmd_qseries(args) -> int:
     else:
         _check_kernel_size("--terms", args.terms, 0)
         _check_at_least("--digits", args.digits, 0)
+        _check_at_most("--digits", args.digits, _DIGITS_CAP)
     lam, eps = _specs(args)
     w = parse_omega(args.omega)
     if args.action == "pell":
@@ -256,11 +261,17 @@ def _cmd_qseries(args) -> int:
     if args.action == "anumber":
         val = a_number(eps, w, args.g, args.terms)
         if _as_json(args):
+            try:
+                num, den = str(val.value.numerator), str(val.value.denominator)
+            except ValueError:  # more digits than sys.get_int_max_str_digits()
+                raise ValueError(f"--json writes num and den in full: at --terms {args.terms} they "
+                                 f"pass Python's {sys.get_int_max_str_digits()}-digit "
+                                 f"int-to-str limit") from None
             print(layout({
                 "base": args.g,
                 "decimal": val.decimal(args.digits),
-                "den": str(val.value.denominator),
-                "num": str(val.value.numerator),
+                "den": den,
+                "num": num,
                 "terms": args.terms,
             }))
         else:

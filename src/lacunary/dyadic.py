@@ -290,15 +290,6 @@ def _window_plus(w: Dyadic, c: int, length: int) -> int:
     return (w.digits_window(length) + c) & ((1 << length) - 1)
 
 
-def halfsum_binom(w: Dyadic, k: int) -> int:
-    """C((w+k)/2, k) mod 2, evaluated as C(w+k+1, 2k+1) mod 2.
-
-    The two agree wherever the former is defined, and the latter needs no
-    division: only a windowed add.  Opposite-parity combinations come out 0
-    automatically."""
-    return kernel_value(w, k, "f")
-
-
 # tag -> (a, b): the family C(w+k+b, 2k+a) mod 2
 _KERNEL_OFFSETS = {"f": (1, 1), "g": (0, 0), "h": (1, 0)}
 
@@ -314,7 +305,11 @@ def kernel_value(w: Dyadic, k: int, tag: str) -> int:
     """The three coefficient families used by the coefficient automata:
     tag 'f': C(w+k+1, 2k+1) mod 2 (the half-sum coefficient),
     tag 'g': C(w+k, 2k) mod 2,
-    tag 'h': C(w+k, 2k+1) mod 2."""
+    tag 'h': C(w+k, 2k+1) mod 2.
+
+    Tag 'f' equals the half-sum binomial C((w+k)/2, k) mod 2 wherever that
+    is defined, and needs no division, only a windowed add.  Opposite-parity
+    combinations come out 0 automatically."""
     if k < 0:
         raise ValueError("negative lower argument")
     a, b = _kernel_offsets(tag)
@@ -372,7 +367,7 @@ def halfsum_binom_halving(w: Dyadic, k: int) -> int:
     """C((w+k)/2, k) mod 2 by explicitly halving the digit stream of w + k.
 
     Only valid when parity(w) = parity(k) (the sum is even); test-facing
-    second opinion for halfsum_binom, which never divides."""
+    second opinion for kernel_value(w, k, "f"), which never divides."""
     if k < 0:
         raise ValueError("negative lower argument")
     if (w.parity() ^ k) & 1:

@@ -22,7 +22,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 from .bits import EpsilonSpec, LambdaSpec, term_exponent, term_sign
-from .dyadic import Dyadic, halfsum_binom, kernel_range
+from .dyadic import Dyadic, kernel_range, kernel_value
 from .rings import NEG_INF, SparsePoly, flags_to_mask, gf2_mul
 
 
@@ -43,8 +43,7 @@ def q_poly(n: int, lam: LambdaSpec, eps: EpsilonSpec) -> SparsePoly:
     w = Dyadic.from_int(n)
     terms = []
     for k in range(0, bound + 1):
-        c = halfsum_binom(w, k)
-        if c:
+        if kernel_value(w, k, "f"):
             terms.append((term_exponent(k, lam), term_sign(k, eps)))
     return SparsePoly.build(terms)
 
@@ -98,13 +97,12 @@ def q_term_count_range(n_max: int) -> np.ndarray:
     return out
 
 
-def is_polynomial(w: Dyadic, lam: LambdaSpec, scan_bound: int | None = None):
-    """("yes", degree) | ("no", None) | ("unknown", largest nonzero k below
-    scan_bound, if any scan was requested).
+def is_polynomial(w: Dyadic, lam: LambdaSpec):
+    """("yes", degree) | ("no", None) | ("unknown", None).
 
     Integer w always keeps its top term (k = w resp. k = -w-2 survives), so
     the degree is mu of the cutoff; rational non-integer w never terminates;
-    opaque streams are undecidable and only scanned empirically."""
+    for an opaque stream the answer is "unknown"."""
     kind = w.classify()
     if kind == "integer":
         bound = _support_bound(w.num)
@@ -113,12 +111,7 @@ def is_polynomial(w: Dyadic, lam: LambdaSpec, scan_bound: int | None = None):
         return ("yes", term_exponent(bound, lam))
     if kind == "rational-non-integer":
         return ("no", None)
-    if scan_bound is None:
-        return ("unknown", None)
-    import numpy as np
-
-    ks = np.flatnonzero(q_support_flags(w, scan_bound))
-    return ("unknown", int(ks[-1]) if ks.size else None)
+    return ("unknown", None)
 
 
 def pell_check_mod2(w: Dyadic, trunc: int) -> bool:
@@ -131,16 +124,11 @@ def pell_check_mod2(w: Dyadic, trunc: int) -> bool:
     return lhs & ((1 << (trunc + 1)) - 1) == 1
 
 
-def chebyshev_u_scaled(n: int) -> SparsePoly:
-    """U_n at half argument, over the integers, by the three-term recurrence
-    s_{m+1} = X s_m - s_{m-1} with s_0 = 1, s_1 = X."""
-    if n < 0:
-        raise ValueError("negative index")
-    return chebyshev_u_scaled_range(n)[-1]
-
-
 def chebyshev_u_scaled_range(n_max: int) -> list:
-    """[s_0, ..., s_{n_max}] over the integers."""
+    """[s_0, ..., s_{n_max}] over the integers: U_m at half argument, by the
+    three-term recurrence s_{m+1} = X s_m - s_{m-1} with s_0 = 1, s_1 = X."""
+    if n_max < 0:
+        raise ValueError("negative index")
     prev = {0: 1}
     if n_max == 0:
         return [SparsePoly.build(prev.items())]
@@ -157,12 +145,14 @@ def chebyshev_u_scaled_range(n_max: int) -> list:
 
 def chebyshev_mask_range(n_max: int) -> list:
     """The same recurrence over GF2, as bit masks: s_{m+1} = (s_m << 1) ^ s_{m-1}."""
+    if n_max < 0:
+        raise ValueError("negative index")
     masks = [1]
     if n_max >= 1:
         masks.append(2)
     for _ in range(2, n_max + 1):
         masks.append((masks[-1] << 1) ^ masks[-2])
-    return masks[: n_max + 1]
+    return masks
 
 
 def fibonacci_poly(m: int) -> SparsePoly:

@@ -70,8 +70,8 @@ class SparsePoly:
         return cls(((0, 1),))
 
     @classmethod
-    def x_power(cls, e, c=1):
-        return cls.build([(e, c)])
+    def x_power(cls, e):
+        return cls.build([(e, 1)])
 
     @property
     def degree(self):

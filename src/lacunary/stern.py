@@ -3,10 +3,11 @@ binomial-parity convolution, Thue-Morse, three derived signed sequences,
 and the paperfolding family.
 
 Scalar entry points are memoized top-down recursions over exact Python
-integers.  alpha, beta and gamma are defined as parity convolutions with
-Thue-Morse but computed only by their doubling recursions; calling
-parity_convolve with thue_morse evaluates the definition and is the
-independent check on them.
+integers.  Only u is defined at negative indices: v, thue_morse and the
+signed scalars alpha, beta and gamma raise ValueError for n < 0.  The
+signed scalars are defined as parity convolutions with Thue-Morse but
+computed only by their doubling recursions; calling parity_convolve with
+thue_morse evaluates the definition and is the independent check on them.
 
 Tables are filled by window, as lists of exact Python integers:
 doubling_window fills any [a, b] of u, v, alpha, beta or gamma from the
@@ -145,6 +146,8 @@ def thue_morse(n: int) -> int:
 def alpha(n: int) -> int:
     """Convolution of Thue-Morse with the constant 1; alpha_{2n} =
     alpha_n - alpha_{n-1}, alpha_{2n+1} = alpha_n, alpha_0 = alpha_1 = 1."""
+    if n < 0:
+        raise ValueError("negative index")
     if n <= 1:
         return 1
     half = n >> 1
@@ -157,6 +160,8 @@ def alpha(n: int) -> int:
 def beta(n: int) -> int:
     """Convolution of the constant 1 with Thue-Morse; beta_{2n} =
     beta_n - beta_{n-1}, beta_{2n+1} = -beta_n, beta_0 = 1, beta_1 = -1."""
+    if n < 0:
+        raise ValueError("negative index")
     if n <= 1:
         return 1 if n == 0 else -1
     half = n >> 1
@@ -169,6 +174,8 @@ def beta(n: int) -> int:
 def gamma(n: int) -> int:
     """Convolution of Thue-Morse with itself; 3-periodic with values
     1, -1, 0."""
+    if n < 0:
+        raise ValueError("negative index")
     if n <= 1:
         return 1 if n == 0 else -1
     half = n >> 1

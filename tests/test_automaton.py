@@ -358,7 +358,7 @@ class TestRelation:
         seq = self._stream(4096)
         for trunc in (2048, 4096):
             rel = find_algebraic_relation(seq, 4, 64, trunc)
-            assert rel is not None and rel.verified
+            assert rel is not None and verify_relation(rel, seq)
             assert rel.kind == "generic"
             assert rel.coeffs == (8, 1, 4, 0, 0)
             assert rel.degree_used() == 2 and rel.height_used() == 3
@@ -370,7 +370,7 @@ class TestRelation:
         seq = self._stream(600)
         for n in range(48, 601):
             rel = find_algebraic_relation(seq, 2, 3, n)
-            assert rel is not None and rel.verified, n
+            assert rel is not None and verify_relation(rel, seq), n
 
     def test_verify_rejects_corruption(self):
         seq = self._stream(2048)
@@ -404,8 +404,22 @@ class TestRelation:
     def test_polynomial_input_branch(self):
         seq = kernel_range(Dyadic.from_int(6), 63, "f")
         rel = find_algebraic_relation(seq, 1, 0, 64)
-        assert rel.kind == "polynomial-input" and rel.verified
+        assert rel.kind == "polynomial-input" and verify_relation(rel, seq)
         assert rel.coeffs == (0b1010001, 1)
+
+    def test_failed_verification_raises(self, monkeypatch):
+        # a relation the independent check rejects is never returned
+        monkeypatch.setattr(automaton, "verify_relation", lambda rel, seq: False)
+        with pytest.raises(ArithmeticError, match="fails independent verification"):
+            find_algebraic_relation(self._stream(2048), 4, 64, 2048)
+
+    def test_failed_verification_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(automaton, "verify_relation", lambda rel, seq: False)
+        assert cli.main(["automaton", "algrel", "--omega", "rat:1/3", "--trunc", "2048"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("verification failure: "), lines
 
     def test_squares_control_finds_nothing(self):
         sq = [0] * 1024

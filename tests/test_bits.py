@@ -13,7 +13,6 @@ from lacunary.bits import (
     count_10_blocks,
     count_10_blocks_rec,
     count_10_blocks_scan,
-    dominates,
     parse_epsilon_spec,
     parse_lambda_spec,
     term_exponent,
@@ -43,11 +42,6 @@ class TestBinomParity:
     @given(st.integers(0, 400), st.integers(0, 400))
     def test_against_comb(self, m, k):
         assert binom_parity(m, k) == comb(m, k) % 2
-
-    def test_dominates_is_the_same_relation(self):
-        for m in range(64):
-            for k in range(64):
-                assert dominates(k, m) == (binom_parity(m, k) == 1)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):

@@ -158,6 +158,37 @@ class TestQSeries:
         assert rc == 2 and out == ""
         assert err.splitlines() == ["error: --digits must be at least 0, got -3"]
 
+    def test_anumber_digits_cap_is_named(self, capsys, monkeypatch):
+        def boom(*args):
+            raise AssertionError("the sum must not start")
+
+        monkeypatch.setattr(lacunary.cli, "a_number", boom)
+        rc, out, err = run(capsys, "qseries", "anumber", "--digits", "4097")
+        assert (rc, out) == (2, "")
+        assert err == "error: --digits must be at most 4096 (2^12), got 4097\n"
+        rc, out, _ = run(capsys, "qseries", "--help")
+        assert rc == 0 and re.search(r"--digits \S+ [^-]*4096 \(2\^12\)", out)
+
+    def test_anumber_digits_at_cap(self, capsys):
+        rc, out, _ = run(capsys, "qseries", "anumber", "--digits", "4096")
+        assert rc == 0
+        whole, frac = out.strip().split(".")
+        assert whole.isdigit() and len(frac) == 4096 and frac.isdigit()
+
+    def test_anumber_json_past_int_str_limit(self, capsys):
+        # the text form prints --digits digits; --json writes num and den whole
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            rc, out, _ = run(capsys, "qseries", "anumber", "--terms", "5000")
+            assert rc == 0 and out
+            rc, out, err = run(capsys, "qseries", "anumber", "--terms", "5000", "--json")
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (rc, out) == (2, "")
+        assert err == ("error: --json writes num and den in full: at --terms 5000 they "
+                       "pass Python's 4300-digit int-to-str limit\n")
+
     def test_long_period_window_unchanged(self, capsys):
         # 1/1000003 has a digit period of 10^6 - 2; only the window is read
         rc, out, _ = run(capsys, "qseries", "--omega", "rat:1/1000003", "--upto", "8")
@@ -1133,7 +1164,7 @@ _GRAMMAR = {
     "qseries": (("window", "pell", "anumber"), {
         "--omega": _OMEGAS, "--lambda": _LAMBDAS, "--eps": _EPSILONS, "--upto": _INTS,
         "--mod2": _FLAG, "--trunc": _INTS, "--g": _INTS, "--terms": _INTS,
-        "--digits": _INTS,
+        "--digits": st.one_of(_INTS, st.sampled_from(["4096", "4097"])),
     }),
     "stern": (("u", "v", "alpha", "beta", "gamma", "carlitz", "oeis-check"), {
         "--from": _INTS, "--to": _INTS, "--csv": _FLAG, "--id": _IDS, "--bfile": _MISSING,

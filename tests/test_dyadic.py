@@ -14,7 +14,6 @@ from lacunary.dyadic import (
     StreamDepthError,
     binom_parity_dyadic,
     digit_pair_period,
-    halfsum_binom,
     halfsum_binom_halving,
     kernel_range,
     kernel_value,
@@ -189,19 +188,19 @@ class TestHalfsum:
     @given(st.integers(0, 600), st.integers(0, 120))
     def test_integer_case_against_comb(self, n, k):
         want = comb((n + k) // 2, k) % 2 if (n + k) % 2 == 0 else 0
-        assert halfsum_binom(Dyadic.from_int(n), k) == want
+        assert kernel_value(Dyadic.from_int(n), k, "f") == want
 
     @given(st.integers(-300, 600), st.integers(0, 64))
     def test_halving_route_agrees(self, n, k):
         w = Dyadic.from_int(n)
         if (n - k) % 2 == 0:
-            assert halfsum_binom(w, k) == halfsum_binom_halving(w, k)
+            assert kernel_value(w, k, "f") == halfsum_binom_halving(w, k)
         else:
-            assert halfsum_binom(w, k) == 0
+            assert kernel_value(w, k, "f") == 0
 
     def test_parity_mismatch_is_zero(self):
-        assert halfsum_binom(Dyadic.from_int(2), 1) == 0
-        assert halfsum_binom(Dyadic.from_rational(1, 3), 0) == 0
+        assert kernel_value(Dyadic.from_int(2), 1, "f") == 0
+        assert kernel_value(Dyadic.from_rational(1, 3), 0, "f") == 0
 
     def test_kernel_value_and_range_agree(self):
         for w in (Dyadic.from_int(9), Dyadic.from_rational(3, 7)):

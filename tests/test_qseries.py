@@ -17,12 +17,11 @@ from lacunary.bits import (
     term_sign,
 )
 from lacunary.contfrac import build_F, cf_expand, convergents
-from lacunary.dyadic import Dyadic, halfsum_binom, kernel_range, parse_omega
+from lacunary.dyadic import Dyadic, kernel_range, kernel_value, parse_omega
 from lacunary.qseries import (
     ANumber,
     a_number,
     chebyshev_mask_range,
-    chebyshev_u_scaled,
     chebyshev_u_scaled_range,
     fibonacci_poly,
     is_polynomial,
@@ -219,7 +218,7 @@ class TestWindow:
         w = parse_omega("rat:1/5")
         window = dict(q_omega_window(w, MERS, ZERO, 40))
         for k in range(41):
-            c = term_sign(k, ZERO) * halfsum_binom(w, k)
+            c = term_sign(k, ZERO) * kernel_value(w, k, "f")
             assert window.get(term_exponent(k, MERS), 0) == c
 
     def test_support_flags_match_kernel(self):
@@ -241,15 +240,6 @@ class TestPolynomiality:
     def test_opaque_unknown(self):
         w = parse_omega("stream:thue-morse")
         assert is_polynomial(w, MERS) == ("unknown", None)
-        verdict, last = is_polynomial(w, MERS, scan_bound=24)
-        assert verdict == "unknown" and last is not None and last <= 24
-
-    @pytest.mark.parametrize("rule", [lambda j: j.bit_count() & 1, lambda j: 1],
-                             ids=["thue-morse", "all-ones"])
-    def test_opaque_scan_reports_last_term(self, rule):
-        w = Dyadic.from_stream(rule, 1 << 10, "scan")
-        want = max((k for k in range(301) if halfsum_binom(w, k)), default=None)
-        assert is_polynomial(w, MERS, scan_bound=300) == ("unknown", want)
 
 
 class TestPell:
@@ -264,12 +254,13 @@ class TestPell:
 
 class TestComparisonFamilies:
     def test_chebyshev_literals(self):
-        assert _as_terms(chebyshev_u_scaled(2)) == {2: 1, 0: -1}
+        assert _as_terms(chebyshev_u_scaled_range(2)[2]) == {2: 1, 0: -1}
         assert chebyshev_mask_range(2)[2] == 0b101
 
     def test_chebyshev_negative_index(self):
-        with pytest.raises(ValueError):
-            chebyshev_u_scaled(-1)
+        for family in (chebyshev_u_scaled_range, chebyshev_mask_range):
+            with pytest.raises(ValueError):
+                family(-1)
 
     def test_chebyshev_masks_match_integer_reduction(self):
         polys = chebyshev_u_scaled_range(40)

@@ -183,6 +183,12 @@ class TestSigned:
             assert gamma(2 * n) == gamma(n) + gamma(n - 1)
             assert gamma(2 * n + 1) == -gamma(n)
 
+    @pytest.mark.parametrize("fn", [alpha, beta, gamma])
+    @pytest.mark.parametrize("n", [-1, -5])
+    def test_negative_index_rejected(self, fn, n):
+        with pytest.raises(ValueError, match="negative index"):
+            fn(n)
+
 
 class TestPaperfolding:
     def test_v_head(self):
