@@ -286,12 +286,9 @@ def signed_dfao(w: Dyadic, eps: EpsilonSpec) -> Dfao:
         return c + 1 if c + 1 < n_cls else p_len + 1
 
     def cls_diff(c: int) -> int:
-        # eps_q - eps_{q-1} mod 2 for any position q in class c
-        if c <= p_len:
-            q = c
-            return (eps.value(q) ^ eps.value(q - 1)) & 1
-        r = c - p_len - 1
-        return (eps.period[(r + 1) % r_len] ^ eps.period[r]) & 1
+        # eps_q - eps_{q-1} mod 2, the same for every position q in class c,
+        # and position c is in class c
+        return eps.value(c) ^ eps.value(c - 1)
 
     def track(state, b):
         prev, nu, mb, c = state

@@ -162,11 +162,6 @@ def _check_root_options(root, argv) -> None:
             root.error(f"unrecognized arguments: {arg}")
 
 
-def _as_json(args) -> bool:
-    # --json is accepted before and after the subcommand, so it may be unset
-    return getattr(args, "json", False)
-
-
 def _check_at_least(option: str, value: int, low: int) -> None:
     """Rejects an option below its least meaningful value before any work."""
     if value < low:
@@ -212,7 +207,7 @@ def _cmd_cf(args) -> int:
     lam, eps = _specs(args)
     f = build_F(lam, eps, args.precision)
     cf = fold_expand(f, args.n)
-    if _as_json(args):
+    if args.json:
         _write_cf_json(cf)
         return 0
     for i, quot in enumerate(cf.quotients):
@@ -232,7 +227,7 @@ def _qseries_options(p) -> None:
     p.add_argument("--mod2", action="store_true")
     p.add_argument("--trunc", type=int, default=128,
                    help=f"pell: check through X^trunc, 0 to {_cap_text(_KERNEL_CAP)}")
-    p.add_argument("--g", type=int, default=10)
+    p.add_argument("--g", type=int, default=10, help="anumber: base, at least 2")
     p.add_argument("--terms", type=int, default=60,
                    help=f"anumber: last k summed, 0 to {_cap_text(_KERNEL_CAP)}")
     p.add_argument("--digits", type=int, default=40,
@@ -245,6 +240,7 @@ def _cmd_qseries(args) -> int:
     elif args.action == "pell":
         _check_kernel_size("--trunc", args.trunc, 0)
     else:
+        _check_at_least("--g", args.g, 2)
         _check_kernel_size("--terms", args.terms, 0)
         _check_at_least("--digits", args.digits, 0)
         _check_at_most("--digits", args.digits, _DIGITS_CAP)
@@ -252,7 +248,7 @@ def _cmd_qseries(args) -> int:
     w = parse_omega(args.omega)
     if args.action == "pell":
         ok = pell_check_mod2(w, args.trunc)
-        if _as_json(args):
+        if args.json:
             print(layout({"omega": w.describe(), "trunc": args.trunc, "holds": ok}))
         else:
             verdict = "holds" if ok else "FAILS"
@@ -260,7 +256,7 @@ def _cmd_qseries(args) -> int:
         return 0 if ok else 1
     if args.action == "anumber":
         val = a_number(eps, w, args.g, args.terms)
-        if _as_json(args):
+        if args.json:
             try:
                 num, den = str(val.value.numerator), str(val.value.denominator)
             except ValueError:  # more digits than sys.get_int_max_str_digits()
@@ -280,7 +276,7 @@ def _cmd_qseries(args) -> int:
     terms = q_omega_window(w, lam, eps, args.upto)
     if args.mod2:
         terms = [(e, abs(c)) for e, c in terms]
-    if _as_json(args):
+    if args.json:
         _write_joined("", document({"mod2": args.mod2, "omega": w.describe(), "upto": args.upto},
                                    {"terms": starmap(_QTERM, terms)}))
     else:
@@ -335,7 +331,7 @@ def _cmd_stern(args) -> int:
     if args.which == "carlitz":
         _check_at_most("--to", to, _CARLITZ_CAP)
     values = fn(start, to)
-    if _as_json(args):
+    if args.json:
         _write_joined("", document({"from": start, "sequence": args.which, "to": to},
                                    {"values": map(str, values)}))
     elif args.csv:
@@ -382,12 +378,12 @@ def _cmd_automaton(args) -> int:
         if rel is None:
             msg = (f"no relation of degree <= {args.deg}, height <= {args.height} "
                    f"modulo X^{args.trunc}")
-            if _as_json(args):
+            if args.json:
                 print(layout({"found": False, "message": msg}))
             else:
                 print(msg)
             return 1
-        if _as_json(args):
+        if args.json:
             print(layout({
                 "coefficients": [format(c, "x") for c in rel.coeffs],
                 "degree_used": rel.degree_used(),
@@ -423,7 +419,7 @@ def _cmd_automaton(args) -> int:
         d = minimize(d)
     if args.export == "dot":
         print(d.to_dot())
-    elif args.export == "json" or _as_json(args):
+    elif args.export == "json" or args.json:
         print(d.to_json())
     else:
         print(f"states: {len(d)}, initial: {d.initial}")
@@ -450,7 +446,7 @@ def _cmd_verify(args) -> int:
         seed=args.seed,
         names=names,
     )
-    print(verify_mod.render_report(results, as_json=_as_json(args)))
+    print(verify_mod.render_report(results, as_json=args.json))
     return 0 if all(r.ok for r in results) else 1
 
 
@@ -465,6 +461,8 @@ def _cmd_oeis(args) -> int:
     id every bundled sequence against its fixture, whose JSON is one list."""
     if args.id is None and args.bfile is not None:
         raise ValueError("--bfile needs an id")
+    if args.limit is not None:
+        _check_at_least("--limit", args.limit, 1)
     text = None
     if args.bfile is not None:
         try:
@@ -474,7 +472,7 @@ def _cmd_oeis(args) -> int:
             raise ValueError(str(exc)) from exc
     reports = [check_oeis(name, bfile_text=text, limit=args.limit)
                for name in (sorted(PROFILES) if args.id is None else [args.id])]
-    if _as_json(args):
+    if args.json:
         fields = [{"compared": r.compared, "id": r.seq_id, "ok": r.ok, "summary": r.summary()}
                   for r in reports]
         print(layout(fields if args.id is None else fields[0]))
@@ -494,25 +492,18 @@ _COMMANDS = {
 }
 
 
-def _add_json(p) -> None:
-    """--json, left unset when not given: the subcommand's must not undo
-    the root's."""
-    p.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
-
-
 def build_parser(command=None) -> argparse.ArgumentParser:
     """The root parser with command's subparser only, or with all six when
     command is None or names no subcommand.  main parses one subcommand,
-    and building the other five would cost it about half a small op: best
-    of 7 x 200 calls on a 2-CPU VM, build_parser("cf") takes 0.4 ms, where
-    the six subparsers it built before took 0.9-1.0 ms."""
+    and building the other five would cost it about half a small op."""
     root = _Parser(prog="lacunary")
-    _add_json(root)
+    root.add_argument("--json", action="store_true")
     sub = root.add_subparsers(dest="command", required=True)
     for name in [command] if command in _COMMANDS else _COMMANDS:
         help_text, add_options, _ = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
-        _add_json(p)
+        # unset when not given, so that it cannot undo the root's --json
+        p.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
         add_options(p)
     return root
 

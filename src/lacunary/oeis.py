@@ -34,25 +34,17 @@ def parse_bfile(text: str) -> list:
     return entries
 
 
-def _tri0(m: int):
-    """Invert m = n(n+1)/2 + k for a triangle with rows 0..n, k <= n."""
-    n = (isqrt(8 * m + 1) - 1) // 2
-    return n, m - n * (n + 1) // 2
+def _triangle(tag: str, first_row: int):
+    """m -> kernel_value(n, k, tag) over a triangle read by rows n >=
+    first_row, positions k <= n - first_row; its entries are numbered from
+    first_row, as the OEIS numbers them."""
 
+    def value(m: int) -> int:
+        i = m - first_row
+        t = (isqrt(8 * i + 1) - 1) // 2
+        return kernel_value(Dyadic.from_int(t + first_row), i - t * (t + 1) // 2, tag)
 
-def _tri_f(m: int) -> int:
-    n, k = _tri0(m)
-    return kernel_value(Dyadic.from_int(n), k, "f")
-
-
-def _tri_g(m: int) -> int:
-    n, k = _tri0(m)
-    return kernel_value(Dyadic.from_int(n), k, "g")
-
-
-def _tri_h(m: int) -> int:
-    n, k = _tri0(m - 1)
-    return kernel_value(Dyadic.from_int(n + 1), k, "h")
+    return value
 
 
 _MOD2 = lambda v: v % 2  # noqa: E731
@@ -87,15 +79,15 @@ PROFILES = {
     ),
     "A168561": OeisProfile(
         "A168561", "triangle C((n+k)/2, k) by rows; parity = half-sum kernel", 0,
-        _tri_f, _MOD2,
+        _triangle("f", 0), _MOD2,
     ),
     "A085478": OeisProfile(
         "A085478", "triangle C(n+k, 2k) by rows; parity = even kernel", 0,
-        _tri_g, _MOD2,
+        _triangle("g", 0), _MOD2,
     ),
     "A078812": OeisProfile(
         "A078812", "triangle C(n+k, 2k+1) by rows n>=1; parity = odd kernel", 1,
-        _tri_h, _MOD2,
+        _triangle("h", 1), _MOD2,
     ),
 }
 

@@ -9,6 +9,7 @@ import json
 import os
 import pkgutil
 import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -168,6 +169,17 @@ class TestQSeries:
         assert err == "error: --digits must be at most 4096 (2^12), got 4097\n"
         rc, out, _ = run(capsys, "qseries", "--help")
         assert rc == 0 and re.search(r"--digits \S+ [^-]*4096 \(2\^12\)", out)
+
+    def test_anumber_base_below_two_is_named(self, capsys, monkeypatch):
+        def boom(*args):
+            raise AssertionError("the sum must not start")
+
+        monkeypatch.setattr(lacunary.cli, "a_number", boom)
+        rc, out, err = run(capsys, "qseries", "anumber", "--g", "1")
+        assert (rc, out) == (2, "")
+        assert err == "error: --g must be at least 2, got 1\n"
+        rc, out, _ = run(capsys, "qseries", "--help")
+        assert rc == 0 and re.search(r"--g G\s+anumber: base, at least 2", out)
 
     def test_anumber_digits_at_cap(self, capsys):
         rc, out, _ = run(capsys, "qseries", "anumber", "--digits", "4096")
@@ -746,7 +758,7 @@ class TestOeis:
     def test_negative_limit(self, capsys, argv):
         rc, out, err = run(capsys, *argv)
         assert rc == 2 and out == ""
-        assert err.splitlines() == ["error: limit must be positive"]
+        assert err.splitlines() == [f"error: --limit must be at least 1, got {argv[-1]}"]
 
     def test_stern_alias_requires_id(self, capsys):
         rc, _, err = run(capsys, "stern", "oeis-check")
@@ -1222,3 +1234,34 @@ def test_every_argv_ends_in_an_exit_code(argv):
     if rc == 2:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+
+
+def _readme_examples():
+    """(argv, stdout lines) of each README example: a fenced block whose
+    first line is `$ lacunary <argv>` and whose other lines are what it
+    prints.  A block of command lines alone shows no output; it is skipped."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        blocks = re.findall(r"^```\n(.*?)^```$", fh.read(), re.M | re.S)
+    examples = []
+    for block in blocks:
+        first, *output = block.splitlines()
+        if (first.startswith("$ lacunary ") and output
+                and not any(line.startswith("$ ") for line in output)):
+            examples.append((first.removeprefix("$ lacunary "), output))
+    return examples
+
+
+_README_EXAMPLES = _readme_examples()
+
+
+def test_readme_examples_are_found():
+    # cf, the qseries window, anumber, stern u, the minimised automaton, algrel
+    assert len(_README_EXAMPLES) == 6
+
+
+@pytest.mark.parametrize("argv, output", _README_EXAMPLES, ids=[a for a, _ in _README_EXAMPLES])
+def test_readme_example_holds(capsys, argv, output):
+    rc, out, err = run(capsys, *shlex.split(argv))
+    assert (rc, err) == (0, "")
+    assert out == "\n".join(output) + "\n"
