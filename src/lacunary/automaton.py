@@ -42,11 +42,21 @@ class OrbitError(ValueError, TypeError):
     """Usage error: shift-orbit enumeration needs a rational 2-adic integer."""
 
 
-def _numerator_orbit(w: Dyadic):
+class OrbitCapError(ValueError):
+    """Usage error: a whole automaton was asked for an orbit longer than
+    ORBIT_CAP numerators."""
+
+
+#: Longest shift orbit a whole automaton is built for: its closure costs
+#: about 1.2 GB per 10^6 numerators.
+ORBIT_CAP = 1 << 20
+
+
+def _numerator_orbit(w: Dyadic, limit: int | None = None):
     """numerator_orbit of w, which must be rational."""
     if w.classify() == "unknown":
         raise OrbitError("orbit requires rational 2-adic input")
-    return numerator_orbit(w.num, w.den)
+    return numerator_orbit(w.num, w.den, limit)
 
 
 def orbit(w: Dyadic):
@@ -198,21 +208,35 @@ _KERNEL_STEP = {
 }
 
 
-def build_dfao(w: Dyadic, tag: str = "f") -> Dfao:
+def build_dfao(w: Dyadic, tag: str = "f", depth: int | None = None) -> Dfao:
     """Automaton computing k -> kernel_value(w, k, tag), built by closing
     the (family, orbit position) state set under the transition table.
     Only states reachable from the initial one are kept.
 
     The closure runs on integer codes: (family, j) is fam * n + j, with
-    fam the family's index in "fgh" and n the orbit length, and the dead
-    state is 3n.  Labels and outputs are decoded once it is done."""
+    fam the family's index in "fgh" and n the number of orbit positions,
+    and the dead state is 3n.  Labels and outputs are decoded once it is
+    done.
+
+    Without a depth the whole orbit is walked, and one longer than
+    ORBIT_CAP numerators raises OrbitCapError before any closure.  With a
+    depth the walk stops after depth + 1 numerators, so the machine has at
+    most 3(depth + 1) + 1 states.  If the orbit closes within them, the
+    result is the full machine.  Otherwise it is exact only for k < 2^depth:
+    its last position steps to itself, and meta records "depth" in place
+    of "orbit_preperiod"."""
     if tag not in _FAMILIES:
         raise ValueError(f"unknown tag {tag!r}")
-    nums, loop = _numerator_orbit(w)
+    if depth is not None and depth < 0:
+        raise ValueError(f"negative depth {depth}")
+    nums, loop = _numerator_orbit(w, ORBIT_CAP if depth is None else depth + 1)
+    if loop is None and depth is None:
+        raise OrbitCapError(f"the shift orbit of {w.describe()} has more than {ORBIT_CAP} "
+                            "numerators, the cap of a whole automaton")
     n = len(nums)
     parities = [x & 1 for x in nums]
     after = list(range(1, n))           # orbit position after j
-    after.append(loop)
+    after.append(n - 1 if loop is None else loop)
     dead = 3 * n
     # (fam index, parity) -> code offset of the family entered on 0 and on 1,
     # None for the dead state
@@ -236,8 +260,11 @@ def build_dfao(w: Dyadic, tag: str = "f") -> Dfao:
         "omega": w.describe(),
         "tag": tag,
         "orbit": list(map(fraction_format(w.den), nums)),
-        "orbit_preperiod": loop,
     }
+    if loop is None:
+        meta["depth"] = depth
+    else:
+        meta["orbit_preperiod"] = loop
     return Dfao(labels, table, tuple(map(outputs.__getitem__, codes)), 0, meta)
 
 

@@ -23,7 +23,7 @@ from .jsontext import SLOT, TEXT, document, layout, separator, template
 from .oeis import PROFILES, check_oeis
 from .qseries import a_number, pell_check_mod2, q_omega_window
 from .stern import carlitz_window, doubling_window
-from .automaton import build_dfao, find_algebraic_relation, minimize, signed_dfao
+from .automaton import ORBIT_CAP, build_dfao, find_algebraic_relation, minimize, signed_dfao
 from . import verify as verify_mod
 
 #: Largest k-range of one kernel sweep (qseries window/pell, automaton
@@ -346,7 +346,9 @@ def _cmd_stern(args) -> int:
 
 def _automaton_options(p) -> None:
     _action(p, "action", ("build", "verify", "algrel"))
-    p.add_argument("--omega", default="rat:1/3")
+    p.add_argument("--omega", default="rat:1/3",
+                   help="build: a shift orbit of at most "
+                        f"{_cap_text(ORBIT_CAP)} numerators; verify walks --upto's digits only")
     p.add_argument("--tag", default="f", choices=("f", "g", "h", "signed"))
     p.add_argument("--eps", default="period:0")
     p.add_argument("--export", default=None, choices=("dot", "json"))
@@ -401,7 +403,7 @@ def _cmd_automaton(args) -> int:
 
         bits = max(1, (args.upto - 1).bit_length())
         for tag in ("f", "g", "h"):
-            d = build_dfao(w, tag)
+            d = build_dfao(w, tag, bits)
             got = d.evaluate_all(bits)[: args.upto]
             want = kernel_range(w, args.upto - 1, tag)
             if not np.array_equal(got, want):

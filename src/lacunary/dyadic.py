@@ -211,13 +211,18 @@ def fraction_format(den: int):
     return str if den == 1 else f"{{}}/{den}".format
 
 
-def numerator_orbit(num: int, den: int) -> tuple:
+def numerator_orbit(num: int, den: int, limit: int | None = None) -> tuple:
     """(numerators, cut): the distinct shifts of num/den (den odd) are
     numerators[j]/den in orbit order, cycling from index cut.  The map x ->
-    (x - (x&1)*den) >> 1 is bounded, so the walk is linear in the period."""
+    (x - (x&1)*den) >> 1 is bounded, so the walk is linear in the period.
+
+    With a limit, the walk stops after at most limit numerators: an orbit
+    longer than that comes back as its first limit numerators and cut None."""
     seen = {}
     x = num
     while x not in seen:
+        if len(seen) == limit:
+            return list(seen), None
         seen[x] = len(seen)
         x = (x - (x & 1) * den) >> 1
     return list(seen), seen[x]
@@ -330,7 +335,8 @@ def kernel_range(w: Dyadic, k_max: int, tag: str = "f") -> np.ndarray:
     test (2k+a) & ~(w+k+b) == 0 runs in uint64 over blocks of _BLOCK
     values of k.  Wrap-around mod 2^64 keeps the low digits of w + k + b
     exact, because carries only move upward, and 2k+a has no digit above
-    the window."""
+    the window.  Each block forms 2k+a once and turns k into ~(w+k+b) in
+    place, so the sweep holds two uint64 arrays of a block each."""
     import numpy as np
 
     if k_max < 0:
@@ -340,11 +346,15 @@ def kernel_range(w: Dyadic, k_max: int, tag: str = "f") -> np.ndarray:
     if length > 64:
         raise ValueError(f"kernel sweep to k = {k_max} needs a {length}-digit window; "
                          "uint64 holds 64")
-    win = np.uint64(w.digits_window(length))
+    shift = np.uint64(_window_plus(w, b, length))
     out = np.empty(k_max + 1, dtype=bool)
     for k0 in range(0, k_max + 1, _BLOCK):
         ks = np.arange(k0, min(k0 + _BLOCK, k_max + 1), dtype=np.uint64)
-        out[k0:k0 + len(ks)] = ((2 * ks + a) & ~(win + ks + b)) == 0
+        low = ks << np.uint64(1) | np.uint64(a)
+        ks += shift
+        np.invert(ks, out=ks)
+        low &= ks
+        np.equal(low, 0, out=out[k0:k0 + len(ks)])
     return out
 
 

@@ -10,6 +10,7 @@ from lacunary import automaton, cli
 from lacunary.automaton import (
     DEAD,
     Dfao,
+    OrbitCapError,
     OrbitError,
     Relation,
     build_dfao,
@@ -127,7 +128,7 @@ class TestIntegerOrbit:
     def test_stream_rejected_with_same_text(self):
         w = parse_omega("stream:paperfolding")
         for call in (lambda: orbit(w), lambda: build_dfao(w, "g"),
-                     lambda: signed_dfao(w, EPS_10)):
+                     lambda: build_dfao(w, "g", 4), lambda: signed_dfao(w, EPS_10)):
             with pytest.raises(OrbitError, match=r"^orbit requires rational 2-adic input$"):
                 call()
 
@@ -196,6 +197,75 @@ class TestBuildDfao:
         assert d.meta["tag"] == "f"
         assert d.meta["orbit_preperiod"] == 1
         assert len(d.meta["orbit"]) == 3
+
+
+# Orbits of 3 (1/3), 4 (-1/15, 5/7, 6, -5), 11 (7/33) and 508 (-3/509)
+# numerators: the depths below close some of them and cut the others.
+DEPTH_OMEGAS = ["rat:1/3", "rat:-3/509", "rat:7/33", "rat:-1/15", "rat:5/7", "int:6", "int:-5"]
+
+
+class TestDepthBoundedBuild:
+    """build_dfao(w, tag, depth) walks depth + 1 numerators: exact below
+    2^depth, and the full machine when the orbit closes within them."""
+
+    @pytest.mark.parametrize("text", DEPTH_OMEGAS)
+    @pytest.mark.parametrize("tag", ["f", "g", "h"])
+    @pytest.mark.parametrize("depth", [1, 2, 5, 16])
+    def test_truncated_table_is_the_full_one_restricted(self, text, tag, depth):
+        w = parse_omega(text)
+        d = build_dfao(w, tag, depth)
+        full = build_dfao(w, tag)
+        assert np.array_equal(d.evaluate_all(depth), kernel_range(w, (1 << depth) - 1, tag))
+        assert len(d) <= 3 * (depth + 1) + 1
+        index = {label: i for i, label in enumerate(full.states)}
+        for i, label in enumerate(d.states):
+            if label != DEAD and label[1] >= depth:
+                continue
+            j = index[label]
+            assert d.out[i] == full.out[j], label
+            assert [d.states[t] for t in d.step[i]] == [full.states[t] for t in full.step[j]], label
+        if len(full.meta["orbit"]) <= depth + 1:
+            assert d == full
+        else:
+            assert d.meta == {"omega": w.describe(), "tag": tag,
+                              "orbit": full.meta["orbit"][:depth + 1], "depth": depth}
+
+    def test_both_cases_covered(self):
+        lengths = [sum(map(len, orbit(parse_omega(text)))) for text in DEPTH_OMEGAS]
+        assert min(lengths) <= 2 + 1 and max(lengths) > 16 + 1
+
+    def test_negative_depth_rejected(self):
+        with pytest.raises(ValueError, match="negative depth -1"):
+            build_dfao(THIRD, "f", -1)
+
+
+class TestOrbitCap:
+    """A whole automaton refuses an orbit over ORBIT_CAP numerators after
+    walking at most that many."""
+
+    def test_orbit_of_exactly_the_cap_builds(self, monkeypatch):
+        full = build_dfao(THIRD, "g")
+        monkeypatch.setattr(automaton, "ORBIT_CAP", 3)
+        assert build_dfao(THIRD, "g") == full
+
+    def test_orbit_over_the_cap_refused(self, monkeypatch):
+        walks = []
+        real = automaton.numerator_orbit
+
+        def walk(num, den, limit=None):
+            walks.append(limit)
+            return real(num, den, limit)
+
+        monkeypatch.setattr(automaton, "ORBIT_CAP", 2)
+        monkeypatch.setattr(automaton, "numerator_orbit", walk)
+        msg = r"^the shift orbit of 1/3 has more than 2 numerators, the cap of a whole automaton$"
+        for call in (lambda: build_dfao(THIRD, "h"), lambda: signed_dfao(THIRD, EPS_10)):
+            with pytest.raises(OrbitCapError, match=msg):
+                call()
+        assert walks == [2, 2]
+        # a depth-bounded build has no cap
+        assert build_dfao(_rat(-3, 509), "h", 5).meta["depth"] == 5
+        assert walks[2:] == [6]
 
 
 class TestMinimize:

@@ -18,6 +18,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import lacunary.automaton
 import lacunary.cli
 import lacunary.contfrac
 import lacunary.oeis
@@ -593,6 +594,47 @@ class TestAutomaton:
         assert rc == 0
         assert "matches direct evaluation for all k < 4096" in out
 
+    @pytest.mark.parametrize("omega", ["rat:1/101", "rat:1/1000003"])
+    def test_verify_builds_for_its_digits(self, capsys, monkeypatch, omega):
+        # k < 256 reads 8 digits: 9 orbit positions, so at most 3 * 9 + 1 states
+        sizes = []
+        real = lacunary.cli.build_dfao
+
+        def recording(*args):
+            d = real(*args)
+            sizes.append(len(d))
+            return d
+
+        monkeypatch.setattr(lacunary.cli, "build_dfao", recording)
+        rc, _, _ = run(capsys, "automaton", "verify", "--omega", omega, "--upto", "256")
+        assert rc == 0
+        assert len(sizes) == 3 and max(sizes) <= 3 * 9 + 1
+
+    def test_verify_walks_its_digits_only(self, capsys, monkeypatch):
+        # k < 16 reads 4 digits of each shift: 5 numerators of 1000003
+        walks = []
+        real = lacunary.automaton.numerator_orbit
+
+        def walk(num, den, limit=None):
+            assert limit is not None and limit <= 64, f"walk of {limit} numerators"
+            nums, cut = real(num, den, limit)
+            walks.append(len(nums))
+            return nums, cut
+
+        monkeypatch.setattr(lacunary.automaton, "numerator_orbit", walk)
+        rc, _, _ = run(capsys, "automaton", "verify", "--omega", "rat:1/1000003", "--upto", "16")
+        assert rc == 0
+        assert walks == [5, 5, 5]
+
+    # 1/1048589 has 1048589 shift-orbit numerators, 13 over the cap
+    @pytest.mark.parametrize("extra", [[], ["--export", "json"], ["--minimize"],
+                                       ["--tag", "signed"]])
+    def test_whole_automaton_refuses_an_orbit_over_the_cap(self, capsys, extra):
+        rc, out, err = run(capsys, "automaton", "build", "--omega", "rat:1/1048589", *extra)
+        assert (rc, out) == (2, "")
+        assert err == ("error: the shift orbit of 1/1048589 has more than 1048576 numerators, "
+                       "the cap of a whole automaton\n")
+
     def test_algrel_found(self, capsys):
         rc, out, _ = run(capsys, "automaton", "algrel", "--omega", "rat:1/3")
         assert rc == 0
@@ -934,6 +976,12 @@ class TestUsageAndDeterminism:
         assert re.search(r"--height \S+ .*\(--deg \+ 1\) \* \(--height \+ 1\) \* --trunc "
                          r"at most 8589934592 \(2\^33\)", " ".join(out.split()))
 
+    def test_orbit_cap_in_help(self, capsys):
+        rc, out, _ = run(capsys, "automaton", "--help")
+        assert rc == 0
+        assert re.search(r"--omega \S+ build: a shift orbit of at most 1048576 \(2\^20\) "
+                         r"numerators", " ".join(out.split()))
+
     # Only the rejection is run; at the cap itself build_F is reached.
     @pytest.mark.parametrize("size", [(1 << 20) + 1, 99999999999])
     def test_precision_cap_is_named(self, capsys, monkeypatch, size):
@@ -1148,7 +1196,7 @@ def test_parser_builds_one_subcommand_options():
 # only, and --bfile names a missing file only.
 _INTS = st.one_of(st.integers(-3, 64).map(str), st.just("abc"))
 _OMEGAS = st.sampled_from([
-    "rat:1/3", "rat:-5/7", "rat:2/31", "int:5", "int:-3", "rat:1/6", "rat:1/0",
+    "rat:1/3", "rat:-5/7", "rat:2/31", "int:5", "int:-3", "rat:1/6", "rat:1/0", "rat:1/1048589",
     "rat:x", "bits:pre=1;period=0,1", "bits:period=", "bits:x",
     "stream:thue-morse", "stream:paperfolding", "stream:nope", "",
 ])

@@ -19,6 +19,7 @@ from lacunary.dyadic import (
     kernel_value,
     leading_ones,
     leading_zeros,
+    numerator_orbit,
     parse_omega,
 )
 from lacunary.stern import stern_u
@@ -265,6 +266,30 @@ class TestHalfsum:
         g = kernel_value(w, k, "g")
         h = kernel_value(w, k, "h")
         assert f == (g + h) % 2
+
+
+class TestNumeratorOrbit:
+    def test_one_third(self):
+        # 1/3 -> -1/3 -> -2/3 -> -1/3: the cycle starts at index 1
+        assert numerator_orbit(1, 3) == ([1, -1, -2], 1)
+
+    @pytest.mark.parametrize("limit", [3, 4, 100])
+    def test_limit_at_or_past_the_orbit_changes_nothing(self, limit):
+        assert numerator_orbit(1, 3, limit) == numerator_orbit(1, 3)
+
+    @pytest.mark.parametrize("limit", [0, 1, 2])
+    def test_limit_below_the_orbit_cuts_it(self, limit):
+        assert numerator_orbit(1, 3, limit) == ([1, -1, -2][:limit], None)
+
+    def test_limit_bounds_a_long_walk(self):
+        # 1/1000003 has 1000003 numerators; the walk reads only five, the
+        # first five shifts of the value
+        w = Dyadic.from_rational(1, 1000003)
+        shifts = []
+        for _ in range(5):
+            shifts.append(w.num)
+            w = w.shift()
+        assert numerator_orbit(1, 1000003, 5) == (shifts, None)
 
 
 class TestDigitStructure:
