@@ -91,9 +91,7 @@ _QTERM = template([SLOT, TEXT], 2)
 
 class _TermTexts(dict):
     """(e, c) -> _TERM(e, c), formatted on first use.  The P_n and Q_n of a
-    cf reuse a few terms many times over (Q_n has coefficients 0 and +-1),
-    and a coefficient equal to an int is stored as that int, so equal keys
-    have equal text."""
+    cf reuse a few terms many times over (Q_n has coefficients 0 and +-1)."""
 
     def __missing__(self, term):
         text = self[term] = _TERM(*term)

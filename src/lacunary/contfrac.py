@@ -1,4 +1,4 @@
-"""Continued fractions of formal Laurent series over exact rationals.
+"""Continued fractions of formal Laurent series over Z.
 
 Two expansions return the same `ContinuedFraction` for a lacunary window.
 
@@ -10,7 +10,8 @@ der Poorten and Shallit, "Folded continued fractions", J. Number Theory 40
 
 `cf_expand` runs the polynomial Euclidean algorithm on the pair (window
 polynomial, X^N) rather than repeatedly inverting series tails: the two
-are equivalent, and Euclid keeps every coefficient exact.  Euclid runs on
+are equivalent, and Euclid keeps every coefficient in Z as long as each
+divisor leads with +-1, which it checks.  Euclid runs on
 sparse {exponent: coefficient} maps, the same shape as the series window:
 the remainders of a lacunary series keep few nonzero terms.  It expands
 any series and is the independent oracle for the fold.
@@ -24,11 +25,10 @@ prefix are still reported, flagged uncertified.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice
 
 from .bits import EpsilonSpec, LambdaRangeError, LambdaSpec
-from .rings import SeriesPrecisionError, SparsePoly, _norm_q
+from .rings import SeriesPrecisionError, SparsePoly
 
 
 @dataclass(frozen=True)
@@ -104,12 +104,14 @@ class Convergents:
 
 
 def _divmod(num: dict, den: dict):
-    """Quotient and remainder of polynomials held as {exponent: coefficient}
-    maps with no zero entries; den must be nonempty, {} is the zero
-    polynomial.  Integer coefficients stay integers whenever the divisor
-    leads with +-1."""
+    """Quotient and remainder of integer polynomials held as {exponent:
+    coefficient} maps with no zero entries; den must be nonempty and lead
+    with +-1, or the quotient may leave Z (ArithmeticError); {} is the zero
+    polynomial."""
     dn = max(den)
     lead = den[dn]
+    if lead not in (1, -1):
+        raise ArithmeticError(f"divisor leads with {lead} at X^{dn}: the quotient may leave Z")
     tail = [(e - dn, d) for e, d in den.items() if e != dn]
     r = dict(num)
     quot = {}
@@ -117,12 +119,7 @@ def _divmod(num: dict, den: dict):
         c = r.pop(i, 0)
         if not c:
             continue
-        if lead == 1:
-            f = c
-        elif lead == -1:
-            f = -c
-        else:
-            f = _norm_q(Fraction(c) / lead)
+        f = c * lead
         quot[i - dn] = f
         for e, d in tail:
             k = i + e
@@ -140,10 +137,9 @@ def cf_expand(f: LaurentSeries, max_quotients: int | None = None) -> ContinuedFr
     max_quotients bounds the number of quotients after A_0; None means run
     until the certified window is exhausted (one trailing uncertified
     quotient is kept so the flag is visible) or the remainder vanishes.
-    Certified quotients must come out with integer coefficients: every
-    window build_F makes is +-1 at 2-lacunary exponents, whose quotients are
-    +-1 monomials (see fold_expand), so a rational coefficient there means
-    the window certified something false and is reported as an error.
+    A remainder that leads with anything but +-1 raises ArithmeticError
+    (see _divmod): no window build_F makes has one, as its quotients are
+    +-1 monomials (see fold_expand).
     """
     if max_quotients is not None and max_quotients < 0:
         raise ValueError("max_quotients must be nonnegative")
@@ -178,12 +174,6 @@ def cf_expand(f: LaurentSeries, max_quotients: int | None = None) -> ContinuedFr
                 a, b = b, rem
                 break
         a, b = b, rem
-    for poly in quotients[:certified]:
-        for _, c in poly.terms:
-            if not isinstance(c, int):
-                raise ArithmeticError(
-                    f"certified partial quotient has non-integral coefficient {c}"
-                )
     return ContinuedFraction(
         quotients=tuple(quotients),
         certified=certified,
@@ -266,8 +256,6 @@ def _step(a: SparsePoly, cur: SparsePoly, prev: SparsePoly) -> SparsePoly:
         for e2, c2 in cur.terms:
             e = e1 + e2
             s = acc.get(e, 0) + c1 * c2
-            if type(s) is not int:
-                s = _norm_q(s)
             if s:
                 acc[e] = s
             else:

@@ -389,26 +389,35 @@ def halfsum_binom_halving(w: Dyadic, k: int) -> int:
     return 1 if (k & ~half) == 0 else 0
 
 
+def _v2(n: int) -> int:
+    """2-adic valuation of a nonzero int."""
+    return (n & -n).bit_length() - 1
+
+
 def leading_zeros(w: Dyadic) -> int:
-    """Number of leading 0 digits.  Undefined (raises) for 0."""
-    if w == Dyadic.from_int(0):
-        raise ValueError("zero has no finite leading-zeros count")
+    """Number of leading 0 digits: v_2(num) for a rational; a stream is
+    walked digit by digit, to StreamDepthError past its safe depth.
+    Undefined (raises) for 0."""
+    if w.rule is None:
+        if not w.num:
+            raise ValueError("zero has no finite leading-zeros count")
+        return _v2(w.num)
     n = 0
     while w.digit(n) == 0:
         n += 1
-        if n > 10 ** 6:
-            raise ValueError("leading-zeros count did not terminate")
     return n
 
 
 def leading_ones(w: Dyadic) -> int:
-    """Number of leading 1 digits.  Undefined (raises) for -1, whose digits
-    are all 1."""
-    if w == Dyadic.from_int(-1):
-        raise ValueError("minus one has no finite leading-ones count")
+    """Number of leading 1 digits: v_2(num + den) for a rational, as
+    w + 1 = (num + den)/den with den odd; a stream is walked digit by digit,
+    to StreamDepthError past its safe depth.  Undefined (raises) for -1,
+    whose digits are all 1."""
+    if w.rule is None:
+        if w.num == -w.den:
+            raise ValueError("minus one has no finite leading-ones count")
+        return _v2(w.num + w.den)
     n = 0
     while w.digit(n) == 1:
         n += 1
-        if n > 10 ** 6:
-            raise ValueError("leading-ones count did not terminate")
     return n

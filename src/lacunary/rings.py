@@ -1,24 +1,23 @@
-"""Exact sparse polynomials over Q and GF(2) polynomials as int masks.
+"""Exact sparse polynomials over Z and GF(2) polynomials as int masks.
 
-Polynomials over Q (Python int / Fraction, integer-valued coefficients
-stored as plain int) are sparse term lists with strictly increasing
-exponents and no zero coefficients.  GF(2) polynomials are Python ints,
-bit i holding the coefficient of X^i: addition is xor and `gf2_mul` is the
-carry-less product.  All arithmetic is exact; nothing is ever rounded.
+Polynomials over Z (Python int coefficients, nothing else) are sparse term
+lists with strictly increasing exponents and no zero coefficients.  GF(2)
+polynomials are Python ints, bit i holding the coefficient of X^i: addition
+is xor and `gf2_mul` is the carry-less product.  All arithmetic is exact;
+nothing is ever rounded.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from fractions import Fraction
+
+#: A coefficient's JSON text: exactly what str(int) writes.
+_INT_TEXT = re.compile(r"0|-?[1-9][0-9]*")
 
 #: Degree of the zero polynomial.  A dedicated sentinel (never -1, which is a
 #: legitimate Laurent exponent); compares below every integer.
 NEG_INF = float("-inf")
-
-
-class NotReducibleError(ArithmeticError):
-    """Mod-2 reduction hit a coefficient that is not an integer."""
 
 
 class SeriesPrecisionError(ValueError, ArithmeticError):
@@ -26,24 +25,15 @@ class SeriesPrecisionError(ValueError, ArithmeticError):
     request."""
 
 
-def _norm_q(c):
-    """Collapse integer-valued Fractions to int."""
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
+def _int_coeff(c):
+    if type(c) is not int:
+        raise TypeError(f"integer coefficient expected, got {type(c).__name__}")
     return c
-
-
-def _coerce_q(c):
-    if isinstance(c, int):
-        return c
-    if isinstance(c, Fraction):
-        return _norm_q(c)
-    raise TypeError(f"rational coefficient expected, got {type(c).__name__}")
 
 
 @dataclass(frozen=True)
 class SparsePoly:
-    """Polynomial over Q as a sorted tuple of (exponent, coefficient), no zeros stored."""
+    """Polynomial over Z as a sorted tuple of (exponent, coefficient), no zeros stored."""
 
     terms: tuple
 
@@ -54,7 +44,7 @@ class SparsePoly:
         for e, c in items:
             if not isinstance(e, int) or e < 0:
                 raise ValueError(f"polynomial exponent must be a nonnegative int, got {e!r}")
-            s = _norm_q(acc.get(e, 0) + _coerce_q(c))
+            s = acc.get(e, 0) + _int_coeff(c)
             if s:
                 acc[e] = s
             else:
@@ -77,12 +67,6 @@ class SparsePoly:
     def degree(self):
         return self.terms[-1][0] if self.terms else NEG_INF
 
-    def coeff(self, e):
-        for ee, cc in self.terms:
-            if ee == e:
-                return cc
-        return 0
-
     def __add__(self, other):
         return SparsePoly.build(self.terms + other.terms)
 
@@ -97,7 +81,7 @@ class SparsePoly:
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
                 e = e1 + e2
-                s = _norm_q(acc.get(e, 0) + c1 * c2)
+                s = acc.get(e, 0) + c1 * c2
                 if s:
                     acc[e] = s
                 else:
@@ -105,10 +89,9 @@ class SparsePoly:
         return SparsePoly(tuple(sorted(acc.items())))
 
     def scale(self, c):
-        c = _coerce_q(c)
-        if not c:
+        if not _int_coeff(c):
             return SparsePoly.zero()
-        return SparsePoly(tuple((e, _norm_q(cc * c)) for e, cc in self.terms))
+        return SparsePoly(tuple((e, cc * c) for e, cc in self.terms))
 
     def shift(self, k):
         """Multiply by X^k (k >= 0)."""
@@ -177,22 +160,37 @@ def flags_to_mask(flags) -> int:
 
 
 def reduce_mod2(p: SparsePoly) -> int:
-    """Ring map Z[X] -> GF(2)[X], as a mask; error if any coefficient is
-    non-integral."""
+    """Ring map Z[X] -> GF(2)[X], as a mask."""
     m = 0
     for e, c in p.terms:
-        if isinstance(c, Fraction):
-            raise NotReducibleError(f"not reducible: coefficient {c} at X^{e}")
         if c & 1:
             m |= 1 << e
     return m
 
 
 def poly_to_json(p: SparsePoly) -> dict:
+    """{"ring": "Q", "terms": [[e, str(c)], ...]}: the ring label predates
+    integer coefficients and is kept so that the output stays stable."""
     return {"ring": "Q", "terms": [[e, str(c)] for e, c in p.terms]}
 
 
 def poly_from_json(obj: dict) -> SparsePoly:
+    """Inverse of poly_to_json; ValueError names the field unless obj is an
+    object with ring "Q" and terms a list of [exponent, coefficient] pairs,
+    each exponent an int >= 0 and each coefficient the text str(int) writes."""
+    if type(obj) is not dict:
+        raise ValueError("a polynomial must be an object")
     if obj.get("ring") != "Q":
         raise ValueError(f"unknown ring {obj.get('ring')!r}")
-    return SparsePoly.build((int(e), Fraction(c)) for e, c in obj["terms"])
+    terms = obj.get("terms")
+    if type(terms) is not list:
+        raise ValueError("terms must be a list of [exponent, coefficient] pairs")
+    for i, term in enumerate(terms):
+        if type(term) is not list or len(term) != 2:
+            raise ValueError(f"terms[{i}] must be an [exponent, coefficient] pair")
+        e, c = term
+        if type(e) is not int or e < 0:
+            raise ValueError(f"terms[{i}] exponent must be an int >= 0, got {e!r}")
+        if type(c) is not str or not _INT_TEXT.fullmatch(c):
+            raise ValueError(f"terms[{i}] coefficient must be an integer string, got {c!r}")
+    return SparsePoly.build((e, int(c)) for e, c in terms)

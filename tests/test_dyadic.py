@@ -304,3 +304,32 @@ class TestDigitStructure:
             leading_zeros(Dyadic.from_int(0))
         with pytest.raises(ValueError):
             leading_ones(Dyadic.from_int(-1))
+
+    @given(st.integers(-(1 << 70), 1 << 70), odd)
+    def test_leading_runs_match_the_digits(self, a, b):
+        w = Dyadic.from_rational(a, b)
+        window = w.digits_window(80)
+        if w.num:
+            assert leading_zeros(w) == (window & -window).bit_length() - 1
+        if w.num != -w.den:
+            ones = ~window & ((1 << 80) - 1)
+            assert leading_ones(w) == (ones & -ones).bit_length() - 1
+
+    def test_leading_runs_of_a_rational_read_no_digit(self, monkeypatch):
+        def no_digit(self, j):
+            raise AssertionError(f"digit {j} read")
+
+        monkeypatch.setattr(Dyadic, "digit", no_digit)
+        assert leading_zeros(Dyadic.from_int(1 << 40000)) == 40000
+        assert leading_ones(Dyadic.from_int((1 << 40000) - 1)) == 40000
+        assert leading_ones(Dyadic.from_rational(-1, 3)) == 1
+        assert leading_zeros(Dyadic.from_rational(12, 7)) == 2
+
+    def test_leading_runs_of_a_constant_stream_end_at_its_depth(self):
+        zeros = Dyadic.from_stream(lambda j: 0, 64, "zeros")
+        ones = Dyadic.from_stream(lambda j: 1, 64, "ones")
+        for run, w in ((leading_zeros, zeros), (leading_ones, ones)):
+            with pytest.raises(StreamDepthError, match="digit 64 beyond safe depth 64"):
+                run(w)
+        assert leading_zeros(Dyadic.from_stream(lambda j: j >= 5, 64)) == 5
+        assert leading_ones(Dyadic.from_stream(lambda j: j < 5, 64)) == 5
