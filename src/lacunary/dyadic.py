@@ -212,20 +212,34 @@ def fraction_format(den: int):
 
 
 def numerator_orbit(num: int, den: int, limit: int | None = None) -> tuple:
-    """(numerators, cut): the distinct shifts of num/den (den odd) are
-    numerators[j]/den in orbit order, cycling from index cut.  The map x ->
-    (x - (x&1)*den) >> 1 is bounded, so the walk is linear in the period.
+    """(numerators, cut): the distinct shifts of num/den (den odd and
+    positive) are numerators[j]/den in orbit order, cycling from index cut.
+
+    A numerator x is on the cycle iff -den <= x <= 0.  The map
+    x -> (x - (x&1)*den) >> 1 at least halves the distance of x to that
+    interval, so every orbit enters it; it keeps the interval, as an even x
+    goes to x/2 and an odd x to (x - den)/2; and it is one-to-one there, as
+    y has the preimages 2y (even) and 2y + den (odd), and only one of them
+    lies in the interval since den is odd.  So the cycle starts at the first
+    numerator in the interval, and the walk ends when that numerator comes
+    back: it is linear in the orbit and keeps no set of the values seen.
 
     With a limit, the walk stops after at most limit numerators: an orbit
     longer than that comes back as its first limit numerators and cut None."""
-    seen = {}
+    nums = []
     x = num
-    while x not in seen:
-        if len(seen) == limit:
-            return list(seen), None
-        seen[x] = len(seen)
+    while not -den <= x <= 0:
+        if len(nums) == limit:
+            return nums, None
+        nums.append(x)
         x = (x - (x & 1) * den) >> 1
-    return list(seen), seen[x]
+    cut, first = len(nums), x
+    while len(nums) != limit:
+        nums.append(x)
+        x = (x - (x & 1) * den) >> 1
+        if x == first:
+            return nums, cut
+    return nums, None
 
 
 _STREAM_DEPTH = 1 << 20   # safe depth of the built-in demo streams

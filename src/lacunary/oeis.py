@@ -11,15 +11,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
+from itertools import islice
 from math import isqrt
 
 from .dyadic import Dyadic, kernel_value
 from .stern import alpha, beta, gamma, stern_u
 
 
-def parse_bfile(text: str) -> list:
-    """OEIS b-file lines "n a(n)"; '#' comments and blank lines ignored."""
-    entries = []
+def _bfile_entries(text: str):
+    """The entries of parse_bfile, one at a time: a malformed line raises
+    only when it is reached."""
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -28,10 +29,14 @@ def parse_bfile(text: str) -> list:
         if len(parts) != 2:
             raise ValueError(f"malformed b-file line: {raw!r}")
         try:
-            entries.append((int(parts[0]), int(parts[1])))
+            yield int(parts[0]), int(parts[1])
         except ValueError:
             raise ValueError(f"malformed b-file line: {raw!r}") from None
-    return entries
+
+
+def parse_bfile(text: str) -> list:
+    """OEIS b-file lines "n a(n)"; '#' comments and blank lines ignored."""
+    return list(_bfile_entries(text))
 
 
 def _triangle(tag: str, first_row: int):
@@ -113,7 +118,9 @@ def fixture_path(seq_id: str):
 
 def check_oeis(seq_id: str, bfile_text: str | None = None, limit: int | None = None) -> CheckReport:
     """Compare the named sequence against a b-file (the bundled fixture by
-    default) over the overlapping index range."""
+    default) over the overlapping index range, or its first limit entries:
+    the b-file is parsed no further, so a malformed line after them is
+    never seen."""
     if seq_id not in PROFILES:
         raise KeyError(f"no profile for {seq_id}")
     if limit is not None and limit < 1:
@@ -121,9 +128,8 @@ def check_oeis(seq_id: str, bfile_text: str | None = None, limit: int | None = N
     prof = PROFILES[seq_id]
     if bfile_text is None:
         bfile_text = fixture_path(seq_id).read_text()
-    entries = [(m, v) for m, v in parse_bfile(bfile_text) if m >= prof.min_index]
-    if limit is not None:
-        entries = entries[:limit]
+    entries = list(islice((e for e in _bfile_entries(bfile_text) if e[0] >= prof.min_index),
+                          limit))
     if not entries:
         raise ValueError(f"empty overlap for {seq_id}")
     # the Stern scalars recurse once per binary digit of the index

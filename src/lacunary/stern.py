@@ -11,8 +11,9 @@ thue_morse evaluates the definition and is the independent check on them.
 
 Tables are filled by window, as lists of exact Python integers:
 doubling_window fills any [a, b] of u, v, alpha, beta or gamma from the
-window of half its indices, in time O(b - a + log b), and the *_range
-functions are its windows from 0.  carlitz_window evaluates Carlitz's sum
+window of half its indices, in numpy arrays (int64 below 2^88, Python
+ints past it) and time O(b - a + log b), and the *_range functions are
+its windows from 0.  carlitz_window evaluates Carlitz's sum
 in numpy int64 blocks of about 2^16 cells, (b - a) * b / 2 cell tests in
 all; carlitz_range and parity_convolve_range return numpy int64 arrays.
 The scalar paths stay the reference the windows are checked against.
@@ -197,9 +198,16 @@ _PREFIX = 64
 
 
 def doubling_window(which: str, a: int, b: int) -> list:
-    """[s_a, ..., s_b] for s in _DOUBLING, each window filled from
-    [a//2 - 1, b//2 + 1], down to a prefix of about _PREFIX + b - a terms;
-    u also at negative indices."""
+    """[s_a, ..., s_b] for s in _DOUBLING; u also at negative indices.
+
+    The window is halved to [max(a//2 - 1, 0), b//2 + 1] until
+    b <= 2 * _PREFIX, that prefix is filled index by index, and each level
+    back up is formed from the one below in numpy arrays: its even entries
+    in one array expression, its odd entries in another, s_0 and s_1 set
+    anew on a level that starts below 2.  The arrays are int64 while b < 2^88:
+    Lehmer's bound, u_n <= F_{bitlen(n+1)+1} < 2^62 there, holds for every
+    |s_n| since |alpha|, |beta| <= u, |gamma| <= 1 and v is u shifted.
+    Past 2^88 the same code runs on arrays of Python ints."""
     s0, s1, c0, c1, d0, d1 = _DOUBLING[which]
     if a > b:
         return []
@@ -212,26 +220,32 @@ def doubling_window(which: str, a: int, b: int) -> list:
             vals.append(0)
         return vals + doubling_window("u", 0, b)
     chain = []
-    while a > _PREFIX:
+    while b > 2 * _PREFIX:
         chain.append((a, b))
-        a, b = (a >> 1) - 1, (b >> 1) + 1
+        a, b = max((a >> 1) - 1, 0), (b >> 1) + 1
     vals = [s0, s1]
     for m in range(2, b + 1):
         n = m >> 1
         vals.append(d0 * vals[n] + d1 * vals[n + 1] if m & 1 else c0 * vals[n] + c1 * vals[n - 1])
     vals = vals[a:b + 1]
+    if not chain:
+        return vals
+    import numpy as np
+
+    vals = np.array(vals, dtype=np.int64 if chain[0][1] < 1 << 88 else object)
     for lo, hi in reversed(chain):
-        # vals holds s_a..s_b with a = lo//2 - 1 and b = hi//2 + 1
-        even, odd = lo + (lo & 1), lo | 1
+        # vals holds s_a..s_b with a = max(lo//2 - 1, 0) and b = hi//2 + 1
+        start = max(lo, 2)
+        even, odd = start + (start & 1), start | 1
         i, n_even = (even >> 1) - a, (hi - even) // 2 + 1
         j, n_odd = (odd >> 1) - a, (hi - odd) // 2 + 1
-        out = [0] * (hi - lo + 1)
-        out[even - lo::2] = [c0 * x + c1 * y for x, y in
-                             zip(vals[i:i + n_even], vals[i - 1:i - 1 + n_even])]
-        out[odd - lo::2] = [d0 * x + d1 * y for x, y in
-                            zip(vals[j:j + n_odd], vals[j + 1:j + 1 + n_odd])]
-        vals, a, b = out, lo, hi
-    return vals
+        out = np.empty(hi - lo + 1, dtype=vals.dtype)
+        out[even - lo::2] = c0 * vals[i:i + n_even] + c1 * vals[i - 1:i - 1 + n_even]
+        out[odd - lo::2] = d0 * vals[j:j + n_odd] + d1 * vals[j + 1:j + 1 + n_odd]
+        if lo < 2:
+            out[:start - lo] = (s0, s1)[lo:]
+        vals, a = out, lo
+    return vals.tolist()
 
 
 def stern_range(n_max: int) -> list:

@@ -268,7 +268,29 @@ class TestHalfsum:
         assert f == (g + h) % 2
 
 
+def dict_orbit(num, den, limit=None):
+    """The orbit found by remembering every numerator seen."""
+    seen = {}
+    x = num
+    while x not in seen:
+        if len(seen) == limit:
+            return list(seen), None
+        seen[x] = len(seen)
+        x = (x - (x & 1) * den) >> 1
+    return list(seen), seen[x]
+
+
 class TestNumeratorOrbit:
+    @given(st.integers(-(1 << 80), 1 << 80), st.integers(0, 5000).map(lambda n: 2 * n + 1),
+           st.sampled_from([None, 0, 1, 5, 50]))
+    def test_matches_dict_walk(self, num, den, limit):
+        assert numerator_orbit(num, den, limit) == dict_orbit(num, den, limit)
+
+    @pytest.mark.parametrize("num, den", [(0, 1), (-1, 1), (5, 1), (-7, 1), (1, 3), (-3, 3),
+                                          (-4, 3), (4, 3)])
+    def test_edges_of_the_cycle_interval(self, num, den):
+        assert numerator_orbit(num, den) == dict_orbit(num, den)
+
     def test_one_third(self):
         # 1/3 -> -1/3 -> -2/3 -> -1/3: the cycle starts at index 1
         assert numerator_orbit(1, 3) == ([1, -1, -2], 1)

@@ -47,6 +47,30 @@ class TestCheckOeis:
         report = check_oeis("A002487", limit=10)
         assert report.ok and report.compared == 10
 
+    # A002487 from index 0: five entries, then a malformed line
+    LATE_JUNK = "0 0\n1 1\n2 1\n3 2\n4 1\n5 three\n"
+
+    def test_limit_stops_before_a_late_malformed_line(self):
+        report = check_oeis("A002487", bfile_text=self.LATE_JUNK, limit=5)
+        assert report.ok and report.compared == 5
+
+    def test_late_malformed_line_read_without_limit(self):
+        with pytest.raises(ValueError, match="malformed"):
+            check_oeis("A002487", bfile_text=self.LATE_JUNK)
+
+    def test_malformed_line_within_limit_raises(self):
+        with pytest.raises(ValueError, match="malformed"):
+            check_oeis("A002487", bfile_text=self.LATE_JUNK, limit=6)
+        with pytest.raises(ValueError, match="malformed"):
+            check_oeis("A002487", bfile_text="0 0\n1 1 1\n2 1\n", limit=2)
+
+    def test_entries_below_min_index_not_counted(self):
+        # A078812 starts at index 1: the index-0 line is dropped, and the
+        # limit of 2 reaches the entries at 1 and 2 before the junk
+        text = "0 999\n1 1\n2 2\njunk\n"
+        report = check_oeis("A078812", bfile_text=text, limit=2)
+        assert report.ok and report.compared == 2
+
     def test_negative_limit_rejected(self):
         with pytest.raises(ValueError, match="limit must be positive"):
             check_oeis("A002487", limit=-1)

@@ -96,13 +96,31 @@ class TestWindows:
         ((1 << 40) - 100, (1 << 40) + 100),
         ((1 << 40) + 1, (1 << 40) + 1),
         (12345, 14000),
+        ((1 << 88) - 300, (1 << 88) + 300),   # b >= 2^88: Python ints
+        (1 << 100, (1 << 100) + 700),
+        # about the largest u_n below 2^88 (61 bits, int64) and below 2^100
+        # (69 bits, Python ints)
+        ((2 << 88) // 3 - 300, (2 << 88) // 3 + 300),
+        ((2 << 100) // 3 - 300, (2 << 100) // 3 + 300),
     ])
     def test_far_windows(self, which, a, b):
         assert doubling_window(which, a, b) == scalar_table(which, a, b)
 
-    @given(st.sampled_from(sorted(SCALARS)), st.integers(0, 1 << 48), st.integers(0, 70))
+    @given(st.sampled_from(sorted(SCALARS)),
+           st.one_of(st.integers(0, 1 << 11), st.integers(0, 1 << 100)),
+           st.integers(0, 1500))
     def test_random_windows(self, which, a, width):
-        assert doubling_window(which, a, a + width) == scalar_table(which, a, a + width)
+        vals = doubling_window(which, a, a + width)
+        assert vals == scalar_table(which, a, a + width)
+        assert all(type(x) is int for x in vals)
+
+    @pytest.mark.parametrize("which", sorted(SCALARS))
+    def test_windows_from_the_prefix(self, which):
+        # b = 2 * _PREFIX = 128 is filled index by index; from 129 on, one
+        # array level, which re-sets s_0 and s_1 when it starts below 2
+        for a in (0, 1, 2, 63, 64, 65):
+            for b in (128, 129, 130, 131):
+                assert doubling_window(which, a, b) == scalar_table(which, a, b), (a, b)
 
     @pytest.mark.parametrize("a, b", [
         (-1, -1), (-2, -2), (-3, -1), (-2, 0), (-5, 5), (-300, 40), (-40, 300),
