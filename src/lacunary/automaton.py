@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import product, starmap
+from itertools import product
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -34,7 +34,7 @@ if TYPE_CHECKING:
 
 from .bits import EpsilonSpec
 from .dyadic import Dyadic, fraction_format, numerator_orbit
-from .jsontext import SLOT, encode, layout, separator, template
+from .jsontext import CHUNK, SLOT, encode, layout, rows, separator, template
 from .rings import flags_to_mask, gf2_mul
 
 
@@ -132,12 +132,13 @@ class Dfao:
 
     def to_json(self) -> str:
         """json.dumps(obj, sort_keys=True, indent=2) of {"input", "states",
-        "initial", "transitions", "meta"}, laid out one format call per state
-        and per transition; labels go through json's C string encoder."""
-        labels = map(encode, _label_texts(self.states))
-        states = separator(1).join(map(_STATE, range(len(self.states)), labels, self.out))
-        transitions = separator(1).join(starmap(_PAIR, self.step))
-        return _DOCUMENT(self.initial, layout(self.meta, 1), states, transitions)
+        "initial", "transitions", "meta"}, its states and transitions laid
+        out by jsontext.rows, CHUNK of them per %-format; labels go through
+        json's C string encoder."""
+        labels = list(map(encode, _label_texts(self.states)))
+        states = rows(_STATE, separator(1), (range(len(labels)), labels, self.out), CHUNK)
+        transitions = rows(_PAIR, separator(1), tuple(zip(*self.step)), CHUNK)
+        return _DOCUMENT % (self.initial, layout(self.meta, 1), "".join(states), "".join(transitions))
 
     @classmethod
     def from_json(cls, text: str) -> "Dfao":

@@ -14,12 +14,12 @@ import argparse
 import os
 import sys
 from functools import partial
-from itertools import chain, islice, repeat, starmap
+from itertools import islice
 
 from .bits import parse_epsilon_spec, parse_lambda_spec
 from .contfrac import build_F, convergent_side, fold_expand
 from .dyadic import kernel_range, parse_omega
-from .jsontext import SLOT, TEXT, document, layout, separator, template
+from .jsontext import CHUNK, SLOT, TEXT, document, layout, led, rows, separator, template
 from .oeis import PROFILES, check_oeis
 from .qseries import a_number, pell_check_mod2, q_omega_window
 from .stern import carlitz_window, doubling_window
@@ -58,28 +58,14 @@ _CARLITZ_CAP = 1 << 16
 _USAGE_ERRORS = (ValueError, KeyError)
 
 
-#: Strings per write of a streamed table: one chunk of its text is held at
-#: a time, never the whole document.
-_CHUNK = 1 << 12
+#: Rows per piece of a streamed table: one piece of its text is held at a
+#: time, never the whole document.
+_CHUNK = CHUNK
 
-#: Strings per write of a streamed list of polynomials: one polynomial of
-#: a 2^14 cf window averages about 9 KB of text, so a table's chunk of them
+#: Polynomials per piece of a streamed list of them: one polynomial of a
+#: 2^14 cf window averages about 9 KB of text, so a table's chunk of them
 #: would hold tens of MB.
 _POLY_CHUNK = 16
-
-
-def _write_joined(sep: str, strs, per_write=None) -> None:
-    """sys.stdout.write(sep.join(strs)), per_write strings at a time
-    (_CHUNK if None)."""
-    write = sys.stdout.write
-    strs = iter(strs)
-    per_write = per_write or _CHUNK
-    first = True
-    while chunk := list(islice(strs, per_write)):
-        if not first:
-            write(sep)
-        write(sep.join(chunk))
-        first = False
 
 
 # poly_to_json(p) as a top-level list's entry, a term of it, a qseries window term
@@ -90,20 +76,23 @@ _QTERM = template([SLOT, TEXT], 2)
 
 
 class _TermTexts(dict):
-    """(e, c) -> _TERM(e, c), formatted on first use.  The P_n and Q_n of a
-    cf reuse a few terms many times over (Q_n has coefficients 0 and +-1)."""
+    """(e, c) -> _TERM % (e, c), formatted on first use.  The P_n and Q_n of
+    a cf reuse a few terms many times over (Q_n has coefficients 0 and +-1)."""
 
     def __missing__(self, term):
-        text = self[term] = _TERM(*term)
+        text = self[term] = _TERM % term
         return text
 
 
-def _poly_items(polys, texts):
-    """layout(poly_to_json(p), 2) for each p as it is drawn from polys, its
-    terms' text looked up in texts, a _TermTexts."""
-    join, text = separator(3).join, texts.__getitem__
-    for p in polys:
-        yield _POLY(join(map(text, p.terms))) if p.terms else _ZERO_POLY
+def _poly_pieces(polys, texts):
+    """The entries layout(poly_to_json(p), 2) of polys as document takes
+    them, _POLY_CHUNK per piece, each drawn from polys as its piece is
+    formed; terms' text is looked up in texts, a _TermTexts."""
+    join, text, sep = separator(3).join, texts.__getitem__, separator(1)
+    items = (_POLY % join(map(text, p.terms)) if p.terms else _ZERO_POLY for p in polys)
+    # lists of _POLY_CHUNK items until items runs dry
+    chunks = iter(lambda: list(islice(items, _POLY_CHUNK)), [])
+    return led(sep, map(sep.join, chunks))
 
 
 def _write_cf_json(cf) -> None:
@@ -113,15 +102,28 @@ def _write_cf_json(cf) -> None:
     term is formatted once."""
     n, certified = len(cf.quotients), cf.certified
     texts = _TermTexts()
-    _write_joined("", document(
+    flags = [layout(True)] * certified + [layout(False)] * (n - certified)
+    sys.stdout.writelines(document(
         {"certified_count": certified, "precision": cf.precision, "terminated": cf.terminated},
         {
-            "a": _poly_items(cf.quotients, texts),
-            "certified": chain(repeat(layout(True), certified), repeat(layout(False), n - certified)),
-            "p": _poly_items(convergent_side(cf.quotients, "p"), texts),
-            "q": _poly_items(convergent_side(cf.quotients, "q"), texts),
+            "a": _poly_pieces(cf.quotients, texts),
+            "certified": rows("%s", separator(1), (flags,), _CHUNK),
+            "p": _poly_pieces(convergent_side(cf.quotients, "p"), texts),
+            "q": _poly_pieces(convergent_side(cf.quotients, "q"), texts),
         },
-    ), _POLY_CHUNK)
+    ))
+
+
+def _write_cf_text(cf) -> None:
+    """One line `A_i = quotient` per quotient, the uncertified ones marked,
+    then the certified count; each distinct quotient's str() is taken once."""
+    n, certified = len(cf.quotients), cf.certified
+    strs = {quot: str(quot) for quot in set(cf.quotients)}
+    texts = list(map(strs.__getitem__, cf.quotients))
+    write = sys.stdout.writelines
+    write(rows("A_%d = %s\n", "", (range(certified), texts[:certified]), _CHUNK))
+    write(rows("A_%d = %s   (uncertified)\n", "", (range(certified, n), texts[certified:]), _CHUNK))
+    print(f"certified: {certified} of {n} quotients at precision {cf.precision}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -205,13 +207,7 @@ def _cmd_cf(args) -> int:
     lam, eps = _specs(args)
     f = build_F(lam, eps, args.precision)
     cf = fold_expand(f, args.n)
-    if args.json:
-        _write_cf_json(cf)
-        return 0
-    for i, quot in enumerate(cf.quotients):
-        mark = "" if i < cf.certified else "   (uncertified)"
-        print(f"A_{i} = {quot}{mark}")
-    print(f"certified: {cf.certified} of {len(cf.quotients)} quotients at precision {cf.precision}")
+    (_write_cf_json if args.json else _write_cf_text)(cf)
     return 0
 
 
@@ -271,15 +267,16 @@ def _cmd_qseries(args) -> int:
         else:
             print(val.decimal(args.digits))
         return 0
-    terms = q_omega_window(w, lam, eps, args.upto)
+    exps, coeffs = tuple(zip(*q_omega_window(w, lam, eps, args.upto))) or ((), ())
     if args.mod2:
-        terms = [(e, abs(c)) for e, c in terms]
+        coeffs = tuple(map(abs, coeffs))
     if args.json:
-        _write_joined("", document({"mod2": args.mod2, "omega": w.describe(), "upto": args.upto},
-                                   {"terms": starmap(_QTERM, terms)}))
+        sys.stdout.writelines(document(
+            {"mod2": args.mod2, "omega": w.describe(), "upto": args.upto},
+            {"terms": rows(_QTERM, separator(1), (exps, coeffs), _CHUNK)}))
     else:
         sys.stdout.write("{")
-        _write_joined(", ", starmap("{}: {}".format, terms))
+        sys.stdout.writelines(rows("%d: %d", ", ", (exps, coeffs), _CHUNK))
         sys.stdout.write("}\n")
     return 0
 
@@ -330,14 +327,13 @@ def _cmd_stern(args) -> int:
         _check_at_most("--to", to, _CARLITZ_CAP)
     values = fn(start, to)
     if args.json:
-        _write_joined("", document({"from": start, "sequence": args.which, "to": to},
-                                   {"values": map(str, values)}))
+        sys.stdout.writelines(document({"from": start, "sequence": args.which, "to": to},
+                                       {"values": rows("%d", separator(1), (values,), _CHUNK)}))
     elif args.csv:
         sys.stdout.write(f"n,{args.which}\n")
-        _write_joined("\n", map("{},{}".format, range(start, to + 1), values))
-        sys.stdout.write("\n")
+        sys.stdout.writelines(rows("%d,%d\n", "", (range(start, to + 1), values), _CHUNK))
     else:
-        _write_joined(",", map(str, values))
+        sys.stdout.writelines(rows("%d", ",", (values,), _CHUNK))
         sys.stdout.write("\n")
     return 0
 
@@ -423,9 +419,8 @@ def _cmd_automaton(args) -> int:
         print(d.to_json())
     else:
         print(f"states: {len(d)}, initial: {d.initial}")
-        _write_joined("\n", map("  {}: out {:+d}, 0 -> {}, 1 -> {}".format,
-                                range(len(d)), d.out, *zip(*d.step)))
-        sys.stdout.write("\n")
+        sys.stdout.writelines(rows("  %d: out %+d, 0 -> %d, 1 -> %d\n", "",
+                                   (range(len(d)), d.out, *zip(*d.step)), _CHUNK))
     return 0
 
 

@@ -9,6 +9,7 @@ fixtures/ directory; nothing here touches the network.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from importlib import resources
 from itertools import islice
@@ -18,10 +19,12 @@ from .dyadic import Dyadic, kernel_value
 from .stern import alpha, beta, gamma, stern_u
 
 
-def _bfile_entries(text: str):
-    """The entries of parse_bfile, one at a time: a malformed line raises
-    only when it is reached."""
-    for raw in text.splitlines():
+def _bfile_entries(lines):
+    """The entries of parse_bfile, one at a time, from an iterable of lines
+    with or without their newline: a malformed line raises only when it is
+    reached."""
+    for raw in lines:
+        raw = raw.rstrip("\n")
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -36,7 +39,7 @@ def _bfile_entries(text: str):
 
 def parse_bfile(text: str) -> list:
     """OEIS b-file lines "n a(n)"; '#' comments and blank lines ignored."""
-    return list(_bfile_entries(text))
+    return list(_bfile_entries(text.splitlines()))
 
 
 def _triangle(tag: str, first_row: int):
@@ -119,17 +122,17 @@ def fixture_path(seq_id: str):
 def check_oeis(seq_id: str, bfile_text: str | None = None, limit: int | None = None) -> CheckReport:
     """Compare the named sequence against a b-file (the bundled fixture by
     default) over the overlapping index range, or its first limit entries:
-    the b-file is parsed no further, so a malformed line after them is
-    never seen."""
+    the b-file is parsed no further, and the fixture read line by line no
+    further, so a malformed line after them is never seen."""
     if seq_id not in PROFILES:
         raise KeyError(f"no profile for {seq_id}")
     if limit is not None and limit < 1:
         raise ValueError("limit must be positive")
     prof = PROFILES[seq_id]
-    if bfile_text is None:
-        bfile_text = fixture_path(seq_id).read_text()
-    entries = list(islice((e for e in _bfile_entries(bfile_text) if e[0] >= prof.min_index),
-                          limit))
+    with (nullcontext(bfile_text.splitlines()) if bfile_text is not None
+          else fixture_path(seq_id).open(encoding="utf-8")) as lines:
+        entries = list(islice((e for e in _bfile_entries(lines) if e[0] >= prof.min_index),
+                              limit))
     if not entries:
         raise ValueError(f"empty overlap for {seq_id}")
     # the Stern scalars recurse once per binary digit of the index

@@ -1,6 +1,7 @@
 """Digit automata for the coefficient streams and the algebraic certificate."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -527,9 +528,9 @@ def _reference_json(d: Dfao) -> str:
     }, sort_keys=True, indent=2)
 
 
-# quotes, backslashes, non-ASCII (a surrogate pair included) and control
-# characters
-_TEXT = st.text(st.sampled_from('ab"\\\x00\x1f\n\t\x7f\u00e9\u2028\U0001d11e'), max_size=6)
+# quotes, backslashes, percent signs, braces, non-ASCII (a surrogate pair
+# included) and control characters
+_TEXT = st.text(st.sampled_from('ab%{"\\\x00\x1f\n\t\x7f\u00e9\u2028\U0001d11e'), max_size=6)
 _LEAF = st.one_of(st.integers(-3, 300), _TEXT, st.none(), st.booleans())
 _LABEL = st.one_of(
     _TEXT,
@@ -572,9 +573,12 @@ class TestJsonOracle:
     @example(minimize(build_dfao(_W6, "f")))
     @example(Dfao(("only",), ((0, 0),), (1,), 0))
     def test_to_json_matches_json_dumps(self, d):
-        text = d.to_json()
-        assert isinstance(text, str)
-        assert text == _reference_json(d)
+        # a chunk of 1 or 3 rows puts chunk edges inside these small machines
+        for chunk in (1, 3, automaton.CHUNK):
+            with mock.patch.object(automaton, "CHUNK", chunk):
+                text = d.to_json()
+            assert isinstance(text, str)
+            assert text == _reference_json(d), chunk
 
     @given(_dfaos(labels=_TEXT | st.just(DEAD)))
     def test_from_json_output_is_laid_out_as_json_dumps(self, d):

@@ -22,7 +22,7 @@ import lacunary.cli
 import lacunary.contfrac
 import lacunary.oeis
 
-from lacunary.automaton import OrbitError
+from lacunary.automaton import Dfao, OrbitError, build_dfao, minimize, signed_dfao
 from lacunary.bits import (
     EpsilonSpec,
     LambdaRangeError,
@@ -213,6 +213,29 @@ class TestQSeries:
         )
 
 
+def _digits(draw, low):
+    return ",".join(map(str, draw(st.lists(st.integers(0, 1), min_size=low, max_size=3))))
+
+
+@st.composite
+def _cf_options(draw):
+    """(--lambda, --eps, --precision, --n) of a cf over a random strictly
+    2-lacunary lambda (Mersenne or a list), a random eps and a window of at
+    most 512, --n None or a cap."""
+    pre = _digits(draw, 0)
+    eps = (f"pre:{pre}+" if pre else "") + "period:" + _digits(draw, 1)
+    cap = draw(st.one_of(st.none(), st.integers(0, 12)))
+    if draw(st.booleans()):
+        return "mersenne", eps, draw(st.integers(3, 512)), cap
+    vals = [draw(st.integers(1, 4))]
+    while len(vals) < 2 or vals[-1] < 256 and draw(st.integers(0, 5)):
+        vals.append(2 * vals[-1] + 1 + draw(st.integers(0, vals[-1] + 1)))
+    # a window past 2 * lambda_0, where the first quotient is certified, up
+    # to 2 * lambda_last, where it is still complete from the list
+    window = draw(st.integers(2 * vals[0] + 1, min(2 * vals[-1], 512)))
+    return "list:" + ",".join(map(str, vals)), eps, window, cap
+
+
 class TestCf:
     def test_text_listing(self, capsys):
         rc, out, _ = run(capsys, "cf", "--n", "4", "--precision", "64")
@@ -233,6 +256,22 @@ class TestCf:
             if n >= 1:
                 p_n = reduce_mod2(poly_from_json(obj["p"][n]))
                 assert p_n == reduce_mod2(poly_from_json(obj["q"][n - 1]))
+
+    @given(_cf_options())
+    @example(("mersenne", "period:0", 64, None))           # an uncertified last quotient
+    @example(("list:1,4,9,19,39", "pre:1+period:0,1", 78, 5))
+    @example(("mersenne", "pre:1,1,0+period:0,1,1", 512, None))
+    def test_every_printed_denominator_is_the_closed_form(self, options):
+        # Q_n of the paper's 2-adic closed form for every n cf --json prints:
+        # the uncertified tail and --n caps included
+        lam, eps, window, cap = options
+        argv = ["cf", "--lambda", lam, "--eps", eps, "--precision", str(window), "--json"]
+        rc, out = _printed(main, argv + ([] if cap is None else ["--n", str(cap)]))
+        qs = json.loads(out)["q"]
+        assert rc == 0 and (cap is None or len(qs) <= cap + 1)
+        lam, eps = parse_lambda_spec(lam), parse_epsilon_spec(eps)
+        for n, q in enumerate(qs):
+            assert poly_from_json(q) == q_poly(n, lam, eps), n
 
     def test_eps_changes_signs(self, capsys):
         rc, out, _ = run(capsys, "cf", "--n", "3", "--precision", "64",
@@ -357,13 +396,25 @@ def test_cf_json_writer_matches_dump(cf):
 
 def test_cf_json_formats_each_distinct_term_once(monkeypatch):
     calls = []
-    term = lacunary.cli._TERM
-    monkeypatch.setattr(lacunary.cli, "_TERM", lambda e, c: calls.append((e, c)) or term(e, c))
+    missing = lacunary.cli._TermTexts.__missing__
+    monkeypatch.setattr(lacunary.cli._TermTexts, "__missing__",
+                        lambda texts, term: calls.append(term) or missing(texts, term))
     rc, out = _printed(main, ["cf", "--precision", "1024", "--json"])
     written = [(e, c) for key in "apq" for poly in json.loads(out)[key] for e, c in poly["terms"]]
     assert rc == 0 and len(written) > 4 * len(set(written))
     assert len(calls) == len(set(written))
     assert {(e, str(c)) for e, c in calls} == set(written)
+
+
+def test_cf_text_formats_each_distinct_quotient_once(monkeypatch):
+    calls = []
+    text = SparsePoly.__str__
+    monkeypatch.setattr(SparsePoly, "__str__", lambda p: calls.append(p) or text(p))
+    rc, out = _printed(main, ["cf", "--precision", "1024"])
+    quotients = [line.split(" = ")[1].split("   ")[0] for line in out.splitlines()[:-1]]
+    assert rc == 0 and len(quotients) > 4 * len(set(quotients))
+    assert len(calls) == len(set(calls)) == len(set(quotients))
+    assert {text(p) for p in calls} == set(quotients)
 
 
 class _Writes(io.StringIO):
@@ -414,6 +465,10 @@ _CHUNKS = st.sampled_from([1, 3, lacunary.cli._CHUNK])
 @example("u", -5, 0, 1)
 @example("u", -9, 9, 3)
 @example("carlitz", 7, 0, 3)
+@example("u", (1 << 64) + 3, 11, 3)         # past int64 indices, int64 values
+@example("v", (1 << 88) - 5, 11, 1)         # across 2^88: Python-int arrays
+@example("alpha", (1 << 88) + 9, 11, 3)
+@example("gamma", (1 << 100) + 1, 7, 1)
 def test_stern_writers_match_print(which, start, extra, chunk):
     if which != "u":
         start = abs(start)
@@ -434,6 +489,43 @@ def test_stern_writers_match_print(which, start, extra, chunk):
     with mock.patch.object(lacunary.cli, "_CHUNK", chunk):
         for form, text in want.items():
             assert _printed(main, argv + ([] if form == "text" else [form])) == (0, text), form
+
+
+@given(_expansions(), _CHUNKS)
+@example(ContinuedFraction((SparsePoly.zero(),) + (SparsePoly.build([(1, -1)]),) * 6,
+                           certified=4, precision=64, terminated=False), 3)
+def test_cf_text_writer_matches_print(cf, chunk):
+    def lines():
+        for i, quot in enumerate(cf.quotients):
+            mark = "" if i < cf.certified else "   (uncertified)"
+            print(f"A_{i} = {quot}{mark}")
+        print(f"certified: {cf.certified} of {len(cf.quotients)} quotients at precision {cf.precision}")
+
+    with mock.patch.object(lacunary.cli, "_CHUNK", chunk):
+        assert _printed(lacunary.cli._write_cf_text, cf) == _printed(lines)
+
+
+@given(st.sampled_from(["int:6", "rat:1/3", "rat:-5/7", "rat:1/11", "rat:-1/131"]),
+       st.sampled_from(["f", "g", "h", "signed"]), st.booleans(), _CHUNKS)
+@example("rat:-1/131", "g", False, 3)
+def test_automaton_writers_match_print(omega, tag, minimized, chunk):
+    w = parse_omega(omega)
+    d = signed_dfao(w, EpsilonSpec.zero()) if tag == "signed" else build_dfao(w, tag)
+    d = minimize(d) if minimized else d
+
+    def listing():
+        print(f"states: {len(d)}, initial: {d.initial}")
+        for i, ((t0, t1), out) in enumerate(zip(d.step, d.out)):
+            print(f"  {i}: out {out:+d}, 0 -> {t0}, 1 -> {t1}")
+
+    argv = ["automaton", "build", "--omega", omega, "--tag", tag] + ["--minimize"] * minimized
+    with mock.patch.object(lacunary.cli, "_CHUNK", chunk), \
+            mock.patch.object(lacunary.automaton, "CHUNK", chunk):
+        assert _printed(main, argv) == (0, _printed(listing)[1])
+        rc, out = _printed(main, argv + ["--export", "json"])
+    assert rc == 0 and out == _dumps(json.loads(out))
+    back = Dfao.from_json(out)
+    assert (back.step, back.out, back.initial) == (tuple(map(tuple, d.step)), tuple(d.out), d.initial)
 
 
 @given(st.sampled_from(["int:-1", "int:0", "int:6", "rat:1/3", "rat:-5/7", "stream:thue-morse"]),

@@ -1,11 +1,11 @@
 """The one JSON layout against its oracle, json.dumps(..., sort_keys=True,
-indent=2)."""
+indent=2), and the chunked row formatter against one %-format per row."""
 
 import json
 
 from hypothesis import given, strategies as st
 
-from lacunary.jsontext import SLOT, TEXT, document, layout, template
+from lacunary.jsontext import SLOT, TEXT, document, layout, rows, separator, template
 
 
 def _dumps(value, level=0) -> str:
@@ -14,9 +14,9 @@ def _dumps(value, level=0) -> str:
     return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + "  " * level)
 
 
-# quotes, backslashes, braces, control characters other than the slot
-# markers, and non-ASCII (a surrogate pair included)
-_TEXT = st.text(st.sampled_from('ab{}"\\\x02\x1f\n\t\x7fé \U0001d11e'), max_size=6)
+# quotes, backslashes, braces, percent signs, control characters other than
+# the slot markers, and non-ASCII (a surrogate pair included)
+_TEXT = st.text(st.sampled_from('ab{}%"\\\x02\x1f\n\t\x7fé \U0001d11e'), max_size=6)
 _SCALAR = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _TEXT)
 
 
@@ -76,14 +76,38 @@ def test_template_matches_json_dumps(skeleton, level, data):
             values.append(data.draw(_PLAIN))
             args.append(values[-1])
     want = _dumps(_filled(skeleton, iter(values)), level)
-    assert template(skeleton, level)(*args) == want
+    assert template(skeleton, level) % tuple(args) == want
+
+
+_CHUNK = st.integers(1, 5)
 
 
 @given(st.dictionaries(_TEXT, _VALUE, max_size=4),
        st.dictionaries(_TEXT, st.lists(_VALUE, max_size=5) | st.lists(_TEXT, max_size=300),
-                       max_size=3))
-def test_document_matches_json_dumps(values, lists):
+                       max_size=3),
+       _CHUNK)
+def test_document_matches_json_dumps(values, lists, chunk):
     lists = {k: v for k, v in lists.items() if k not in values}
-    pieces = list(document(values, {k: (_dumps(e, 2) for e in v) for k, v in lists.items()}))
+    pieces = list(document(values, {
+        k: rows("%s", separator(1), ([_dumps(e, 2) for e in v],), chunk) for k, v in lists.items()
+    }))
     assert all(isinstance(p, str) for p in pieces)
     assert "".join(pieces) == _dumps({**values, **lists}) + "\n"
+
+
+# forms of one to three slots, with braces, a %+d and a literal %% among them
+_FORMS = st.sampled_from(["%d", '"%d"', "%d,%d\n", "{%s: %+d}%%", "  %d: out %+d, 0 -> %d"])
+
+
+@given(_FORMS, st.sampled_from(["", ",", ", ", separator(1)]), st.data(), _CHUNK)
+def test_rows_match_one_format_per_row(form, sep, data, chunk):
+    width = form.count("%") - 2 * form.count("%%")
+    n = data.draw(st.integers(0, 12))
+    columns = tuple(data.draw(st.lists(st.integers(-(1 << 70), 1 << 70), min_size=n, max_size=n))
+                    for _ in range(width))
+    if data.draw(st.booleans()):  # a range column, as the tables' index
+        start = data.draw(st.integers(-(1 << 70), 1 << 70))
+        columns = (range(start, start + n),) + columns[1:]
+    pieces = list(rows(form, sep, columns, chunk))
+    assert len(pieces) == -(-n // chunk)
+    assert "".join(pieces) == sep.join(form % row for row in zip(*columns))

@@ -1,9 +1,12 @@
 """B-file parsing and the bundled sequence cross-checks."""
 
+import contextlib
 import dataclasses
+import re
 
 import pytest
 
+import lacunary.oeis
 from lacunary.oeis import PROFILES, check_oeis, fixture_path, parse_bfile
 
 
@@ -63,6 +66,23 @@ class TestCheckOeis:
             check_oeis("A002487", bfile_text=self.LATE_JUNK, limit=6)
         with pytest.raises(ValueError, match="malformed"):
             check_oeis("A002487", bfile_text="0 0\n1 1 1\n2 1\n", limit=2)
+
+    def test_fixture_read_no_further_than_the_limit(self, monkeypatch):
+        lines, drawn = ["# A002487\n", *self.LATE_JUNK.splitlines(keepends=True)], []
+
+        class Fixture:
+            """A bundled fixture whose lines are handed out one at a time."""
+
+            def open(self, **kwargs):
+                return contextlib.nullcontext(drawn.append(line) or line for line in lines)
+
+        monkeypatch.setattr(lacunary.oeis, "fixture_path", lambda seq_id: Fixture())
+        report = check_oeis("A002487", limit=5)
+        assert report.ok and report.compared == 5
+        assert drawn[-1] == "4 1\n"
+        # the newline is not part of the line the message quotes
+        with pytest.raises(ValueError, match=re.escape("malformed b-file line: '5 three'")):
+            check_oeis("A002487")
 
     def test_entries_below_min_index_not_counted(self):
         # A078812 starts at index 1: the index-0 line is dropped, and the
