@@ -2,13 +2,14 @@
 rational w, plus periodicity detection and a GF(2)(X)-algebraicity probe.
 
 Digits of k are fed LSB-first: the kernel recurrences split on the parity
-of k, so the low bit must be consumed first.  A Dfao is index tables:
-states are numbered 0..n-1 in the order a breadth-first closure from the
-initial state discovers them, and each has a successor index per digit and
-an output.  Labels, here (family tag, shift-orbit position) pairs, are kept
-only for export; the identically-zero state is materialized as an explicit
-absorbing "dead" state so the twelve table entries below stay visible in
-code.
+of k, so the low bit must be consumed first.  A Dfao is two integer
+arrays: states are numbered 0..n-1 in the order a breadth-first closure
+from the initial state discovers them, an (n, 2) int32 table holds each
+state's successor index per digit and an int8 vector its output.  Labels,
+here (family tag, shift-orbit position) pairs, are decoded from the
+closure's codes only for export and minimize; the identically-zero state
+is materialized as an explicit absorbing "dead" state so the twelve table
+entries below stay visible in code.
 
 Transition table (state family x digit, p = parity of the current orbit
 element; the orbit element always advances by one shift):
@@ -27,14 +28,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import product
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:
     import numpy as np
 
 from .bits import EpsilonSpec
 from .dyadic import Dyadic, fraction_format, numerator_orbit
-from .jsontext import CHUNK, SLOT, encode, layout, rows, separator, template
+from .jsontext import SLOT, encode, layout, rows, separator, template
 from .rings import flags_to_mask, gf2_mul
 
 
@@ -47,8 +48,8 @@ class OrbitCapError(ValueError):
     ORBIT_CAP numerators."""
 
 
-#: Longest shift orbit a whole automaton is built for: its closure costs
-#: about 1.2 GB per 10^6 numerators.
+#: Longest shift orbit a whole automaton is built for: its closure peaks at
+#: about 0.4 GB per 10^6 numerators, and --minimize at about 0.6 GB.
 ORBIT_CAP = 1 << 20
 
 
@@ -66,23 +67,25 @@ def orbit(w: Dyadic):
     return chain[:cut], chain[cut:]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dfao:
     """Deterministic finite automaton with output, input digits LSB-first,
-    held as index tables over the states 0..n-1.
+    held as two integer arrays over the states 0..n-1.
 
-    step[i] = (next on 0, next on 1) and out[i] in {-1, 0, +1} describe
-    state i; initial is an index.  states[i] is the label of state i, kept
-    only for export."""
+    step[i] = (next on 0, next on 1), a row of the (n, 2) int32 table, and
+    out[i] in {-1, 0, +1}, an entry of the int8 vector, describe state i;
+    initial is an index.  labels() decodes the label of every state, which
+    only the exports and minimize read.  Two machines are compared by their
+    to_json() text: it holds the labels, both tables and meta."""
 
-    states: tuple
-    step: tuple
-    out: tuple
+    step: np.ndarray
+    out: np.ndarray
     initial: int
+    labels: Callable[[], list]
     meta: dict = field(default_factory=dict)
 
     def __len__(self):
-        return len(self.states)
+        return len(self.out)
 
     def evaluate(self, k: int) -> int:
         return self.evaluate_from(self.initial, k)
@@ -93,51 +96,43 @@ class Dfao:
             raise ValueError("negative input")
         step = self.step
         while k:
-            i = step[i][k & 1]
+            i = step[i, k & 1]
             k >>= 1
-        return self.out[i]
+        return int(self.out[i])
 
     def realized(self, i: int, length: int) -> tuple:
         return tuple(self.evaluate_from(i, k) for k in range(length))
 
     def evaluate_all(self, bits: int) -> np.ndarray:
-        """Outputs for every k < 2^bits at once, feeding each k as exactly
-        `bits` digits.  Zero padding never changes the result (the output
-        map is stable under the 0-transition), so this matches evaluate().
-        One state-array doubling per digit position."""
+        """Outputs for every k < 2^bits at once, as an int8 array, feeding
+        each k as exactly `bits` digits.  Zero padding never changes the
+        result (the output map is stable under the 0-transition), so this
+        matches evaluate().  One state-array doubling per digit position."""
         import numpy as np
 
-        d0, d1 = np.array(self.step, dtype=np.int32).T
+        d0, d1 = self.step.T
         arr = np.array([self.initial], dtype=np.int32)
         for _ in range(bits):
             arr = np.concatenate([d0[arr], d1[arr]])
-        return np.array(self.out, dtype=np.int32)[arr]
+        return self.out[arr]
 
     def to_dot(self) -> str:
-        lines = [
-            "digraph dfao {",
-            "  rankdir=LR;",
-            '  node [shape=circle, fontname="monospace"];',
-            '  __start [shape=none, label=""];',
-            f"  __start -> s{self.initial};",
-        ]
-        for i, s in enumerate(_label_texts(self.states)):
-            s = s.replace("\\", "\\\\").replace('"', '\\"')
-            lines.append(f'  s{i} [label="{s} / {self.out[i]}"];')
-        for i, (t0, t1) in enumerate(self.step):
-            lines.append(f'  s{i} -> s{t0} [label="0"];')
-            lines.append(f'  s{i} -> s{t1} [label="1"];')
-        lines.append("}")
-        return "\n".join(lines)
+        """The machine in Graphviz DOT, its states and transitions laid out
+        by jsontext.rows; a label's quotes and backslashes are escaped."""
+        ids = range(len(self))
+        texts = [s.replace("\\", "\\\\").replace('"', '\\"') for s in _label_texts(self.labels())]
+        nodes = rows('  s%d [label="%s / %d"];', "\n", (ids, texts, self.out))
+        edges = rows('  s%d -> s%d [label="0"];\n  s%d -> s%d [label="1"];', "\n",
+                     (ids, self.step[:, 0], ids, self.step[:, 1]))
+        return "\n".join([_DOT_HEAD % self.initial, "".join(nodes), "".join(edges), "}"])
 
     def to_json(self) -> str:
         """json.dumps(obj, sort_keys=True, indent=2) of {"input", "states",
         "initial", "transitions", "meta"}, its states and transitions laid
-        out by jsontext.rows, CHUNK of them per %-format; labels go through
-        json's C string encoder."""
-        labels = list(map(encode, _label_texts(self.states)))
-        states = rows(_STATE, separator(1), (range(len(labels)), labels, self.out), CHUNK)
-        transitions = rows(_PAIR, separator(1), tuple(zip(*self.step)), CHUNK)
+        out by jsontext.rows; labels go through json's C string encoder."""
+        labels = list(map(encode, _label_texts(self.labels())))
+        states = rows(_STATE, separator(1), (range(len(labels)), labels, self.out))
+        transitions = rows(_PAIR, separator(1), self.step.T)
         return _DOCUMENT % (self.initial, layout(self.meta, 1), "".join(states), "".join(transitions))
 
     @classmethod
@@ -157,10 +152,10 @@ class Dfao:
         ids = [st.get("id") for st in states]
         if ids != list(range(n)) or not all(type(i) is int for i in ids):
             raise ValueError(f"state ids must be 0..{n - 1} in order")
-        labels = tuple(st.get("label") for st in states)
+        labels = [st.get("label") for st in states]
         if not all(type(x) is str for x in labels):
             raise ValueError("state labels must be strings")
-        out = tuple(st.get("output") for st in states)
+        out = [st.get("output") for st in states]
         if not all(type(x) is int and -1 <= x <= 1 for x in out):
             raise ValueError("state outputs must be -1, 0 or 1")
         trans = obj.get("transitions")
@@ -172,8 +167,10 @@ class Dfao:
         meta = obj.get("meta", {})
         if type(meta) is not dict:
             raise ValueError("meta must be an object")
-        return cls(states=labels, step=tuple(map(tuple, trans)), out=out,
-                   initial=obj["initial"], meta=meta)
+        import numpy as np
+
+        return cls(np.array(trans, dtype=np.int32), np.array(out, dtype=np.int8),
+                   obj["initial"], labels.copy, meta)
 
 
 def _is_index(x, n: int) -> bool:
@@ -187,6 +184,13 @@ def _label_texts(states) -> list:
              for n in {len(s) for s in states if not isinstance(s, str)}}
     return [s if isinstance(s, str) else forms[len(s)] % s for s in states]
 
+
+# to_dot's lines before the states
+_DOT_HEAD = """digraph dfao {
+  rankdir=LR;
+  node [shape=circle, fontname="monospace"];
+  __start [shape=none, label=""];
+  __start -> s%d;"""
 
 # to_json's document, one state and one transition pair
 _DOCUMENT = template({"initial": SLOT, "input": "lsb-first", "meta": SLOT,
@@ -216,8 +220,8 @@ def build_dfao(w: Dyadic, tag: str = "f", depth: int | None = None) -> Dfao:
 
     The closure runs on integer codes: (family, j) is fam * n + j, with
     fam the family's index in "fgh" and n the number of orbit positions,
-    and the dead state is 3n.  Labels and outputs are decoded once it is
-    done.
+    and the dead state is 3n.  Outputs are read off the codes once it is
+    done, and labels only when an export or minimize asks for them.
 
     Without a depth the whole orbit is walked, and one longer than
     ORBIT_CAP numerators raises OrbitCapError before any closure.  With a
@@ -253,10 +257,16 @@ def build_dfao(w: Dyadic, tag: str = "f", depth: int | None = None) -> Dfao:
         j = after[j]
         return (dead if a is None else a + j, dead if b is None else b + j)
 
+    import numpy as np
+
     codes, table = _close(_FAMILIES.index(tag) * n, step)
     # output by code: f-states 1 - p, g-states 1, h-states p, dead 0
-    outputs = [1 - p for p in parities] + [1] * n + parities + [0]
-    labels = tuple(DEAD if s == dead else (_FAMILIES[s // n], s % n) for s in codes)
+    p = np.array(parities, dtype=np.int8)
+    outputs = np.concatenate([1 - p, np.ones(n, np.int8), p, np.zeros(1, np.int8)])
+
+    def labels():
+        return [DEAD if s == dead else (_FAMILIES[s // n], s % n) for s in codes.tolist()]
+
     meta = {
         "omega": w.describe(),
         "tag": tag,
@@ -266,14 +276,16 @@ def build_dfao(w: Dyadic, tag: str = "f", depth: int | None = None) -> Dfao:
         meta["depth"] = depth
     else:
         meta["orbit_preperiod"] = loop
-    return Dfao(labels, table, tuple(map(outputs.__getitem__, codes)), 0, meta)
+    return Dfao(table, outputs[codes], 0, labels, meta)
 
 
 def _close(root, step):
     """Closure of root under step(state) = (next on 0, next on 1), numbering
     each state when it is first discovered: the order in which a FIFO search
-    visits them, root at index 0.  Returns (states, index table of (next on
-    0, next on 1))."""
+    visits them, root at index 0.  Returns (the states as an int64 array,
+    the (n, 2) int32 index table of (next on 0, next on 1))."""
+    import numpy as np
+
     states = [root]
     index = {root: 0}
     table = []
@@ -287,8 +299,8 @@ def _close(root, step):
         if i1 is None:
             i1 = index[t1] = len(states)
             states.append(t1)
-        table.append((i0, i1))
-    return states, tuple(table)
+        table += i0, i1
+    return np.array(states, dtype=np.int64), np.array(table, dtype=np.int32).reshape(-1, 2)
 
 
 def signed_dfao(w: Dyadic, eps: EpsilonSpec) -> Dfao:
@@ -306,6 +318,8 @@ def signed_dfao(w: Dyadic, eps: EpsilonSpec) -> Dfao:
     mb, class) are numbered in a table, and the closure runs on packed
     product states k * T + r: kernel state index k, tracker state index r,
     T tracker states."""
+    import numpy as np
+
     ker = build_dfao(w, "f")
     p_len, r_len = len(eps.pre), len(eps.period)
     n_cls = p_len + 1 + r_len
@@ -328,7 +342,7 @@ def signed_dfao(w: Dyadic, eps: EpsilonSpec) -> Dfao:
     t_len = len(tracks)
     t_index = {t: r for r, t in enumerate(tracks)}
     t_step = [(t_index[track(t, 0)], t_index[track(t, 1)]) for t in tracks]
-    k_step = [(k0 * t_len, k1 * t_len) for k0, k1 in ker.step]
+    k_step = (ker.step.astype(np.int64) * t_len).tolist()
 
     def step(s):
         k, r = divmod(s, t_len)
@@ -337,45 +351,53 @@ def signed_dfao(w: Dyadic, eps: EpsilonSpec) -> Dfao:
         return (k0 + r0, k1 + r1)
 
     codes, table = _close(ker.initial * t_len + t_index[None, 0, 0, 0], step)
-    signs = [-1 if nu ^ mb else 1 for _, nu, mb, _ in tracks]
-    pairs = [divmod(s, t_len) for s in codes]
-    labels = tuple((ker.states[k], *tracks[r]) for k, r in pairs)
-    out = tuple(ker.out[k] * signs[r] for k, r in pairs)
+    signs = np.array([-1 if nu ^ mb else 1 for _, nu, mb, _ in tracks], dtype=np.int8)
+    k, r = np.divmod(codes, t_len)
+
+    def labels():
+        kernel = ker.labels()
+        return [(kernel[s // t_len], *tracks[s % t_len]) for s in codes.tolist()]
+
     meta = {
         "omega": w.describe(),
         "tag": "signed-f",
         "eps": eps.describe(),
         "orbit": ker.meta["orbit"],
     }
-    return Dfao(labels, table, out, 0, meta)
+    return Dfao(table, ker.out[k] * signs[r], 0, labels, meta)
 
 
 def minimize(d: Dfao) -> Dfao:
     """Moore-style partition refinement; labels of merged states are kept
     in the metadata, the quotient states are renamed m0, m1, ... in order
-    of their first member."""
-    block = d.out
-    count = len(set(block))
+    of their first member.
+
+    Each round ranks every state's key (block, block on 0, block on 1) in
+    two stages, the pair and then the triple, with np.unique; every rank is
+    below n, so no key reaches n^2.  Rounds stop when the block count stops
+    growing."""
+    import numpy as np
+
+    t0, t1 = d.step.T
+    keys, block = np.unique(d.out, return_inverse=True)
+    count = len(keys)
     while True:
-        renum = {}
-        block = [renum.setdefault((block[i], block[t0], block[t1]), len(renum))
-                 for i, (t0, t1) in enumerate(d.step)]
-        if len(renum) == count:
+        _, pair = np.unique(block * count + block[t0], return_inverse=True)
+        keys, block = np.unique(pair * count + block[t1], return_inverse=True)
+        if len(keys) == count:
             break
-        count = len(renum)
-    labels = tuple(f"m{b}" for b in range(count))
-    texts = _label_texts(d.states)
-    members = [[] for _ in labels]
-    step = [None] * count
-    out = [None] * count
-    for i, (t0, t1) in enumerate(d.step):
-        b = block[i]
-        members[b].append(texts[i])
-        step[b] = (block[t0], block[t1])
-        out[b] = d.out[i]
+        count = len(keys)
+    # number the blocks by their first member
+    first = np.sort(np.unique(block, return_index=True)[1])
+    block = np.argsort(block[first]).astype(np.int32)[block]
+    texts = _label_texts(d.labels())
+    ordered = list(map(texts.__getitem__, np.argsort(block, kind="stable").tolist()))
+    ends = np.cumsum(np.bincount(block, minlength=count)).tolist()
+    members = [ordered[a:b] for a, b in zip([0] + ends[:-1], ends)]
+    names = [f"m{b}" for b in range(count)]
     meta = dict(d.meta)
-    meta["merged"] = dict(zip(labels, members))
-    return Dfao(labels, tuple(step), tuple(out), block[d.initial], meta)
+    meta["merged"] = dict(zip(names, members))
+    return Dfao(block[d.step[first]], d.out[first], int(block[d.initial]), names.copy, meta)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from itertools import islice
 from .bits import parse_epsilon_spec, parse_lambda_spec
 from .contfrac import build_F, convergent_side, fold_expand
 from .dyadic import kernel_range, parse_omega
-from .jsontext import CHUNK, SLOT, TEXT, document, layout, led, rows, separator, template
+from .jsontext import SLOT, TEXT, document, layout, led, rows, separator, template
 from .oeis import PROFILES, check_oeis
 from .qseries import a_number, pell_check_mod2, q_omega_window
 from .stern import carlitz_window, doubling_window
@@ -57,10 +57,6 @@ _CARLITZ_CAP = 1 << 16
 #: error a ValueError.
 _USAGE_ERRORS = (ValueError, KeyError)
 
-
-#: Rows per piece of a streamed table: one piece of its text is held at a
-#: time, never the whole document.
-_CHUNK = CHUNK
 
 #: Polynomials per piece of a streamed list of them: one polynomial of a
 #: 2^14 cf window averages about 9 KB of text, so a table's chunk of them
@@ -107,7 +103,7 @@ def _write_cf_json(cf) -> None:
         {"certified_count": certified, "precision": cf.precision, "terminated": cf.terminated},
         {
             "a": _poly_pieces(cf.quotients, texts),
-            "certified": rows("%s", separator(1), (flags,), _CHUNK),
+            "certified": rows("%s", separator(1), (flags,)),
             "p": _poly_pieces(convergent_side(cf.quotients, "p"), texts),
             "q": _poly_pieces(convergent_side(cf.quotients, "q"), texts),
         },
@@ -121,8 +117,8 @@ def _write_cf_text(cf) -> None:
     strs = {quot: str(quot) for quot in set(cf.quotients)}
     texts = list(map(strs.__getitem__, cf.quotients))
     write = sys.stdout.writelines
-    write(rows("A_%d = %s\n", "", (range(certified), texts[:certified]), _CHUNK))
-    write(rows("A_%d = %s   (uncertified)\n", "", (range(certified, n), texts[certified:]), _CHUNK))
+    write(rows("A_%d = %s\n", "", (range(certified), texts[:certified])))
+    write(rows("A_%d = %s   (uncertified)\n", "", (range(certified, n), texts[certified:])))
     print(f"certified: {certified} of {n} quotients at precision {cf.precision}")
 
 
@@ -273,10 +269,10 @@ def _cmd_qseries(args) -> int:
     if args.json:
         sys.stdout.writelines(document(
             {"mod2": args.mod2, "omega": w.describe(), "upto": args.upto},
-            {"terms": rows(_QTERM, separator(1), (exps, coeffs), _CHUNK)}))
+            {"terms": rows(_QTERM, separator(1), (exps, coeffs))}))
     else:
         sys.stdout.write("{")
-        sys.stdout.writelines(rows("%d: %d", ", ", (exps, coeffs), _CHUNK))
+        sys.stdout.writelines(rows("%d: %d", ", ", (exps, coeffs)))
         sys.stdout.write("}\n")
     return 0
 
@@ -328,12 +324,12 @@ def _cmd_stern(args) -> int:
     values = fn(start, to)
     if args.json:
         sys.stdout.writelines(document({"from": start, "sequence": args.which, "to": to},
-                                       {"values": rows("%d", separator(1), (values,), _CHUNK)}))
+                                       {"values": rows("%d", separator(1), (values,))}))
     elif args.csv:
         sys.stdout.write(f"n,{args.which}\n")
-        sys.stdout.writelines(rows("%d,%d\n", "", (range(start, to + 1), values), _CHUNK))
+        sys.stdout.writelines(rows("%d,%d\n", "", (range(start, to + 1), values)))
     else:
-        sys.stdout.writelines(rows("%d", ",", (values,), _CHUNK))
+        sys.stdout.writelines(rows("%d", ",", (values,)))
         sys.stdout.write("\n")
     return 0
 
@@ -420,7 +416,7 @@ def _cmd_automaton(args) -> int:
     else:
         print(f"states: {len(d)}, initial: {d.initial}")
         sys.stdout.writelines(rows("  %d: out %+d, 0 -> %d, 1 -> %d\n", "",
-                                   (range(len(d)), d.out, *zip(*d.step)), _CHUNK))
+                                   (range(len(d)), d.out, *d.step.T)))
     return 0
 
 

@@ -56,29 +56,37 @@ def led(sep: str, pieces):
         yield from map(sep.__add__, pieces)
 
 
-def rows(form: str, sep: str, columns, chunk: int = CHUNK):
+def rows(form: str, sep: str, columns):
     """The text sep.join(form % row for row in zip(*columns)), a piece of at
-    most chunk rows at a time, as led(sep, ...) gives it.  The columns are
-    equal-length sequences; a piece is one %-format, its rows' arguments
-    interleaved by slice assignment, so no row costs a Python call."""
-    return led(sep, _formatted(form, sep, columns, chunk))
+    most CHUNK rows at a time, as led(sep, ...) gives it; CHUNK is read when
+    rows is called.  The columns are equal-length sequences or numpy arrays,
+    a chunk of an array taken as Python scalars by tolist(); a piece is one
+    %-format, its rows' arguments interleaved by slice assignment, so no row
+    costs a Python call."""
+    return led(sep, _formatted(form, sep, columns, CHUNK))
 
 
 def _formatted(form: str, sep: str, columns, chunk: int):
-    """The pieces of rows(form, sep, columns, chunk), not yet led."""
+    """The pieces of rows(form, sep, columns), chunk rows each, not yet led."""
     width, n = len(columns), len(columns[0])
     full = min(chunk, n)
     whole = sep.join([form] * full)
     for i in range(0, n, chunk):
         m = min(chunk, n - i)
         if width == 1:  # nothing to interleave
-            args = columns[0][i:i + m]
+            args = _part(columns[0], i, m)
         else:
             args = [None] * (m * width)
             for j, column in enumerate(columns):
-                args[j::width] = column[i:i + m]
+                args[j::width] = _part(column, i, m)
         text = whole if m == full else sep.join([form] * m)
         yield text % tuple(args)
+
+
+def _part(column, i: int, m: int):
+    """column[i:i + m], a numpy array's as a list."""
+    part = column[i:i + m]
+    return part.tolist() if hasattr(part, "tolist") else part
 
 
 def document(values: dict, lists: dict):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from lacunary import automaton, cli
+from lacunary import automaton, cli, jsontext
 from lacunary.automaton import (
     DEAD,
     Dfao,
@@ -113,18 +113,19 @@ class TestIntegerOrbit:
         pre, cyc = orbit(parse_omega(text))
         elems = pre + cyc
         d = build_dfao(parse_omega(text), tag)
-        assert d.states[d.initial] == (tag, 0)
-        for i, label in enumerate(d.states):
+        labels, step, out = d.labels(), d.step.tolist(), d.out.tolist()
+        assert labels[d.initial] == (tag, 0)
+        for i, label in enumerate(labels):
             if label == DEAD:
-                assert d.step[i] == (i, i) and d.out[i] == 0
+                assert step[i] == [i, i] and out[i] == 0
                 continue
             fam, j = label
             p = elems[j].parity()
-            assert d.out[i] == {"f": 1 - p, "g": 1, "h": p}[fam]
+            assert out[i] == {"f": 1 - p, "g": 1, "h": p}[fam]
             nxt = j + 1 if j + 1 < len(elems) else len(pre)
             for b in (0, 1):
                 fam2 = automaton._KERNEL_STEP[fam, p][b]
-                assert d.states[d.step[i][b]] == (DEAD if fam2 is None else (fam2, nxt))
+                assert labels[step[i][b]] == (DEAD if fam2 is None else (fam2, nxt))
 
     def test_stream_rejected_with_same_text(self):
         w = parse_omega("stream:paperfolding")
@@ -218,15 +219,16 @@ class TestDepthBoundedBuild:
         full = build_dfao(w, tag)
         assert np.array_equal(d.evaluate_all(depth), kernel_range(w, (1 << depth) - 1, tag))
         assert len(d) <= 3 * (depth + 1) + 1
-        index = {label: i for i, label in enumerate(full.states)}
-        for i, label in enumerate(d.states):
+        labels, full_labels = d.labels(), full.labels()
+        index = {label: i for i, label in enumerate(full_labels)}
+        for i, label in enumerate(labels):
             if label != DEAD and label[1] >= depth:
                 continue
             j = index[label]
             assert d.out[i] == full.out[j], label
-            assert [d.states[t] for t in d.step[i]] == [full.states[t] for t in full.step[j]], label
+            assert [labels[t] for t in d.step[i]] == [full_labels[t] for t in full.step[j]], label
         if len(full.meta["orbit"]) <= depth + 1:
-            assert d == full
+            assert d.to_json() == full.to_json()
         else:
             assert d.meta == {"omega": w.describe(), "tag": tag,
                               "orbit": full.meta["orbit"][:depth + 1], "depth": depth}
@@ -247,7 +249,7 @@ class TestOrbitCap:
     def test_orbit_of_exactly_the_cap_builds(self, monkeypatch):
         full = build_dfao(THIRD, "g")
         monkeypatch.setattr(automaton, "ORBIT_CAP", 3)
-        assert build_dfao(THIRD, "g") == full
+        assert build_dfao(THIRD, "g").to_json() == full.to_json()
 
     def test_orbit_over_the_cap_refused(self, monkeypatch):
         walks = []
@@ -286,9 +288,7 @@ class TestMinimize:
         m = minimize(d)
         merged = m.meta["merged"]
         members = [x for v in merged.values() for x in v]
-        assert sorted(members) == sorted(str(s) if isinstance(s, str) else
-                                         "(" + ", ".join(str(p) for p in s) + ")"
-                                         for s in d.states)
+        assert sorted(members) == sorted(map(_text, d.labels()))
 
     def test_idempotent(self):
         m = minimize(build_dfao(THIRD, "g"))
@@ -414,7 +414,7 @@ class TestSerialization:
         assert "__start" in dot and "rankdir=LR" in dot
         assert dot.count("->") >= 2 * 7
         # quotes and backslashes in labels are escaped inside the DOT strings
-        odd = Dfao(('a"b', "c\\", "dead"), ((1, 2), (2, 2), (2, 2)), (1, -1, 0), 0)
+        odd = _machine(['a"b', "c\\", "dead"], [(1, 2), (2, 2), (2, 2)], [1, -1, 0], 0)
         lines = odd.to_dot().splitlines()
         assert '  s0 [label="a\\"b / 1"];' in lines
         assert '  s1 [label="c\\\\ / -1"];' in lines
@@ -512,20 +512,81 @@ class TestRelation:
             find_algebraic_relation(self._stream(100), 1, 1, 512)
 
 
+def _machine(labels, step, out, initial, meta=None) -> Dfao:
+    """A Dfao from Python lists: labels, (next on 0, next on 1) pairs and
+    outputs."""
+    return Dfao(np.array(step, dtype=np.int32).reshape(-1, 2), np.array(out, dtype=np.int8),
+                initial, list(labels).copy, {} if meta is None else meta)
+
+
+def _text(label) -> str:
+    """A label's text: a str as it is, a tuple as "(a, b, ...)" of str() of
+    its components."""
+    return label if isinstance(label, str) else "(" + ", ".join(str(p) for p in label) + ")"
+
+
 def _reference_json(d: Dfao) -> str:
     """The encoder to_json replaced, kept as the oracle: json.dumps of the
-    whole document, labels as "(a, b, ...)" of str() of their components."""
-    def text(s):
-        return s if isinstance(s, str) else "(" + ", ".join(str(p) for p in s) + ")"
-
+    whole document."""
+    out = d.out.tolist()
     return json.dumps({
         "input": "lsb-first",
-        "states": [{"id": i, "label": text(s), "output": d.out[i]}
-                   for i, s in enumerate(d.states)],
+        "states": [{"id": i, "label": _text(s), "output": out[i]}
+                   for i, s in enumerate(d.labels())],
         "initial": d.initial,
-        "transitions": d.step,
+        "transitions": d.step.tolist(),
         "meta": d.meta,
     }, sort_keys=True, indent=2)
+
+
+def _reference_dot(d: Dfao) -> str:
+    """The DOT writer to_dot replaced, kept as the oracle: an f-string per
+    state and two per transition."""
+    out = d.out.tolist()
+    lines = [
+        "digraph dfao {",
+        "  rankdir=LR;",
+        '  node [shape=circle, fontname="monospace"];',
+        '  __start [shape=none, label=""];',
+        f"  __start -> s{d.initial};",
+    ]
+    for i, s in enumerate(d.labels()):
+        s = _text(s).replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  s{i} [label="{s} / {out[i]}"];')
+    for i, (t0, t1) in enumerate(d.step.tolist()):
+        lines.append(f'  s{i} -> s{t0} [label="0"];')
+        lines.append(f'  s{i} -> s{t1} [label="1"];')
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def _reference_minimize(d: Dfao) -> Dfao:
+    """The Moore refinement minimize replaced, kept as the oracle: each
+    round numbers the keys (block, block on 0, block on 1) in a dict, in
+    order of first appearance, until the block count stops growing."""
+    step, out = d.step.tolist(), d.out.tolist()
+    block = out
+    count = len(set(block))
+    while True:
+        renum = {}
+        block = [renum.setdefault((block[i], block[t0], block[t1]), len(renum))
+                 for i, (t0, t1) in enumerate(step)]
+        if len(renum) == count:
+            break
+        count = len(renum)
+    labels = [f"m{b}" for b in range(count)]
+    texts = list(map(_text, d.labels()))
+    members = [[] for _ in labels]
+    q_step = [None] * count
+    q_out = [None] * count
+    for i, (t0, t1) in enumerate(step):
+        b = block[i]
+        members[b].append(texts[i])
+        q_step[b] = (block[t0], block[t1])
+        q_out[b] = out[i]
+    meta = dict(d.meta)
+    meta["merged"] = dict(zip(labels, members))
+    return _machine(labels, q_step, q_out, block[d.initial], meta)
 
 
 # quotes, backslashes, percent signs, braces, non-ASCII (a surrogate pair
@@ -548,10 +609,10 @@ _META = st.dictionaries(_TEXT, st.recursive(
 def _dfaos(draw, labels=_LABEL):
     n = draw(st.integers(1, 5))
     index = st.integers(0, n - 1)
-    return Dfao(
-        states=tuple(draw(st.lists(labels, min_size=n, max_size=n))),
-        step=tuple(draw(st.lists(st.tuples(index, index), min_size=n, max_size=n))),
-        out=tuple(draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=n, max_size=n))),
+    return _machine(
+        labels=draw(st.lists(labels, min_size=n, max_size=n)),
+        step=draw(st.lists(st.tuples(index, index), min_size=n, max_size=n)),
+        out=draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=n, max_size=n)),
         initial=draw(index),
         meta=draw(_META),
     )
@@ -571,11 +632,11 @@ class TestJsonOracle:
     @example(minimize(build_dfao(_W7, "g")))
     @example(minimize(signed_dfao(_W131, EpsilonSpec((), (1, 1, 0)))))
     @example(minimize(build_dfao(_W6, "f")))
-    @example(Dfao(("only",), ((0, 0),), (1,), 0))
+    @example(_machine(["only"], [(0, 0)], [1], 0))
     def test_to_json_matches_json_dumps(self, d):
         # a chunk of 1 or 3 rows puts chunk edges inside these small machines
-        for chunk in (1, 3, automaton.CHUNK):
-            with mock.patch.object(automaton, "CHUNK", chunk):
+        for chunk in (1, 3, jsontext.CHUNK):
+            with mock.patch.object(jsontext, "CHUNK", chunk):
                 text = d.to_json()
             assert isinstance(text, str)
             assert text == _reference_json(d), chunk
@@ -584,3 +645,70 @@ class TestJsonOracle:
     def test_from_json_output_is_laid_out_as_json_dumps(self, d):
         back = Dfao.from_json(_reference_json(d))
         assert back.to_json() == _reference_json(back) == _reference_json(d)
+
+
+def _oracle_machines():
+    """Built and signed machines for three orbits, a one-state machine and
+    one whose outputs are all equal."""
+    machines = []
+    for text in ("rat:1/3", "rat:-1/131", "int:6"):
+        w = parse_omega(text)
+        machines += [build_dfao(w, tag) for tag in ("f", "g", "h")]
+        machines += [signed_dfao(w, eps) for eps in (EpsilonSpec.zero(), EPS_10, EpsilonSpec((1,), (0, 1)))]
+    machines.append(_machine(["only"], [(0, 0)], [1], 0))
+    machines.append(_machine(["a", ("b", 1), "c"], [(1, 2), (2, 0), (0, 1)], [-1, -1, -1], 1))
+    return machines
+
+
+_ORACLE_MACHINES = _oracle_machines()
+
+
+class TestMooreOracle:
+    """minimize against the dict refinement it replaced: the same blocks,
+    numbered by first member, and the same merged labels, byte for byte."""
+
+    @pytest.mark.parametrize("d", _ORACLE_MACHINES)
+    def test_matches_dict_refinement(self, d):
+        assert minimize(d).to_json() == _reference_minimize(d).to_json()
+
+    @given(_dfaos())
+    def test_random_machines_match_dict_refinement(self, d):
+        assert minimize(d).to_json() == _reference_minimize(d).to_json()
+
+
+class TestDotOracle:
+    """to_dot against the f-string writer it replaced; no catalogue op runs
+    --export dot, so only this guards its bytes."""
+
+    @staticmethod
+    def _check(d):
+        # a chunk of 1 or 3 rows puts chunk edges inside these small machines
+        for chunk in (1, 3, jsontext.CHUNK):
+            with mock.patch.object(jsontext, "CHUNK", chunk):
+                assert d.to_dot() == _reference_dot(d), chunk
+
+    @pytest.mark.parametrize("d", _ORACLE_MACHINES + list(map(minimize, _ORACLE_MACHINES)))
+    def test_machines_match(self, d):
+        self._check(d)
+
+    @given(_dfaos())
+    @example(_machine(['a"b', "c\\", ('"', "\\\\"), DEAD], [(1, 2), (3, 3), (0, 3), (3, 3)],
+                      [1, -1, 1, 0], 2))
+    def test_quotes_and_backslashes_match(self, d):
+        self._check(d)
+
+
+class TestStateCost:
+    """A state costs 9 bytes of table: an int32 pair and an int8 output."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: build_dfao(_W131, "g"),
+        lambda: signed_dfao(_W7, EpsilonSpec((1,), (0, 1))),
+        lambda: minimize(build_dfao(_W131, "g")),
+        lambda: Dfao.from_json(signed_dfao(_W7, EPS_10).to_json()),
+    ], ids=["build", "signed", "minimized", "from_json"])
+    def test_nine_bytes_per_state(self, make):
+        d = make()
+        assert d.step.shape == (len(d), 2) and d.step.dtype == np.int32
+        assert d.out.shape == (len(d),) and d.out.dtype == np.int8
+        assert d.step.nbytes + d.out.nbytes == 9 * len(d)

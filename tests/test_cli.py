@@ -20,6 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 import lacunary.automaton
 import lacunary.cli
 import lacunary.contfrac
+import lacunary.jsontext
 import lacunary.oeis
 
 from lacunary.automaton import Dfao, OrbitError, build_dfao, minimize, signed_dfao
@@ -457,7 +458,7 @@ def _printed(fn, *args):
 # print(json.dumps(..., sort_keys=True, indent=2)), one print per CSV row,
 # and one joined text line.  A chunk of 1 or 3 strings puts chunk edges
 # inside these small tables.
-_CHUNKS = st.sampled_from([1, 3, lacunary.cli._CHUNK])
+_CHUNKS = st.sampled_from([1, 3, lacunary.jsontext.CHUNK])
 
 
 @given(st.sampled_from(["u", "v", "alpha", "beta", "gamma", "carlitz"]),
@@ -486,7 +487,7 @@ def test_stern_writers_match_print(which, start, extra, chunk):
         "text": ",".join(str(v) for v in values) + "\n",
     }
     argv = ["stern", which, "--from", str(start), "--to", str(to)]
-    with mock.patch.object(lacunary.cli, "_CHUNK", chunk):
+    with mock.patch.object(lacunary.jsontext, "CHUNK", chunk):
         for form, text in want.items():
             assert _printed(main, argv + ([] if form == "text" else [form])) == (0, text), form
 
@@ -501,7 +502,7 @@ def test_cf_text_writer_matches_print(cf, chunk):
             print(f"A_{i} = {quot}{mark}")
         print(f"certified: {cf.certified} of {len(cf.quotients)} quotients at precision {cf.precision}")
 
-    with mock.patch.object(lacunary.cli, "_CHUNK", chunk):
+    with mock.patch.object(lacunary.jsontext, "CHUNK", chunk):
         assert _printed(lacunary.cli._write_cf_text, cf) == _printed(lines)
 
 
@@ -515,17 +516,16 @@ def test_automaton_writers_match_print(omega, tag, minimized, chunk):
 
     def listing():
         print(f"states: {len(d)}, initial: {d.initial}")
-        for i, ((t0, t1), out) in enumerate(zip(d.step, d.out)):
+        for i, ((t0, t1), out) in enumerate(zip(d.step.tolist(), d.out.tolist())):
             print(f"  {i}: out {out:+d}, 0 -> {t0}, 1 -> {t1}")
 
     argv = ["automaton", "build", "--omega", omega, "--tag", tag] + ["--minimize"] * minimized
-    with mock.patch.object(lacunary.cli, "_CHUNK", chunk), \
-            mock.patch.object(lacunary.automaton, "CHUNK", chunk):
+    with mock.patch.object(lacunary.jsontext, "CHUNK", chunk):
         assert _printed(main, argv) == (0, _printed(listing)[1])
         rc, out = _printed(main, argv + ["--export", "json"])
     assert rc == 0 and out == _dumps(json.loads(out))
     back = Dfao.from_json(out)
-    assert (back.step, back.out, back.initial) == (tuple(map(tuple, d.step)), tuple(d.out), d.initial)
+    assert back.to_json() == d.to_json()
 
 
 @given(st.sampled_from(["int:-1", "int:0", "int:6", "rat:1/3", "rat:-5/7", "stream:thue-morse"]),
@@ -548,7 +548,7 @@ def test_qseries_writers_match_dump(omega, lam, eps, upto, mod2, chunk):
     }
     argv = ["qseries", "--omega", omega, "--lambda", lam, "--eps", eps, "--upto", str(upto)]
     argv += ["--mod2"] if mod2 else []
-    with mock.patch.object(lacunary.cli, "_CHUNK", chunk):
+    with mock.patch.object(lacunary.jsontext, "CHUNK", chunk):
         for form, text in want.items():
             assert _printed(main, argv + ([] if form == "text" else [form])) == (0, text), form
 

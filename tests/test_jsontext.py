@@ -2,9 +2,12 @@
 indent=2), and the chunked row formatter against one %-format per row."""
 
 import json
+from unittest import mock
 
+import numpy as np
 from hypothesis import given, strategies as st
 
+from lacunary import jsontext
 from lacunary.jsontext import SLOT, TEXT, document, layout, rows, separator, template
 
 
@@ -88,9 +91,10 @@ _CHUNK = st.integers(1, 5)
        _CHUNK)
 def test_document_matches_json_dumps(values, lists, chunk):
     lists = {k: v for k, v in lists.items() if k not in values}
-    pieces = list(document(values, {
-        k: rows("%s", separator(1), ([_dumps(e, 2) for e in v],), chunk) for k, v in lists.items()
-    }))
+    with mock.patch.object(jsontext, "CHUNK", chunk):
+        pieces = list(document(values, {
+            k: rows("%s", separator(1), ([_dumps(e, 2) for e in v],)) for k, v in lists.items()
+        }))
     assert all(isinstance(p, str) for p in pieces)
     assert "".join(pieces) == _dumps({**values, **lists}) + "\n"
 
@@ -103,11 +107,22 @@ _FORMS = st.sampled_from(["%d", '"%d"', "%d,%d\n", "{%s: %+d}%%", "  %d: out %+d
 def test_rows_match_one_format_per_row(form, sep, data, chunk):
     width = form.count("%") - 2 * form.count("%%")
     n = data.draw(st.integers(0, 12))
-    columns = tuple(data.draw(st.lists(st.integers(-(1 << 70), 1 << 70), min_size=n, max_size=n))
+    # lists, a range column as the tables' index, int64 arrays, or the rows
+    # of one 2-D array as an automaton's transposed table
+    kind = data.draw(st.sampled_from(["lists", "range", "arrays", "table"]))
+    bound = 1 << 62 if kind in ("arrays", "table") else 1 << 70
+    columns = tuple(data.draw(st.lists(st.integers(-bound, bound), min_size=n, max_size=n))
                     for _ in range(width))
-    if data.draw(st.booleans()):  # a range column, as the tables' index
-        start = data.draw(st.integers(-(1 << 70), 1 << 70))
+    want = sep.join(form % row for row in zip(*columns))
+    if kind == "range":
+        start = data.draw(st.integers(-bound, bound))
         columns = (range(start, start + n),) + columns[1:]
-    pieces = list(rows(form, sep, columns, chunk))
+        want = sep.join(form % row for row in zip(*columns))
+    elif kind == "arrays":
+        columns = tuple(np.array(c, dtype=np.int64) for c in columns)
+    elif kind == "table":
+        columns = np.array(columns, dtype=np.int64).reshape(width, n)
+    with mock.patch.object(jsontext, "CHUNK", chunk):
+        pieces = list(rows(form, sep, columns))
     assert len(pieces) == -(-n // chunk)
-    assert "".join(pieces) == sep.join(form % row for row in zip(*columns))
+    assert "".join(pieces) == want
