@@ -35,7 +35,7 @@ if TYPE_CHECKING:
 
 from .bits import EpsilonSpec
 from .dyadic import Dyadic, fraction_format, numerator_orbit
-from .jsontext import SLOT, encode, layout, rows, separator, template
+from .jsontext import SLOT, document, encode, rows, separator, template
 from .rings import flags_to_mask, gf2_mul
 
 
@@ -88,32 +88,30 @@ class Dfao:
         return len(self.out)
 
     def evaluate(self, k: int) -> int:
-        return self.evaluate_from(self.initial, k)
-
-    def evaluate_from(self, i: int, k: int) -> int:
-        """Value at k of the sequence realized by state i."""
+        """Value at k, one step per digit of k from the initial state."""
         if k < 0:
             raise ValueError("negative input")
-        step = self.step
+        i, step = self.initial, self.step
         while k:
             i = step[i, k & 1]
             k >>= 1
         return int(self.out[i])
 
-    def realized(self, i: int, length: int) -> tuple:
-        return tuple(self.evaluate_from(i, k) for k in range(length))
-
-    def evaluate_all(self, bits: int) -> np.ndarray:
+    def evaluate_all(self, bits: int, start=None) -> np.ndarray:
         """Outputs for every k < 2^bits at once, as an int8 array, feeding
         each k as exactly `bits` digits.  Zero padding never changes the
         result (the output map is stable under the 0-transition), so this
-        matches evaluate().  One state-array doubling per digit position."""
+        matches evaluate().  One state-array doubling per digit position.
+
+        start is the initial state by default; an array of start states
+        gives one row of outputs per start, row i the sequence that state
+        start[i] realizes."""
         import numpy as np
 
         d0, d1 = self.step.T
-        arr = np.array([self.initial], dtype=np.int32)
+        arr = np.asarray(self.initial if start is None else start, dtype=np.int32)[..., None]
         for _ in range(bits):
-            arr = np.concatenate([d0[arr], d1[arr]])
+            arr = np.concatenate([d0[arr], d1[arr]], axis=-1)
         return self.out[arr]
 
     def to_dot(self) -> str:
@@ -126,14 +124,21 @@ class Dfao:
                      (ids, self.step[:, 0], ids, self.step[:, 1]))
         return "\n".join([_DOT_HEAD % self.initial, "".join(nodes), "".join(edges), "}"])
 
-    def to_json(self) -> str:
-        """json.dumps(obj, sort_keys=True, indent=2) of {"input", "states",
-        "initial", "transitions", "meta"}, its states and transitions laid
-        out by jsontext.rows; labels go through json's C string encoder."""
+    def json_pieces(self):
+        """The text print(self.to_json()) writes, a piece at a time as
+        jsontext.document yields it: {"initial", "input", "meta", "states",
+        "transitions"}, its states and transitions laid out by jsontext.rows;
+        labels go through json's C string encoder."""
         labels = list(map(encode, _label_texts(self.labels())))
-        states = rows(_STATE, separator(1), (range(len(labels)), labels, self.out))
-        transitions = rows(_PAIR, separator(1), self.step.T)
-        return _DOCUMENT % (self.initial, layout(self.meta, 1), "".join(states), "".join(transitions))
+        return document(
+            {"initial": self.initial, "input": "lsb-first", "meta": self.meta},
+            {"states": rows(_STATE, separator(1), (range(len(labels)), labels, self.out)),
+             "transitions": rows(_PAIR, separator(1), self.step.T)})
+
+    def to_json(self) -> str:
+        """json.dumps(obj, sort_keys=True, indent=2) of the machine: the
+        pieces of json_pieces joined, without the final newline."""
+        return "".join(self.json_pieces())[:-1]
 
     @classmethod
     def from_json(cls, text: str) -> "Dfao":
@@ -192,9 +197,7 @@ _DOT_HEAD = """digraph dfao {
   __start [shape=none, label=""];
   __start -> s%d;"""
 
-# to_json's document, one state and one transition pair
-_DOCUMENT = template({"initial": SLOT, "input": "lsb-first", "meta": SLOT,
-                      "states": [SLOT], "transitions": [SLOT]})
+# json_pieces' state and transition pair
 _STATE = template({"id": SLOT, "label": SLOT, "output": SLOT}, 2)
 _PAIR = template([SLOT, SLOT], 2)
 

@@ -49,18 +49,21 @@ def q_poly(n: int, lam: LambdaSpec, eps: EpsilonSpec) -> SparsePoly:
 
 
 def q_omega_window(w: Dyadic, lam: LambdaSpec, eps: EpsilonSpec, k_max: int):
-    """Nonzero terms (exponent, coefficient) of Q_w for k <= k_max, ascending.
+    """The nonzero terms of Q_w for k <= k_max, ascending, as two columns
+    (exponents, coefficients): the exponents are the int64 array of the k
+    for Mersenne lambda and a list of Python ints for a list lambda, the
+    coefficients an int64 array of +1/-1.
 
     Exponents ascend with k because each lambda gap exceeds the sum of all
     earlier ones; extending k_max never changes earlier entries."""
     import numpy as np
 
     ks = np.flatnonzero(kernel_range(w, k_max, "f"))
-    signs = _term_signs(ks, eps).tolist()
+    signs = _term_signs(ks, eps)
     if lam.is_mersenne:
-        return list(zip(ks.tolist(), signs))
+        return ks, signs
     # list exponents may pass int64, so they stay exact Python ints
-    return [(term_exponent(k, lam), s) for k, s in zip(ks.tolist(), signs)]
+    return [term_exponent(k, lam) for k in ks.tolist()], signs
 
 
 def _term_signs(ks: np.ndarray, eps: EpsilonSpec) -> np.ndarray:

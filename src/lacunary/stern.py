@@ -9,14 +9,15 @@ signed scalars are defined as parity convolutions with Thue-Morse but
 computed only by their doubling recursions; calling parity_convolve with
 thue_morse evaluates the definition and is the independent check on them.
 
-Tables are filled by window, as lists of exact Python integers:
+Tables are filled by window, as the containers that computed them:
 doubling_window fills any [a, b] of u, v, alpha, beta or gamma from the
-window of half its indices, in numpy arrays (int64 below 2^88, Python
-ints past it) and time O(b - a + log b), and the *_range functions are
-its windows from 0.  carlitz_window evaluates Carlitz's sum
-in numpy int64 blocks of about 2^16 cells, (b - a) * b / 2 cell tests in
-all; carlitz_range and parity_convolve_range return numpy int64 arrays.
-The scalar paths stay the reference the windows are checked against.
+window of half its indices, in time O(b - a + log b).  A window with
+b <= 2 * _PREFIX is the list of Python ints its prefix fills index by
+index; a longer one is the numpy array its levels fill, int64 below 2^88
+and of Python ints past it.  carlitz_window evaluates Carlitz's sum in
+numpy int64 blocks of about 2^16 cells, (b - a) * b / 2 cell tests in
+all, and returns an int64 array, as parity_convolve_range does.  The
+scalar paths stay the reference the windows are checked against.
 """
 
 from __future__ import annotations
@@ -100,19 +101,19 @@ def stern_carlitz(n: int) -> int:
 _CELLS = 1 << 16
 
 
-def carlitz_window(a: int, b: int) -> list:
-    """[stern_carlitz(n) for n in a..b], the cells (n, r) tested in numpy
-    int64 blocks of about _CELLS, with binom_parity's rule: C(n-r, r) is
-    odd iff adding r to n-2r carries nowhere."""
+def carlitz_window(a: int, b: int) -> np.ndarray:
+    """stern_carlitz(n) for n in a..b as an int64 array, the cells (n, r)
+    tested in numpy int64 blocks of about _CELLS, with binom_parity's rule:
+    C(n-r, r) is odd iff adding r to n-2r carries nowhere."""
     import numpy as np
 
     if a < 0:
         raise ValueError("negative index")
     if b >= 1 << 62:
         raise ValueError("Carlitz's sum is evaluated in int64: n must be below 2^62")
+    out = np.zeros(max(b - a + 1, 0), dtype=np.int64)
     if a > b:
-        return []
-    out = np.zeros(b - a + 1, dtype=np.int64)
+        return out
     n_step = min(b - a + 1, 1 << 8)
     r_step = _CELLS // n_step
     for n0 in range(a, b + 1, n_step):
@@ -127,13 +128,7 @@ def carlitz_window(a: int, b: int) -> list:
             if 2 * (r1 - 1) > n0:
                 hit &= d >= 0  # drop the cells with 2r > n
             out[n0 - a:n1 - a] += np.count_nonzero(hit, axis=1)
-    return out.tolist()
-
-
-def carlitz_range(n_max: int) -> np.ndarray:
-    import numpy as np
-
-    return np.array(carlitz_window(0, n_max - 1), dtype=np.int64)
+    return out
 
 
 def thue_morse(n: int) -> int:
@@ -197,8 +192,8 @@ _DOUBLING = {
 _PREFIX = 64
 
 
-def doubling_window(which: str, a: int, b: int) -> list:
-    """[s_a, ..., s_b] for s in _DOUBLING; u also at negative indices.
+def doubling_window(which: str, a: int, b: int) -> list | np.ndarray:
+    """s_a, ..., s_b for s in _DOUBLING; u also at negative indices.
 
     The window is halved to [max(a//2 - 1, 0), b//2 + 1] until
     b <= 2 * _PREFIX, that prefix is filled index by index, and each level
@@ -207,7 +202,10 @@ def doubling_window(which: str, a: int, b: int) -> list:
     anew on a level that starts below 2.  The arrays are int64 while b < 2^88:
     Lehmer's bound, u_n <= F_{bitlen(n+1)+1} < 2^62 there, holds for every
     |s_n| since |alpha|, |beta| <= u, |gamma| <= 1 and v is u shifted.
-    Past 2^88 the same code runs on arrays of Python ints."""
+    Past 2^88 the same code runs on arrays of Python ints.  A window that
+    needs no level is the prefix's list, so it loads no numpy; a window of
+    u across zero is its reflected and direct parts joined, an array as
+    soon as one part is."""
     s0, s1, c0, c1, d0, d1 = _DOUBLING[which]
     if a > b:
         return []
@@ -215,10 +213,14 @@ def doubling_window(which: str, a: int, b: int) -> list:
         if which != "u":
             raise ValueError(f"sequence {which} is defined for n >= 0")
         # u_{-1} = 0 and u_{-n} = u_{n-2}
-        vals = doubling_window("u", -min(b, -2) - 2, -a - 2)[::-1] if a <= -2 else []
-        if b >= -1:
-            vals.append(0)
-        return vals + doubling_window("u", 0, b)
+        neg = doubling_window("u", max(-b - 2, 0), -a - 2)[::-1]
+        zero, pos = [0] * (b >= -1), doubling_window("u", 0, b)
+        if type(neg) is list and type(pos) is list:
+            return neg + zero + pos
+        import numpy as np
+
+        # an empty list among them would make the join float64
+        return np.concatenate([part for part in (neg, zero, pos) if len(part)])
     chain = []
     while b > 2 * _PREFIX:
         chain.append((a, b))
@@ -245,24 +247,7 @@ def doubling_window(which: str, a: int, b: int) -> list:
         if lo < 2:
             out[:start - lo] = (s0, s1)[lo:]
         vals, a = out, lo
-    return vals.tolist()
-
-
-def stern_range(n_max: int) -> list:
-    """[u_0, ..., u_{n_max-1}]."""
-    return doubling_window("u", 0, n_max - 1)
-
-
-def alpha_range(n_max: int) -> list:
-    return doubling_window("alpha", 0, n_max - 1)
-
-
-def beta_range(n_max: int) -> list:
-    return doubling_window("beta", 0, n_max - 1)
-
-
-def gamma_range(n_max: int) -> list:
-    return doubling_window("gamma", 0, n_max - 1)
+    return vals
 
 
 def fold_v(n: int) -> int:

@@ -68,13 +68,11 @@ from .rings import (
 from .stern import (
     alpha,
     beta,
-    carlitz_range,
     carlitz_window,
+    doubling_window,
     fold_v,
     gamma,
-    gamma_range,
     parity_convolve,
-    stern_range,
     stern_u,
     stern_v,
     thue_morse,
@@ -472,13 +470,15 @@ def check_cf_fold_vs_euclid(level, rng):
 # --------------------------------------------------------------------- stern
 
 def check_stern_carlitz(level, rng):
+    import numpy as np
+
     bound = _n(level, 1 << 10, 1 << 14)
-    expected = stern_range(bound)
-    assert carlitz_range(bound).tolist() == expected, "Carlitz sum vs recursion"
+    expected = doubling_window("u", 0, bound - 1)
+    assert np.array_equal(carlitz_window(0, bound - 1), expected), "Carlitz sum vs recursion"
     # a window off 0, as `stern carlitz --from` fills it: 1300 wide, or
     # the upper half at the quick level
     lo = max(bound - 1300, bound // 2)
-    assert carlitz_window(lo, bound - 1) == expected[lo:], f"Carlitz window from {lo}"
+    assert np.array_equal(carlitz_window(lo, bound - 1), expected[lo:]), f"Carlitz window from {lo}"
     return f"n < {bound}"
 
 
@@ -510,7 +510,7 @@ def check_stern_variant_alignment(level, rng):
 def check_gamma_periodic(level, rng):
     bound = _n(level, 1 << 10, 1 << 14)
     pattern = [1, -1, 0]
-    vals = gamma_range(bound)
+    vals = doubling_window("gamma", 0, bound - 1)
     for n in range(bound):
         assert vals[n] == pattern[n % 3], f"gamma at n={n}"
     return f"n < {bound}"
@@ -566,8 +566,8 @@ def check_q_term_count(level, rng):
 
     bound = _n(level, 1 << 10, 1 << 12)
     counts = q_term_count_range(bound)
-    expected = stern_range(bound)
-    assert counts.tolist() == expected, "positive-index term counts"
+    expected = doubling_window("u", 0, bound - 1)
+    assert np.array_equal(counts, expected), "positive-index term counts"
     neg_bound = _n(level, 1 << 8, 1 << 10)
     for n in range(-neg_bound + 1, 0):
         w = Dyadic.from_int(n)
@@ -734,16 +734,18 @@ def check_dfao_state_bound(level, rng):
 
 
 def check_dfao_kernel_closure(level, rng):
-    length = _n(level, 1 << 8, 1 << 10)
+    import numpy as np
+
+    bits = _n(level, 8, 10)
+    length, half = 1 << bits, 1 << (bits - 1)
     for w in (Dyadic.from_rational(1, 3), Dyadic.from_int(-5)):
         for tag in ("f", "g", "h"):
             d = build_dfao(w, tag)
-            half = length // 2
-            prefixes = [d.realized(i, length) for i in range(len(d))]
+            # row i: the prefix state i realizes
+            prefixes = list(map(tuple, d.evaluate_all(bits, np.arange(len(d))).tolist()))
             shorts = {p[:half] for p in prefixes}
             for s, seq in zip(d.labels(), prefixes):
-                even = tuple(seq[2 * k] for k in range(half))
-                odd = tuple(seq[2 * k + 1] for k in range(half))
+                even, odd = seq[0::2], seq[1::2]
                 assert even in shorts, f"even subsequence of {s} escapes the kernel"
                 assert odd in shorts, f"odd subsequence of {s} escapes the kernel"
     return f"prefix length {length}, both test orbits, all families"

@@ -43,14 +43,11 @@ from lacunary.qseries import (
 )
 from lacunary.rings import SparsePoly, gf2_mul, reduce_mod2
 from lacunary.stern import (
-    alpha_range,
-    beta_range,
-    carlitz_range,
+    carlitz_window,
+    doubling_window,
     fold_w,
     fold_z,
-    gamma_range,
     parity_convolve_range,
-    stern_range,
     thue_morse,
 )
 
@@ -101,7 +98,7 @@ def _mubar_spec_q(k, eps):
 def test_criterion_01_term_count_law():
     t0 = time.perf_counter()
     counts = q_term_count_range(4097)
-    assert list(counts) == stern_range(4097)
+    assert counts.tolist() == doubling_window("u", 0, 4096).tolist()
     rng = random.Random(1)
     sample = list(range(129)) + [rng.randrange(129, 4097) for _ in range(40)]
     for n in sample:
@@ -165,7 +162,7 @@ def test_criterion_05_chebyshev_mod2():
     cheb = chebyshev_u_scaled_range(1023)
     for n in range(513):
         assert reduce_mod2(q_poly(n, MERS, ZERO)) == reduce_mod2(cheb[n]), n
-    stern = stern_range(1024)
+    stern = doubling_window("u", 0, 1023).tolist()
     for n in range(1024):
         odd = sum(1 for _, c in cheb[n].terms if c % 2)
         assert odd == stern[n], n
@@ -207,7 +204,8 @@ def test_criterion_07_automaticity():
         sd = signed_dfao(w, EPS_10)
         signed = sd.evaluate_all(14).tolist()
         dense = [0] * (1 << 14)
-        for e, c in q_omega_window(w, MERS, EPS_10, (1 << 14) - 1):
+        exps, coeffs = q_omega_window(w, MERS, EPS_10, (1 << 14) - 1)
+        for e, c in zip(exps.tolist(), coeffs.tolist()):
             dense[e] = c
         assert signed == dense, text
     _budget(t0, 60, "criterion 7")
@@ -233,17 +231,18 @@ def test_criterion_09_sequence_remarks():
     t0 = time.perf_counter()
     n9 = 10**4
     expect = [(1, -1, 0)[n % 3] for n in range(n9)]
-    assert gamma_range(n9) == expect
+    assert doubling_window("gamma", 0, n9 - 1).tolist() == expect
     n = 1 << 12
     tm = [thue_morse(r) for r in range(n)]
     ones = [1] * n
-    assert alpha_range(n) == list(parity_convolve_range(tm, ones))
-    assert beta_range(n) == list(parity_convolve_range(ones, tm))
-    assert gamma_range(n) == list(parity_convolve_range(tm, tm))
+    assert doubling_window("alpha", 0, n - 1).tolist() == parity_convolve_range(tm, ones).tolist()
+    assert doubling_window("beta", 0, n - 1).tolist() == parity_convolve_range(ones, tm).tolist()
+    assert doubling_window("gamma", 0, n - 1).tolist() == parity_convolve_range(tm, tm).tolist()
     for m in range(1 << 14):
         assert fold_w(2 * m) == (1 if m % 2 == 0 else -1)
         assert fold_z(2 * m + 1) == fold_z(m)
-    assert list(carlitz_range(1 << 14)) == stern_range(1 << 14)
+    n = 1 << 14
+    assert carlitz_window(0, n - 1).tolist() == doubling_window("u", 0, n - 1).tolist()
     _budget(t0, 10, "criterion 9")
 
 

@@ -712,3 +712,25 @@ class TestStateCost:
         assert d.step.shape == (len(d), 2) and d.step.dtype == np.int32
         assert d.out.shape == (len(d),) and d.out.dtype == np.int8
         assert d.step.nbytes + d.out.nbytes == 9 * len(d)
+
+
+class TestEvaluateAll:
+    """evaluate_all from the initial state or from an array of states."""
+
+    @given(_dfaos(), st.integers(0, 5))
+    def test_rows_are_the_walks_from_each_state(self, d, bits):
+        step, out = d.step.tolist(), d.out.tolist()
+
+        def walk(i, k):
+            # exactly bits digits of k, least significant first
+            for _ in range(bits):
+                i = step[i][k & 1]
+                k >>= 1
+            return out[i]
+
+        table = d.evaluate_all(bits, np.arange(len(d)))
+        assert table.shape == (len(d), 1 << bits) and table.dtype == np.int8
+        assert table.tolist() == [[walk(i, k) for k in range(1 << bits)] for i in range(len(d))]
+        first = d.evaluate_all(bits)
+        assert first.shape == (1 << bits,) and first.dtype == np.int8
+        assert first.tolist() == d.evaluate_all(bits, d.initial).tolist() == table[d.initial].tolist()

@@ -474,7 +474,7 @@ def test_stern_writers_match_print(which, start, extra, chunk):
     if which != "u":
         start = abs(start)
     to = start + extra
-    values = lacunary.cli._STERN_FUNCS[which](start, to)
+    values = [int(v) for v in lacunary.cli._STERN_FUNCS[which](start, to)]
 
     def rows():
         print("n," + which)
@@ -509,6 +509,9 @@ def test_cf_text_writer_matches_print(cf, chunk):
 @given(st.sampled_from(["int:6", "rat:1/3", "rat:-5/7", "rat:1/11", "rat:-1/131"]),
        st.sampled_from(["f", "g", "h", "signed"]), st.booleans(), _CHUNKS)
 @example("rat:-1/131", "g", False, 3)
+@example("rat:-5/7", "signed", False, 1)
+@example("rat:1/3", "h", True, 3)
+@example("rat:-1/131", "signed", True, lacunary.jsontext.CHUNK)
 def test_automaton_writers_match_print(omega, tag, minimized, chunk):
     w = parse_omega(omega)
     d = signed_dfao(w, EpsilonSpec.zero()) if tag == "signed" else build_dfao(w, tag)
@@ -519,11 +522,14 @@ def test_automaton_writers_match_print(omega, tag, minimized, chunk):
         for i, ((t0, t1), out) in enumerate(zip(d.step.tolist(), d.out.tolist())):
             print(f"  {i}: out {out:+d}, 0 -> {t0}, 1 -> {t1}")
 
+    # the export's pieces, at any chunk, are print(d.to_json()) at the default
+    exported = _printed(print, d.to_json())[1]
     argv = ["automaton", "build", "--omega", omega, "--tag", tag] + ["--minimize"] * minimized
     with mock.patch.object(lacunary.jsontext, "CHUNK", chunk):
         assert _printed(main, argv) == (0, _printed(listing)[1])
         rc, out = _printed(main, argv + ["--export", "json"])
-    assert rc == 0 and out == _dumps(json.loads(out))
+        assert _printed(main, ["--json", *argv]) == (0, exported)
+    assert rc == 0 and out == exported == _dumps(json.loads(out))
     back = Dfao.from_json(out)
     assert back.to_json() == d.to_json()
 
@@ -537,7 +543,8 @@ def test_automaton_writers_match_print(omega, tag, minimized, chunk):
 @example("rat:1/3", "mersenne", "period:0,1", 12, False, 1)
 def test_qseries_writers_match_dump(omega, lam, eps, upto, mod2, chunk):
     w = parse_omega(omega)
-    terms = q_omega_window(w, parse_lambda_spec(lam), parse_epsilon_spec(eps), upto)
+    exps, coeffs = q_omega_window(w, parse_lambda_spec(lam), parse_epsilon_spec(eps), upto)
+    terms = [(int(e), int(c)) for e, c in zip(exps, coeffs)]
     if mod2:
         terms = [(e, abs(c)) for e, c in terms]
     payload = {"mod2": mod2, "omega": w.describe(),
@@ -576,6 +583,16 @@ def test_cf_json_leaves_numpy_unloaded():
         "    rc = lacunary.cli.main(['cf', '--precision', '1024', '--json'])\n"
         "print(rc, 'numpy' in sys.modules)"
     ) == "0 False\n"
+
+
+def test_small_stern_table_leaves_numpy_unloaded():
+    # the README example: both parts of the window are filled index by index
+    assert _fresh_stdout(
+        "import contextlib, io, sys, lacunary.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    rc = lacunary.cli.main(['stern', 'u', '--from', '-4', '--to', '8'])\n"
+        "print(rc, out.getvalue().strip(), 'numpy' in sys.modules)"
+    ) == "0 2,1,1,0,1,1,2,1,3,2,3,1,4 False\n"
 
 
 @pytest.mark.parametrize("module", _MODULES)

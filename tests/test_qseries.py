@@ -38,7 +38,7 @@ from lacunary.rings import (
     SparsePoly,
     reduce_mod2,
 )
-from lacunary.stern import stern_range
+from lacunary.stern import doubling_window
 
 MERS = LambdaSpec.mersenne()
 ZERO = EpsilonSpec.zero()
@@ -154,7 +154,7 @@ class TestQPoly:
 
     def test_term_counts_are_stern(self):
         counts = q_term_count_range(512)
-        assert list(counts) == stern_range(512)
+        assert counts.tolist() == doubling_window("u", 0, 511).tolist()
         for n in range(0, 64):
             assert counts[n] == q_poly(n, MERS, ZERO).term_count()
 
@@ -194,29 +194,44 @@ class TestAdjudication:
         assert mismatch, convention
 
 
+def _window(w, lam, eps, k_max):
+    """q_omega_window's terms as (exponent, coefficient) pairs of Python
+    ints, once its two columns are the ones it must return: int64 signs,
+    and int64 exponents for Mersenne lambda or a list of Python ints for a
+    list lambda."""
+    exps, coeffs = q_omega_window(w, lam, eps, k_max)
+    assert type(coeffs) is np.ndarray and coeffs.dtype == np.int64
+    if lam.is_mersenne:
+        assert type(exps) is np.ndarray and exps.dtype == np.int64
+        exps = exps.tolist()
+    assert type(exps) is list and all(type(e) is int for e in exps)
+    assert len(exps) == len(coeffs)
+    return list(zip(exps, coeffs.tolist()))
+
+
 class TestWindow:
     def test_integer_window_matches_poly(self):
         for n in [0, 1, 5, 12, 31]:
-            window = q_omega_window(Dyadic.from_int(n), MERS, EPS_10, n + 8)
+            window = _window(Dyadic.from_int(n), MERS, EPS_10, n + 8)
             assert dict(window) == _as_terms(q_poly(n, MERS, EPS_10))
 
     def test_negative_one_is_empty(self):
-        assert q_omega_window(Dyadic.from_int(-1), MERS, ZERO, 32) == []
+        assert _window(Dyadic.from_int(-1), MERS, ZERO, 32) == []
 
     def test_exponents_strictly_ascend(self):
-        window = q_omega_window(parse_omega("rat:1/3"), MERS, ZERO, 64)
+        window = _window(parse_omega("rat:1/3"), MERS, ZERO, 64)
         exps = [e for e, _ in window]
         assert exps == sorted(exps) and len(set(exps)) == len(exps)
 
     def test_prefix_stability(self):
         w = parse_omega("rat:-5/7")
-        small, large = q_omega_window(w, MERS, EPS_10, 32), q_omega_window(w, MERS, EPS_10, 96)
+        small, large = _window(w, MERS, EPS_10, 32), _window(w, MERS, EPS_10, 96)
         assert large[: len(small)] == small
         assert len(large) > len(small)
 
     def test_term_agrees_with_window(self):
         w = parse_omega("rat:1/5")
-        window = dict(q_omega_window(w, MERS, ZERO, 40))
+        window = dict(_window(w, MERS, ZERO, 40))
         for k in range(41):
             c = term_sign(k, ZERO) * kernel_value(w, k, "f")
             assert window.get(term_exponent(k, MERS), 0) == c
@@ -374,10 +389,8 @@ def test_window_matches_scalar_terms(w, lam, eps, k_max):
         ks = np.flatnonzero(kernel_range(w, k_max, "f")).tolist()
         return [(term_exponent(k, lam), term_sign(k, eps)) for k in ks]
 
-    got = _outcome(lambda: q_omega_window(w, lam, eps, k_max))
-    assert got == _outcome(scalar)
-    if isinstance(got, list):
-        assert all(type(e) is int and type(c) is int for e, c in got)
+    # _window checks the columns' types, as Python ints or int64
+    assert _outcome(lambda: _window(w, lam, eps, k_max)) == _outcome(scalar)
 
 
 @given(_omegas, _epsilons, st.integers(2, 16), st.integers(0, 600))

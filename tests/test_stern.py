@@ -2,27 +2,23 @@
 
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from lacunary import stern
 from lacunary.stern import (
     alpha,
-    alpha_range,
     beta,
-    beta_range,
-    carlitz_range,
     carlitz_window,
     doubling_window,
     fold_v,
     fold_w,
     fold_z,
     gamma,
-    gamma_range,
     parity_convolve,
     parity_convolve_range,
     stern_carlitz,
-    stern_range,
     stern_u,
     stern_v,
     thue_morse,
@@ -49,7 +45,7 @@ class TestSternU:
         assert stern_u(2 * m + 1) == stern_u(m)
 
     def test_range_matches_scalar(self):
-        assert stern_range(300) == [stern_u(n) for n in range(300)]
+        assert window("u", 0, 299) == [stern_u(n) for n in range(300)]
 
     @given(st.integers(0, 1 << 12))
     def test_carlitz_formula_against_comb(self, n):
@@ -59,7 +55,7 @@ class TestSternU:
         assert stern_carlitz(n) == want
 
     def test_carlitz_range_vectorized(self):
-        assert carlitz_range(2048).tolist() == stern_range(2048)
+        assert carlitz(0, 2047) == window("u", 0, 2047)
 
     def test_variant_v(self):
         assert [stern_v(n) for n in range(8)] == [0, 1, 1, 2, 1, 3, 2, 3]
@@ -76,19 +72,43 @@ def scalar_table(which, a, b):
     return [SCALARS[which](n) for n in range(a, b + 1)]
 
 
+def window(which, a, b):
+    """doubling_window(which, a, b) as a list of Python ints, once its
+    container is the one it must be: the prefix's list of Python ints while
+    the window reads no index past 2 * _PREFIX (u_{-n} reads u_{n-2}), an
+    int64 array below 2^88 and an object array of Python ints from there."""
+    vals = doubling_window(which, a, b)
+    top = max(b, -a - 2)
+    if a > b or top <= 2 * stern._PREFIX:
+        assert type(vals) is list and all(type(x) is int for x in vals)
+        return vals
+    assert type(vals) is np.ndarray and vals.shape == (b - a + 1,)
+    assert vals.dtype == (np.int64 if top < 1 << 88 else object)
+    vals = vals.tolist()
+    assert all(type(x) is int for x in vals)
+    return vals
+
+
+def carlitz(a, b):
+    """carlitz_window(a, b), an int64 array, as a list."""
+    vals = carlitz_window(a, b)
+    assert type(vals) is np.ndarray and vals.dtype == np.int64
+    return vals.tolist()
+
+
 class TestWindows:
     @pytest.mark.parametrize("which", sorted(SCALARS))
     def test_smallest_windows(self, which):
         for a, b in ((0, 0), (1, 1), (0, 1), (2, 2), (0, 2)):
-            assert doubling_window(which, a, b) == scalar_table(which, a, b)
-        assert doubling_window(which, 5, 4) == []
+            assert window(which, a, b) == scalar_table(which, a, b)
+        assert window(which, 5, 4) == []
 
     @pytest.mark.parametrize("which", sorted(SCALARS))
     def test_around_prefix_cutoff(self, which):
         cut = stern._PREFIX
         for a in range(cut - 3, cut + 5):
             for b in (a, a + 1, a + 6, 2 * cut + 3, 4 * cut + 1):
-                assert doubling_window(which, a, b) == scalar_table(which, a, b), (a, b)
+                assert window(which, a, b) == scalar_table(which, a, b), (a, b)
 
     @pytest.mark.parametrize("which", sorted(SCALARS))
     @pytest.mark.parametrize("a, b", [
@@ -104,15 +124,15 @@ class TestWindows:
         ((2 << 100) // 3 - 300, (2 << 100) // 3 + 300),
     ])
     def test_far_windows(self, which, a, b):
-        assert doubling_window(which, a, b) == scalar_table(which, a, b)
+        assert window(which, a, b) == scalar_table(which, a, b)
 
     @given(st.sampled_from(sorted(SCALARS)),
            st.one_of(st.integers(0, 1 << 11), st.integers(0, 1 << 100)),
            st.integers(0, 1500))
     def test_random_windows(self, which, a, width):
-        vals = doubling_window(which, a, a + width)
-        assert vals == scalar_table(which, a, a + width)
-        assert all(type(x) is int for x in vals)
+        # window() checks the container: a prefix list, past 2^88 an object
+        # array of Python ints, otherwise int64
+        assert window(which, a, a + width) == scalar_table(which, a, a + width)
 
     @pytest.mark.parametrize("which", sorted(SCALARS))
     def test_windows_from_the_prefix(self, which):
@@ -120,14 +140,17 @@ class TestWindows:
         # array level, which re-sets s_0 and s_1 when it starts below 2
         for a in (0, 1, 2, 63, 64, 65):
             for b in (128, 129, 130, 131):
-                assert doubling_window(which, a, b) == scalar_table(which, a, b), (a, b)
+                assert window(which, a, b) == scalar_table(which, a, b), (a, b)
 
     @pytest.mark.parametrize("a, b", [
         (-1, -1), (-2, -2), (-3, -1), (-2, 0), (-5, 5), (-300, 40), (-40, 300),
         (-10 ** 15 - 50, -10 ** 15 + 50),
+        # both parts past the prefix, one part past it, and a far start
+        (-1000, 1000), (-1000, 40), (-40, 1000), (-131, 5), (-5, 129),
+        (-100000 - 7, 300),
     ])
     def test_u_across_zero(self, a, b):
-        assert doubling_window("u", a, b) == scalar_table("u", a, b)
+        assert window("u", a, b) == scalar_table("u", a, b)
 
     def test_negative_only_for_u(self):
         with pytest.raises(ValueError, match="n >= 0"):
@@ -140,15 +163,15 @@ class TestWindows:
         (1800, 3100),
     ])
     def test_carlitz_window(self, a, b):
-        assert carlitz_window(a, b) == scalar_table("u", a, b)
+        assert carlitz(a, b) == scalar_table("u", a, b)
 
     def test_carlitz_single_index_over_two_r_blocks(self):
         # one n, so a block is one row of at most 2^16 values of r
         n = (1 << 17) + 5
-        assert carlitz_window(n, n) == [stern_u(n)]
+        assert carlitz(n, n) == [stern_u(n)]
 
     def test_carlitz_window_limits(self):
-        assert carlitz_window(9, 8) == []
+        assert carlitz(9, 8) == []
         with pytest.raises(ValueError, match="negative"):
             carlitz_window(-1, 4)
         with pytest.raises(ValueError, match="2\\^62"):
@@ -161,9 +184,8 @@ class TestTransforms:
         assert parity_convolve(lambda r: 1, lambda s: 1, 6) == stern_u(6)
 
     def test_parity_convolve_range(self):
-        import numpy as np
         ones = np.ones(512, dtype=np.int64)
-        assert parity_convolve_range(ones, ones).tolist() == stern_range(512)
+        assert parity_convolve_range(ones, ones).tolist() == window("u", 0, 511)
 
     def test_thue_morse(self):
         assert [thue_morse(n) for n in range(8)] == [1, -1, -1, 1, -1, 1, 1, -1]
@@ -182,9 +204,9 @@ class TestSigned:
             assert gamma(n) == (1, -1, 0)[n % 3]
 
     def test_ranges_match_scalars(self):
-        assert alpha_range(200) == [alpha(n) for n in range(200)]
-        assert beta_range(200) == [beta(n) for n in range(200)]
-        assert gamma_range(200) == [gamma(n) for n in range(200)]
+        assert window("alpha", 0, 199) == [alpha(n) for n in range(200)]
+        assert window("beta", 0, 199) == [beta(n) for n in range(200)]
+        assert window("gamma", 0, 199) == [gamma(n) for n in range(200)]
 
     @given(st.integers(0, 1 << 10))
     def test_dual_paths(self, n):
