@@ -25,7 +25,6 @@ trailing zero digits harmless.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import product
 from typing import TYPE_CHECKING, Callable
@@ -139,47 +138,6 @@ class Dfao:
         """json.dumps(obj, sort_keys=True, indent=2) of the machine: the
         pieces of json_pieces joined, without the final newline."""
         return "".join(self.json_pieces())[:-1]
-
-    @classmethod
-    def from_json(cls, text: str) -> "Dfao":
-        """Inverse of to_json; ValueError names the field unless ids are 0..n-1
-        in order, every transition and the initial state name one of them,
-        labels are strings, outputs ints in {-1, 0, 1} and meta an object."""
-        obj = json.loads(text)
-        if type(obj) is not dict:
-            raise ValueError("the document must be an object")
-        if obj.get("input") != "lsb-first":
-            raise ValueError("unknown input convention")
-        states = obj.get("states")
-        if type(states) is not list or not all(type(st) is dict for st in states):
-            raise ValueError("states must be a list of objects")
-        n = len(states)
-        ids = [st.get("id") for st in states]
-        if ids != list(range(n)) or not all(type(i) is int for i in ids):
-            raise ValueError(f"state ids must be 0..{n - 1} in order")
-        labels = [st.get("label") for st in states]
-        if not all(type(x) is str for x in labels):
-            raise ValueError("state labels must be strings")
-        out = [st.get("output") for st in states]
-        if not all(type(x) is int and -1 <= x <= 1 for x in out):
-            raise ValueError("state outputs must be -1, 0 or 1")
-        trans = obj.get("transitions")
-        if type(trans) is not list or len(trans) != n or not all(
-                isinstance(t, list) and len(t) == 2 and all(_is_index(x, n) for x in t) for t in trans):
-            raise ValueError(f"transitions must be {n} pairs of state ids")
-        if not _is_index(obj.get("initial"), n):
-            raise ValueError(f"initial state {obj.get('initial')!r} is not a state id")
-        meta = obj.get("meta", {})
-        if type(meta) is not dict:
-            raise ValueError("meta must be an object")
-        import numpy as np
-
-        return cls(np.array(trans, dtype=np.int32), np.array(out, dtype=np.int8),
-                   obj["initial"], labels.copy, meta)
-
-
-def _is_index(x, n: int) -> bool:
-    return type(x) is int and 0 <= x < n
 
 
 def _label_texts(states) -> list:

@@ -248,7 +248,7 @@ def _cmd_qseries(args) -> int:
         val = a_number(eps, w, args.g, args.terms)
         if args.json:
             try:
-                num, den = str(val.value.numerator), str(val.value.denominator)
+                num, den = str(val.num), str(val.den)
             except ValueError:  # more digits than sys.get_int_max_str_digits()
                 raise ValueError(f"--json writes num and den in full: at --terms {args.terms} they "
                                  f"pass Python's {sys.get_int_max_str_digits()}-digit "

@@ -90,9 +90,6 @@ class ContinuedFraction:
     precision: object
     terminated: bool
 
-    def __len__(self):
-        return len(self.quotients)
-
 
 @dataclass(frozen=True)
 class Convergents:

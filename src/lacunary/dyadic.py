@@ -309,7 +309,14 @@ def _window_plus(w: Dyadic, c: int, length: int) -> int:
     return (w.digits_window(length) + c) & ((1 << length) - 1)
 
 
-# tag -> (a, b): the family C(w+k+b, 2k+a) mod 2
+# tag -> (a, b): the family C(w+k+b, 2k+a) mod 2.
+#
+# Reflections: upper negation, C(-1-x, m) = (-1)^m C(x+m, m), gives
+# C(-1-x, m) = C(x+m, m) mod 2 for every 2-adic x.  Taking x = w-k, w-k-1
+# and w-k for the three families shows g_{-1-w} = g_w, f_{-1-w} = h_w and
+# h_{-1-w} = f_w, so f_{-2-w} = h_{w+1} = f_w.  A term's sign and exponent
+# depend on k, eps and lambda only, hence Q_{-2-w} = Q_w for every lambda
+# and eps.
 _KERNEL_OFFSETS = {"f": (1, 1), "g": (0, 0), "h": (1, 0)}
 
 

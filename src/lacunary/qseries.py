@@ -6,6 +6,11 @@ w cuts the sum off (at w for w >= 0, at -w-2 for w <= -2, both because the
 finite upper argument stops dominating); every other w yields a genuine
 power series and callers must bound the window themselves.
 
+A coefficient at k < 2^L reads at most L + 1 digits of w: 2k+1 < 2^(L+1),
+and digits 0..L of w+k+1 depend only on digits 0..L of w, since carries
+only move up.  So Q_w = Q_{w mod 2^(L+1)} mod X^(2^L) for Mersenne lambda,
+whose exponent of term k is k itself.
+
 Comparison families (scaled Chebyshev, Fibonacci, Morgan-Voyce) are built
 by their own recurrences/sums so the mod-2 coincidences are cross-checks,
 not restatements.
@@ -182,12 +187,22 @@ def morgan_voyce(n: int, kind: str = "b") -> SparsePoly:
 
 @dataclass(frozen=True)
 class ANumber:
-    """Partial sum of sign(k) * halfsum(w, k) * g^-k over k <= terms, with
-    the geometric tail bound."""
+    """Partial sum of sign(k) * halfsum(w, k) * g^-k over k <= terms, held
+    exactly as num / den with den = g^last, last the largest surviving k
+    (den = 1 when no term survives), with the geometric tail bound.
 
-    value: Fraction
+    The pair is in lowest terms: every prime factor of den divides g, and
+    Horner's rule leaves num = +-1 mod g (or num = 0 with den = 1)."""
+
+    num: int
+    den: int
     base: int
     terms: int
+
+    @property
+    def value(self) -> Fraction:
+        """num / den as a Fraction, formed on demand."""
+        return Fraction(self.num, self.den)
 
     @property
     def tail_bound(self) -> Fraction:
@@ -196,14 +211,12 @@ class ANumber:
         return Fraction(2, self.base**self.terms)
 
     def decimal(self, digits: int = 40) -> str:
+        """The value truncated toward zero to `digits` decimals: one floor
+        division |num| * 10^digits // den."""
         if digits < 0:
             raise ValueError("digits must be nonnegative")
-        v = self.value
-        sign = "-" if v < 0 else ""
-        v = abs(v)
-        ip = v.numerator // v.denominator
-        frac = v - ip
-        scaled = (frac.numerator * 10**digits) // frac.denominator
+        sign = "-" if self.num < 0 else ""
+        ip, scaled = divmod(abs(self.num) * 10**digits // self.den, 10**digits)
         return f"{sign}{ip}.{scaled:0{digits}d}"
 
 
@@ -222,4 +235,4 @@ def a_number(eps: EpsilonSpec, w: Dyadic, g: int, terms: int) -> ANumber:
     for k, sign in zip(ks.tolist(), _term_signs(ks, eps).tolist()):
         num = num * g ** (k - last) + sign
         last = k
-    return ANumber(value=Fraction(num, g**last), base=g, terms=terms)
+    return ANumber(num=num, den=g**last, base=g, terms=terms)

@@ -9,11 +9,11 @@ nothing is ever rounded.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-#: A coefficient's JSON text: exactly what str(int) writes.
-_INT_TEXT = re.compile(r"0|-?[1-9][0-9]*")
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Degree of the zero polynomial.  A dedicated sentinel (never -1, which is a
 #: legitimate Laurent exponent); compares below every integer.
@@ -93,12 +93,6 @@ class SparsePoly:
             return SparsePoly.zero()
         return SparsePoly(tuple((e, cc * c) for e, cc in self.terms))
 
-    def shift(self, k):
-        """Multiply by X^k (k >= 0)."""
-        if k < 0:
-            raise ValueError("negative shift")
-        return SparsePoly(tuple((e + k, c) for e, c in self.terms))
-
     def term_count(self):
         return len(self.terms)
 
@@ -146,15 +140,12 @@ def gf2_mul(a: int, b: int) -> int:
     return acc
 
 
-def flags_to_mask(flags) -> int:
+def flags_to_mask(flags: np.ndarray) -> int:
     """GF(2) mask of a coefficient stream: bit k is set where flags[k] is
-    true.  flags is a numpy bool array, as kernel_range returns, or any
-    iterable of truth values; the bits are packed by numpy, so the cost is
-    linear in the length."""
+    true.  flags is a numpy array, as kernel_range returns; the bits are
+    packed by numpy, so the cost is linear in the length."""
     import numpy as np
 
-    if not isinstance(flags, np.ndarray):
-        flags = np.fromiter(flags, dtype=bool)
     packed = np.packbits(flags.astype(bool, copy=False), bitorder="little")
     return int.from_bytes(packed.tobytes(), "little")
 
@@ -173,24 +164,3 @@ def poly_to_json(p: SparsePoly) -> dict:
     integer coefficients and is kept so that the output stays stable."""
     return {"ring": "Q", "terms": [[e, str(c)] for e, c in p.terms]}
 
-
-def poly_from_json(obj: dict) -> SparsePoly:
-    """Inverse of poly_to_json; ValueError names the field unless obj is an
-    object with ring "Q" and terms a list of [exponent, coefficient] pairs,
-    each exponent an int >= 0 and each coefficient the text str(int) writes."""
-    if type(obj) is not dict:
-        raise ValueError("a polynomial must be an object")
-    if obj.get("ring") != "Q":
-        raise ValueError(f"unknown ring {obj.get('ring')!r}")
-    terms = obj.get("terms")
-    if type(terms) is not list:
-        raise ValueError("terms must be a list of [exponent, coefficient] pairs")
-    for i, term in enumerate(terms):
-        if type(term) is not list or len(term) != 2:
-            raise ValueError(f"terms[{i}] must be an [exponent, coefficient] pair")
-        e, c = term
-        if type(e) is not int or e < 0:
-            raise ValueError(f"terms[{i}] exponent must be an int >= 0, got {e!r}")
-        if type(c) is not str or not _INT_TEXT.fullmatch(c):
-            raise ValueError(f"terms[{i}] coefficient must be an integer string, got {c!r}")
-    return SparsePoly.build((e, int(c)) for e, c in terms)

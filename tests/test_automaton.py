@@ -316,97 +316,13 @@ class TestSigned:
             assert vec[k] == expect
 
 
-# a field left out of the document
-_MISSING = object()
-
-
 class TestSerialization:
-    def test_json_round_trip_behavior(self):
-        d = build_dfao(THIRD, "f")
-        d2 = Dfao.from_json(d.to_json())
-        assert len(d2) == len(d)
-        assert d2.meta == d.meta
-        assert np.array_equal(d2.evaluate_all(10), d.evaluate_all(10))
-
     def test_json_shape(self):
         obj = json.loads(build_dfao(THIRD, "h").to_json())
         assert obj["input"] == "lsb-first"
         assert {"id", "label", "output"} <= set(obj["states"][0])
         assert len(obj["transitions"]) == len(obj["states"])
         assert all(len(t) == 2 for t in obj["transitions"])
-
-    def test_from_json_rejects_other_conventions(self):
-        obj = json.loads(build_dfao(THIRD, "f").to_json())
-        obj["input"] = "msb-first"
-        with pytest.raises(ValueError):
-            Dfao.from_json(json.dumps(obj))
-
-    @pytest.mark.parametrize("make", [
-        lambda: build_dfao(THIRD, "f"),
-        lambda: signed_dfao(_rat(1, 7), EpsilonSpec((1,), (0, 1))),
-        lambda: minimize(build_dfao(_rat(-1, 131), "g")),
-    ], ids=["f", "signed", "minimized"])
-    def test_json_round_trip_bytes(self, make):
-        text = make().to_json()
-        assert Dfao.from_json(text).to_json() == text
-
-    @pytest.mark.parametrize("field, value", [
-        ("output", "1"),
-        ("output", True),
-        ("output", 2),
-        ("output", _MISSING),
-        ("id", True),
-        ("label", ["f", 0]),
-        ("meta", ["orbit"]),
-        ("document", []),
-        ("document", "x"),
-        ("states", _MISSING),
-        ("states", [1]),
-        ("states", {"a": 1}),
-        ("transitions", _MISSING),
-        ("initial", _MISSING),
-    ], ids=["output-str", "output-bool", "output-2", "output-missing", "id-bool", "label-list",
-            "meta-list", "document-list", "document-str", "states-missing", "states-ints",
-            "states-object", "transitions-missing", "initial-missing"])
-    def test_from_json_rejects_bad_field(self, field, value):
-        obj = json.loads(build_dfao(THIRD, "f").to_json())
-        if field == "document":
-            obj = value
-        else:
-            # a state's own field is set on state 1, any other on the document
-            node = obj["states"][1] if field in ("id", "output", "label") else obj
-            if value is _MISSING:
-                del node[field]
-            else:
-                node[field] = value
-        with pytest.raises(ValueError, match=field):
-            Dfao.from_json(json.dumps(obj))
-
-    def test_from_json_rejects_unordered_ids(self):
-        obj = json.loads(build_dfao(THIRD, "f").to_json())
-        obj["states"][0]["id"], obj["states"][1]["id"] = 1, 0
-        with pytest.raises(ValueError, match="state ids"):
-            Dfao.from_json(json.dumps(obj))
-
-    @pytest.mark.parametrize("transitions", [
-        lambda t: t[:-1],
-        lambda t: t[:-1] + [[0, len(t)]],
-        lambda t: t[:-1] + [[0, -1]],
-        lambda t: t[:-1] + [[0]],
-        lambda t: t[:-1] + [0],
-    ], ids=["count", "past-end", "negative", "not-pair", "not-list"])
-    def test_from_json_rejects_bad_transitions(self, transitions):
-        obj = json.loads(build_dfao(THIRD, "f").to_json())
-        obj["transitions"] = transitions(obj["transitions"])
-        with pytest.raises(ValueError, match="transitions"):
-            Dfao.from_json(json.dumps(obj))
-
-    @pytest.mark.parametrize("initial", [7, -1, "0"])
-    def test_from_json_rejects_bad_initial(self, initial):
-        obj = json.loads(build_dfao(THIRD, "f").to_json())
-        obj["initial"] = initial
-        with pytest.raises(ValueError, match="initial"):
-            Dfao.from_json(json.dumps(obj))
 
     def test_dot_output(self):
         dot = build_dfao(THIRD, "f").to_dot()
@@ -418,7 +334,6 @@ class TestSerialization:
         lines = odd.to_dot().splitlines()
         assert '  s0 [label="a\\"b / 1"];' in lines
         assert '  s1 [label="c\\\\ / -1"];' in lines
-        assert Dfao.from_json(odd.to_json()).to_dot() == odd.to_dot()
 
 
 class TestRelation:
@@ -641,11 +556,6 @@ class TestJsonOracle:
             assert isinstance(text, str)
             assert text == _reference_json(d), chunk
 
-    @given(_dfaos(labels=_TEXT | st.just(DEAD)))
-    def test_from_json_output_is_laid_out_as_json_dumps(self, d):
-        back = Dfao.from_json(_reference_json(d))
-        assert back.to_json() == _reference_json(back) == _reference_json(d)
-
 
 def _oracle_machines():
     """Built and signed machines for three orbits, a one-state machine and
@@ -661,6 +571,139 @@ def _oracle_machines():
 
 
 _ORACLE_MACHINES = _oracle_machines()
+
+
+# a field left out of the document
+_MISSING = object()
+
+
+def _is_index(x, n: int) -> bool:
+    return type(x) is int and 0 <= x < n
+
+
+def _dfao_doc_problem(obj):
+    """README's automaton JSON shape, as a check on what to_json writes:
+    None when obj is an object whose input is "lsb-first", whose states
+    are objects with ids 0..n-1 in order, string labels and outputs in
+    {-1, 0, 1}, whose transitions are n pairs of state ids, whose initial
+    state is a state id and whose meta is an object; otherwise the field
+    it breaks."""
+    if type(obj) is not dict:
+        return "document"
+    if obj.get("input") != "lsb-first":
+        return "input"
+    states = obj.get("states")
+    if type(states) is not list or not all(type(s) is dict for s in states):
+        return "states"
+    n = len(states)
+    if [s.get("id") for s in states] != list(range(n)) or not all(type(s.get("id")) is int for s in states):
+        return "id"
+    if not all(type(s.get("label")) is str for s in states):
+        return "label"
+    if not all(type(s.get("output")) is int and -1 <= s["output"] <= 1 for s in states):
+        return "output"
+    trans = obj.get("transitions")
+    if type(trans) is not list or len(trans) != n or not all(
+            type(t) is list and len(t) == 2 and all(_is_index(x, n) for x in t) for t in trans):
+        return "transitions"
+    if not _is_index(obj.get("initial"), n):
+        return "initial"
+    if type(obj.get("meta")) is not dict:
+        return "meta"
+    return None
+
+
+def _doc_outputs(obj, bits: int) -> list:
+    """The output for every k < 2^bits, read from the document alone:
+    exactly `bits` digits of k, least significant first, from the initial
+    state."""
+    trans, out = obj["transitions"], [s["output"] for s in obj["states"]]
+    values = []
+    for k in range(1 << bits):
+        i = obj["initial"]
+        for b in range(bits):
+            i = trans[i][k >> b & 1]
+        values.append(out[i])
+    return values
+
+
+class TestJsonSchema:
+    """Every document to_json writes has README's automaton shape and
+    evaluates, read on its own, like the machine that wrote it."""
+
+    @pytest.mark.parametrize("d", _ORACLE_MACHINES + list(map(minimize, _ORACLE_MACHINES)))
+    def test_machines_write_the_shape(self, d):
+        obj = json.loads(d.to_json())
+        assert _dfao_doc_problem(obj) is None
+        assert _doc_outputs(obj, 8) == d.evaluate_all(8).tolist()
+
+    @given(_dfaos())
+    def test_random_machines_write_the_shape(self, d):
+        obj = json.loads(d.to_json())
+        assert _dfao_doc_problem(obj) is None
+        assert _doc_outputs(obj, 4) == d.evaluate_all(4).tolist()
+
+    # The shape check itself names the field of each broken document, so a
+    # writer that drifted from the shape could not pass the tests above.
+    def test_check_rejects_other_conventions(self):
+        obj = json.loads(build_dfao(THIRD, "f").to_json())
+        obj["input"] = "msb-first"
+        assert _dfao_doc_problem(obj) == "input"
+
+    @pytest.mark.parametrize("field, value", [
+        ("output", "1"),
+        ("output", True),
+        ("output", 2),
+        ("output", _MISSING),
+        ("id", True),
+        ("label", ["f", 0]),
+        ("meta", ["orbit"]),
+        ("meta", _MISSING),
+        ("document", []),
+        ("document", "x"),
+        ("states", _MISSING),
+        ("states", [1]),
+        ("states", {"a": 1}),
+        ("transitions", _MISSING),
+        ("initial", _MISSING),
+    ], ids=["output-str", "output-bool", "output-2", "output-missing", "id-bool", "label-list",
+            "meta-list", "meta-missing", "document-list", "document-str", "states-missing",
+            "states-ints", "states-object", "transitions-missing", "initial-missing"])
+    def test_check_rejects_bad_field(self, field, value):
+        obj = json.loads(build_dfao(THIRD, "f").to_json())
+        if field == "document":
+            obj = value
+        else:
+            # a state's own field is set on state 1, any other on the document
+            node = obj["states"][1] if field in ("id", "output", "label") else obj
+            if value is _MISSING:
+                del node[field]
+            else:
+                node[field] = value
+        assert _dfao_doc_problem(obj) == ("states" if field == "states" else field)
+
+    def test_check_rejects_unordered_ids(self):
+        obj = json.loads(build_dfao(THIRD, "f").to_json())
+        obj["states"][0]["id"], obj["states"][1]["id"] = 1, 0
+        assert _dfao_doc_problem(obj) == "id"
+
+    @pytest.mark.parametrize("transitions", [
+        lambda t: t[:-1],
+        lambda t: t[:-1] + [[0, len(t)]],
+        lambda t: t[:-1] + [[0, -1]],
+        lambda t: t[:-1] + [[0]],
+        lambda t: t[:-1] + [0],
+    ], ids=["count", "past-end", "negative", "not-pair", "not-list"])
+    def test_check_rejects_bad_transitions(self, transitions):
+        obj = json.loads(build_dfao(THIRD, "f").to_json())
+        obj["transitions"] = transitions(obj["transitions"])
+        assert _dfao_doc_problem(obj) == "transitions"
+
+    @pytest.mark.parametrize("initial", [7, -1, "0"])
+    def test_check_rejects_bad_initial(self, initial):
+        obj = json.loads(build_dfao(THIRD, "f").to_json())
+        obj["initial"] = initial
+        assert _dfao_doc_problem(obj) == "initial"
 
 
 class TestMooreOracle:
@@ -705,8 +748,7 @@ class TestStateCost:
         lambda: build_dfao(_W131, "g"),
         lambda: signed_dfao(_W7, EpsilonSpec((1,), (0, 1))),
         lambda: minimize(build_dfao(_W131, "g")),
-        lambda: Dfao.from_json(signed_dfao(_W7, EPS_10).to_json()),
-    ], ids=["build", "signed", "minimized", "from_json"])
+    ], ids=["build", "signed", "minimized"])
     def test_nine_bytes_per_state(self, make):
         d = make()
         assert d.step.shape == (len(d), 2) and d.step.dtype == np.int32

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from itertools import groupby
-from math import comb
+from math import comb, gcd
 
 import numpy as np
 import pytest
@@ -332,9 +332,9 @@ class TestANumber:
         assert a_number(EPS_10, w, 10, 25).value == total
 
     def test_decimal_rendering(self):
-        a = ANumber(value=Fraction(1, 3), base=10, terms=0)
+        a = ANumber(1, 3, 10, 0)
         assert a.decimal(5) == "0.33333"
-        b = ANumber(value=Fraction(-1, 2), base=10, terms=0)
+        b = ANumber(-1, 2, 10, 0)
         assert b.decimal(4) == "-0.5000"
 
     def test_guards(self):
@@ -398,6 +398,26 @@ def test_a_number_matches_scalar_signs(w, eps, g, terms):
     ks = np.flatnonzero(kernel_range(w, terms, "f")).tolist()
     want = sum((Fraction(term_sign(k, eps), g**k) for k in ks), Fraction(0))
     assert a_number(eps, w, g, terms).value == want
+
+
+_ANUMBER_OMEGAS = st.one_of(
+    st.tuples(st.integers(-10**6, 10**6), st.integers(-999, 999).filter(lambda b: b % 2))
+    .map(lambda ab: Dyadic.from_rational(*ab)),
+    st.sampled_from(["stream:thue-morse", "stream:paperfolding"]).map(parse_omega),
+)
+
+
+@given(_ANUMBER_OMEGAS, st.sampled_from([ZERO, EPS_10, EPS_PRE]), st.integers(2, 30),
+       st.integers(0, 3000))
+@example(Dyadic.from_int(-1), ZERO, 10, 30)                  # no surviving term
+@example(parse_omega("rat:1/3"), ZERO, 2, 3000)
+def test_a_number_pair_is_reduced(w, eps, g, terms):
+    # every prime of g^last divides g, and Horner leaves num = +-1 mod g
+    a = a_number(eps, w, g, terms)
+    ks = np.flatnonzero(kernel_range(w, terms, "f"))
+    last = int(ks[-1]) if ks.size else 0
+    assert a.den == g**last
+    assert gcd(a.num, a.den) == 1
 
 
 # Windows stop below k = 2^12 here, so the high digits are drawn directly.
