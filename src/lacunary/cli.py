@@ -44,13 +44,11 @@ _PRECISION_CAP = 1 << 20
 #: many digits, which stays under CPython's 4300-digit int-to-str limit.
 _DIGITS_CAP = 1 << 12
 
-#: Longest stern table, --to - --from + 1 values: a table is held as one
-#: numpy array (2^22 u values as JSON: 0.8 s, 110 MB peak); CI writes 2000001.
+#: Longest stern table, --to - --from + 1 values, carlitz's too: a table is
+#: held as one numpy array (2^22 u values as --csv: 77 MB peak); CI writes
+#: 2000001.  carlitz costs about log2(--to) numpy element operations a
+#: value and stops below 2^62, where its int64 counts end.
 _TABLE_CAP = 1 << 22
-
-#: Largest stern carlitz --to: Carlitz's sum costs about (to - from) * to / 2
-#: cell tests (0 to 2^16: 3.6 s); the benchmark catalogue goes to 3200.
-_CARLITZ_CAP = 1 << 16
 
 #: Bad input, an unreadable --bfile included: exit 2.  An unknown
 #: oeis-check id or verify --only name is a KeyError, every other usage
@@ -294,8 +292,7 @@ def _stern_options(p) -> None:
     _action(p, "which", ("u", "v", "alpha", "beta", "gamma", "carlitz", "oeis-check"))
     p.add_argument("--from", dest="start", type=int, default=None)
     p.add_argument("--to", type=int, default=None,
-                   help=f"last index: at most {_cap_text(_TABLE_CAP)} values from --from, "
-                        f"and carlitz --to at most {_cap_text(_CARLITZ_CAP)}")
+                   help=f"last index: at most {_cap_text(_TABLE_CAP)} values from --from")
     p.add_argument("--csv", action="store_true", default=None)
     p.add_argument("--id", default=None)
     p.add_argument("--bfile", default=None)
@@ -319,8 +316,6 @@ def _cmd_stern(args) -> int:
     if start < 0 and args.which != "u":
         raise ValueError(f"sequence {args.which} is defined for n >= 0")
     _check_at_most("--to - --from + 1", to - start + 1, _TABLE_CAP)
-    if args.which == "carlitz":
-        _check_at_most("--to", to, _CARLITZ_CAP)
     values = fn(start, to)
     if args.json:
         sys.stdout.writelines(document({"from": start, "sequence": args.which, "to": to},

@@ -14,10 +14,12 @@ doubling_window fills any [a, b] of u, v, alpha, beta or gamma from the
 window of half its indices, in time O(b - a + log b).  A window with
 b <= 2 * _PREFIX is the list of Python ints its prefix fills index by
 index; a longer one is the numpy array its levels fill, int64 below 2^88
-and of Python ints past it.  carlitz_window evaluates Carlitz's sum in
-numpy int64 blocks of about 2^16 cells, (b - a) * b / 2 cell tests in
-all, and returns an int64 array, as parity_convolve_range does.  The
-scalar paths stay the reference the windows are checked against.
+and of Python ints past it.  carlitz_window counts Carlitz's sum from
+the bits of n by a two-count carry automaton, (b - a) * log2(b) numpy
+element operations in all, and returns an int64 array, as
+parity_convolve_range does; it calls neither doubling_window nor the
+scalars.  The scalar paths stay the reference the windows are checked
+against.
 """
 
 from __future__ import annotations
@@ -98,36 +100,42 @@ def stern_carlitz(n: int) -> int:
     return parity_convolve(lambda r: 1, lambda s: 1, n)
 
 
-_CELLS = 1 << 16
+_BLOCK = 1 << 16
 
 
 def carlitz_window(a: int, b: int) -> np.ndarray:
-    """stern_carlitz(n) for n in a..b as an int64 array, the cells (n, r)
-    tested in numpy int64 blocks of about _CELLS, with binom_parity's rule:
-    C(n-r, r) is odd iff adding r to n-2r carries nowhere."""
+    """stern_carlitz(n) for n in a..b as an int64 array, counted from the
+    bits of n rather than cell by cell.
+
+    By Lucas, C(n-r, r) is odd iff r & (n - 2r) == 0, so the count is the
+    number of pairs (m, r) with n = m + 2r and m & r == 0.  Read the bits
+    of n from the lowest up, choosing bits m_k and r_k, not both 1, so that
+    m_k + r_{k-1} + carry has the parity of n_k.  The state after bit k is
+    (r_k, carry), and r_k + carry is what it adds to bit k + 1.  The two
+    states that add 1 move alike, and (1, 1), which adds 2, is never
+    reached from the start (0, 0).  So two counts suffice: x of the pairs
+    that add 0 and y of those that add 1.  From (x, y) = (1, 0), a 1 bit
+    sets x <- x + y and a 0 bit sets y <- x + y; the count is x once every
+    bit of n is read, as a pair leaves no r bit or carry past n's top.
+    The n are taken _BLOCK at a time, (b - a) * log2(b) numpy element
+    operations in all; besides the int64 output, the memory is a block's
+    temporaries."""
     import numpy as np
 
     if a < 0:
         raise ValueError("negative index")
     if b >= 1 << 62:
         raise ValueError("Carlitz's sum is evaluated in int64: n must be below 2^62")
-    out = np.zeros(max(b - a + 1, 0), dtype=np.int64)
-    if a > b:
-        return out
-    n_step = min(b - a + 1, 1 << 8)
-    r_step = _CELLS // n_step
-    for n0 in range(a, b + 1, n_step):
-        n1 = min(n0 + n_step, b + 1)
-        ns = np.arange(n0, n1, dtype=np.int64)[:, None]
-        r_end = (n1 - 1) // 2 + 1
-        for r0 in range(0, r_end, r_step):
-            r1 = min(r0 + r_step, r_end)
-            rs = np.arange(r0, r1, dtype=np.int64)
-            d = ns - 2 * rs
-            hit = (d & rs) == 0
-            if 2 * (r1 - 1) > n0:
-                hit &= d >= 0  # drop the cells with 2r > n
-            out[n0 - a:n1 - a] += np.count_nonzero(hit, axis=1)
+    out = np.ones(max(b - a + 1, 0), dtype=np.int64)
+    for n0 in range(a, b + 1, _BLOCK):
+        n1 = min(n0 + _BLOCK, b + 1)
+        ns = np.arange(n0, n1, dtype=np.int64)
+        x, y = out[n0 - a:n1 - a], np.zeros(n1 - n0, dtype=np.int64)
+        for _ in range((n1 - 1).bit_length()):
+            one = (ns & 1).astype(bool)
+            np.add(x, y, out=x, where=one)
+            np.add(x, y, out=y, where=~one)
+            ns >>= 1
     return out
 
 
@@ -192,15 +200,27 @@ _DOUBLING = {
 _PREFIX = 64
 
 
+def _signed_sum(dst: np.ndarray, p: int, x: np.ndarray, q: int, y: np.ndarray) -> None:
+    """dst = p * x + q * y, formed in dst with no product, for the (p, q)
+    that _DOUBLING holds: (1, 1), (1, 0), (1, -1) and (-1, 0)."""
+    import numpy as np
+
+    if q == 0:
+        (np.positive if p > 0 else np.negative)(x, out=dst)
+    else:
+        (np.add if q > 0 else np.subtract)(x, y, out=dst)
+
+
 def doubling_window(which: str, a: int, b: int) -> list | np.ndarray:
     """s_a, ..., s_b for s in _DOUBLING; u also at negative indices.
 
     The window is halved to [max(a//2 - 1, 0), b//2 + 1] until
     b <= 2 * _PREFIX, that prefix is filled index by index, and each level
     back up is formed from the one below in numpy arrays: its even entries
-    in one array expression, its odd entries in another, s_0 and s_1 set
-    anew on a level that starts below 2.  The arrays are int64 while b < 2^88:
-    Lehmer's bound, u_n <= F_{bitlen(n+1)+1} < 2^62 there, holds for every
+    and then its odd entries are added, subtracted or negated straight into
+    the level's strided slices, every coefficient being -1, 0 or 1, and s_0
+    and s_1 are set anew on a level that starts below 2.  The arrays are
+    int64 while b < 2^88: Lehmer's bound, u_n <= F_{bitlen(n+1)+1} < 2^62 there, holds for every
     |s_n| since |alpha|, |beta| <= u, |gamma| <= 1 and v is u shifted.
     Past 2^88 the same code runs on arrays of Python ints.  A window that
     needs no level is the prefix's list, so it loads no numpy; a window of
@@ -242,8 +262,8 @@ def doubling_window(which: str, a: int, b: int) -> list | np.ndarray:
         i, n_even = (even >> 1) - a, (hi - even) // 2 + 1
         j, n_odd = (odd >> 1) - a, (hi - odd) // 2 + 1
         out = np.empty(hi - lo + 1, dtype=vals.dtype)
-        out[even - lo::2] = c0 * vals[i:i + n_even] + c1 * vals[i - 1:i - 1 + n_even]
-        out[odd - lo::2] = d0 * vals[j:j + n_odd] + d1 * vals[j + 1:j + 1 + n_odd]
+        _signed_sum(out[even - lo::2], c0, vals[i:i + n_even], c1, vals[i - 1:i - 1 + n_even])
+        _signed_sum(out[odd - lo::2], d0, vals[j:j + n_odd], d1, vals[j + 1:j + 1 + n_odd])
         if lo < 2:
             out[:start - lo] = (s0, s1)[lo:]
         vals, a = out, lo

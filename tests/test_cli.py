@@ -1144,10 +1144,6 @@ class TestUsageAndDeterminism:
          "--to - --from + 1 must be at most 4194304 (2^22), got 4194305"),
         (("carlitz", "--to", "10000000"),
          "--to - --from + 1 must be at most 4194304 (2^22), got 10000001"),
-        (("carlitz", "--from", "65537", "--to", "65537"),
-         "--to must be at most 65536 (2^16), got 65537"),
-        (("carlitz", "--from", "9999990", "--to", "10000000"),
-         "--to must be at most 65536 (2^16), got 10000000"),
     ])
     def test_stern_cap_is_named(self, capsys, monkeypatch, argv, line):
         def boom(a, b):
@@ -1161,7 +1157,7 @@ class TestUsageAndDeterminism:
     @pytest.mark.parametrize("which, start, to", [
         ("u", -5, (1 << 22) - 6),
         ("gamma", 10 ** 15, 10 ** 15 + (1 << 22) - 1),
-        ("carlitz", 0, 1 << 16),
+        ("carlitz", 10 ** 15, 10 ** 15 + (1 << 22) - 1),
     ])
     def test_stern_at_cap_is_accepted(self, capsys, monkeypatch, which, start, to):
         def reached(a, b):
@@ -1174,8 +1170,8 @@ class TestUsageAndDeterminism:
     def test_stern_caps_in_help(self, capsys):
         rc, out, _ = run(capsys, "stern", "--help")
         assert rc == 0
-        assert re.search(r"--to \S+ [^-]*4194304 \(2\^22\) values .*carlitz --to at most "
-                         r"65536 \(2\^16\)", " ".join(out.split()))
+        assert re.search(r"--to \S+ [^-]*4194304 \(2\^22\) values from --from",
+                         " ".join(out.split()))
 
     def test_pell_constant_term(self, capsys):
         rc, out, _ = run(capsys, "qseries", "pell", "--trunc", "0")

@@ -157,18 +157,32 @@ class TestWindows:
             doubling_window("alpha", -1, 3)
 
     @pytest.mark.parametrize("a, b", [
-        (0, 0), (1, 1), (0, 1), (3000, 3000),
-        (0, 700),          # three blocks of n
-        (1000, 1700),      # several blocks of r for each block of n
-        (1800, 3100),
+        (0, 0), (1, 1), (0, 1), (2, 2), (3000, 3000),
+        (0, 700), (1000, 1700), (1800, 3100),
     ])
     def test_carlitz_window(self, a, b):
         assert carlitz(a, b) == scalar_table("u", a, b)
 
-    def test_carlitz_single_index_over_two_r_blocks(self):
-        # one n, so a block is one row of at most 2^16 values of r
-        n = (1 << 17) + 5
-        assert carlitz(n, n) == [stern_u(n)]
+    @given(st.integers(0, 1 << 13), st.integers(0, 64))
+    def test_carlitz_window_against_the_cell_sum(self, a, width):
+        # the plain sum over r, not the Stern recursion, is the oracle
+        b = min(a + width, 1 << 13)
+        assert carlitz(a, b) == [stern_carlitz(n) for n in range(a, b + 1)]
+
+    @pytest.mark.parametrize("a, b", [
+        (10 ** 15, 10 ** 15 + 1000),
+        ((1 << 62) - 1001, (1 << 62) - 1),   # 62 bits, the int64 limit
+    ])
+    def test_carlitz_far_windows(self, a, b):
+        assert carlitz(a, b) == window("u", a, b)
+
+    @pytest.mark.parametrize("a, b", [
+        (0, stern._BLOCK + 5),   # the second block's n are one bit longer
+        (10 ** 15 - 7, 10 ** 15 + 2 * stern._BLOCK),   # three blocks
+        (stern._BLOCK - 1, stern._BLOCK),   # one n on each side
+    ])
+    def test_carlitz_window_over_blocks(self, a, b):
+        assert carlitz(a, b) == window("u", a, b)
 
     def test_carlitz_window_limits(self):
         assert carlitz(9, 8) == []
