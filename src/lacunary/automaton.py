@@ -7,9 +7,10 @@ arrays: states are numbered 0..n-1 in the order a breadth-first closure
 from the initial state discovers them, an (n, 2) int32 table holds each
 state's successor index per digit and an int8 vector its output.  Labels,
 here (family tag, shift-orbit position) pairs, are decoded from the
-closure's codes only for export and minimize; the identically-zero state
-is materialized as an explicit absorbing "dead" state so the twelve table
-entries below stay visible in code.
+closure's codes on request, and their texts, which the exports and
+minimize read, are formatted from the code columns; the identically-zero
+state is materialized as an explicit absorbing "dead" state so the twelve
+table entries below stay visible in code.
 
 Transition table (state family x digit, p = parity of the current orbit
 element; the orbit element always advances by one shift):
@@ -21,10 +22,34 @@ element; the orbit element always advances by one shift):
 Outputs: f-state 1 - p, g-state 1, h-state p, dead 0; every output equals
 the state's sequence at argument 0, which is exactly the condition making
 trailing zero digits harmless.
+
+Numbering lemma.  From (tag, 0) the breadth-first search reaches orbit
+position L at level L, and on its first pass through the orbit the
+parities p_0, p_1, ... alone fix every level, in discovery order: before
+the first g each level holds one family, f while the parities read are 1
+and h while they are 0; g then enters alone; from then on level L is
+exactly [g, h] when p_(L-1) = 0 and [g, f] when p_(L-1) = 1; and dead is
+numbered while the first f or h state is stepped.
+
+Proof.  By the table, a step at parity 0 enters only g and h, and one at
+parity 1 only g and f.  An f or h state has dead as one successor and
+one live one: f at parity 0 and h at parity 1 step to g, f at parity 1
+and h at parity 0 keep their family.  So a level of one f or h state is
+followed by one state of the same family, or by g alone.  A level whose
+first state is g is followed by g, its digit-0 successor at either
+parity, and then by its digit-1 successor, h after parity 0 and f after
+parity 1; by the first sentence no other state of the level enters
+anything else.
+
+The search meets a numbered position again only past the last one,
+where the orbit wraps into its cycle (or, cut at a depth, stays at the
+last position).  So build_dfao numbers the first pass in closed form and
+runs the closure from the last level on.
 """
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from itertools import product
 from typing import TYPE_CHECKING, Callable
@@ -33,7 +58,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 from .bits import EpsilonSpec
-from .dyadic import Dyadic, fraction_format, numerator_orbit
+from .dyadic import Dyadic, fraction_form, numerator_orbit
 from .jsontext import SLOT, document, encode, rows, separator, template
 from .rings import flags_to_mask, gf2_mul
 
@@ -47,8 +72,8 @@ class OrbitCapError(ValueError):
     ORBIT_CAP numerators."""
 
 
-#: Longest shift orbit a whole automaton is built for: its closure peaks at
-#: about 0.4 GB per 10^6 numerators, and --minimize at about 0.6 GB.
+#: Longest shift orbit a whole automaton is built for: its build peaks at
+#: about 0.26 GB per 10^6 numerators, and --minimize at about 0.6 GB.
 ORBIT_CAP = 1 << 20
 
 
@@ -73,14 +98,17 @@ class Dfao:
 
     step[i] = (next on 0, next on 1), a row of the (n, 2) int32 table, and
     out[i] in {-1, 0, +1}, an entry of the int8 vector, describe state i;
-    initial is an index.  labels() decodes the label of every state, which
-    only the exports and minimize read.  Two machines are compared by their
-    to_json() text: it holds the labels, both tables and meta."""
+    initial is an index.  labels() decodes the label of every state;
+    texts(idx) gives the text of the labels of the states idx, a slice or
+    an index array, as a list of str, and is what the exports and minimize
+    read.  Two machines are compared by their to_json() text: it holds the
+    label texts, both tables and meta."""
 
     step: np.ndarray
     out: np.ndarray
     initial: int
     labels: Callable[[], list]
+    texts: Callable[[object], list]
     meta: dict = field(default_factory=dict)
 
     def __len__(self):
@@ -100,24 +128,41 @@ class Dfao:
         """Outputs for every k < 2^bits at once, as an int8 array, feeding
         each k as exactly `bits` digits.  Zero padding never changes the
         result (the output map is stable under the 0-transition), so this
-        matches evaluate().  One state-array doubling per digit position.
+        matches evaluate().
 
         start is the initial state by default; an array of start states
         gives one row of outputs per start, row i the sequence that state
-        start[i] realizes."""
+        start[i] realizes.
+
+        Each gather reads the next digits of every k for every start: one
+        digit a gather for the bits % 8 low digits, then 8, through the
+        (256, n) table of the state each state reaches after each byte.
+        That table is built only when it is no larger than the output, so
+        a large machine walked for few digits goes a digit at a time."""
         import numpy as np
 
-        d0, d1 = self.step.T
-        arr = np.asarray(self.initial if start is None else start, dtype=np.int32)[..., None]
-        for _ in range(bits):
-            arr = np.concatenate([d0[arr], d1[arr]], axis=-1)
-        return self.out[arr]
+        first = np.asarray(self.initial if start is None else start, dtype=np.int32)
+        starts = first.size
+        arr = first.reshape(1, starts)           # arr[k, i]: k read from start i
+        table = np.ascontiguousarray(self.step.T)  # table[x, s]: x read from s
+        whole = bits // 8 if len(self) << 8 <= starts << bits else 0
+        for _ in range(bits - 8 * whole):
+            arr = table.take(arr, axis=1).reshape(2 * len(arr), starts)
+        if whole:
+            for _ in range(3):  # 1 -> 2 -> 4 -> 8 digits: row x_lo + 2^d x_hi
+                table = table.take(table, axis=1).reshape(-1, len(self))
+            for _ in range(whole):
+                arr = table.take(arr, axis=1).reshape(256 * len(arr), starts)
+        return self.out.take(arr).T.reshape(first.shape + (1 << bits,))
 
     def to_dot(self) -> str:
         """The machine in Graphviz DOT, its states and transitions laid out
         by jsontext.rows; a label's quotes and backslashes are escaped."""
         ids = range(len(self))
-        texts = [s.replace("\\", "\\\\").replace('"', '\\"') for s in _label_texts(self.labels())]
+
+        def texts(i, j):
+            return [s.replace("\\", "\\\\").replace('"', '\\"') for s in self.texts(slice(i, j))]
+
         nodes = rows('  s%d [label="%s / %d"];', "\n", (ids, texts, self.out))
         edges = rows('  s%d -> s%d [label="0"];\n  s%d -> s%d [label="1"];', "\n",
                      (ids, self.step[:, 0], ids, self.step[:, 1]))
@@ -127,11 +172,15 @@ class Dfao:
         """The text print(self.to_json()) writes, a piece at a time as
         jsontext.document yields it: {"initial", "input", "meta", "states",
         "transitions"}, its states and transitions laid out by jsontext.rows;
-        labels go through json's C string encoder."""
-        labels = list(map(encode, _label_texts(self.labels())))
+        label texts are formed and go through json's C string encoder a
+        chunk at a time."""
+
+        def labels(i, j):
+            return list(map(encode, self.texts(slice(i, j))))
+
         return document(
             {"initial": self.initial, "input": "lsb-first", "meta": self.meta},
-            {"states": rows(_STATE, separator(1), (range(len(labels)), labels, self.out)),
+            {"states": rows(_STATE, separator(1), (range(len(self)), labels, self.out)),
              "transitions": rows(_PAIR, separator(1), self.step.T)})
 
     def to_json(self) -> str:
@@ -140,12 +189,12 @@ class Dfao:
         return "".join(self.json_pieces())[:-1]
 
 
-def _label_texts(states) -> list:
-    """The text of each label: a str as it is, a tuple as "(a, b, ...)" of
-    str() of its components, through one %-template per tuple length."""
-    forms = {n: "(" + ", ".join(["%s"] * n) + ")"
-             for n in {len(s) for s in states if not isinstance(s, str)}}
-    return [s if isinstance(s, str) else forms[len(s)] % s for s in states]
+def _formatted(form: str, columns) -> list:
+    """[form % row for row in zip(*columns)], formed by jsontext.rows; no
+    row's text may hold a newline."""
+    if not len(columns[0]):
+        return []
+    return "".join(rows(form, "\n", columns)).split("\n")
 
 
 # to_dot's lines before the states
@@ -173,16 +222,25 @@ _KERNEL_STEP = {
     ("h", 1): ("g", None),
 }
 
+# _KERNEL_STEP by family index and parity, with 3 for dead; row 3 is dead
+_MOVES = [[[3 if f2 is None else _FAMILIES.index(f2) for f2 in _KERNEL_STEP[fam, p]]
+           for p in (0, 1)] for fam in _FAMILIES] + [[[3, 3], [3, 3]]]
+
+#: Orbits this long or longer have their first pass numbered in closed
+#: form; below it the closure numbers them alone, which costs less than
+#: numpy's set-up.
+_CLOSED_FORM_FROM = 64
+
 
 def build_dfao(w: Dyadic, tag: str = "f", depth: int | None = None) -> Dfao:
-    """Automaton computing k -> kernel_value(w, k, tag), built by closing
-    the (family, orbit position) state set under the transition table.
-    Only states reachable from the initial one are kept.
+    """Automaton computing k -> kernel_value(w, k, tag): the states
+    reachable from (tag, 0) under the transition table, numbered as a
+    breadth-first closure discovers them.
 
-    The closure runs on integer codes: (family, j) is fam * n + j, with
-    fam the family's index in "fgh" and n the number of orbit positions,
-    and the dead state is 3n.  Outputs are read off the codes once it is
-    done, and labels only when an export or minimize asks for them.
+    States are integer codes: (family, j) is fam * n + j, with fam the
+    family's index in "fgh" and n the number of orbit positions, and the
+    dead state is 3n.  Outputs, labels and label texts are read off the
+    codes.
 
     Without a depth the whole orbit is walked, and one longer than
     ORBIT_CAP numerators raises OrbitCapError before any closure.  With a
@@ -195,70 +253,156 @@ def build_dfao(w: Dyadic, tag: str = "f", depth: int | None = None) -> Dfao:
         raise ValueError(f"unknown tag {tag!r}")
     if depth is not None and depth < 0:
         raise ValueError(f"negative depth {depth}")
+    codes, table, out, n, meta = _kernel(w, tag, depth)
+    return Dfao(table, out, 0, lambda: _kernel_labels(codes, n),
+                lambda idx: _kernel_texts("(%s, %d)", codes, n, idx), meta)
+
+
+def _kernel(w: Dyadic, tag: str, depth: int | None):
+    """(codes, table, outputs, n, meta) of build_dfao(w, tag, depth): the
+    code of each state in number order, the (states, 2) int32 index table,
+    the int8 outputs, the number of orbit positions and the meta dict."""
     nums, loop = _numerator_orbit(w, ORBIT_CAP if depth is None else depth + 1)
     if loop is None and depth is None:
         raise OrbitCapError(f"the shift orbit of {w.describe()} has more than {ORBIT_CAP} "
                             "numerators, the cap of a whole automaton")
     n = len(nums)
     parities = [x & 1 for x in nums]
-    after = list(range(1, n))           # orbit position after j
-    after.append(n - 1 if loop is None else loop)
+    wrap = n - 1 if loop is None else loop   # orbit position after the last
     dead = 3 * n
-    # (fam index, parity) -> code offset of the family entered on 0 and on 1,
-    # None for the dead state
-    moves = [[tuple(None if f2 is None else _FAMILIES.index(f2) * n
-                    for f2 in _KERNEL_STEP[fam, p]) for p in (0, 1)]
-             for fam in _FAMILIES]
+    # family index -> parity -> code offsets of the families entered on 0
+    # and on 1, None for the dead state
+    moves = [[tuple(None if f2 == 3 else f2 * n for f2 in pair) for pair in fam]
+             for fam in _MOVES[:3]]
 
     def step(s):
         if s == dead:
             return (dead, dead)
         fam, j = divmod(s, n)
         a, b = moves[fam][parities[j]]
-        j = after[j]
+        j = j + 1 if j + 1 < n else wrap
         return (dead if a is None else a + j, dead if b is None else b + j)
 
     import numpy as np
 
-    codes, table = _close(_FAMILIES.index(tag) * n, step)
-    # output by code: f-states 1 - p, g-states 1, h-states p, dead 0
     p = np.array(parities, dtype=np.int8)
+    fam = _FAMILIES.index(tag)
+    root = fam * n
+    if n < _CLOSED_FORM_FROM:
+        codes, table = _close(step, [root], {root: 0})
+    else:
+        head, head_table, tail, index = _first_pass(fam, p, wrap)
+        more, more_table = _close(step, tail, index)
+        codes, table = np.concatenate([head, more]), np.concatenate([head_table, more_table])
+    # output by code: f-states 1 - p, g-states 1, h-states p, dead 0
     outputs = np.concatenate([1 - p, np.ones(n, np.int8), p, np.zeros(1, np.int8)])
-
-    def labels():
-        return [DEAD if s == dead else (_FAMILIES[s // n], s % n) for s in codes.tolist()]
-
     meta = {
         "omega": w.describe(),
         "tag": tag,
-        "orbit": list(map(fraction_format(w.den), nums)),
+        "orbit": _formatted(fraction_form(w.den), (nums,)),
     }
     if loop is None:
         meta["depth"] = depth
     else:
         meta["orbit_preperiod"] = loop
-    return Dfao(table, outputs[codes], 0, labels, meta)
+    return codes, table, outputs[codes], n, meta
 
 
-def _close(root, step):
-    """Closure of root under step(state) = (next on 0, next on 1), numbering
-    each state when it is first discovered: the order in which a FIFO search
-    visits them, root at index 0.  Returns (the states as an int64 array,
-    the (n, 2) int32 index table of (next on 0, next on 1))."""
+def _first_pass(fam: int, p, wrap: int):
+    """The closure's first pass through the orbit, numbered by the lemma of
+    the module docstring: (head, rows, tail, index).  head holds the codes
+    numbered before the first state at the last position n - 1 and rows
+    their table; tail lists the codes numbered from there on, which the
+    closure steps next; index numbers the tail and every numbered state
+    the closure can reach from it.
+
+    That closure steps the tail into position wrap, and it numbers new
+    states only where the first pass lacks a family: at wrap itself, or
+    up to the level where g entered, since past both every level holds
+    every family a step can enter there.  So it looks up positions wrap to
+    max(wrap, that level) + 1 only, and dead."""
     import numpy as np
 
-    states = [root]
-    index = {root: 0}
+    n = len(p)
+    dead = 3 * n
+    if fam == 1:
+        lg = 0
+    else:  # f leaves for g on parity 0, h on parity 1
+        hits = np.flatnonzero(p[:n - 1] == fam // 2)
+        lg = int(hits[0]) + 1 if hits.size else n
+    # level by level: one state up to lg, then the pairs [g, h] or [g, f]
+    # after parity 0 or 1
+    j = np.arange(n)
+    pairs = max(n - 1 - lg, 0)
+    live = np.empty(min(lg, n - 1) + 1 + 2 * pairs, np.int64)
+    live[:lg] = fam * n + j[:lg]
+    live[lg:lg + 1] = n + lg
+    live[lg + 1::2] = n + j[lg + 1:]
+    live[lg + 2::2] = 2 * n * (p[lg:n - 1] == 0) + j[lg + 1:]
+    before = len(live) - (2 if pairs else 1)  # live states before position n - 1
+    # dead is found stepping the first f or h state.  For tag f or h that
+    # is state 0: dead is its digit-0 successor (number 1) unless state 0
+    # steps to g (then number 2).  For tag g it is state 2, the second of
+    # level 1, stepped after g's two successors (numbers 3 and 4).
+    if n >= (3 if fam == 1 else 2):
+        at = 5 if fam == 1 else (2 if lg == 1 else 1)
+        codes = np.concatenate([live[:at], [dead], live[at:]])
+        before += at <= before
+    else:
+        codes = live
+    number = np.full(dead + 1, -1, np.int32)
+    number[codes] = np.arange(len(codes), dtype=np.int32)
+    # successors of the head: family by (family, parity), position + 1
+    fams, pos = np.divmod(codes[:before], n)
+    to = np.array(_MOVES, np.int64).reshape(8, 2).take(2 * fams + p[pos], axis=0)
+    rows = number[np.where(to == 3, dead, to * n + pos[:, None] + 1)]
+    top = min(n - 1, max(wrap, lg) + 1)
+    near = np.concatenate([codes[before:], [dead],
+                           (n * np.arange(3)[:, None] + np.arange(wrap, top + 1)).ravel()])
+    near = near[number[near] >= 0]
+    index = dict(zip(near.tolist(), number[near].tolist()))
+    return codes[:before], rows, codes[before:].tolist(), index
+
+
+def _kernel_labels(codes, n: int) -> list:
+    """The label of each kernel state: DEAD or (family letter, position)."""
+    dead = 3 * n
+    return [DEAD if s == dead else (_FAMILIES[s // n], s % n) for s in codes.tolist()]
+
+
+def _kernel_texts(form: str, codes, n: int, idx) -> list:
+    """The text of the labels of the kernel states idx: DEAD, or form over
+    the family letter and the position."""
+    import numpy as np
+
+    fams, pos = np.divmod(codes[idx], n)
+    texts = _formatted(form, (np.array(list(_FAMILIES + "-"), dtype=object)[fams], pos))
+    for i in np.flatnonzero(fams == 3).tolist():
+        texts[i] = DEAD
+    return texts
+
+
+def _close(step, states, index):
+    """Continues a closure under step(state) = (next on 0, next on 1),
+    numbering each state when it is first discovered: the order in which a
+    FIFO search visits them.  index numbers every state the search can
+    meet that is numbered already, and states lists the ones not yet
+    stepped, in number order from index[states[0]]; the search appends to
+    it.  Returns (states as an int64 array, their (len(states), 2) int32
+    index table of (next on 0, next on 1))."""
+    import numpy as np
+
+    first = index[states[0]]
     table = []
     # map sees the states appended while it runs
     for t0, t1 in map(step, states):
         i0 = index.get(t0)
         if i0 is None:
-            i0 = index[t0] = len(states)
+            i0 = index[t0] = first + len(states)
             states.append(t0)
         i1 = index.get(t1)
         if i1 is None:
-            i1 = index[t1] = len(states)
+            i1 = index[t1] = first + len(states)
             states.append(t1)
         table += i0, i1
     return np.array(states, dtype=np.int64), np.array(table, dtype=np.int32).reshape(-1, 2)
@@ -281,7 +425,7 @@ def signed_dfao(w: Dyadic, eps: EpsilonSpec) -> Dfao:
     T tracker states."""
     import numpy as np
 
-    ker = build_dfao(w, "f")
+    k_codes, k_table, k_out, n, k_meta = _kernel(w, "f", None)
     p_len, r_len = len(eps.pre), len(eps.period)
     n_cls = p_len + 1 + r_len
 
@@ -303,7 +447,7 @@ def signed_dfao(w: Dyadic, eps: EpsilonSpec) -> Dfao:
     t_len = len(tracks)
     t_index = {t: r for r, t in enumerate(tracks)}
     t_step = [(t_index[track(t, 0)], t_index[track(t, 1)]) for t in tracks]
-    k_step = (ker.step.astype(np.int64) * t_len).tolist()
+    k_step = (k_table.astype(np.int64) * t_len).tolist()
 
     def step(s):
         k, r = divmod(s, t_len)
@@ -311,27 +455,36 @@ def signed_dfao(w: Dyadic, eps: EpsilonSpec) -> Dfao:
         r0, r1 = t_step[r]
         return (k0 + r0, k1 + r1)
 
-    codes, table = _close(ker.initial * t_len + t_index[None, 0, 0, 0], step)
+    root = t_index[None, 0, 0, 0]  # kernel state 0, the initial one
+    codes, table = _close(step, [root], {root: 0})
     signs = np.array([-1 if nu ^ mb else 1 for _, nu, mb, _ in tracks], dtype=np.int8)
     k, r = np.divmod(codes, t_len)
+    # a product label is (kernel label, *tracker state), and its text holds
+    # the kernel label's str(): the columns of the label texts are the
+    # kernel's and those of the tracker states (prev digit, nu, mb, class)
+    tracker = np.array(tracks, dtype=object).T
 
     def labels():
-        kernel = ker.labels()
+        kernel = _kernel_labels(k_codes, n)
         return [(kernel[s // t_len], *tracks[s % t_len]) for s in codes.tolist()]
+
+    def texts(idx):
+        kernel = _kernel_texts("('%s', %d)", k_codes, n, k[idx])
+        return _formatted("(%s, %s, %s, %s, %s)", (kernel, *tracker[:, r[idx]]))
 
     meta = {
         "omega": w.describe(),
         "tag": "signed-f",
         "eps": eps.describe(),
-        "orbit": ker.meta["orbit"],
+        "orbit": k_meta["orbit"],
     }
-    return Dfao(table, ker.out[k] * signs[r], 0, labels, meta)
+    return Dfao(table, k_out[k] * signs[r], 0, labels, texts, meta)
 
 
 def minimize(d: Dfao) -> Dfao:
-    """Moore-style partition refinement; labels of merged states are kept
-    in the metadata, the quotient states are renamed m0, m1, ... in order
-    of their first member.
+    """Moore-style partition refinement; label texts of merged states are
+    kept in the metadata, the quotient states are renamed m0, m1, ... in
+    order of their first member.
 
     Each round ranks every state's key (block, block on 0, block on 1) in
     two stages, the pair and then the triple, with np.unique; every rank is
@@ -351,14 +504,25 @@ def minimize(d: Dfao) -> Dfao:
     # number the blocks by their first member
     first = np.sort(np.unique(block, return_index=True)[1])
     block = np.argsort(block[first]).astype(np.int32)[block]
-    texts = _label_texts(d.labels())
-    ordered = list(map(texts.__getitem__, np.argsort(block, kind="stable").tolist()))
+    ordered = d.texts(np.argsort(block, kind="stable"))
     ends = np.cumsum(np.bincount(block, minlength=count)).tolist()
-    members = [ordered[a:b] for a, b in zip([0] + ends[:-1], ends)]
-    names = [f"m{b}" for b in range(count)]
+    # a list of str per block, none in a cycle: at 10^6 blocks the cyclic
+    # collector's passes over the new lists cost five times their making
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        members = [ordered[a:b] for a, b in zip([0] + ends[:-1], ends)]
+    finally:
+        if collecting:
+            gc.enable()
+    names = _formatted("m%d", (range(count),))
     meta = dict(d.meta)
     meta["merged"] = dict(zip(names, members))
-    return Dfao(block[d.step[first]], d.out[first], int(block[d.initial]), names.copy, meta)
+
+    def texts(idx):
+        return _formatted("m%d", (np.arange(count)[idx],))
+
+    return Dfao(block[d.step[first]], d.out[first], int(block[d.initial]), names.copy, texts, meta)
 
 
 @dataclass(frozen=True)

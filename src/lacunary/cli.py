@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import sys
 from functools import partial
 from itertools import islice
@@ -125,6 +126,13 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(2, f"error: {message}\n")
+
+
+def _help_formatter():
+    """argparse's HelpFormatter with the width it would find fixed now, by
+    its own rule: the terminal's columns less 2.  argparse builds a
+    formatter in every add_argument, and each would ask the terminal."""
+    return partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
 
 
 def _action(p, dest, choices) -> None:
@@ -482,12 +490,13 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     """The root parser with command's subparser only, or with all six when
     command is None or names no subcommand.  main parses one subcommand,
     and building the other five would cost it about half a small op."""
-    root = _Parser(prog="lacunary")
+    formatter = _help_formatter()
+    root = _Parser(prog="lacunary", formatter_class=formatter)
     root.add_argument("--json", action="store_true")
     sub = root.add_subparsers(dest="command", required=True)
     for name in [command] if command in _COMMANDS else _COMMANDS:
         help_text, add_options, _ = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, formatter_class=formatter)
         # unset when not given, so that it cannot undo the root's --json
         p.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
         add_options(p)

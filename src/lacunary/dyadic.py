@@ -201,14 +201,14 @@ class Dyadic:
 
     def describe(self) -> str:
         if self.rule is None:
-            return fraction_format(self.den)(self.num)
+            return fraction_form(self.den) % self.num
         return f"stream:{self.name}"
 
 
-def fraction_format(den: int):
-    """num -> the text of num/den as Dyadic.describe gives it: the numerator
-    alone for an integer (den 1), "num/den" otherwise."""
-    return str if den == 1 else f"{{}}/{den}".format
+def fraction_form(den: int) -> str:
+    """The %-form of the text of num/den as Dyadic.describe gives it: the
+    numerator alone for an integer (den 1), "num/den" otherwise."""
+    return "%d" if den == 1 else f"%d/{den}"
 
 
 def numerator_orbit(num: int, den: int, limit: int | None = None) -> tuple:

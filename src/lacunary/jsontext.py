@@ -60,9 +60,11 @@ def rows(form: str, sep: str, columns):
     """The text sep.join(form % row for row in zip(*columns)), a piece of at
     most CHUNK rows at a time, as led(sep, ...) gives it; CHUNK is read when
     rows is called.  The columns are equal-length sequences or numpy arrays,
-    a chunk of an array taken as Python scalars by tolist(); a piece is one
-    %-format, its rows' arguments interleaved by slice assignment, so no row
-    costs a Python call."""
+    a chunk of an array taken as Python scalars by tolist(), or functions
+    column(i, j) giving a column's rows i..j-1 as a list, called a chunk at
+    a time; the first column is a sequence.  A piece is one %-format, its
+    rows' arguments interleaved by slice assignment, so no row costs a
+    Python call."""
     return led(sep, _formatted(form, sep, columns, CHUNK))
 
 
@@ -84,7 +86,10 @@ def _formatted(form: str, sep: str, columns, chunk: int):
 
 
 def _part(column, i: int, m: int):
-    """column[i:i + m], a numpy array's as a list."""
+    """column[i:i + m], a numpy array's as a list, a function's as
+    column(i, i + m)."""
+    if callable(column):
+        return column(i, i + m)
     part = column[i:i + m]
     return part.tolist() if hasattr(part, "tolist") else part
 

@@ -1,5 +1,6 @@
 """Digit automata for the coefficient streams and the algebraic certificate."""
 
+import dataclasses
 import json
 from unittest import mock
 
@@ -242,6 +243,75 @@ class TestDepthBoundedBuild:
             build_dfao(THIRD, "f", -1)
 
 
+def _bfs_machine(w, tag, depth):
+    """The numbering build_dfao replaced, kept as the oracle: a FIFO search
+    from (tag, 0) over (family, orbit position) states, stepped one at a
+    time by the transition table and numbered as discovered.  Returns (the
+    table, the outputs, the labels, meta) as Python lists and a dict."""
+    nums, loop = automaton.numerator_orbit(
+        w.num, w.den, automaton.ORBIT_CAP if depth is None else depth + 1)
+    pos = len(nums)
+    after = list(range(1, pos)) + [pos - 1 if loop is None else loop]
+
+    def step(label):
+        if label == DEAD:
+            return (DEAD, DEAD)
+        fam, j = label
+        nxt = automaton._KERNEL_STEP[fam, nums[j] & 1]
+        return tuple(DEAD if f2 is None else (f2, after[j]) for f2 in nxt)
+
+    labels, index, table = [(tag, 0)], {(tag, 0): 0}, []
+    for label in labels:
+        for t in step(label):
+            if t not in index:
+                index[t] = len(labels)
+                labels.append(t)
+        table.append([index[t] for t in step(label)])
+    out = [0 if s == DEAD else {"f": 1 - nums[s[1]] % 2, "g": 1, "h": nums[s[1]] % 2}[s[0]]
+           for s in labels]
+    meta = {"omega": w.describe(), "tag": tag, "orbit": [Dyadic(num=x, den=w.den).describe()
+                                                         for x in nums]}
+    if loop is None:
+        meta["depth"] = depth
+    else:
+        meta["orbit_preperiod"] = loop
+    return table, out, labels, meta
+
+
+# odd denominators to 10^4 and numerators in +-10^6: orbits of one to
+# about 10^4 numerators
+_RATIONALS = st.builds(Dyadic.from_rational, st.integers(-10**6, 10**6),
+                       st.integers(0, 4999).map(lambda i: 2 * i + 1))
+
+
+class TestClosedFormNumbering:
+    """build_dfao numbers the first pass through the orbit in closed form
+    and closes only the wrap-around; its machine is the breadth-first
+    search's, state for state.  Orbits of any length take the closed form
+    once _CLOSED_FORM_FROM is 0."""
+
+    @given(_RATIONALS, st.sampled_from("fgh"), st.sampled_from([None, 0, 1, 2, 5, 16]))
+    @example(Dyadic.from_int(0), "g", None)          # orbit [0]
+    @example(Dyadic.from_int(-1), "f", None)         # orbit [-1]
+    @example(Dyadic.from_int(6), "h", None)          # 6, 3, 1, 0
+    @example(Dyadic.from_int(1), "g", None)          # 1, 0
+    @example(Dyadic.from_rational(-1, 3), "g", 1)    # cycle -1/3, -2/3
+    @example(Dyadic.from_rational(1, 4099), "f", None)
+    @example(Dyadic.from_rational(-3, 509), "h", 16)
+    def test_matches_breadth_first_search(self, w, tag, depth):
+        table, out, labels, meta = _bfs_machine(w, tag, depth)
+        for start in (automaton._CLOSED_FORM_FROM, 0):
+            with mock.patch.object(automaton, "_CLOSED_FORM_FROM", start):
+                d = build_dfao(w, tag, depth)
+            assert d.step.tolist() == table
+            assert d.out.tolist() == out
+            assert d.labels() == labels
+            assert d.meta == meta
+
+    def test_both_paths_covered(self):
+        assert 2 < automaton._CLOSED_FORM_FROM < len(build_dfao(_rat(1, 4099), "f").meta["orbit"])
+
+
 class TestOrbitCap:
     """A whole automaton refuses an orbit over ORBIT_CAP numerators after
     walking at most that many."""
@@ -429,9 +499,11 @@ class TestRelation:
 
 def _machine(labels, step, out, initial, meta=None) -> Dfao:
     """A Dfao from Python lists: labels, (next on 0, next on 1) pairs and
-    outputs."""
+    outputs; the texts of its labels are _text's."""
+    texts = np.array(list(map(_text, labels)), dtype=object)
     return Dfao(np.array(step, dtype=np.int32).reshape(-1, 2), np.array(out, dtype=np.int8),
-                initial, list(labels).copy, {} if meta is None else meta)
+                initial, list(labels).copy, lambda idx: texts[idx].tolist(),
+                {} if meta is None else meta)
 
 
 def _text(label) -> str:
@@ -776,3 +848,87 @@ class TestEvaluateAll:
         first = d.evaluate_all(bits)
         assert first.shape == (1 << bits,) and first.dtype == np.int8
         assert first.tolist() == d.evaluate_all(bits, d.initial).tolist() == table[d.initial].tolist()
+
+    @pytest.mark.parametrize("make, bits", [
+        (lambda: build_dfao(THIRD, "f"), range(0, 21)),          # 7 states: bytes from 11 bits
+        (lambda: signed_dfao(_W7, EPS_10), range(0, 21)),
+        (lambda: minimize(build_dfao(_W131, "g")), range(6, 21)),
+        (lambda: build_dfao(_W131, "h"), [15, 16, 17]),          # 262 states: bytes from 17 bits
+    ], ids=["build", "signed", "minimized", "large"])
+    def test_bytes_and_digits_match_evaluate(self, make, bits):
+        # every k below 2^bits for the first 12 bits, then a sample of k
+        # against evaluate and the whole array against a digit at a time
+        d = make()
+        d0, d1 = d.step.T
+        rng = np.random.default_rng(len(d))
+        for b in bits:
+            got = d.evaluate_all(b)
+            assert got.shape == (1 << b,) and got.dtype == np.int8
+            ks = range(1 << b) if b <= 12 else rng.integers(0, 1 << b, 300).tolist()
+            assert [got[k] for k in ks] == [d.evaluate(k) for k in ks], b
+            arr = np.array([d.initial])
+            for _ in range(b):
+                arr = np.concatenate([d0[arr], d1[arr]])
+            assert np.array_equal(got, d.out[arr]), b
+
+    @pytest.mark.parametrize("bits", [0, 3, 8, 9, 16, 17])
+    def test_start_shapes(self, bits):
+        # a scalar, a 1-D and a 2-D array of starts: one row per start
+        d = signed_dfao(THIRD, EPS_10)
+        table = d.evaluate_all(bits, np.arange(len(d)))
+        assert table.shape == (len(d), 1 << bits)
+        assert np.array_equal(d.evaluate_all(bits, 3), table[3])
+        starts = np.arange(len(d))[::-1].reshape(-1, 2)[:3]
+        assert np.array_equal(d.evaluate_all(bits, starts), table[starts])
+        assert np.array_equal(d.evaluate_all(bits, starts[0]), table[starts[0]])
+
+
+class TestLabelTexts:
+    """The texts the exports and minimize read are formed from the code
+    columns; they are the texts of labels(), and no export or minimize
+    decodes labels()."""
+
+    @staticmethod
+    def _machines():
+        for text in ("rat:1/3", "rat:-1/131", "int:6", "int:0", "rat:-3/509"):
+            w = parse_omega(text)
+            kernel = [build_dfao(w, tag) for tag in "fgh"]
+            signed = [signed_dfao(w, eps) for eps in (EpsilonSpec.zero(), EPS_10,
+                                                      EpsilonSpec((1,), (0, 1)))]
+            yield from kernel + signed + list(map(minimize, kernel + signed))
+
+    def test_texts_are_the_label_texts(self):
+        for d in self._machines():
+            texts = list(map(_text, d.labels()))
+            assert d.texts(slice(None)) == texts
+            order = np.random.default_rng(len(d)).permutation(len(d))
+            assert d.texts(order) == [texts[i] for i in order]
+            assert d.texts(slice(1, 4)) == texts[1:4]
+
+    def test_exports_and_minimize_never_decode_labels(self):
+        def boom():
+            raise AssertionError("labels() decoded")
+
+        for d in self._machines():
+            blind = dataclasses.replace(d, labels=boom)
+            assert blind.to_json() == d.to_json()
+            assert blind.to_dot() == d.to_dot()
+            assert minimize(blind).to_json() == minimize(d).to_json()
+
+
+class TestClosureOnlyWraps:
+    """build_dfao steps states one at a time only past the first pass."""
+
+    @pytest.mark.parametrize("tag", ["f", "g", "h"])
+    def test_closure_steps_the_wrap_only(self, tag):
+        stepped = []
+        close = automaton._close
+
+        def counted(step, states, index):
+            codes, table = close(step, states, index)
+            stepped.append(len(codes))
+            return codes, table
+
+        with mock.patch.object(automaton, "_close", counted):
+            d = build_dfao(_rat(1, 4099), tag)
+        assert len(d) >= 8198 and stepped and sum(stepped) <= 12

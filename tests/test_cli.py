@@ -10,6 +10,7 @@ import os
 import pkgutil
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 from unittest import mock
@@ -1315,6 +1316,24 @@ def test_parser_builds_one_subcommand_options():
     assert {"--json", "--precision"} <= set(sub["cf"]._option_string_actions)
     for command in (None, "frobnicate"):
         assert set(_subparsers(lacunary.cli.build_parser(command))) == set(lacunary.cli._COMMANDS)
+
+
+@pytest.mark.parametrize("columns", ["50", "80", "200"])
+def test_help_width_is_fixed_once_per_parser(monkeypatch, columns):
+    # every text argparse writes, help and usage errors alike, is the one
+    # its own formatter writes at that width, and main asks the terminal
+    # for its size once
+    monkeypatch.setenv("COLUMNS", columns)
+    size = shutil.get_terminal_size
+    calls = []
+    monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: calls.append(a) or size(*a))
+    for argv in _PARSER_ARGV:
+        calls.clear()
+        fixed = _main_parse(monkeypatch, argv, full=False)
+        assert len(calls) == 1, argv
+        with monkeypatch.context() as m:
+            m.setattr(lacunary.cli, "_help_formatter", lambda: argparse.HelpFormatter)
+            assert fixed == _main_parse(monkeypatch, argv, full=False), argv
 
 
 # A bounded argv grammar: every subcommand, action and option from a fixed
