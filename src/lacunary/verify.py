@@ -808,7 +808,7 @@ def check_cli_coverage(level, rng):
     modules = {name.split(".")[0] for name, _ in CHECKS}
     want = {"core", "bits", "dyadic", "contfrac", "stern", "qseries", "automaton", "cli"}
     assert want <= modules, f"missing module coverage: {want - modules}"
-    assert len(CHECKS) >= 38, "check registry shrank"
+    assert len(CHECKS) == 44, "check registry changed size"
     return f"{len(CHECKS)} checks across {len(modules)} modules"
 
 

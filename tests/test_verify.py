@@ -25,6 +25,11 @@ class TestRegistry:
     def test_registry_size(self):
         assert len(verify.CHECKS) == 44
 
+    def test_coverage_check_fails_on_one_lost_check(self, monkeypatch):
+        monkeypatch.setattr(verify, "CHECKS", verify.CHECKS[:-2] + verify.CHECKS[-1:])
+        [result] = verify.run_checks(names=["cli.coverage"])
+        assert not result.ok and result.detail == "check registry changed size"
+
 
 class TestRunChecks:
     def test_selection_keeps_canonical_order(self):
