@@ -5,12 +5,11 @@ Digits of k are fed LSB-first: the kernel recurrences split on the parity
 of k, so the low bit must be consumed first.  A Dfao is two integer
 arrays: states are numbered 0..n-1 in the order a breadth-first closure
 from the initial state discovers them, an (n, 2) int32 table holds each
-state's successor index per digit and an int8 vector its output.  Labels,
-here (family tag, shift-orbit position) pairs, are decoded from the
-closure's codes on request, and their texts, which the exports and
-minimize read, are formatted from the code columns; the identically-zero
-state is materialized as an explicit absorbing "dead" state so the twelve
-table entries below stay visible in code.
+state's successor index per digit and an int8 vector its output.  A
+state's label text, here "(family tag, shift-orbit position)", is
+formatted from the closure's code columns on request; the
+identically-zero state is materialized as an explicit absorbing "dead"
+state so the twelve table entries below stay visible in code.
 
 Transition table (state family x digit, p = parity of the current orbit
 element; the orbit element always advances by one shift):
@@ -98,16 +97,15 @@ class Dfao:
 
     step[i] = (next on 0, next on 1), a row of the (n, 2) int32 table, and
     out[i] in {-1, 0, +1}, an entry of the int8 vector, describe state i;
-    initial is an index.  labels() decodes the label of every state;
-    texts(idx) gives the text of the labels of the states idx, a slice or
-    an index array, as a list of str, and is what the exports and minimize
-    read.  Two machines are compared by their to_json() text: it holds the
-    label texts, both tables and meta."""
+    initial is an index.  texts(idx) gives the label texts of the states
+    idx, a slice or an index array, as a list of str; it is the one
+    description of a state that the exports and minimize read.  Two
+    machines are compared by their to_json() text: it holds the label
+    texts, both tables and meta."""
 
     step: np.ndarray
     out: np.ndarray
     initial: int
-    labels: Callable[[], list]
     texts: Callable[[object], list]
     meta: dict = field(default_factory=dict)
 
@@ -239,8 +237,7 @@ def build_dfao(w: Dyadic, tag: str = "f", depth: int | None = None) -> Dfao:
 
     States are integer codes: (family, j) is fam * n + j, with fam the
     family's index in "fgh" and n the number of orbit positions, and the
-    dead state is 3n.  Outputs, labels and label texts are read off the
-    codes.
+    dead state is 3n.  Outputs and label texts are read off the codes.
 
     Without a depth the whole orbit is walked, and one longer than
     ORBIT_CAP numerators raises OrbitCapError before any closure.  With a
@@ -254,8 +251,7 @@ def build_dfao(w: Dyadic, tag: str = "f", depth: int | None = None) -> Dfao:
     if depth is not None and depth < 0:
         raise ValueError(f"negative depth {depth}")
     codes, table, out, n, meta = _kernel(w, tag, depth)
-    return Dfao(table, out, 0, lambda: _kernel_labels(codes, n),
-                lambda idx: _kernel_texts("(%s, %d)", codes, n, idx), meta)
+    return Dfao(table, out, 0, lambda idx: _kernel_texts("(%s, %d)", codes, n, idx), meta)
 
 
 def _kernel(w: Dyadic, tag: str, depth: int | None):
@@ -364,15 +360,9 @@ def _first_pass(fam: int, p, wrap: int):
     return codes[:before], rows, codes[before:].tolist(), index
 
 
-def _kernel_labels(codes, n: int) -> list:
-    """The label of each kernel state: DEAD or (family letter, position)."""
-    dead = 3 * n
-    return [DEAD if s == dead else (_FAMILIES[s // n], s % n) for s in codes.tolist()]
-
-
 def _kernel_texts(form: str, codes, n: int, idx) -> list:
-    """The text of the labels of the kernel states idx: DEAD, or form over
-    the family letter and the position."""
+    """The label texts of the kernel states idx: DEAD, or form over the
+    family letter and the position."""
     import numpy as np
 
     fams, pos = np.divmod(codes[idx], n)
@@ -413,7 +403,7 @@ def signed_dfao(w: Dyadic, eps: EpsilonSpec) -> Dfao:
     with exponent convention mu(k) = k (the Mersenne case).
 
     Product of three machines: the f-kernel automaton build_dfao(w, "f"),
-    whose state labels lead the product labels; a 10-block parity tracker
+    whose label text leads the product's; a 10-block parity tracker
     (previous digit plus running parity, counting a block when the current
     digit is 1 and the previous was 0); and the position automaton for the
     digitwise sign differences of eps, which accumulates d_q = eps_q -
@@ -459,14 +449,10 @@ def signed_dfao(w: Dyadic, eps: EpsilonSpec) -> Dfao:
     codes, table = _close(step, [root], {root: 0})
     signs = np.array([-1 if nu ^ mb else 1 for _, nu, mb, _ in tracks], dtype=np.int8)
     k, r = np.divmod(codes, t_len)
-    # a product label is (kernel label, *tracker state), and its text holds
-    # the kernel label's str(): the columns of the label texts are the
-    # kernel's and those of the tracker states (prev digit, nu, mb, class)
+    # a product state's text is that of the tuple (kernel label, prev digit,
+    # nu, mb, class), the kernel label a (letter, position) tuple or DEAD:
+    # its columns are the kernel's and those of the tracker states
     tracker = np.array(tracks, dtype=object).T
-
-    def labels():
-        kernel = _kernel_labels(k_codes, n)
-        return [(kernel[s // t_len], *tracks[s % t_len]) for s in codes.tolist()]
 
     def texts(idx):
         kernel = _kernel_texts("('%s', %d)", k_codes, n, k[idx])
@@ -478,7 +464,7 @@ def signed_dfao(w: Dyadic, eps: EpsilonSpec) -> Dfao:
         "eps": eps.describe(),
         "orbit": k_meta["orbit"],
     }
-    return Dfao(table, k_out[k] * signs[r], 0, labels, texts, meta)
+    return Dfao(table, k_out[k] * signs[r], 0, texts, meta)
 
 
 def minimize(d: Dfao) -> Dfao:
@@ -515,14 +501,13 @@ def minimize(d: Dfao) -> Dfao:
     finally:
         if collecting:
             gc.enable()
-    names = _formatted("m%d", (range(count),))
-    meta = dict(d.meta)
-    meta["merged"] = dict(zip(names, members))
 
     def texts(idx):
         return _formatted("m%d", (np.arange(count)[idx],))
 
-    return Dfao(block[d.step[first]], d.out[first], int(block[d.initial]), names.copy, texts, meta)
+    meta = dict(d.meta)
+    meta["merged"] = dict(zip(texts(slice(None)), members))
+    return Dfao(block[d.step[first]], d.out[first], int(block[d.initial]), texts, meta)
 
 
 @dataclass(frozen=True)

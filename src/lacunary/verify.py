@@ -714,7 +714,7 @@ def check_dfao_padding_stability(level, rng):
     autos += [signed_dfao(Dyadic.from_rational(1, 3), EpsilonSpec((), (1, 0)))]
     for d in autos:
         moved = np.flatnonzero(d.out[d.step[:, 0]] != d.out)
-        assert not moved.size, f"zero step changes output at {d.labels()[moved[0]]}"
+        assert not moved.size, f"zero step changes output at {d.texts(moved[:1])[0]}"
     return f"{len(autos)} automata, every state"
 
 
@@ -744,7 +744,7 @@ def check_dfao_kernel_closure(level, rng):
             # row i: the prefix state i realizes
             prefixes = list(map(tuple, d.evaluate_all(bits, np.arange(len(d))).tolist()))
             shorts = {p[:half] for p in prefixes}
-            for s, seq in zip(d.labels(), prefixes):
+            for s, seq in zip(d.texts(slice(None)), prefixes):
                 even, odd = seq[0::2], seq[1::2]
                 assert even in shorts, f"even subsequence of {s} escapes the kernel"
                 assert odd in shorts, f"odd subsequence of {s} escapes the kernel"

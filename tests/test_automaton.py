@@ -1,6 +1,5 @@
 """Digit automata for the coefficient streams and the algebraic certificate."""
 
-import dataclasses
 import json
 from unittest import mock
 
@@ -88,8 +87,8 @@ ORBIT_OMEGAS = ["int:0", "int:-1", "int:6", "int:-7", "rat:1/3", "rat:5/3",
 
 
 class TestIntegerOrbit:
-    """build_dfao walks the orbit on numerators; its meta and labels must
-    agree with the Dyadic orbit()."""
+    """build_dfao walks the orbit on numerators; its meta and the labels of
+    its states must agree with the Dyadic orbit()."""
 
     @pytest.mark.parametrize("text", ORBIT_OMEGAS)
     def test_meta_matches_orbit(self, text):
@@ -110,11 +109,13 @@ class TestIntegerOrbit:
     def test_labels_follow_orbit(self, text, tag):
         # every state (family, j) sits at orbit element j, steps to element
         # j + 1 (or back to the cycle start) by the kernel table and outputs
-        # that element's kernel value at 0
-        pre, cyc = orbit(parse_omega(text))
+        # that element's kernel value at 0; the labels are the breadth-first
+        # search's, once its numbering is the machine's
+        w = parse_omega(text)
+        pre, cyc = orbit(w)
         elems = pre + cyc
-        d = build_dfao(parse_omega(text), tag)
-        labels, step, out = d.labels(), d.step.tolist(), d.out.tolist()
+        d = build_dfao(w, tag)
+        step, out, labels = _numbered_like(d, _bfs_machine(w, tag, None))
         assert labels[d.initial] == (tag, 0)
         for i, label in enumerate(labels):
             if label == DEAD:
@@ -220,7 +221,8 @@ class TestDepthBoundedBuild:
         full = build_dfao(w, tag)
         assert np.array_equal(d.evaluate_all(depth), kernel_range(w, (1 << depth) - 1, tag))
         assert len(d) <= 3 * (depth + 1) + 1
-        labels, full_labels = d.labels(), full.labels()
+        labels = _numbered_like(d, _bfs_machine(w, tag, depth))[2]
+        full_labels = _numbered_like(full, _bfs_machine(w, tag, None))[2]
         index = {label: i for i, label in enumerate(full_labels)}
         for i, label in enumerate(labels):
             if label != DEAD and label[1] >= depth:
@@ -243,11 +245,23 @@ class TestDepthBoundedBuild:
             build_dfao(THIRD, "f", -1)
 
 
-def _bfs_machine(w, tag, depth):
-    """The numbering build_dfao replaced, kept as the oracle: a FIFO search
-    from (tag, 0) over (family, orbit position) states, stepped one at a
-    time by the transition table and numbered as discovered.  Returns (the
-    table, the outputs, the labels, meta) as Python lists and a dict."""
+def _fifo(root, step):
+    """A FIFO search from root under step(label) = (next on 0, next on 1),
+    numbering each label as discovered: (the labels, the table)."""
+    labels, index, table = [root], {root: 0}, []
+    for label in labels:
+        for t in step(label):
+            if t not in index:
+                index[t] = len(labels)
+                labels.append(t)
+        table.append([index[t] for t in step(label)])
+    return labels, table
+
+
+def _kernel_oracle(w, depth):
+    """(nums, loop, step, output) of the kernel states (family, orbit
+    position) and DEAD: the orbit walk, the transition table as a function
+    on labels and the output of a label."""
     nums, loop = automaton.numerator_orbit(
         w.num, w.den, automaton.ORBIT_CAP if depth is None else depth + 1)
     pos = len(nums)
@@ -260,22 +274,69 @@ def _bfs_machine(w, tag, depth):
         nxt = automaton._KERNEL_STEP[fam, nums[j] & 1]
         return tuple(DEAD if f2 is None else (f2, after[j]) for f2 in nxt)
 
-    labels, index, table = [(tag, 0)], {(tag, 0): 0}, []
-    for label in labels:
-        for t in step(label):
-            if t not in index:
-                index[t] = len(labels)
-                labels.append(t)
-        table.append([index[t] for t in step(label)])
-    out = [0 if s == DEAD else {"f": 1 - nums[s[1]] % 2, "g": 1, "h": nums[s[1]] % 2}[s[0]]
-           for s in labels]
-    meta = {"omega": w.describe(), "tag": tag, "orbit": [Dyadic(num=x, den=w.den).describe()
-                                                         for x in nums]}
+    def output(label):
+        if label == DEAD:
+            return 0
+        fam, j = label
+        return {"f": 1 - nums[j] % 2, "g": 1, "h": nums[j] % 2}[fam]
+
+    return nums, loop, step, output
+
+
+def _orbit_texts(w, nums):
+    return [Dyadic(num=x, den=w.den).describe() for x in nums]
+
+
+def _bfs_machine(w, tag, depth):
+    """The numbering build_dfao replaced, kept as the oracle: a FIFO search
+    from (tag, 0) over (family, orbit position) states, stepped one at a
+    time by the transition table and numbered as discovered.  Returns (the
+    table, the outputs, the labels, meta) as Python lists and a dict."""
+    nums, loop, step, output = _kernel_oracle(w, depth)
+    labels, table = _fifo((tag, 0), step)
+    meta = {"omega": w.describe(), "tag": tag, "orbit": _orbit_texts(w, nums)}
     if loop is None:
         meta["depth"] = depth
     else:
         meta["orbit_preperiod"] = loop
+    return table, list(map(output, labels)), labels, meta
+
+
+def _signed_bfs_machine(w, eps):
+    """The numbering of signed_dfao, as an oracle sharing no code with it:
+    a FIFO search over (kernel label, prev digit, nu, mb, class) from
+    ((f, 0), None, 0, 0, 0).  On digit b the kernel label steps by the
+    transition table; prev becomes b; nu flips when b is 1 after a 0 (a
+    10-block); mb flips when b is 1 at a position q with eps_q != eps_(q-1);
+    and the class is the position up to len(pre), then cycles through the
+    len(period) classes after it.  Returns (the table, the outputs, the
+    labels, meta) as Python lists and a dict."""
+    nums, _, kernel_step, kernel_out = _kernel_oracle(w, None)
+    top = len(eps.pre) + len(eps.period)   # the last class
+    e = [0, *eps.pre, *eps.period, eps.period[0]]   # e[c + 1] is eps_c, c <= top
+
+    def step(label):
+        kernel, prev, nu, mb, c = label
+        after = c + 1 if c < top else len(eps.pre) + 1
+        return tuple((k, b, nu ^ (b & (prev == 0)), mb ^ (b & (e[c + 1] ^ e[c])), after)
+                     for b, k in enumerate(kernel_step(kernel)))
+
+    labels, table = _fifo((("f", 0), None, 0, 0, 0), step)
+    out = [kernel_out(k) * (-1 if nu ^ mb else 1) for k, _, nu, mb, _ in labels]
+    meta = {"omega": w.describe(), "tag": "signed-f", "eps": eps.describe(),
+            "orbit": _orbit_texts(w, nums)}
     return table, out, labels, meta
+
+
+def _numbered_like(d, machine):
+    """(table, outputs, labels) of an oracle machine, once d's table,
+    outputs, label texts and meta are asserted to be the oracle's."""
+    table, out, labels, meta = machine
+    assert d.step.tolist() == table
+    assert d.out.tolist() == out
+    assert d.texts(slice(None)) == list(map(_text, labels))
+    assert d.meta == meta
+    return table, out, labels
 
 
 # odd denominators to 10^4 and numerators in +-10^6: orbits of one to
@@ -299,14 +360,10 @@ class TestClosedFormNumbering:
     @example(Dyadic.from_rational(1, 4099), "f", None)
     @example(Dyadic.from_rational(-3, 509), "h", 16)
     def test_matches_breadth_first_search(self, w, tag, depth):
-        table, out, labels, meta = _bfs_machine(w, tag, depth)
+        machine = _bfs_machine(w, tag, depth)
         for start in (automaton._CLOSED_FORM_FROM, 0):
             with mock.patch.object(automaton, "_CLOSED_FORM_FROM", start):
-                d = build_dfao(w, tag, depth)
-            assert d.step.tolist() == table
-            assert d.out.tolist() == out
-            assert d.labels() == labels
-            assert d.meta == meta
+                _numbered_like(build_dfao(w, tag, depth), machine)
 
     def test_both_paths_covered(self):
         assert 2 < automaton._CLOSED_FORM_FROM < len(build_dfao(_rat(1, 4099), "f").meta["orbit"])
@@ -358,7 +415,7 @@ class TestMinimize:
         m = minimize(d)
         merged = m.meta["merged"]
         members = [x for v in merged.values() for x in v]
-        assert sorted(members) == sorted(map(_text, d.labels()))
+        assert sorted(members) == sorted(d.texts(slice(None)))
 
     def test_idempotent(self):
         m = minimize(build_dfao(THIRD, "g"))
@@ -372,6 +429,19 @@ class TestSigned:
         for k in range(512):
             expect = term_sign(k, eps) * kernel_value(THIRD, k, "f")
             assert d.evaluate(k) == expect, k
+
+    # odd denominators to about 600 and numerators in +-2000; sign patterns
+    # with a preperiod of 0 to 3 and a period of 1 to 5
+    @given(st.builds(Dyadic.from_rational, st.integers(-2000, 2000),
+                     st.integers(0, 299).map(lambda i: 2 * i + 1)),
+           st.builds(EpsilonSpec, st.lists(st.integers(0, 1), max_size=3).map(tuple),
+                     st.lists(st.integers(0, 1), min_size=1, max_size=5).map(tuple)))
+    @example(Dyadic.from_int(6), EpsilonSpec((1,), (0, 1)))              # orbit ends at 0
+    @example(_rat(1, 7), EpsilonSpec((), (0, 1)))                         # cycle 3, period 2
+    @example(_rat(-1, 131), EpsilonSpec((1, 0, 1), (0, 0, 1, 1, 1)))      # cycle 130, period 5
+    @example(_rat(5, 3), EpsilonSpec((0, 1), (1, 1, 0, 1)))               # preperiods on both sides
+    def test_matches_breadth_first_search(self, w, eps):
+        _numbered_like(signed_dfao(w, eps), _signed_bfs_machine(w, eps))
 
     def test_outputs_in_range(self):
         d = signed_dfao(_rat(1, 5), EPS_10)
@@ -502,8 +572,7 @@ def _machine(labels, step, out, initial, meta=None) -> Dfao:
     outputs; the texts of its labels are _text's."""
     texts = np.array(list(map(_text, labels)), dtype=object)
     return Dfao(np.array(step, dtype=np.int32).reshape(-1, 2), np.array(out, dtype=np.int8),
-                initial, list(labels).copy, lambda idx: texts[idx].tolist(),
-                {} if meta is None else meta)
+                initial, lambda idx: texts[idx].tolist(), {} if meta is None else meta)
 
 
 def _text(label) -> str:
@@ -518,8 +587,8 @@ def _reference_json(d: Dfao) -> str:
     out = d.out.tolist()
     return json.dumps({
         "input": "lsb-first",
-        "states": [{"id": i, "label": _text(s), "output": out[i]}
-                   for i, s in enumerate(d.labels())],
+        "states": [{"id": i, "label": s, "output": out[i]}
+                   for i, s in enumerate(d.texts(slice(None)))],
         "initial": d.initial,
         "transitions": d.step.tolist(),
         "meta": d.meta,
@@ -537,8 +606,8 @@ def _reference_dot(d: Dfao) -> str:
         '  __start [shape=none, label=""];',
         f"  __start -> s{d.initial};",
     ]
-    for i, s in enumerate(d.labels()):
-        s = _text(s).replace("\\", "\\\\").replace('"', '\\"')
+    for i, s in enumerate(d.texts(slice(None))):
+        s = s.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  s{i} [label="{s} / {out[i]}"];')
     for i, (t0, t1) in enumerate(d.step.tolist()):
         lines.append(f'  s{i} -> s{t0} [label="0"];')
@@ -562,7 +631,7 @@ def _reference_minimize(d: Dfao) -> Dfao:
             break
         count = len(renum)
     labels = [f"m{b}" for b in range(count)]
-    texts = list(map(_text, d.labels()))
+    texts = d.texts(slice(None))
     members = [[] for _ in labels]
     q_step = [None] * count
     q_out = [None] * count
@@ -883,37 +952,37 @@ class TestEvaluateAll:
         assert np.array_equal(d.evaluate_all(bits, starts[0]), table[starts[0]])
 
 
+def _oracle_dfao(machine) -> Dfao:
+    """An oracle's (table, outputs, labels, meta) as a Dfao from state 0."""
+    table, out, labels, meta = machine
+    return _machine(labels, table, out, 0, meta)
+
+
 class TestLabelTexts:
     """The texts the exports and minimize read are formed from the code
-    columns; they are the texts of labels(), and no export or minimize
-    decodes labels()."""
+    columns; they are the texts of the breadth-first oracles' labels, and
+    a minimized machine's are those of the dict refinement of its oracle."""
 
     @staticmethod
-    def _machines():
+    def _pairs():
         for text in ("rat:1/3", "rat:-1/131", "int:6", "int:0", "rat:-3/509"):
             w = parse_omega(text)
-            kernel = [build_dfao(w, tag) for tag in "fgh"]
-            signed = [signed_dfao(w, eps) for eps in (EpsilonSpec.zero(), EPS_10,
-                                                      EpsilonSpec((1,), (0, 1)))]
-            yield from kernel + signed + list(map(minimize, kernel + signed))
+            pairs = [(build_dfao(w, tag), _oracle_dfao(_bfs_machine(w, tag, None)))
+                     for tag in "fgh"]
+            pairs += [(signed_dfao(w, eps), _oracle_dfao(_signed_bfs_machine(w, eps)))
+                      for eps in (EpsilonSpec.zero(), EPS_10, EpsilonSpec((1,), (0, 1)))]
+            yield from pairs
+            for d, oracle in pairs:
+                yield minimize(d), _reference_minimize(oracle)
 
     def test_texts_are_the_label_texts(self):
-        for d in self._machines():
-            texts = list(map(_text, d.labels()))
+        for d, oracle in self._pairs():
+            texts = oracle.texts(slice(None))
             assert d.texts(slice(None)) == texts
             order = np.random.default_rng(len(d)).permutation(len(d))
             assert d.texts(order) == [texts[i] for i in order]
             assert d.texts(slice(1, 4)) == texts[1:4]
-
-    def test_exports_and_minimize_never_decode_labels(self):
-        def boom():
-            raise AssertionError("labels() decoded")
-
-        for d in self._machines():
-            blind = dataclasses.replace(d, labels=boom)
-            assert blind.to_json() == d.to_json()
-            assert blind.to_dot() == d.to_dot()
-            assert minimize(blind).to_json() == minimize(d).to_json()
+            assert d.meta == oracle.meta
 
 
 class TestClosureOnlyWraps:

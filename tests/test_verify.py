@@ -1,5 +1,6 @@
 """The self-check registry: coverage, selection, determinism."""
 
+import dataclasses
 import json
 
 import pytest
@@ -81,6 +82,49 @@ class TestRunChecks:
         assert all(r.ok for r in results), [r.name for r in results if not r.ok]
         assert all(r.seconds >= 0 for r in results)
         assert all(r.detail for r in results)
+
+
+class TestAutomatonFailures:
+    """The automaton checks fail on a doctored machine and name the state
+    at fault by its label text."""
+
+    @staticmethod
+    def _doctor(monkeypatch, tag, change):
+        # change(d) replaces the tag-machine of 1/3; every other one is built
+        real = verify.build_dfao
+
+        def build(w, t="f", depth=None):
+            d = real(w, t, depth)
+            return change(d) if (w.describe(), t) == ("1/3", tag) else d
+
+        monkeypatch.setattr(verify, "build_dfao", build)
+
+    def test_padding_stability_names_the_state(self, monkeypatch):
+        # (f, 1), state 2, steps to dead (output 0) on 0 and to (f, 2)
+        # (output 1) on 1; swapped, its 0-step changes the output
+        def swap(d):
+            assert d.texts([2]) == ["(f, 1)"] and d.out[2] == 0
+            step = d.step.copy()
+            step[2] = step[2, ::-1]
+            return dataclasses.replace(d, step=step)
+
+        self._doctor(monkeypatch, "f", swap)
+        [result] = verify.run_checks(names=["automaton.padding-stability"])
+        assert not result.ok and result.detail == "zero step changes output at (f, 1)"
+
+    def test_kernel_closure_names_the_state(self, monkeypatch):
+        # (g, 0) reads 1, 1, 0 through (f, 1) and (f, 2) into (g, 1); with
+        # the output of (g, 1) flipped, the odd subsequence of (g, 0) is no
+        # state's prefix
+        def flip(d):
+            assert d.texts([0, 1]) == ["(g, 0)", "(g, 1)"]
+            out = d.out.copy()
+            out[1] ^= 1
+            return dataclasses.replace(d, out=out)
+
+        self._doctor(monkeypatch, "g", flip)
+        [result] = verify.run_checks(names=["automaton.kernel-closure"])
+        assert not result.ok and result.detail == "odd subsequence of (g, 0) escapes the kernel"
 
 
 class TestRender:
