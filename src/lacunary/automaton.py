@@ -9,10 +9,11 @@ state's successor index per digit and an int8 vector its output.  A
 state's label text, here "(family tag, shift-orbit position)", is
 formatted from the closure's code columns on request; the
 identically-zero state is materialized as an explicit absorbing "dead"
-state so the twelve table entries below stay visible in code.
+state.
 
 Transition table (state family x digit, p = parity of the current orbit
-element; the orbit element always advances by one shift):
+element; the orbit element always advances by one shift), which _MOVES
+holds as it stands:
 
     p=0:  f --0--> g    f --1--> dead    p=1:  f --0--> dead  f --1--> f
           g --0--> g    g --1--> h             g --0--> g     g --1--> f
@@ -210,19 +211,9 @@ _PAIR = template([SLOT, SLOT], 2)
 DEAD = "dead"
 _FAMILIES = "fgh"
 
-# (family, parity) x digit -> family; None is the dead state
-_KERNEL_STEP = {
-    ("f", 0): ("g", None),
-    ("f", 1): (None, "f"),
-    ("g", 0): ("g", "h"),
-    ("g", 1): ("g", "f"),
-    ("h", 0): (None, "h"),
-    ("h", 1): ("g", None),
-}
-
-# _KERNEL_STEP by family index and parity, with 3 for dead; row 3 is dead
-_MOVES = [[[3 if f2 is None else _FAMILIES.index(f2) for f2 in _KERNEL_STEP[fam, p]]
-           for p in (0, 1)] for fam in _FAMILIES] + [[[3, 3], [3, 3]]]
+# the transition table: family (f, g, h, dead = 0..3) -> parity ->
+# (family on digit 0, family on digit 1)
+_MOVES = [[[1, 3], [3, 0]], [[1, 2], [1, 0]], [[3, 2], [1, 3]], [[3, 3], [3, 3]]]
 
 #: Orbits this long or longer have their first pass numbered in closed
 #: form; below it the closure numbers them alone, which costs less than
@@ -266,18 +257,13 @@ def _kernel(w: Dyadic, tag: str, depth: int | None):
     parities = [x & 1 for x in nums]
     wrap = n - 1 if loop is None else loop   # orbit position after the last
     dead = 3 * n
-    # family index -> parity -> code offsets of the families entered on 0
-    # and on 1, None for the dead state
-    moves = [[tuple(None if f2 == 3 else f2 * n for f2 in pair) for pair in fam]
-             for fam in _MOVES[:3]]
 
+    # dead decodes to family 3 at position 0, which steps to dead
     def step(s):
-        if s == dead:
-            return (dead, dead)
         fam, j = divmod(s, n)
-        a, b = moves[fam][parities[j]]
+        a, b = _MOVES[fam][parities[j]]
         j = j + 1 if j + 1 < n else wrap
-        return (dead if a is None else a + j, dead if b is None else b + j)
+        return (dead if a == 3 else a * n + j, dead if b == 3 else b * n + j)
 
     import numpy as np
 

@@ -51,11 +51,6 @@ _DIGITS_CAP = 1 << 12
 #: value and stops below 2^62, where its int64 counts end.
 _TABLE_CAP = 1 << 22
 
-#: Bad input, an unreadable --bfile included: exit 2.  An unknown
-#: oeis-check id or verify --only name is a KeyError, every other usage
-#: error a ValueError.
-_USAGE_ERRORS = (ValueError, KeyError)
-
 
 #: Polynomials per piece of a streamed list of them: one polynomial of a
 #: 2^14 cf window averages about 9 KB of text, so a table's chunk of them
@@ -529,8 +524,9 @@ def main(argv=None) -> int:
         code = _COMMANDS[args.command][2](args)
         sys.stdout.flush()  # a closed or full stdout fails here at the latest
         return code
-    # ahead of ArithmeticError: SeriesPrecisionError is both
-    except _USAGE_ERRORS as exc:
+    # bad input, an unreadable --bfile included: exit 2.  Ahead of
+    # ArithmeticError: SeriesPrecisionError is both
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

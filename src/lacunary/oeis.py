@@ -125,7 +125,7 @@ def check_oeis(seq_id: str, bfile_text: str | None = None, limit: int | None = N
     the b-file is parsed no further, and the fixture read line by line no
     further, so a malformed line after them is never seen."""
     if seq_id not in PROFILES:
-        raise KeyError(f"no profile for {seq_id}")
+        raise ValueError(f"no profile for {seq_id}")
     if limit is not None and limit < 1:
         raise ValueError("limit must be positive")
     prof = PROFILES[seq_id]

@@ -867,7 +867,7 @@ def run_checks(level: str = "quick", seed: int = 0, names=None) -> list:
     selected = CHECKS if names is None else [c for c in CHECKS if c[0] in set(names)]
     if names is not None and len(selected) != len(set(names)):
         known = {c[0] for c in CHECKS}
-        raise KeyError(f"unknown check names: {sorted(set(names) - known)}")
+        raise ValueError(f"unknown check names: {sorted(set(names) - known)}")
     results = []
     for name, fn in selected:
         start = time.perf_counter()

@@ -126,7 +126,7 @@ class TestIntegerOrbit:
             assert out[i] == {"f": 1 - p, "g": 1, "h": p}[fam]
             nxt = j + 1 if j + 1 < len(elems) else len(pre)
             for b in (0, 1):
-                fam2 = automaton._KERNEL_STEP[fam, p][b]
+                fam2 = _KERNEL_TABLE[fam, p][b]
                 assert labels[step[i][b]] == (DEAD if fam2 is None else (fam2, nxt))
 
     def test_stream_rejected_with_same_text(self):
@@ -258,33 +258,53 @@ def _fifo(root, step):
     return labels, table
 
 
+# The module docstring's transition table, copied so that no oracle steps
+# by automaton's own: (family, parity) -> (family on digit 0, family on
+# digit 1), with None for the dead state
+_KERNEL_TABLE = {
+    ("f", 0): ("g", None),
+    ("f", 1): (None, "f"),
+    ("g", 0): ("g", "h"),
+    ("g", 1): ("g", "f"),
+    ("h", 0): (None, "h"),
+    ("h", 1): ("g", None),
+}
+
+
 def _kernel_oracle(w, depth):
-    """(nums, loop, step, output) of the kernel states (family, orbit
-    position) and DEAD: the orbit walk, the transition table as a function
-    on labels and the output of a label."""
-    nums, loop = automaton.numerator_orbit(
-        w.num, w.den, automaton.ORBIT_CAP if depth is None else depth + 1)
-    pos = len(nums)
-    after = list(range(1, pos)) + [pos - 1 if loop is None else loop]
+    """(elems, loop, step, output) of the kernel states (family, orbit
+    position) and DEAD: the orbit elements, walked by Dyadic.shift() up to
+    depth + 1 of them or the first repeat, the position of that repeat
+    (None if none came), the transition table as a function on labels and
+    the output of a label."""
+    limit = None if depth is None else depth + 1
+    elems, seen, x = [], {}, w
+    while x not in seen and len(elems) != limit:
+        seen[x] = len(elems)
+        elems.append(x)
+        x = x.shift()
+    loop = seen.get(x)
+    parity = [e.parity() for e in elems]
+    after = list(range(1, len(elems))) + [len(elems) - 1 if loop is None else loop]
 
     def step(label):
         if label == DEAD:
             return (DEAD, DEAD)
         fam, j = label
-        nxt = automaton._KERNEL_STEP[fam, nums[j] & 1]
+        nxt = _KERNEL_TABLE[fam, parity[j]]
         return tuple(DEAD if f2 is None else (f2, after[j]) for f2 in nxt)
 
     def output(label):
         if label == DEAD:
             return 0
         fam, j = label
-        return {"f": 1 - nums[j] % 2, "g": 1, "h": nums[j] % 2}[fam]
+        return {"f": 1 - parity[j], "g": 1, "h": parity[j]}[fam]
 
-    return nums, loop, step, output
+    return elems, loop, step, output
 
 
-def _orbit_texts(w, nums):
-    return [Dyadic(num=x, den=w.den).describe() for x in nums]
+def _orbit_texts(elems):
+    return [e.describe() for e in elems]
 
 
 def _bfs_machine(w, tag, depth):
@@ -292,9 +312,9 @@ def _bfs_machine(w, tag, depth):
     from (tag, 0) over (family, orbit position) states, stepped one at a
     time by the transition table and numbered as discovered.  Returns (the
     table, the outputs, the labels, meta) as Python lists and a dict."""
-    nums, loop, step, output = _kernel_oracle(w, depth)
+    elems, loop, step, output = _kernel_oracle(w, depth)
     labels, table = _fifo((tag, 0), step)
-    meta = {"omega": w.describe(), "tag": tag, "orbit": _orbit_texts(w, nums)}
+    meta = {"omega": w.describe(), "tag": tag, "orbit": _orbit_texts(elems)}
     if loop is None:
         meta["depth"] = depth
     else:
@@ -311,7 +331,7 @@ def _signed_bfs_machine(w, eps):
     and the class is the position up to len(pre), then cycles through the
     len(period) classes after it.  Returns (the table, the outputs, the
     labels, meta) as Python lists and a dict."""
-    nums, _, kernel_step, kernel_out = _kernel_oracle(w, None)
+    elems, _, kernel_step, kernel_out = _kernel_oracle(w, None)
     top = len(eps.pre) + len(eps.period)   # the last class
     e = [0, *eps.pre, *eps.period, eps.period[0]]   # e[c + 1] is eps_c, c <= top
 
@@ -324,7 +344,7 @@ def _signed_bfs_machine(w, eps):
     labels, table = _fifo((("f", 0), None, 0, 0, 0), step)
     out = [kernel_out(k) * (-1 if nu ^ mb else 1) for k, _, nu, mb, _ in labels]
     meta = {"omega": w.describe(), "tag": "signed-f", "eps": eps.describe(),
-            "orbit": _orbit_texts(w, nums)}
+            "orbit": _orbit_texts(elems)}
     return table, out, labels, meta
 
 

@@ -802,8 +802,9 @@ class TestVerify:
         assert obj["checks"][0]["name"] == "stern.carlitz-identity"
 
     def test_unknown_name(self, capsys):
-        rc, _, err = run(capsys, "verify", "--only", "no.such-check")
-        assert rc == 2 and "error:" in err
+        rc, out, err = run(capsys, "verify", "--only", "no.such-check")
+        assert rc == 2 and out == ""
+        assert err == "error: unknown check names: ['no.such-check']\n"
 
     @pytest.mark.parametrize("only", [",", " ", ""])
     def test_only_naming_no_check(self, capsys, monkeypatch, only):
@@ -936,6 +937,13 @@ class TestOeis:
     def test_stern_alias_requires_id(self, capsys):
         rc, _, err = run(capsys, "stern", "oeis-check")
         assert rc == 2 and "needs --id" in err
+
+    @pytest.mark.parametrize("argv", [("oeis-check", "A000001"),
+                                      ("stern", "oeis-check", "--id", "A000001")])
+    def test_unknown_id(self, capsys, argv):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == ""
+        assert err == "error: no profile for A000001\n"
 
 
 # (argv, exit code) of every subcommand that writes JSON

@@ -125,7 +125,7 @@ class TestCheckOeis:
         assert report.first_mismatch[0] == m
 
     def test_unknown_id(self):
-        with pytest.raises(KeyError, match="no profile"):
+        with pytest.raises(ValueError, match="no profile"):
             check_oeis("A000001")
 
     def test_min_index_respected(self):

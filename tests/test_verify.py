@@ -40,7 +40,7 @@ class TestRunChecks:
         assert all(r.ok for r in results)
 
     def test_unknown_name(self):
-        with pytest.raises(KeyError, match="unknown check names"):
+        with pytest.raises(ValueError, match="unknown check names"):
             verify.run_checks(names=["core.ring-axioms", "nope.missing"])
 
     def test_crashing_check_is_a_failure(self, monkeypatch):

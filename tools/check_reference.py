@@ -4,11 +4,10 @@
 
 Each op of every workload's catalogue (perfbench/workloads.py) runs once
 through perfbench/worker.py's run_op, with the package's caches cleared
-before it, as perfbench/make_reference.py ran it.  Its exit code and stdout
-digest must equal the entry in perfbench/reference.json, it must not raise,
-and an invalid argv must end in exit 2 with a one-line 'error:' message.
-Prints "N/N catalogue ops match", names each mismatch on stderr and exits 1
-if there is any.
+before it, as perfbench/make_reference.py ran it.  perfbench/run.py's
+check then judges its outcome against perfbench/reference.json, by the
+rules the benchmark applies.  Prints "N/N catalogue ops match", names each
+mismatch on stderr and exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ import sys
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 sys.path.insert(0, PERFBENCH)
 
+import run  # noqa: E402
 import worker  # noqa: E402
 import workloads  # noqa: E402
 
@@ -29,22 +29,13 @@ def main() -> int:
         reference = json.load(fh)
     total, bad = 0, []
     for workload in workloads.WORKLOADS:
+        records = []
         for op in workloads.catalogue(workload):
             for clear in worker._cache_clearers():
                 clear()
-            rec = worker.run_op(op["argv"])
-            name = workloads.key(op["argv"])
-            want = reference[workload].get(name)
-            total += 1
-            if rec["error"]:
-                bad.append(f"{workload}: {name}: raises {rec['error']}")
-            elif want is None:
-                bad.append(f"{workload}: {name}: not in reference.json")
-            elif [rec["rc"], rec["digest"]] != want:
-                bad.append(f"{workload}: {name}: exit {rec['rc']} digest {rec['digest']}, "
-                           f"expected exit {want[0]} digest {want[1]}")
-            elif op["usage"] and not workloads.one_line_error(rec):
-                bad.append(f"{workload}: {name}: invalid argv without a one-line error")
+            records.append(dict(worker.run_op(op["argv"]), usage=op["usage"]))
+        total += len(records)
+        bad += [f"{workload}: {name}: {why}" for name, why in run.check(records, reference[workload])]
     if bad:
         print("\n".join(bad), file=sys.stderr)
     print(f"{total - len(bad)}/{total} catalogue ops match")
