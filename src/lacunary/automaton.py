@@ -63,15 +63,6 @@ from .jsontext import SLOT, document, encode, rows, separator, template
 from .rings import flags_to_mask, gf2_mul
 
 
-class OrbitError(ValueError, TypeError):
-    """Usage error: shift-orbit enumeration needs a rational 2-adic integer."""
-
-
-class OrbitCapError(ValueError):
-    """Usage error: a whole automaton was asked for an orbit longer than
-    ORBIT_CAP numerators."""
-
-
 #: Longest shift orbit a whole automaton is built for: its build peaks at
 #: about 0.26 GB per 10^6 numerators, and --minimize at about 0.6 GB.
 ORBIT_CAP = 1 << 20
@@ -80,7 +71,7 @@ ORBIT_CAP = 1 << 20
 def _numerator_orbit(w: Dyadic, limit: int | None = None):
     """numerator_orbit of w, which must be rational."""
     if w.classify() == "unknown":
-        raise OrbitError("orbit requires rational 2-adic input")
+        raise ValueError("orbit requires rational 2-adic input")
     return numerator_orbit(w.num, w.den, limit)
 
 
@@ -98,15 +89,14 @@ class Dfao:
 
     step[i] = (next on 0, next on 1), a row of the (n, 2) int32 table, and
     out[i] in {-1, 0, +1}, an entry of the int8 vector, describe state i;
-    initial is an index.  texts(idx) gives the label texts of the states
-    idx, a slice or an index array, as a list of str; it is the one
+    state 0 is the initial one.  texts(idx) gives the label texts of the
+    states idx, a slice or an index array, as a list of str; it is the one
     description of a state that the exports and minimize read.  Two
     machines are compared by their to_json() text: it holds the label
     texts, both tables and meta."""
 
     step: np.ndarray
     out: np.ndarray
-    initial: int
     texts: Callable[[object], list]
     meta: dict = field(default_factory=dict)
 
@@ -117,7 +107,7 @@ class Dfao:
         """Value at k, one step per digit of k from the initial state."""
         if k < 0:
             raise ValueError("negative input")
-        i, step = self.initial, self.step
+        i, step = 0, self.step
         while k:
             i = step[i, k & 1]
             k >>= 1
@@ -129,7 +119,7 @@ class Dfao:
         result (the output map is stable under the 0-transition), so this
         matches evaluate().
 
-        start is the initial state by default; an array of start states
+        start is the initial state 0 by default; an array of start states
         gives one row of outputs per start, row i the sequence that state
         start[i] realizes.
 
@@ -140,7 +130,7 @@ class Dfao:
         a large machine walked for few digits goes a digit at a time."""
         import numpy as np
 
-        first = np.asarray(self.initial if start is None else start, dtype=np.int32)
+        first = np.asarray(0 if start is None else start, dtype=np.int32)
         starts = first.size
         arr = first.reshape(1, starts)           # arr[k, i]: k read from start i
         table = np.ascontiguousarray(self.step.T)  # table[x, s]: x read from s
@@ -165,7 +155,7 @@ class Dfao:
         nodes = rows('  s%d [label="%s / %d"];', "\n", (ids, texts, self.out))
         edges = rows('  s%d -> s%d [label="0"];\n  s%d -> s%d [label="1"];', "\n",
                      (ids, self.step[:, 0], ids, self.step[:, 1]))
-        return "\n".join([_DOT_HEAD % self.initial, "".join(nodes), "".join(edges), "}"])
+        return "\n".join([_DOT_HEAD, "".join(nodes), "".join(edges), "}"])
 
     def json_pieces(self):
         """The text print(self.to_json()) writes, a piece at a time as
@@ -178,7 +168,7 @@ class Dfao:
             return list(map(encode, self.texts(slice(i, j))))
 
         return document(
-            {"initial": self.initial, "input": "lsb-first", "meta": self.meta},
+            {"initial": 0, "input": "lsb-first", "meta": self.meta},
             {"states": rows(_STATE, separator(1), (range(len(self)), labels, self.out)),
              "transitions": rows(_PAIR, separator(1), self.step.T)})
 
@@ -201,7 +191,7 @@ _DOT_HEAD = """digraph dfao {
   rankdir=LR;
   node [shape=circle, fontname="monospace"];
   __start [shape=none, label=""];
-  __start -> s%d;"""
+  __start -> s0;"""
 
 # json_pieces' state and transition pair
 _STATE = template({"id": SLOT, "label": SLOT, "output": SLOT}, 2)
@@ -231,7 +221,7 @@ def build_dfao(w: Dyadic, tag: str = "f", depth: int | None = None) -> Dfao:
     dead state is 3n.  Outputs and label texts are read off the codes.
 
     Without a depth the whole orbit is walked, and one longer than
-    ORBIT_CAP numerators raises OrbitCapError before any closure.  With a
+    ORBIT_CAP numerators raises ValueError before any closure.  With a
     depth the walk stops after depth + 1 numerators, so the machine has at
     most 3(depth + 1) + 1 states.  If the orbit closes within them, the
     result is the full machine.  Otherwise it is exact only for k < 2^depth:
@@ -242,7 +232,7 @@ def build_dfao(w: Dyadic, tag: str = "f", depth: int | None = None) -> Dfao:
     if depth is not None and depth < 0:
         raise ValueError(f"negative depth {depth}")
     codes, table, out, n, meta = _kernel(w, tag, depth)
-    return Dfao(table, out, 0, lambda idx: _kernel_texts("(%s, %d)", codes, n, idx), meta)
+    return Dfao(table, out, lambda idx: _kernel_texts("(%s, %d)", codes, n, idx), meta)
 
 
 def _kernel(w: Dyadic, tag: str, depth: int | None):
@@ -251,8 +241,8 @@ def _kernel(w: Dyadic, tag: str, depth: int | None):
     the int8 outputs, the number of orbit positions and the meta dict."""
     nums, loop = _numerator_orbit(w, ORBIT_CAP if depth is None else depth + 1)
     if loop is None and depth is None:
-        raise OrbitCapError(f"the shift orbit of {w.describe()} has more than {ORBIT_CAP} "
-                            "numerators, the cap of a whole automaton")
+        raise ValueError(f"the shift orbit of {w.describe()} has more than {ORBIT_CAP} "
+                         "numerators, the cap of a whole automaton")
     n = len(nums)
     parities = [x & 1 for x in nums]
     wrap = n - 1 if loop is None else loop   # orbit position after the last
@@ -450,13 +440,13 @@ def signed_dfao(w: Dyadic, eps: EpsilonSpec) -> Dfao:
         "eps": eps.describe(),
         "orbit": k_meta["orbit"],
     }
-    return Dfao(table, k_out[k] * signs[r], 0, texts, meta)
+    return Dfao(table, k_out[k] * signs[r], texts, meta)
 
 
 def minimize(d: Dfao) -> Dfao:
     """Moore-style partition refinement; label texts of merged states are
     kept in the metadata, the quotient states are renamed m0, m1, ... in
-    order of their first member.
+    order of their first member, so the initial state stays 0.
 
     Each round ranks every state's key (block, block on 0, block on 1) in
     two stages, the pair and then the triple, with np.unique; every rank is
@@ -493,7 +483,7 @@ def minimize(d: Dfao) -> Dfao:
 
     meta = dict(d.meta)
     meta["merged"] = dict(zip(texts(slice(None)), members))
-    return Dfao(block[d.step[first]], d.out[first], int(block[d.initial]), texts, meta)
+    return Dfao(block[d.step[first]], d.out[first], texts, meta)
 
 
 @dataclass(frozen=True)

@@ -25,11 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-class LambdaRangeError(ValueError, IndexError):
-    """Usage error: the explicit exponent list is exhausted before the
-    requested index."""
-
-
 def count_10_blocks(k: int) -> int:
     """Number of "10" blocks in the MSB-first binary reading of k."""
     if k < 0:
@@ -67,7 +62,7 @@ class LambdaSpec:
     """Strictly 2-lacunary exponent sequence 0 < l_0 < l_1 < ..., l_{q+1} > 2 l_q.
 
     ``values`` is a finite list, checked for growth when the spec is made
-    (requests past its end raise LambdaRangeError), or None for the
+    (a request past its end is a ValueError), or None for the
     Mersenne sequence l_q = 2^(q+1) - 1.
     """
 
@@ -109,7 +104,7 @@ class LambdaSpec:
         if self.values is None:
             return (1 << (q + 1)) - 1
         if q >= len(self.values):
-            raise LambdaRangeError(f"lambda range: index {q} beyond explicit list of length {len(self.values)}")
+            raise ValueError(f"lambda range: index {q} beyond explicit list of length {len(self.values)}")
         return self.values[q]
 
     def gap(self, q: int) -> int:
@@ -173,16 +168,18 @@ def parse_lambda_spec(text: str) -> LambdaSpec:
 
 def parse_epsilon_spec(text: str) -> EpsilonSpec:
     """CLI grammar: 'period:0' or 'pre:1,0+period:0,1'."""
-    pre: tuple = ()
-    body = text
+    head, body = "", text
     if text.startswith("pre:"):
         head, sep, body = text[4:].partition("+")
         if not sep:
             raise ValueError(f"bad epsilon spec {text!r} (missing '+period:')")
-        pre = tuple(int(v) for v in head.split(",") if v != "")
     if not body.startswith("period:"):
         raise ValueError(f"bad epsilon spec {text!r} (expected 'period:...')")
-    period = tuple(int(v) for v in body[7:].split(",") if v != "")
+    try:
+        pre = tuple(int(v) for v in head.split(",") if v != "")
+        period = tuple(int(v) for v in body[7:].split(",") if v != "")
+    except ValueError:
+        raise ValueError(f"bad epsilon spec {text!r}") from None
     return EpsilonSpec(pre, period)
 
 

@@ -412,7 +412,7 @@ def _cmd_automaton(args) -> int:
     elif args.export == "json" or args.json:
         sys.stdout.writelines(d.json_pieces())
     else:
-        print(f"states: {len(d)}, initial: {d.initial}")
+        print(f"states: {len(d)}, initial: 0")
         sys.stdout.writelines(rows("  %d: out %+d, 0 -> %d, 1 -> %d\n", "",
                                    (range(len(d)), d.out, *d.step.T)))
     return 0
@@ -524,9 +524,7 @@ def main(argv=None) -> int:
         code = _COMMANDS[args.command][2](args)
         sys.stdout.flush()  # a closed or full stdout fails here at the latest
         return code
-    # bad input, an unreadable --bfile included: exit 2.  Ahead of
-    # ArithmeticError: SeriesPrecisionError is both
-    except ValueError as exc:
+    except ValueError as exc:  # bad input, an unreadable --bfile included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

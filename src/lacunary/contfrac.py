@@ -27,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
-from .bits import EpsilonSpec, LambdaRangeError, LambdaSpec
-from .rings import SeriesPrecisionError, SparsePoly
+from .bits import EpsilonSpec, LambdaSpec
+from .rings import SparsePoly
 
 
 @dataclass(frozen=True)
@@ -41,11 +41,6 @@ class LaurentSeries:
     coeffs: dict
     cutoff: int
 
-    def coeff(self, e):
-        if e >= -self.cutoff:
-            return self.coeffs.get(e, 0)
-        raise SeriesPrecisionError(f"precision: coefficient at X^{e} below cutoff {-self.cutoff}")
-
 
 def build_F(lam: LambdaSpec, eps: EpsilonSpec, precision: int) -> LaurentSeries:
     """The lacunary series sum of (-1)^eps_n X^(-lambda_n), materialized for
@@ -56,17 +51,12 @@ def build_F(lam: LambdaSpec, eps: EpsilonSpec, precision: int) -> LaurentSeries:
     growth rule guarantees every later exponent lies below it."""
     lam0 = lam.value(0)
     if precision < lam0:
-        raise SeriesPrecisionError(f"precision: window {precision} ends above first exponent {lam0}")
+        raise ValueError(f"precision: window {precision} ends above first exponent {lam0}")
     coeffs = {}
     q = 0
     last = 0
-    while True:
-        try:
-            v = lam.value(q)
-        except LambdaRangeError:
-            if 2 * last >= precision:
-                break
-            raise
+    while lam.is_mersenne or q < len(lam.values) or 2 * last < precision:
+        v = lam.value(q)
         if v > precision:
             break
         coeffs[-v] = eps.sign(q)
@@ -143,7 +133,7 @@ def cf_expand(f: LaurentSeries, max_quotients: int | None = None) -> ContinuedFr
     window = f.cutoff
     num = {e + window: c for e, c in f.coeffs.items() if e >= -window}
     if not num:
-        raise SeriesPrecisionError("precision: no nonzero coefficient in window")
+        raise ValueError("precision: no nonzero coefficient in window")
     den = {window: 1}
     q0, rem = _divmod(num, den)
     quotients = [SparsePoly.build(q0.items())]
@@ -162,7 +152,7 @@ def cf_expand(f: LaurentSeries, max_quotients: int | None = None) -> ContinuedFr
             certified += 1
         else:
             if i == 1:
-                raise SeriesPrecisionError(
+                raise ValueError(
                     f"precision: window {window} cannot certify the first partial quotient"
                     f" (degree {poly.degree})"
                 )
@@ -197,7 +187,7 @@ def fold_expand(f: LaurentSeries, max_quotients: int | None = None) -> Continued
     window = f.cutoff
     terms = sorted((-e, c) for e, c in f.coeffs.items() if e >= -window)
     if not terms:
-        raise SeriesPrecisionError("precision: no nonzero coefficient in window")
+        raise ValueError("precision: no nonzero coefficient in window")
     prev = 0
     for lam, s in terms:
         if lam <= 2 * prev or s not in (1, -1):
@@ -227,7 +217,7 @@ def fold_expand(f: LaurentSeries, max_quotients: int | None = None) -> Continued
         deg_q += exp[i]
         if 2 * deg_q + 1 > window:
             if i == 0:
-                raise SeriesPrecisionError(
+                raise ValueError(
                     f"precision: window {window} cannot certify the first partial quotient"
                     f" (degree {exp[0]})"
                 )

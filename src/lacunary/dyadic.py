@@ -37,20 +37,6 @@ if TYPE_CHECKING:
 from .periodic import detect_ultimate_period
 
 
-class NotTwoAdicError(ValueError):
-    """Denominator is even: the rational is not a 2-adic integer."""
-
-
-class StreamDepthError(ValueError, IndexError):
-    """Usage error: a digit past the declared safe depth of a stream was
-    requested."""
-
-
-class OpaqueStreamError(ValueError, TypeError):
-    """Usage error: the operation needs arithmetic that an opaque digit
-    stream cannot support."""
-
-
 @dataclass(frozen=True)
 class Dyadic:
     """A 2-adic integer.  Construct through from_int / from_rational /
@@ -84,7 +70,7 @@ class Dyadic:
         a //= g
         b //= g
         if b % 2 == 0:
-            raise NotTwoAdicError(f"not a 2-adic integer: denominator {b} is even")
+            raise ValueError(f"not a 2-adic integer: denominator {b} is even")
         return cls(num=a, den=b)
 
     @classmethod
@@ -153,7 +139,7 @@ class Dyadic:
         if self.rule is None:
             return ((self.num * pow(self.den, -1, 1 << (j + 1))) >> j) & 1
         if j >= self.depth:
-            raise StreamDepthError(f"stream exhausted: digit {j} beyond safe depth {self.depth}")
+            raise ValueError(f"stream exhausted: digit {j} beyond safe depth {self.depth}")
         return int(self.rule(j)) & 1
 
     def digits_window(self, length: int) -> int:
@@ -163,7 +149,7 @@ class Dyadic:
         if self.rule is None:
             return (self.num * pow(self.den, -1, 1 << length)) & ((1 << length) - 1)
         if length > self.depth:
-            raise StreamDepthError(f"stream exhausted: window {length} beyond safe depth {self.depth}")
+            raise ValueError(f"stream exhausted: window {length} beyond safe depth {self.depth}")
         digits = "".join(str(int(self.rule(j)) & 1) for j in range(length))
         return int(digits[::-1], 2)
 
@@ -186,13 +172,7 @@ class Dyadic:
         if self.rule is None:
             # gcd(num + n*den, den) = gcd(num, den) = 1: still reduced
             return Dyadic(num=self.num + n * self.den, den=self.den)
-        raise OpaqueStreamError("unsupported on opaque stream: add_int (use windowed digits)")
-
-    def to_rational(self):
-        """(numerator, denominator) with odd positive denominator."""
-        if self.rule is None:
-            return (self.num, self.den)
-        raise OpaqueStreamError("unsupported on opaque stream: to_rational")
+        raise ValueError("unsupported on opaque stream: add_int (use windowed digits)")
 
     def classify(self) -> str:
         if self.rule is None:
@@ -249,13 +229,13 @@ def parse_omega(text: str) -> Dyadic:
     """CLI grammar: ``int:-5``, ``rat:1/3``, ``bits:pre=1,0;period=0,1``,
     ``stream:thue-morse`` (built-in demo streams: thue-morse, paperfolding)."""
     if text.startswith("int:"):
-        return Dyadic.from_int(int(text[4:]))
+        return Dyadic.from_int(_spec_int(text[4:], text))
     if text.startswith("rat:"):
         body = text[4:]
         if "/" in body:
             a, b = body.split("/", 1)
-            return Dyadic.from_rational(int(a), int(b))
-        return Dyadic.from_rational(int(body), 1)
+            return Dyadic.from_rational(_spec_int(a, text), _spec_int(b, text))
+        return Dyadic.from_rational(_spec_int(body, text), 1)
     if text.startswith("bits:"):
         pre: tuple = ()
         period = None
@@ -263,7 +243,7 @@ def parse_omega(text: str) -> Dyadic:
             key, sep, val = part.partition("=")
             if not sep:
                 raise ValueError(f"bad omega bits spec {text!r}")
-            vals = tuple(int(v) for v in val.split(",") if v != "")
+            vals = tuple(_spec_int(v, text) for v in val.split(",") if v != "")
             if key == "pre":
                 pre = vals
             elif key == "period":
@@ -281,6 +261,14 @@ def parse_omega(text: str) -> Dyadic:
             return Dyadic.from_stream(_paperfolding_bit, _STREAM_DEPTH, "paperfolding")
         raise ValueError(f"unknown demo stream {name!r}")
     raise ValueError(f"bad omega spec {text!r}")
+
+
+def _spec_int(field: str, text: str) -> int:
+    """int(field), a number in the omega spec text, which names a bad one."""
+    try:
+        return int(field)
+    except ValueError:
+        raise ValueError(f"bad omega spec {text!r}") from None
 
 
 def _paperfolding_bit(j: int) -> int:
@@ -417,7 +405,7 @@ def _v2(n: int) -> int:
 
 def leading_zeros(w: Dyadic) -> int:
     """Number of leading 0 digits: v_2(num) for a rational; a stream is
-    walked digit by digit, to StreamDepthError past its safe depth.
+    walked digit by digit, to a ValueError past its safe depth.
     Undefined (raises) for 0."""
     if w.rule is None:
         if not w.num:
@@ -432,7 +420,7 @@ def leading_zeros(w: Dyadic) -> int:
 def leading_ones(w: Dyadic) -> int:
     """Number of leading 1 digits: v_2(num + den) for a rational, as
     w + 1 = (num + den)/den with den odd; a stream is walked digit by digit,
-    to StreamDepthError past its safe depth.  Undefined (raises) for -1,
+    to a ValueError past its safe depth.  Undefined (raises) for -1,
     whose digits are all 1."""
     if w.rule is None:
         if w.num == -w.den:

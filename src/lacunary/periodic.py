@@ -3,10 +3,6 @@
 from __future__ import annotations
 
 
-class InsufficientDataError(ValueError):
-    """Prefix too short to certify the requested period/preperiod bounds."""
-
-
 def detect_ultimate_period(seq, max_period: int, max_preperiod: int):
     """Smallest (preperiod_length, period_tuple) consistent with the whole
     prefix, or None if no period <= max_period with preperiod <= max_preperiod
@@ -24,7 +20,7 @@ def detect_ultimate_period(seq, max_period: int, max_preperiod: int):
     if max_preperiod < 0:
         raise ValueError("max_preperiod must be nonnegative")
     if n < max_preperiod + 2 * max_period:
-        raise InsufficientDataError(
+        raise ValueError(
             f"insufficient data: need {max_preperiod + 2 * max_period} terms, have {n}"
         )
     for p in range(1, max_period + 1):

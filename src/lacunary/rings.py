@@ -20,11 +20,6 @@ if TYPE_CHECKING:
 NEG_INF = float("-inf")
 
 
-class SeriesPrecisionError(ValueError, ArithmeticError):
-    """Usage error: a truncated series window is too shallow for the
-    request."""
-
-
 def _int_coeff(c):
     if type(c) is not int:
         raise TypeError(f"integer coefficient expected, got {type(c).__name__}")
@@ -87,11 +82,6 @@ class SparsePoly:
                 else:
                     acc.pop(e, None)
         return SparsePoly(tuple(sorted(acc.items())))
-
-    def scale(self, c):
-        if not _int_coeff(c):
-            return SparsePoly.zero()
-        return SparsePoly(tuple((e, cc * c) for e, cc in self.terms))
 
     def term_count(self):
         return len(self.terms)

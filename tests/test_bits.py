@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from lacunary.bits import (
     EpsilonSpec,
-    LambdaRangeError,
     LambdaSpec,
     binom_parity,
     count_10_blocks,
@@ -57,7 +56,7 @@ class TestLambdaSpec:
     def test_list_exhaustion(self):
         lam = LambdaSpec.from_list([1, 4, 9])
         assert lam.value(2) == 9
-        with pytest.raises(LambdaRangeError, match="lambda range"):
+        with pytest.raises(ValueError, match=r"^lambda range: index 3 beyond explicit list of length 3$"):
             lam.value(3)
 
     def test_growth_validated(self):

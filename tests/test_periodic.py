@@ -2,7 +2,7 @@
 
 import pytest
 
-from lacunary.periodic import InsufficientDataError, detect_ultimate_period
+from lacunary.periodic import detect_ultimate_period
 
 
 def build(pre, cycle, total):
@@ -42,7 +42,7 @@ class TestDetect:
         assert detect_ultimate_period(seq, 8, 30) is None
 
     def test_insufficient_data(self):
-        with pytest.raises(InsufficientDataError, match="insufficient data"):
+        with pytest.raises(ValueError, match=r"^insufficient data: need 16 terms, have 3$"):
             detect_ultimate_period([1, 2, 3], 4, 8)
 
     def test_bad_bounds(self):
