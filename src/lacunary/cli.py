@@ -16,6 +16,7 @@ import shutil
 import sys
 from functools import partial
 from itertools import islice
+from operator import attrgetter
 
 from .bits import parse_epsilon_spec, parse_lambda_spec
 from .contfrac import build_F, convergent_side, fold_expand
@@ -74,12 +75,17 @@ class _TermTexts(dict):
         return text
 
 
-def _poly_pieces(polys, texts):
-    """The entries layout(poly_to_json(p), 2) of polys as document takes
-    them, _POLY_CHUNK per piece, each drawn from polys as its piece is
-    formed; terms' text is looked up in texts, a _TermTexts."""
-    join, text, sep = separator(3).join, texts.__getitem__, separator(1)
-    items = (_POLY % join(map(text, p.terms)) if p.terms else _ZERO_POLY for p in polys)
+def _poly_entry(terms, texts) -> str:
+    """layout(poly_to_json(p), 2) of the polynomial p with these terms; terms'
+    text is looked up in texts, a _TermTexts."""
+    return _POLY % separator(3).join(map(texts.__getitem__, terms)) if terms else _ZERO_POLY
+
+
+def _chunked(items):
+    """The entries items of a streamed list of polynomials as document takes
+    them, _POLY_CHUNK per piece, each drawn from items as its piece is
+    formed."""
+    sep = separator(1)
     # lists of _POLY_CHUNK items until items runs dry
     chunks = iter(lambda: list(islice(items, _POLY_CHUNK)), [])
     return led(sep, map(sep.join, chunks))
@@ -89,27 +95,34 @@ def _write_cf_json(cf) -> None:
     """print(layout(...)) of the cf --json payload, written as it is formed:
     P is one pass of its recurrence and Q a second, and each polynomial
     goes out as it is formed, so neither side is ever held.  Each distinct
-    term is formatted once."""
+    term is formatted once, and so is each distinct quotient's entry, keyed
+    by its terms."""
     n, certified = len(cf.quotients), cf.certified
     texts = _TermTexts()
+    terms_of = attrgetter("terms")
+    entries = {t: _poly_entry(t, texts) for t in set(map(terms_of, cf.quotients))}
     flags = [layout(True)] * certified + [layout(False)] * (n - certified)
     sys.stdout.writelines(document(
         {"certified_count": certified, "precision": cf.precision, "terminated": cf.terminated},
         {
-            "a": _poly_pieces(cf.quotients, texts),
+            "a": _chunked(map(entries.__getitem__, map(terms_of, cf.quotients))),
             "certified": rows("%s", separator(1), (flags,)),
-            "p": _poly_pieces(convergent_side(cf.quotients, "p"), texts),
-            "q": _poly_pieces(convergent_side(cf.quotients, "q"), texts),
+            "p": _chunked(_poly_entry(p.terms, texts)
+                          for p in convergent_side(cf.quotients, "p")),
+            "q": _chunked(_poly_entry(q.terms, texts)
+                          for q in convergent_side(cf.quotients, "q")),
         },
     ))
 
 
 def _write_cf_text(cf) -> None:
     """One line `A_i = quotient` per quotient, the uncertified ones marked,
-    then the certified count; each distinct quotient's str() is taken once."""
+    then the certified count.  Each distinct quotient's str() is taken once
+    and looked up by its terms, so no SparsePoly is hashed or compared."""
     n, certified = len(cf.quotients), cf.certified
-    strs = {quot: str(quot) for quot in set(cf.quotients)}
-    texts = list(map(strs.__getitem__, cf.quotients))
+    terms = list(map(attrgetter("terms"), cf.quotients))
+    strs = {t: str(quot) for t, quot in dict(zip(terms, cf.quotients)).items()}
+    texts = list(map(strs.__getitem__, terms))
     write = sys.stdout.writelines
     write(rows("A_%d = %s\n", "", (range(certified), texts[:certified])))
     write(rows("A_%d = %s   (uncertified)\n", "", (range(certified, n), texts[certified:])))

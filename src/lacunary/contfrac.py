@@ -24,8 +24,10 @@ prefix are still reported, flagged uncertified.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
+from operator import neg
 
 from .bits import EpsilonSpec, LambdaSpec
 from .rings import SparsePoly
@@ -180,7 +182,9 @@ def fold_expand(f: LaurentSeries, max_quotients: int | None = None) -> Continued
         x = (-1)^m s_{q+1} X^(lambda_{q+1} - 2 lambda_q),
     and its last denominator is s_{q+1} X^lambda_{q+1}.  The window is F_q
     for the last q it holds.  Certification, truncation, errors and flags
-    are those of cf_expand.
+    are those of cf_expand; deg Q_i is a prefix sum of the exponents, so the
+    certified count is one bisection of those sums.  Each distinct +-1
+    monomial is one SparsePoly, shared by every quotient equal to it.
     """
     if max_quotients is not None and max_quotients < 0:
         raise ValueError("max_quotients must be nonnegative")
@@ -208,28 +212,24 @@ def fold_expand(f: LaurentSeries, max_quotients: int | None = None) -> Continued
             break
         m = len(exp)
         exp += [lam - 2 * last] + exp[::-1]
-        sgn += [-s if m & 1 else s] + [-t for t in reversed(sgn)]
+        sgn += [-s if m & 1 else s, *map(neg, reversed(sgn))]
         last = lam
     count = len(exp) if max_quotients is None else min(max_quotients, len(exp))
-    certified = 1
-    deg_q = 0
-    for i in range(count):
-        deg_q += exp[i]
-        if 2 * deg_q + 1 > window:
-            if i == 0:
-                raise ValueError(
-                    f"precision: window {window} cannot certify the first partial quotient"
-                    f" (degree {exp[0]})"
-                )
-            if max_quotients is None:
-                count = i + 1
-            break
-        certified += 1
-    quotients = (SparsePoly.zero(),) + tuple(
-        SparsePoly(((e, c),)) for e, c in zip(exp[:count], sgn)
-    )
+    # Quotient i is certified when 2 (exp[0] + ... + exp[i]) + 1 <= N: the
+    # sums increase, so the certified ones are a prefix, found by bisection.
+    certified = 1 + bisect_right(list(accumulate(exp[:count])), (window - 1) // 2)
+    if certified == 1 and count:
+        raise ValueError(
+            f"precision: window {window} cannot certify the first partial quotient"
+            f" (degree {exp[0]})"
+        )
+    if max_quotients is None:  # keep the first uncertified quotient, if any
+        count = min(count, certified)
+    # few (exponent, sign) pairs recur, so each is one shared SparsePoly
+    pairs = list(zip(exp[:count], sgn))
+    poly = {pair: SparsePoly((pair,)) for pair in set(pairs)}
     return ContinuedFraction(
-        quotients=quotients,
+        quotients=(SparsePoly.zero(), *map(poly.__getitem__, pairs)),
         certified=certified,
         precision=window,
         terminated=last == terms[-1][0] and count == len(exp),

@@ -435,6 +435,30 @@ def test_cf_text_formats_each_distinct_quotient_once(monkeypatch):
     assert {text(p) for p in calls} == set(quotients)
 
 
+def test_cf_json_formats_each_distinct_quotient_once(monkeypatch):
+    calls = []
+    entry = lacunary.cli._poly_entry
+    monkeypatch.setattr(lacunary.cli, "_poly_entry",
+                        lambda terms, texts: calls.append(terms) or entry(terms, texts))
+    rc, out = _printed(main, ["cf", "--precision", "1024", "--json"])
+    doc = json.loads(out)
+    distinct = {json.dumps(a) for a in doc["a"]}
+    assert rc == 0 and len(doc["a"]) > 4 * len(distinct)
+    # one entry per distinct quotient, then one per P_n and one per Q_n
+    assert len(calls) == len(distinct) + len(doc["p"]) + len(doc["q"])
+
+
+@pytest.mark.parametrize("form", [[], ["--json"]], ids=["text", "json"])
+def test_cf_writers_never_hash_or_compare_a_quotient(monkeypatch, form):
+    def boom(*args):
+        raise AssertionError("a SparsePoly was hashed or compared")
+
+    want = _printed(main, ["cf", "--precision", "1024", *form])
+    monkeypatch.setattr(SparsePoly, "__hash__", boom)
+    monkeypatch.setattr(SparsePoly, "__eq__", boom)
+    assert _printed(main, ["cf", "--precision", "1024", *form]) == want
+
+
 class _Writes(io.StringIO):
     """A stdout that records the length of each write."""
 
@@ -591,13 +615,14 @@ def test_import_leaves_numpy_unloaded():
     assert _fresh_stdout("import sys, lacunary.cli; print('numpy' in sys.modules)") == "False\n"
 
 
-def test_cf_json_leaves_numpy_unloaded():
+def test_cf_writers_leave_numpy_unloaded():
     assert _fresh_stdout(
         "import contextlib, io, sys, lacunary.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    rc = lacunary.cli.main(['cf', '--precision', '1024', '--json'])\n"
+        "    rc = [lacunary.cli.main(['cf', '--precision', '1024', *form])\n"
+        "          for form in ([], ['--json'])]\n"
         "print(rc, 'numpy' in sys.modules)"
-    ) == "0 False\n"
+    ) == "[0, 0] False\n"
 
 
 def test_small_stern_table_leaves_numpy_unloaded():

@@ -249,10 +249,30 @@ def _lacunary_windows(draw):
 _caps = st.one_of(st.none(), st.sampled_from([-1, 0, 10**6]), st.integers(1, 12))
 
 
+# lambda = 2, 7, 21: deg Q_i runs 2, 5, 7, 14, 16, 19, 21 and A_1 has degree 2
+_LAM_2_7_21 = LambdaSpec.from_list([2, 7, 21])
+
+
 class TestFold:
     @given(_lacunary_windows(), _caps)
+    # a window of exactly 2 deg Q_4 + 1 certifies A_4, one short of it does not
+    @example(f=build_F(_LAM_2_7_21, ZERO, 29), cap=None)
+    @example(f=build_F(_LAM_2_7_21, ZERO, 28), cap=None)
+    @example(f=build_F(_LAM_2_7_21, EpsilonSpec((1,), (0, 1)), 29), cap=4)
+    @example(f=build_F(_LAM_2_7_21, EpsilonSpec((1,), (0, 1)), 28), cap=4)
+    # A_1 needs a window of 5: at 4 it is an error unless the cap leaves it out
+    @example(f=build_F(_LAM_2_7_21, ZERO, 4), cap=None)
+    @example(f=build_F(_LAM_2_7_21, ZERO, 4), cap=0)
+    @example(f=build_F(_LAM_2_7_21, ZERO, 4), cap=1)
     def test_fold_matches_euclid(self, f, cap):
         assert _outcome(fold_expand, f, cap) == _outcome(cf_expand, f, cap)
+
+    @pytest.mark.parametrize("eps", [ZERO, EpsilonSpec((1,), (0, 1))])
+    def test_each_distinct_quotient_is_one_object(self, eps):
+        cf = fold_expand(build_F(MERS, eps, 4096))
+        distinct = {quot.terms for quot in cf.quotients}
+        assert len(cf.quotients) > 100 * len(distinct)
+        assert len(set(map(id, cf.quotients))) == len(distinct)
 
     @pytest.mark.parametrize("eps", [ZERO, EpsilonSpec((1,), (0, 1))])
     def test_deep_windows(self, eps):

@@ -73,6 +73,9 @@ ROWS = [
         peak_mb=100),
     # cf --json is written as it is formed (2^14 window).
     Row("cf-json-2^14", ("cf", "--precision", "16384", "--json"), 60, peak_mb=150),
+    # cf text costs its quotients, a shared SparsePoly per distinct one (2^20
+    # window, 524,289 quotients).
+    Row("cf-text-2^20", ("cf", "--precision", "1048576"), 10, peak_mb=120),
     # Automaton cost follows the machine, not a hidden factor (200,007 states
     # minimised to 100,005).
     Row("automaton-g-minimize",
