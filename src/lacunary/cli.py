@@ -495,15 +495,21 @@ _COMMANDS = {
 
 
 def build_parser(command=None) -> argparse.ArgumentParser:
-    """The root parser with command's subparser only, or with all six when
-    command is None or names no subcommand.  main parses one subcommand,
-    and building the other five would cost it about half a small op."""
+    """The parser of command alone, `lacunary <command>` with its --json
+    and options, when command names a subcommand; else the root parser
+    with all six as subparsers.  main parses one subcommand, and a root
+    over its parser would be a second parser to build and to run."""
     formatter = _help_formatter()
+    if command in _COMMANDS:
+        p = _Parser(prog=f"lacunary {command}", formatter_class=formatter)
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(command=command)
+        _COMMANDS[command][1](p)
+        return p
     root = _Parser(prog="lacunary", formatter_class=formatter)
     root.add_argument("--json", action="store_true")
     sub = root.add_subparsers(dest="command", required=True)
-    for name in [command] if command in _COMMANDS else _COMMANDS:
-        help_text, add_options, _ = _COMMANDS[name]
+    for name, (help_text, add_options, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text, formatter_class=formatter)
         # unset when not given, so that it cannot undo the root's --json
         p.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
@@ -513,22 +519,32 @@ def build_parser(command=None) -> argparse.ArgumentParser:
 
 def _named_command(argv):
     """The subcommand argv names, if only --json or an abbreviation of it
-    comes before it; else None.  Then the whole tree is built, so that
-    `-h cf` and `-- cf` read as they would with all six subcommands."""
+    comes before it; else None.  main parses a named subcommand with its
+    own parser and anything else with the whole tree, so that `-h cf`,
+    `-- cf` and `frobnicate` read as they would with all six."""
     for arg in argv:
         if not arg.startswith("-"):
-            return arg
+            return arg if arg in _COMMANDS else None
         if len(arg) < 3 or not "--json".startswith(arg):
             return None
     return None
 
 
 def main(argv=None) -> int:
+    """Runs the subcommand argv names; its exit code.  A named subcommand
+    is parsed by its own parser, from argv less the command word: what
+    comes before that word spells --json, which that parser reads as its
+    own.  Any other argv is parsed by the whole tree."""
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser(_named_command(argv))
+    command = _named_command(argv)
+    parser = build_parser(command)
     try:
-        _check_root_options(parser, argv)
+        if command is None:
+            _check_root_options(parser, argv)
+        else:
+            at = argv.index(command)
+            argv = [*argv[:at], *argv[at + 1:]]
         args = parser.parse_args(argv)
         _check_choice(parser, args)
     except SystemExit as exc:

@@ -1305,6 +1305,11 @@ _PARSER_ARGV = [
     ("automaton", "build", "--export", "svg"),
     ("verify", "--level", "medium"), ("verify", "--only", "a,b", "--seed", "3"),
     ("oeis-check", "A002487", "--limit", "5"), ("oeis-check", "--bfile"),
+    # the flat parser of a named subcommand reads argv less the command word
+    ("cf", "cf"), ("oeis-check", "cf"), ("--json", "cf", "--json"),
+    ("--js", "stern", "u", "--to", "3"), ("cf", "--prec", "64"), ("cf", "--precision=64"),
+    ("stern", "u", "-h"), ("qseries", "--", "pell"),
+    ("automaton", "--omega=rat:1/3", "build", "--tag", "g"),
 ]
 
 
@@ -1318,8 +1323,7 @@ def _main_parse(monkeypatch, argv, full):
             for name, (text, add, _) in lacunary.cli._COMMANDS.items()
         })
         if full:
-            build = lacunary.cli.build_parser
-            m.setattr(lacunary.cli, "build_parser", lambda command=None: build())
+            m.setattr(lacunary.cli, "_named_command", lambda argv: None)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = main(list(argv))
@@ -1336,11 +1340,41 @@ def _subparsers(parser):
 
 
 def test_parser_builds_one_subcommand_options():
-    sub = _subparsers(lacunary.cli.build_parser("cf"))
-    assert set(sub) == {"cf"}
-    assert {"--json", "--precision"} <= set(sub["cf"]._option_string_actions)
+    flat = lacunary.cli.build_parser("cf")
+    assert not any(isinstance(a, argparse._SubParsersAction) for a in flat._actions)
+    assert flat.prog == "lacunary cf"
+    assert {"--json", "--precision"} <= set(flat._option_string_actions)
     for command in (None, "frobnicate"):
         assert set(_subparsers(lacunary.cli.build_parser(command))) == set(lacunary.cli._COMMANDS)
+
+
+def _parsers_built(monkeypatch, argv):
+    """How many argparse.ArgumentParser objects main(argv) constructs."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(argparse.ArgumentParser, "__init__", counted)
+        _main_parse(monkeypatch, argv, full=False)
+    return len(built)
+
+
+@pytest.mark.parametrize("argv", [
+    ("cf",), ("--json", "cf", "--n", "2"), ("--js", "stern", "u", "--to", "3"),
+    ("automaton", "build", "--tag", "g"), ("qseries", "--help"), ("verify", "--level", "bogus"),
+    ("oeis-check", "cf"),
+], ids=" ".join)
+def test_named_command_builds_one_parser(monkeypatch, argv):
+    assert _parsers_built(monkeypatch, argv) == 1
+
+
+@pytest.mark.parametrize("argv", [(), ("frobnicate",), ("-h", "cf"), ("--", "cf")], ids=repr)
+def test_no_named_command_builds_the_tree(monkeypatch, argv):
+    assert _parsers_built(monkeypatch, argv) == 1 + len(lacunary.cli._COMMANDS)
 
 
 @pytest.mark.parametrize("columns", ["50", "80", "200"])
