@@ -45,13 +45,43 @@ The search meets a numbered position again only past the last one,
 where the orbit wraps into its cycle (or, cut at a depth, stays at the
 last position).  So build_dfao numbers the first pass in closed form and
 runs the closure from the last level on.
+
+Product lemma.  A state of signed_dfao is (kernel state, prev digit, nu,
+mb, class) and its search starts at ((f, 0), None, 0, 0, 0).  Every
+state at level L lies at orbit position j_L and class c_L, and a live
+one, past the first, has prev 0 in family g and 1 in families f and h.
+So a level's states are one or two kernel families times the (nu, mb)
+pairs, or dead states: each is fixed by L and its place, one of 12 live
+places (family, nu, mb) and 8 dead ones (prev, nu, mb).  The places the
+search numbers at level L + 1 are, in order, those its level-L states
+step into that were not numbered before, and which those are depends
+only on the places of level L in order, the parity at j_L, the class
+difference at c_L and the places numbered before at (j_(L+1),
+c_(L+1)): the live ones numbered at a level with both equal, the dead
+ones at a level with the class equal.  From level max(preperiod of the
+orbit, len(pre) + 1) on, (j_L, c_L) recurs with period lcm(cycle length,
+len(period)), and before it no pair recurs.
+
+Proof.  Position and class advance by one per digit whatever the digit,
+so every path of length L from the start ends at j_L and c_L.  A digit b
+sets prev to b, and by the table digit 0 enters only g and dead, and
+digit 1 only f, h and dead.  A FIFO search steps the states of level L
+in number order, digit 0 before digit 1, and numbers each successor it
+has not met; it steps only the states it numbers, so level L + 1 holds
+exactly the new successors of level L's new states, and it ends at the
+first level with none.  A live state carries its position and a dead
+one does not, which gives the two rules for "numbered before".  The
+position is periodic from the orbit's preperiod with the cycle's
+length, and the class from len(pre) + 1 with len(period); past both the
+pair recurs exactly when L does modulo the lcm, and before them one
+coordinate takes a value it never takes again.
 """
 
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass, field
-from itertools import product
+from dataclasses import dataclass
+from math import lcm
 from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:
@@ -63,8 +93,9 @@ from .jsontext import SLOT, document, encode, rows, separator, template
 from .rings import flags_to_mask, gf2_mul
 
 
-#: Longest shift orbit a whole automaton is built for: its build peaks at
-#: about 0.26 GB per 10^6 numerators, and --minimize at about 0.6 GB.
+#: Longest shift orbit a whole automaton is built for: a kernel build, and
+#: its --minimize, peak at about 0.26 GB per 10^6 numerators; a signed one
+#: at about 0.33 GB for eps of period 2, more for longer periods.
 ORBIT_CAP = 1 << 20
 
 
@@ -91,14 +122,16 @@ class Dfao:
     out[i] in {-1, 0, +1}, an entry of the int8 vector, describe state i;
     state 0 is the initial one.  texts(idx) gives the label texts of the
     states idx, a slice or an index array, as a list of str; it is the one
-    description of a state that the exports and minimize read.  Two
+    description of a state that the exports read.  meta() gives the
+    metadata dict, formed anew on each call; only the JSON export calls
+    it, so a machine that is listed or minimized formats neither.  Two
     machines are compared by their to_json() text: it holds the label
     texts, both tables and meta."""
 
     step: np.ndarray
     out: np.ndarray
     texts: Callable[[object], list]
-    meta: dict = field(default_factory=dict)
+    meta: Callable[[], dict] = dict
 
     def __len__(self):
         return len(self.out)
@@ -168,7 +201,7 @@ class Dfao:
             return list(map(encode, self.texts(slice(i, j))))
 
         return document(
-            {"initial": 0, "input": "lsb-first", "meta": self.meta},
+            {"initial": 0, "input": "lsb-first", "meta": self.meta()},
             {"states": rows(_STATE, separator(1), (range(len(self)), labels, self.out)),
              "transitions": rows(_PAIR, separator(1), self.step.T)})
 
@@ -231,18 +264,7 @@ def build_dfao(w: Dyadic, tag: str = "f", depth: int | None = None) -> Dfao:
         raise ValueError(f"unknown tag {tag!r}")
     if depth is not None and depth < 0:
         raise ValueError(f"negative depth {depth}")
-    codes, table, out, n, meta = _kernel(w, tag, depth)
-    return Dfao(table, out, lambda idx: _kernel_texts("(%s, %d)", codes, n, idx), meta)
-
-
-def _kernel(w: Dyadic, tag: str, depth: int | None):
-    """(codes, table, outputs, n, meta) of build_dfao(w, tag, depth): the
-    code of each state in number order, the (states, 2) int32 index table,
-    the int8 outputs, the number of orbit positions and the meta dict."""
-    nums, loop = _numerator_orbit(w, ORBIT_CAP if depth is None else depth + 1)
-    if loop is None and depth is None:
-        raise ValueError(f"the shift orbit of {w.describe()} has more than {ORBIT_CAP} "
-                         "numerators, the cap of a whole automaton")
+    nums, loop = _whole_orbit(w) if depth is None else _numerator_orbit(w, depth + 1)
     n = len(nums)
     parities = [x & 1 for x in nums]
     wrap = n - 1 if loop is None else loop   # orbit position after the last
@@ -268,16 +290,31 @@ def _kernel(w: Dyadic, tag: str, depth: int | None):
         codes, table = np.concatenate([head, more]), np.concatenate([head_table, more_table])
     # output by code: f-states 1 - p, g-states 1, h-states p, dead 0
     outputs = np.concatenate([1 - p, np.ones(n, np.int8), p, np.zeros(1, np.int8)])
-    meta = {
-        "omega": w.describe(),
-        "tag": tag,
-        "orbit": _formatted(fraction_form(w.den), (nums,)),
-    }
+
+    def texts(idx):
+        return _kernel_texts("(%s, %d)", *np.divmod(codes[idx], n))
+
+    def meta():
+        cut = {"depth": depth} if loop is None else {"orbit_preperiod": loop}
+        return {"omega": w.describe(), "tag": tag, "orbit": _orbit_texts(w, nums), **cut}
+
+    return Dfao(table, outputs[codes], texts, meta)
+
+
+def _whole_orbit(w: Dyadic):
+    """_numerator_orbit(w) for a whole automaton: ValueError past
+    ORBIT_CAP numerators, found by walking at most that many."""
+    nums, loop = _numerator_orbit(w, ORBIT_CAP)
     if loop is None:
-        meta["depth"] = depth
-    else:
-        meta["orbit_preperiod"] = loop
-    return codes, table, outputs[codes], n, meta
+        raise ValueError(f"the shift orbit of {w.describe()} has more than {ORBIT_CAP} "
+                         "numerators, the cap of a whole automaton")
+    return nums, loop
+
+
+def _orbit_texts(w: Dyadic, nums) -> list:
+    """The texts of the orbit elements nums[j]/w.den, as Dyadic.describe
+    gives them."""
+    return _formatted(fraction_form(w.den), (nums,))
 
 
 def _first_pass(fam: int, p, wrap: int):
@@ -336,12 +373,12 @@ def _first_pass(fam: int, p, wrap: int):
     return codes[:before], rows, codes[before:].tolist(), index
 
 
-def _kernel_texts(form: str, codes, n: int, idx) -> list:
-    """The label texts of the kernel states idx: DEAD, or form over the
-    family letter and the position."""
+def _kernel_texts(form: str, fams, pos) -> list:
+    """The label texts of the kernel states of families fams (3 for dead)
+    at orbit positions pos, two int arrays: DEAD, or form over the family
+    letter and the position."""
     import numpy as np
 
-    fams, pos = np.divmod(codes[idx], n)
     texts = _formatted(form, (np.array(list(_FAMILIES + "-"), dtype=object)[fams], pos))
     for i in np.flatnonzero(fams == 3).tolist():
         texts[i] = DEAD
@@ -374,6 +411,36 @@ def _close(step, states, index):
     return np.array(states, dtype=np.int64), np.array(table, dtype=np.int32).reshape(-1, 2)
 
 
+# A signed state's place in its level, numbered 0..20: (family, prev digit,
+# nu, mb).  Live (family, nu, mb) is place 4 * family + 2 * nu + mb, its
+# prev the digit that enters the family; dead (prev, nu, mb) is place 12 +
+# 4 * prev + 2 * nu + mb; the initial state, f with no digit read, is 20.
+_PLACES = ([(fam, int(fam != 1), nu, mb) for fam in range(3) for nu in (0, 1) for mb in (0, 1)]
+           + [(3, prev, nu, mb) for prev in (0, 1) for nu in (0, 1) for mb in (0, 1)]
+           + [(0, None, 0, 0)])
+_ROOT = 20
+_LIVE = (1 << 12) - 1   # the bits of the live places
+
+
+def _signed_move(fam, prev, nu, mb, p, d, b):
+    """The place entered on digit b from a place at parity p and class
+    difference d: the family by _MOVES, prev becomes b, nu flips on a
+    10-block and mb on a 1 where d is 1."""
+    return _PLACES.index((_MOVES[fam][p][b], b, nu ^ (b & (prev == 0)), mb ^ (b & d)))
+
+
+# byte 2 * (4 * place + read) + b, read = 2 * parity + class difference: the
+# place entered on digit b
+_SIGNED_MOVES = bytes(_signed_move(*pl, p, d, b)
+                      for pl in _PLACES for p in (0, 1) for d in (0, 1) for b in (0, 1))
+# entry 2 * place + parity: the output, the kernel family's times (-1)^(nu + mb)
+_SIGNED_OUT = [(1 - p, 1, p, 0)[fam] * (-1) ** (nu ^ mb) for fam, _, nu, mb in _PLACES
+               for p in (0, 1)]
+
+#: States keyed per numpy call when signed_dfao lays out its table
+_CHUNK = 1 << 16
+
+
 def signed_dfao(w: Dyadic, eps: EpsilonSpec) -> Dfao:
     """Automaton for the signed coefficient k -> sign(k, eps) * f_w(k),
     with exponent convention mu(k) = k (the Mersenne case).
@@ -383,70 +450,157 @@ def signed_dfao(w: Dyadic, eps: EpsilonSpec) -> Dfao:
     (previous digit plus running parity, counting a block when the current
     digit is 1 and the previous was 0); and the position automaton for the
     digitwise sign differences of eps, which accumulates d_q = eps_q -
-    eps_{q-1} mod 2 at every 1 digit of k.
+    eps_{q-1} mod 2 at every 1 digit of k.  A state is the tuple (kernel
+    state, prev digit, nu, mb, class), and the states are numbered as a
+    breadth-first closure from ((f, 0), None, 0, 0, 0) discovers them.
 
-    The last two run together as one tracker whose states (prev digit, nu,
-    mb, class) are numbered in a table, and the closure runs on packed
-    product states k * T + r: kernel state index k, tracker state index r,
-    T tracker states."""
+    The numbering goes a level at a time, by the product lemma of the
+    module docstring: _signed_levels finds the places of each level, and
+    the outputs and the int32 table are laid out from them in numpy.  A
+    state is held as its level and its place, from which its label text
+    is formatted on request."""
     import numpy as np
 
-    k_codes, k_table, k_out, n, k_meta = _kernel(w, "f", None)
-    p_len, r_len = len(eps.pre), len(eps.period)
+    nums, wrap = _whole_orbit(w)
+    n, p_len, r_len = len(nums), len(eps.pre), len(eps.period)
     n_cls = p_len + 1 + r_len
+    # from level `since` on, a level's (position, class) recurs every `span`
+    # levels, and before it none recurs
+    since, span = max(wrap, p_len + 1), lcm(n - wrap, r_len)
+    slots = since + span
+    parity = [x & 1 for x in nums]
+    # class c holds position c: eps_q - eps_(q-1) is the same at every q in it
+    diff = [eps.value(c) ^ eps.value(c - 1) for c in range(n_cls)]
+    levels, places = _signed_levels(parity, diff, wrap, p_len, slots, since)
 
-    def cls_next(c: int) -> int:
-        return c + 1 if c + 1 < n_cls else p_len + 1
+    # each level's orbit position, class, slot and read, one more for the
+    # level the last one steps into
+    at = np.arange(len(levels) + 1)
+    pos = np.where(at < n, at, wrap + (at - wrap) % (n - wrap))
+    cls = np.where(at <= p_len, at, p_len + 1 + (at - p_len - 1) % r_len)
+    slot = np.where(at < slots, at, since + (at - since) % span)
+    p = np.array(parity, np.int8)[pos]
+    read = 2 * p + np.array(diff, np.int8)[cls]
 
-    def cls_diff(c: int) -> int:
-        # eps_q - eps_{q-1} mod 2, the same for every position q in class c,
-        # and position c is in class c
-        return eps.value(c) ^ eps.value(c - 1)
+    # grid[kind]: the places of a kind of level, padded by place 21; row
+    # 4 * kind + read of moves and outs: where each steps on digits 0 and 1,
+    # and its output
+    sizes = np.array(list(map(len, places)))
+    width = int(sizes.max())
+    padded = b"".join([row.ljust(width, b"\x15") for row in places])
+    grid = np.frombuffer(padded, np.int8).reshape(-1, width)
+    cells = (4 * grid[:, None, :] + np.arange(4, dtype=np.int8)[:, None]).reshape(-1, width)
+    moves = np.frombuffer(_SIGNED_MOVES + bytes(8), np.int8).reshape(-1, 2)[cells]
+    outs = np.array(_SIGNED_OUT + [0, 0], np.int8).repeat(2)[cells]
 
-    def track(state, b):
-        prev, nu, mb, c = state
-        nu2 = nu ^ (1 if (b == 1 and prev == 0) else 0)
-        mb2 = mb ^ (cls_diff(c) if b else 0)
-        return (b, nu2, mb2, cls_next(c))
+    # the states in number order: level by level, each level's places in order
+    kinds = np.array(levels)
+    count = sizes[kinds]
+    level = np.repeat(np.arange(len(levels), dtype=np.int32), count)
+    kept = np.arange(width) < count[:, None]
+    rows = 4 * kinds + read[:-1]
+    place, out = grid[kinds][kept], outs[rows][kept]
+    to = [moves[rows, :, b][kept] for b in (0, 1)]
+    del kinds, count, kept, rows
 
-    tracks = list(product((None, 0, 1), (0, 1), (0, 1), range(n_cls)))
-    t_len = len(tracks)
-    t_index = {t: r for r, t in enumerate(tracks)}
-    t_step = [(t_index[track(t, 0)], t_index[track(t, 1)]) for t in tracks]
-    k_step = (k_table.astype(np.int64) * t_len).tolist()
+    # a state's number by key: 12 * slot + place for a live state, after
+    # those 12 * slots + 8 * class + place - 12 for a dead one.  The
+    # initial state, whose class no other level has, is never looked up.
+    live, dead = 12 * slot, 12 * slots + 8 * cls - 12
 
-    def step(s):
-        k, r = divmod(s, t_len)
-        k0, k1 = k_step[k]
-        r0, r1 = t_step[r]
-        return (k0 + r0, k1 + r1)
+    def keys(i, j, places, ahead):
+        # the keys of places at the levels of states i..j-1, plus ahead
+        at = level[i:j] + ahead
+        return np.where(places < 12, live[at], dead[at]) + places
 
-    root = t_index[None, 0, 0, 0]  # kernel state 0, the initial one
-    codes, table = _close(step, [root], {root: 0})
-    signs = np.array([-1 if nu ^ mb else 1 for _, nu, mb, _ in tracks], dtype=np.int8)
-    k, r = np.divmod(codes, t_len)
-    # a product state's text is that of the tuple (kernel label, prev digit,
-    # nu, mb, class), the kernel label a (letter, position) tuple or DEAD:
-    # its columns are the kernel's and those of the tracker states
-    tracker = np.array(tracks, dtype=object).T
+    number = np.zeros(12 * slots + 8 * n_cls, np.int32)
+    for i in range(1, len(place), _CHUNK):
+        j = min(i + _CHUNK, len(place))
+        number[keys(i, j, place[i:j], 0)] = np.arange(i, j, dtype=np.int32)
+    table = np.empty((len(place), 2), np.int32)
+    for i in range(0, len(place), _CHUNK):
+        j = min(i + _CHUNK, len(place))
+        for b in (0, 1):
+            table[i:j, b] = number[keys(i, j, to[b][i:j], 1)]
+    del number, to
 
     def texts(idx):
-        kernel = _kernel_texts("('%s', %d)", k_codes, n, k[idx])
-        return _formatted("(%s, %s, %s, %s, %s)", (kernel, *tracker[:, r[idx]]))
+        # the text of the tuple (kernel label, prev, nu, mb, class), the
+        # kernel label a (letter, position) tuple or DEAD
+        fams = np.array([fam for fam, *_ in _PLACES])
+        prevs, nus, mbs = np.array([tracker for _, *tracker in _PLACES], dtype=object).T
+        lv, s = level[idx], place[idx]
+        kernel = _kernel_texts("('%s', %d)", fams[s], pos[lv])
+        return _formatted("(%s, %s, %s, %s, %s)", (kernel, prevs[s], nus[s], mbs[s], cls[lv]))
 
-    meta = {
-        "omega": w.describe(),
-        "tag": "signed-f",
-        "eps": eps.describe(),
-        "orbit": k_meta["orbit"],
-    }
-    return Dfao(table, k_out[k] * signs[r], texts, meta)
+    def meta():
+        return {"omega": w.describe(), "tag": "signed-f", "eps": eps.describe(),
+                "orbit": _orbit_texts(w, nums)}
+
+    return Dfao(table, out, texts, meta)
+
+
+def _signed_levels(parity, diff, wrap, p_len, slots, since):
+    """(levels, places) of signed_dfao's breadth-first closure: levels[L]
+    indexes places, whose entry holds the places of the states the closure
+    numbers at level L as bytes, in number order; the closure ends at the
+    first level with none.
+
+    Level L reads orbit position j_L and class c_L.  Its slot is L below
+    slots, then since + (L - since) mod (slots - since), so two levels
+    share a slot when they share (j_L, c_L).  The places of the next level
+    follow from this level's, the parity at j_L, the class difference at
+    c_L and the places numbered already where the next level lies: live
+    ones at its slot, dead ones at its class.  Each distinct step is made
+    once by _next_places and looked up after."""
+    places = [b"", bytes([_ROOT])]
+    known, steps = {row: kind for kind, row in enumerate(places)}, {}
+    seen = [0] * slots          # live places numbered at a slot, as bits
+    dead = [0] * len(diff)      # dead places numbered at a class, as bits
+    levels = [1]
+    kind, j, c, at = 1, 0, 0, 0
+    n, n_cls = len(parity), len(diff)
+    while True:
+        j1 = j + 1 if j + 1 < n else wrap
+        c1 = c + 1 if c + 1 < n_cls else p_len + 1
+        at1 = at + 1 if at + 1 < slots else since
+        read, taken = 2 * parity[j] + diff[c], seen[at1] | dead[c1]
+        args = (kind, read, taken)
+        hit = steps.get(args)
+        if hit is None:
+            new, now = _next_places(places[kind], read, taken)
+            if new not in known:
+                known[new] = len(places)
+                places.append(new)
+            hit = steps[args] = known[new], (now ^ taken) & _LIVE, (now ^ taken) & ~_LIVE
+        kind, live, gone = hit
+        if not kind:
+            return levels, places
+        seen[at1] |= live
+        dead[c1] |= gone
+        levels.append(kind)
+        j, c, at = j1, c1, at1
+
+
+def _next_places(row: bytes, read: int, taken: int):
+    """(places, taken): the places of the next level, numbered as the
+    places of row step at read, in order and digit 0 before 1, skipping
+    those with a bit set in taken; and taken with their bits set too."""
+    new = []
+    for s in row:
+        k = 8 * s + 2 * read
+        for t in _SIGNED_MOVES[k:k + 2]:
+            if not taken >> t & 1:
+                taken |= 1 << t
+                new.append(t)
+    return bytes(new), taken
 
 
 def minimize(d: Dfao) -> Dfao:
-    """Moore-style partition refinement; label texts of merged states are
-    kept in the metadata, the quotient states are renamed m0, m1, ... in
-    order of their first member, so the initial state stays 0.
+    """Moore-style partition refinement; the quotient states are renamed
+    m0, m1, ... in order of their first member, so the initial state stays
+    0, and meta()["merged"] maps each name to the label texts of its
+    members, formed when meta is called.
 
     Each round ranks every state's key (block, block on 0, block on 1) in
     two stages, the pair and then the triple, with np.unique; every rank is
@@ -466,23 +620,28 @@ def minimize(d: Dfao) -> Dfao:
     # number the blocks by their first member
     first = np.sort(np.unique(block, return_index=True)[1])
     block = np.argsort(block[first]).astype(np.int32)[block]
-    ordered = d.texts(np.argsort(block, kind="stable"))
-    ends = np.cumsum(np.bincount(block, minlength=count)).tolist()
-    # a list of str per block, none in a cycle: at 10^6 blocks the cyclic
-    # collector's passes over the new lists cost five times their making
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        members = [ordered[a:b] for a, b in zip([0] + ends[:-1], ends)]
-    finally:
-        if collecting:
-            gc.enable()
 
     def texts(idx):
         return _formatted("m%d", (np.arange(count)[idx],))
 
-    meta = dict(d.meta)
-    meta["merged"] = dict(zip(texts(slice(None)), members))
+    # meta holds d's texts and meta, not its table
+    members_of, meta_of = d.texts, d.meta
+
+    def meta():
+        ordered = members_of(np.argsort(block, kind="stable"))
+        ends = np.cumsum(np.bincount(block, minlength=count)).tolist()
+        # a list of str per block, none in a cycle: at 10^6 blocks the
+        # cyclic collector's passes over the new lists cost five times their
+        # making
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            members = [ordered[a:b] for a, b in zip([0] + ends[:-1], ends)]
+        finally:
+            if collecting:
+                gc.enable()
+        return {**meta_of(), "merged": dict(zip(texts(slice(None)), members))}
+
     return Dfao(block[d.step[first]], d.out[first], texts, meta)
 
 

@@ -754,17 +754,21 @@ def check_dfao_kernel_closure(level, rng):
 def check_dfao_signed_window(level, rng):
     bits = _n(level, 10, 12)
     count = 1 << bits
-    for w in (Dyadic.from_int(2), Dyadic.from_rational(1, 3)):
-        for eps in (EpsilonSpec.zero(), EpsilonSpec((), (1, 0))):
-            d = signed_dfao(w, eps)
-            got = d.evaluate_all(bits).tolist()
-            flags = kernel_range(w, count - 1, "f").tolist()   # Python bools: exact products
-            want = [term_sign(k, eps) * flags[k] for k in range(count)]
-            assert got == want, f"signed stream for {w.describe()}, eps {eps.describe()}"
+    cases = [(w, eps) for w in (Dyadic.from_int(2), Dyadic.from_rational(1, 3))
+             for eps in (EpsilonSpec.zero(), EpsilonSpec((), (1, 0)))]
+    # a cycle of 130 against a period of 3: the numbering passes the cycle
+    # three times
+    cases.append((Dyadic.from_rational(-1, 131), EpsilonSpec((), (0, 0, 1))))
+    for w, eps in cases:
+        d = signed_dfao(w, eps)
+        got = d.evaluate_all(bits).tolist()
+        flags = kernel_range(w, count - 1, "f").tolist()   # Python bools: exact products
+        want = [term_sign(k, eps) * flags[k] for k in range(count)]
+        assert got == want, f"signed stream for {w.describe()}, eps {eps.describe()}"
     d = signed_dfao(Dyadic.from_int(2), EpsilonSpec.zero())
     vals = [d.evaluate(k) for k in range(9)]
     assert vals == [1, 0, -1, 0, 0, 0, 0, 0, 0], "the degree-2 polynomial pattern"
-    return f"2 omegas x 2 sign patterns, k < 2^{bits}"
+    return f"2 omegas x 2 sign patterns and -1/131 x period:0,0,1, k < 2^{bits}"
 
 
 def check_algebraic_relation(level, rng):

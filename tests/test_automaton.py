@@ -94,8 +94,8 @@ class TestIntegerOrbit:
         pre, cyc = orbit(w)
         for tag in ("f", "g", "h"):
             d = build_dfao(w, tag)
-            assert d.meta["orbit"] == [e.describe() for e in pre + cyc]
-            assert d.meta["orbit_preperiod"] == len(pre)
+            assert d.meta()["orbit"] == [e.describe() for e in pre + cyc]
+            assert d.meta()["orbit_preperiod"] == len(pre)
 
     def test_preperiods_covered(self):
         lengths = {text: len(orbit(parse_omega(text))[0]) for text in ORBIT_OMEGAS}
@@ -196,9 +196,9 @@ class TestBuildDfao:
 
     def test_meta_records_orbit(self):
         d = build_dfao(THIRD, "f")
-        assert d.meta["tag"] == "f"
-        assert d.meta["orbit_preperiod"] == 1
-        assert len(d.meta["orbit"]) == 3
+        assert d.meta()["tag"] == "f"
+        assert d.meta()["orbit_preperiod"] == 1
+        assert len(d.meta()["orbit"]) == 3
 
 
 # Orbits of 3 (1/3), 4 (-1/15, 5/7, 6, -5), 11 (7/33) and 508 (-3/509)
@@ -228,11 +228,11 @@ class TestDepthBoundedBuild:
             j = index[label]
             assert d.out[i] == full.out[j], label
             assert [labels[t] for t in d.step[i]] == [full_labels[t] for t in full.step[j]], label
-        if len(full.meta["orbit"]) <= depth + 1:
+        if len(full.meta()["orbit"]) <= depth + 1:
             assert d.to_json() == full.to_json()
         else:
-            assert d.meta == {"omega": w.describe(), "tag": tag,
-                              "orbit": full.meta["orbit"][:depth + 1], "depth": depth}
+            assert d.meta() == {"omega": w.describe(), "tag": tag,
+                                "orbit": full.meta()["orbit"][:depth + 1], "depth": depth}
 
     def test_both_cases_covered(self):
         lengths = [sum(map(len, orbit(parse_omega(text)))) for text in DEPTH_OMEGAS]
@@ -353,7 +353,7 @@ def _numbered_like(d, machine):
     assert d.step.tolist() == table
     assert d.out.tolist() == out
     assert d.texts(slice(None)) == list(map(_text, labels))
-    assert d.meta == meta
+    assert d.meta() == meta
     return table, out, labels
 
 
@@ -384,7 +384,7 @@ class TestClosedFormNumbering:
                 _numbered_like(build_dfao(w, tag, depth), machine)
 
     def test_both_paths_covered(self):
-        assert 2 < automaton._CLOSED_FORM_FROM < len(build_dfao(_rat(1, 4099), "f").meta["orbit"])
+        assert 2 < automaton._CLOSED_FORM_FROM < len(build_dfao(_rat(1, 4099), "f").meta()["orbit"])
 
 
 class TestOrbitCap:
@@ -412,7 +412,7 @@ class TestOrbitCap:
                 call()
         assert walks == [2, 2]
         # a depth-bounded build has no cap
-        assert build_dfao(_rat(-3, 509), "h", 5).meta["depth"] == 5
+        assert build_dfao(_rat(-3, 509), "h", 5).meta()["depth"] == 5
         assert walks[2:] == [6]
 
 
@@ -431,7 +431,7 @@ class TestMinimize:
     def test_merged_classes_cover_all_states(self):
         d = build_dfao(THIRD, "f")
         m = minimize(d)
-        merged = m.meta["merged"]
+        merged = m.meta()["merged"]
         members = [x for v in merged.values() for x in v]
         assert sorted(members) == sorted(d.texts(slice(None)))
 
@@ -458,6 +458,9 @@ class TestSigned:
     @example(_rat(1, 7), EpsilonSpec((), (0, 1)))                         # cycle 3, period 2
     @example(_rat(-1, 131), EpsilonSpec((1, 0, 1), (0, 0, 1, 1, 1)))      # cycle 130, period 5
     @example(_rat(5, 3), EpsilonSpec((0, 1), (1, 1, 0, 1)))               # preperiods on both sides
+    @example(_rat(-1, 131), EpsilonSpec((), (0, 0, 1)))                  # cycle 130, period 3: 3 passes
+    @example(_rat(1, 7), EpsilonSpec((1, 0, 0, 1, 1, 0, 1), (0, 1)))     # eps preperiod 7, orbit's 1
+    @example(Dyadic.from_int(0), EpsilonSpec.zero())                      # orbit [0]
     def test_matches_breadth_first_search(self, w, eps):
         _numbered_like(signed_dfao(w, eps), _signed_bfs_machine(w, eps))
 
@@ -590,7 +593,7 @@ def _machine(labels, step, out, meta=None) -> Dfao:
     outputs; the texts of its labels are _text's."""
     texts = np.array(list(map(_text, labels)), dtype=object)
     return Dfao(np.array(step, dtype=np.int32).reshape(-1, 2), np.array(out, dtype=np.int8),
-                lambda idx: texts[idx].tolist(), {} if meta is None else meta)
+                lambda idx: texts[idx].tolist(), lambda: {} if meta is None else meta)
 
 
 def _text(label) -> str:
@@ -609,7 +612,7 @@ def _reference_json(d: Dfao) -> str:
                    for i, s in enumerate(d.texts(slice(None)))],
         "initial": 0,
         "transitions": d.step.tolist(),
-        "meta": d.meta,
+        "meta": d.meta(),
     }, sort_keys=True, indent=2)
 
 
@@ -658,7 +661,7 @@ def _reference_minimize(d: Dfao) -> Dfao:
         members[b].append(texts[i])
         q_step[b] = (block[t0], block[t1])
         q_out[b] = out[i]
-    meta = dict(d.meta)
+    meta = dict(d.meta())
     meta["merged"] = dict(zip(labels, members))
     return _machine(labels, q_step, q_out, meta)
 
@@ -999,11 +1002,12 @@ class TestLabelTexts:
             order = np.random.default_rng(len(d)).permutation(len(d))
             assert d.texts(order) == [texts[i] for i in order]
             assert d.texts(slice(1, 4)) == texts[1:4]
-            assert d.meta == oracle.meta
+            assert d.meta() == oracle.meta()
 
 
 class TestClosureOnlyWraps:
-    """build_dfao steps states one at a time only past the first pass."""
+    """build_dfao steps states one at a time only past the first pass, and
+    signed_dfao only once per distinct step from one level to the next."""
 
     @pytest.mark.parametrize("tag", ["f", "g", "h"])
     def test_closure_steps_the_wrap_only(self, tag):
@@ -1018,3 +1022,36 @@ class TestClosureOnlyWraps:
         with mock.patch.object(automaton, "_close", counted):
             d = build_dfao(_rat(1, 4099), tag)
         assert len(d) >= 8198 and stepped and sum(stepped) <= 12
+
+    def test_signed_steps_each_kind_of_level_once(self):
+        stepped = []
+        places = automaton._next_places
+
+        def counted(row, read, taken):
+            stepped.append(len(row))
+            return places(row, read, taken)
+
+        with mock.patch.object(automaton, "_close", None), \
+                mock.patch.object(automaton, "_next_places", counted):
+            d = signed_dfao(_rat(1, 4099), EpsilonSpec((), (0, 1)))
+        assert len(d) == 32802 and sum(stepped) <= 400
+
+
+class TestLazyMeta:
+    """Only an export formats label texts and only the JSON export meta:
+    the listing of a kernel or signed machine, minimized or not, formats
+    neither."""
+
+    @pytest.mark.parametrize("extra", [["--tag", "f"], ["--tag", "g", "--minimize"],
+                                       ["--tag", "signed", "--eps", "period:0,1"],
+                                       ["--tag", "signed", "--minimize"]])
+    def test_listing_formats_no_meta(self, extra, capsys):
+        def boom(*args):
+            raise AssertionError("formatted a text nothing prints")
+
+        with mock.patch.object(automaton, "_orbit_texts", boom), \
+                mock.patch.object(automaton, "_kernel_texts", boom), \
+                mock.patch.object(automaton, "_formatted", boom):
+            code = cli.main(["automaton", "build", "--omega", "rat:-1/131", *extra])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("states: ")

@@ -28,19 +28,22 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 # The child's program: lacunary.cli.main over the row's argv.
 CLI = "import sys, lacunary.cli; sys.exit(lacunary.cli.main(sys.argv[1:]))"
 
-# build_dfao timed alone, in-process: imports and output do not count
-# against the bound.  argv is the omega, the tag and the bound in seconds.
-BUILD_DFAO = """
+# build_dfao, or signed_dfao for the tag "signed", timed alone, in-process:
+# imports and output do not count against the bound.  argv is the omega,
+# the tag, the bound in seconds and, for "signed", the eps spec.
+BUILD = """
 import sys, time
 import numpy
-from lacunary.automaton import build_dfao
+from lacunary.automaton import build_dfao, signed_dfao
+from lacunary.bits import parse_epsilon_spec
 from lacunary.dyadic import parse_omega
-w = parse_omega(sys.argv[1])
+w, tag, bound = parse_omega(sys.argv[1]), sys.argv[2], float(sys.argv[3])
+eps = parse_epsilon_spec(sys.argv[4]) if tag == "signed" else None
 start = time.perf_counter()
-d = build_dfao(w, sys.argv[2])
+d = signed_dfao(w, eps) if tag == "signed" else build_dfao(w, tag)
 took = time.perf_counter() - start
 print(f'{len(d)} states in {took:.2f} s', file=sys.stderr)
-sys.exit(took > float(sys.argv[3]))
+sys.exit(took > bound)
 """
 
 
@@ -84,16 +87,23 @@ ROWS = [
     Row("automaton-g-json",
         ("automaton", "build", "--omega", "rat:1/100003", "--tag", "g", "--export", "json"), 30,
         peak_mb=100),
-    # A whole automaton is two integer arrays (2,000,007 states minimised to
-    # 1,000,005).
+    # A whole automaton is two integer arrays, and a minimized one forms no
+    # label text unless exported (2,000,007 states minimised to 1,000,005).
     Row("automaton-f-minimize-1e6",
         ("automaton", "build", "--omega", "rat:1/1000003", "--tag", "f", "--minimize"), 45,
-        peak_mb=660),
+        peak_mb=375),
     # A kernel automaton's first pass is numbered in closed form, not state by
     # state (2,000,007 states built in at most 1.2 s) ...
-    Row("build-dfao-f-1e6-in-1.2s", ("rat:1/1000003", "f", "1.2"), 20, code=BUILD_DFAO),
+    Row("build-dfao-f-1e6-in-1.2s", ("rat:1/1000003", "f", "1.2"), 20, code=BUILD),
     # ... and the CLI lists them.
     Row("automaton-f-1e6", ("automaton", "build", "--omega", "rat:1/1000003", "--tag", "f"), 10),
+    # A signed product is numbered a level at a time, not state by state
+    # (8,000,034 states built in at most 3 s) ...
+    Row("signed-dfao-1e6-in-3s", ("rat:1/1000003", "signed", "3", "period:0,1"), 30, code=BUILD),
+    # ... and the CLI lists them, holding no Python object per state.
+    Row("automaton-signed-1e6",
+        ("automaton", "build", "--omega", "rat:1/1000003", "--tag", "signed",
+         "--eps", "period:0,1"), 10, peak_mb=500),
     # Automaton verify costs --upto, not the period (1,000,003 numerators).
     Row("automaton-verify-1e6",
         ("automaton", "verify", "--omega", "rat:1/1000003", "--upto", "16"), 10, peak_mb=100),
