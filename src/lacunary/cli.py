@@ -1,11 +1,13 @@
 """Command-line front end.
 
-Subcommands: cf, qseries, stern, automaton, verify, oeis-check.  Exit
-codes: 0 success, 1 a verification failed or stdout failed or closed,
-2 usage error.  JSON output is deterministic: keys sorted, no timestamps,
-coefficients rendered as decimal strings; the one timing is the per-check
-seconds of verify --json.  jsontext lays out every document (one list for
-oeis-check with no id), the long ones a piece at a time.
+Commands cf, qseries, stern, automaton, verify and oeis-check; _COMMANDS
+holds each one's actions, and main parses an action's argv with a parser
+of that action's options alone.  Exit codes: 0 success, 1 a verification
+failed or stdout failed or closed, 2 usage error.  JSON output is
+deterministic: keys sorted, no timestamps, coefficients rendered as
+decimal strings; the one timing is the per-check seconds of verify
+--json.  jsontext lays out every document (one list for oeis-check with
+no id), the long ones a piece at a time.
 """
 
 from __future__ import annotations
@@ -137,39 +139,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _help_formatter():
-    """argparse's HelpFormatter with the width it would find fixed now, by
-    its own rule: the terminal's columns less 2.  argparse builds a
-    formatter in every add_argument, and each would ask the terminal."""
-    return partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
-
-
-def _action(p, dest, choices) -> None:
-    """An optional positional whose choice main checks after parsing: an
-    unknown option is reported first, not its value as a bad choice."""
-    p.add_argument(dest, nargs="?", default=choices[0], metavar="{" + ",".join(choices) + "}")
-    p.set_defaults(_choice=(dest, choices))
-
-
-def _check_choice(parser, args) -> None:
-    if not hasattr(args, "_choice"):
-        return
-    dest, choices = args._choice
-    value = getattr(args, dest)
-    if value not in choices:
-        parser.error(f"argument {dest}: invalid choice: {value!r} "
-                     f"(choose from {', '.join(map(repr, choices))})")
-
-
-def _check_root_options(root, argv) -> None:
-    """Names an unknown option given before the subcommand: left to
-    argparse, the value after it would be reported as a bad subcommand."""
-    for arg in argv:
-        if not arg.startswith("-"):
-            return
-        name = arg.partition("=")[0]
-        if not any(opt == name or (name.startswith("--") and opt.startswith(name))
-                   for opt in root._option_string_actions):
-            root.error(f"unrecognized arguments: {arg}")
+    """argparse's HelpFormatter that keeps the epilog's lines, its width
+    fixed now by argparse's own rule, the terminal's columns less 2:
+    argparse builds a formatter in every add_argument, each asking anew."""
+    return partial(argparse.RawDescriptionHelpFormatter,
+                   width=shutil.get_terminal_size().columns - 2)
 
 
 def _check_at_least(option: str, value: int, low: int) -> None:
@@ -196,16 +170,10 @@ def _check_kernel_size(option: str, value: int, low: int) -> None:
     _check_at_most(option, value, _KERNEL_CAP)
 
 
-def _specs(args):
-    return parse_lambda_spec(args.lam), parse_epsilon_spec(args.eps)
-
-
 def _cf_options(p) -> None:
-    _action(p, "action", ("expand",))
     p.add_argument("--lambda", dest="lam", default="mersenne")
     p.add_argument("--eps", default="period:0")
-    p.add_argument("--n", type=int, default=None,
-                   help="max partial quotients past A_0 (at least 0)")
+    p.add_argument("--n", type=int, help="max partial quotients past A_0 (at least 0)")
     p.add_argument("--precision", type=int, default=1024,
                    help=f"depth of the series window, at most {_cap_text(_PRECISION_CAP)}")
 
@@ -214,69 +182,24 @@ def _cmd_cf(args) -> int:
     if args.n is not None:
         _check_at_least("--n", args.n, 0)
     _check_at_most("--precision", args.precision, _PRECISION_CAP)
-    lam, eps = _specs(args)
-    f = build_F(lam, eps, args.precision)
-    cf = fold_expand(f, args.n)
+    lam, eps = parse_lambda_spec(args.lam), parse_epsilon_spec(args.eps)
+    cf = fold_expand(build_F(lam, eps, args.precision), args.n)
     (_write_cf_json if args.json else _write_cf_text)(cf)
     return 0
 
 
-def _qseries_options(p) -> None:
-    _action(p, "action", ("window", "pell", "anumber"))
+def _window_options(p) -> None:
     p.add_argument("--omega", default="rat:1/3")
     p.add_argument("--lambda", dest="lam", default="mersenne")
     p.add_argument("--eps", default="period:0")
-    p.add_argument("--upto", type=int, default=64,
-                   help=f"window: largest k, 0 to {_cap_text(_KERNEL_CAP)}")
+    p.add_argument("--upto", type=int, default=64, help=f"largest k, 0 to {_cap_text(_KERNEL_CAP)}")
     p.add_argument("--mod2", action="store_true")
-    p.add_argument("--trunc", type=int, default=128,
-                   help=f"pell: check through X^trunc, 0 to {_cap_text(_KERNEL_CAP)}")
-    p.add_argument("--g", type=int, default=10, help="anumber: base, at least 2")
-    p.add_argument("--terms", type=int, default=60,
-                   help=f"anumber: last k summed, 0 to {_cap_text(_KERNEL_CAP)}")
-    p.add_argument("--digits", type=int, default=40,
-                   help=f"anumber: decimal digits shown, 0 to {_cap_text(_DIGITS_CAP)}")
 
 
-def _cmd_qseries(args) -> int:
-    if args.action == "window":
-        _check_kernel_size("--upto", args.upto, 0)
-    elif args.action == "pell":
-        _check_kernel_size("--trunc", args.trunc, 0)
-    else:
-        _check_at_least("--g", args.g, 2)
-        _check_kernel_size("--terms", args.terms, 0)
-        _check_at_least("--digits", args.digits, 0)
-        _check_at_most("--digits", args.digits, _DIGITS_CAP)
-    lam, eps = _specs(args)
+def _cmd_window(args) -> int:
+    _check_kernel_size("--upto", args.upto, 0)
+    lam, eps = parse_lambda_spec(args.lam), parse_epsilon_spec(args.eps)
     w = parse_omega(args.omega)
-    if args.action == "pell":
-        ok = pell_check_mod2(w, args.trunc)
-        if args.json:
-            print(layout({"omega": w.describe(), "trunc": args.trunc, "holds": ok}))
-        else:
-            verdict = "holds" if ok else "FAILS"
-            print(f"Q^2 - Q(+1)Q(-1) = 1 mod 2 {verdict} to X^{args.trunc} for omega = {w.describe()}")
-        return 0 if ok else 1
-    if args.action == "anumber":
-        val = a_number(eps, w, args.g, args.terms)
-        if args.json:
-            try:
-                num, den = str(val.num), str(val.den)
-            except ValueError:  # more digits than sys.get_int_max_str_digits()
-                raise ValueError(f"--json writes num and den in full: at --terms {args.terms} they "
-                                 f"pass Python's {sys.get_int_max_str_digits()}-digit "
-                                 f"int-to-str limit") from None
-            print(layout({
-                "base": args.g,
-                "decimal": val.decimal(args.digits),
-                "den": den,
-                "num": num,
-                "terms": args.terms,
-            }))
-        else:
-            print(val.decimal(args.digits))
-        return 0
     exps, coeffs = q_omega_window(w, lam, eps, args.upto)
     if args.mod2:
         coeffs = abs(coeffs)
@@ -291,129 +214,101 @@ def _cmd_qseries(args) -> int:
     return 0
 
 
-# which -> fn(a, b), the table [a, b] as a list or numpy array
+def _pell_options(p) -> None:
+    p.add_argument("--omega", default="rat:1/3")
+    p.add_argument("--trunc", type=int, default=128,
+                   help=f"check through X^trunc, 0 to {_cap_text(_KERNEL_CAP)}")
+
+
+def _cmd_pell(args) -> int:
+    _check_kernel_size("--trunc", args.trunc, 0)
+    w = parse_omega(args.omega)
+    ok = pell_check_mod2(w, args.trunc)
+    if args.json:
+        print(layout({"omega": w.describe(), "trunc": args.trunc, "holds": ok}))
+    else:
+        verdict = "holds" if ok else "FAILS"
+        print(f"Q^2 - Q(+1)Q(-1) = 1 mod 2 {verdict} to X^{args.trunc} for omega = {w.describe()}")
+    return 0 if ok else 1
+
+
+def _anumber_options(p) -> None:
+    p.add_argument("--omega", default="rat:1/3")
+    p.add_argument("--eps", default="period:0")
+    p.add_argument("--g", type=int, default=10, help="base, at least 2")
+    p.add_argument("--terms", type=int, default=60,
+                   help=f"last k summed, 0 to {_cap_text(_KERNEL_CAP)}")
+    p.add_argument("--digits", type=int, default=40,
+                   help=f"decimal digits shown, 0 to {_cap_text(_DIGITS_CAP)}")
+
+
+def _cmd_anumber(args) -> int:
+    _check_at_least("--g", args.g, 2)
+    _check_kernel_size("--terms", args.terms, 0)
+    _check_at_least("--digits", args.digits, 0)
+    _check_at_most("--digits", args.digits, _DIGITS_CAP)
+    eps = parse_epsilon_spec(args.eps)
+    w = parse_omega(args.omega)
+    val = a_number(eps, w, args.g, args.terms)
+    if args.json:
+        try:
+            num, den = str(val.num), str(val.den)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise ValueError(f"--json writes num and den in full: at --terms {args.terms} they "
+                             f"pass Python's {sys.get_int_max_str_digits()}-digit "
+                             f"int-to-str limit") from None
+        print(layout({"base": args.g, "decimal": val.decimal(args.digits), "den": den,
+                      "num": num, "terms": args.terms}))
+    else:
+        print(val.decimal(args.digits))
+    return 0
+
+
+# which -> fn(a, b), the table [a, b] as a list or numpy array; looked up at
+# call time, so that perfbench's tracer can wrap the entries in place
 _STERN_FUNCS = {
     **{which: partial(doubling_window, which) for which in ("u", "v", "alpha", "beta", "gamma")},
     "carlitz": carlitz_window,
 }
 
 
-# A table's options and stern oeis-check's, each option's default None so
-# that one given to the other kind is refused: (option, dest) pairs
-_TABLE_OPTIONS = (("--from", "start"), ("--to", "to"), ("--csv", "csv"))
-_CHECK_OPTIONS = (("--id", "id"), ("--bfile", "bfile"), ("--limit", "limit"))
-
-
-def _stern_options(p) -> None:
-    _action(p, "which", ("u", "v", "alpha", "beta", "gamma", "carlitz", "oeis-check"))
-    p.add_argument("--from", dest="start", type=int, default=None)
-    p.add_argument("--to", type=int, default=None,
+def _table_options(p) -> None:
+    p.add_argument("--from", dest="start", type=int, default=0)
+    p.add_argument("--to", type=int, default=16,
                    help=f"last index: at most {_cap_text(_TABLE_CAP)} values from --from")
-    p.add_argument("--csv", action="store_true", default=None)
-    p.add_argument("--id", default=None)
-    p.add_argument("--bfile", default=None)
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--csv", action="store_true")
 
 
-def _cmd_stern(args) -> int:
-    table = args.which != "oeis-check"
-    for option, dest in _CHECK_OPTIONS if table else _TABLE_OPTIONS:
-        if getattr(args, dest) is not None:
-            raise ValueError(f"stern {args.which} takes no {option}")
-    if not table:
-        if args.id is None:
-            raise ValueError("oeis-check needs --id")
-        return _cmd_oeis(args)
-    fn = _STERN_FUNCS[args.which]
-    start = 0 if args.start is None else args.start
-    to = 16 if args.to is None else args.to
-    if start > to:
-        raise ValueError(f"empty range: --from {start} > --to {to}")
-    if start < 0 and args.which != "u":
-        raise ValueError(f"sequence {args.which} is defined for n >= 0")
-    _check_at_most("--to - --from + 1", to - start + 1, _TABLE_CAP)
-    values = fn(start, to)
+def _cmd_table(which, args) -> int:
+    if args.start > args.to:
+        raise ValueError(f"empty range: --from {args.start} > --to {args.to}")
+    if args.start < 0 and which != "u":
+        raise ValueError(f"sequence {which} is defined for n >= 0")
+    _check_at_most("--to - --from + 1", args.to - args.start + 1, _TABLE_CAP)
+    values = _STERN_FUNCS[which](args.start, args.to)
     if args.json:
-        sys.stdout.writelines(document({"from": start, "sequence": args.which, "to": to},
+        sys.stdout.writelines(document({"from": args.start, "sequence": which, "to": args.to},
                                        {"values": rows("%d", separator(1), (values,))}))
     elif args.csv:
-        sys.stdout.write(f"n,{args.which}\n")
-        sys.stdout.writelines(rows("%d,%d\n", "", (range(start, to + 1), values)))
+        sys.stdout.write(f"n,{which}\n")
+        sys.stdout.writelines(rows("%d,%d\n", "", (range(args.start, args.to + 1), values)))
     else:
         sys.stdout.writelines(rows("%d", ",", (values,)))
         sys.stdout.write("\n")
     return 0
 
 
-def _automaton_options(p) -> None:
-    _action(p, "action", ("build", "verify", "algrel"))
+def _build_options(p) -> None:
     p.add_argument("--omega", default="rat:1/3",
-                   help="build: a shift orbit of at most "
-                        f"{_cap_text(ORBIT_CAP)} numerators; verify walks --upto's digits only")
+                   help=f"a shift orbit of at most {_cap_text(ORBIT_CAP)} numerators")
     p.add_argument("--tag", default="f", choices=("f", "g", "h", "signed"))
     p.add_argument("--eps", default="period:0")
     p.add_argument("--export", default=None, choices=("dot", "json"))
     p.add_argument("--minimize", action="store_true")
-    p.add_argument("--upto", type=int, default=65536,
-                   help=f"verify: check k < upto, 1 to {_cap_text(_KERNEL_CAP)}")
-    p.add_argument("--deg", type=int, default=4, help="algrel: largest i in S^(2^i) (at least 1)")
-    p.add_argument("--height", type=int, default=64,
-                   help="algrel: largest coefficient degree (at least 0); "
-                        f"(--deg + 1) * (--height + 1) * --trunc at most {_cap_text(_SEARCH_CAP)}")
-    p.add_argument("--trunc", type=int, default=4096,
-                   help=f"algrel: relation modulo X^trunc, 1 to {_cap_text(_KERNEL_CAP)}")
 
 
-def _cmd_automaton(args) -> int:
-    if args.action == "verify":
-        _check_kernel_size("--upto", args.upto, 1)
-    elif args.action == "algrel":
-        _check_kernel_size("--trunc", args.trunc, 1)
-        _check_at_least("--deg", args.deg, 1)
-        _check_at_least("--height", args.height, 0)
-        _check_at_most("(--deg + 1) * (--height + 1) * --trunc",
-                       (args.deg + 1) * (args.height + 1) * args.trunc, _SEARCH_CAP)
+def _cmd_build(args) -> int:
     w = parse_omega(args.omega)
-    if args.action == "algrel":
-        from .qseries import q_support_flags
-        flags = q_support_flags(w, args.trunc - 1)
-        rel = find_algebraic_relation(flags, args.deg, args.height, args.trunc)
-        if rel is None:
-            msg = (f"no relation of degree <= {args.deg}, height <= {args.height} "
-                   f"modulo X^{args.trunc}")
-            if args.json:
-                print(layout({"found": False, "message": msg}))
-            else:
-                print(msg)
-            return 1
-        if args.json:
-            print(layout({
-                "coefficients": [format(c, "x") for c in rel.coeffs],
-                "degree_used": rel.degree_used(),
-                "found": True,
-                "height_used": rel.height_used(),
-                "kind": rel.kind,
-                "truncation": rel.truncation,
-            }))
-        else:
-            print(rel.describe())
-            print(f"verified to O(X^{rel.truncation})")
-        return 0
-    if args.action == "verify":
-        import numpy as np
-
-        bits = max(1, (args.upto - 1).bit_length())
-        for tag in ("f", "g", "h"):
-            d = build_dfao(w, tag, bits)
-            got = d.evaluate_all(bits)[: args.upto]
-            want = kernel_range(w, args.upto - 1, tag)
-            if not np.array_equal(got, want):
-                bad = int(np.flatnonzero(got != want)[0])
-                print(f"MISMATCH: tag {tag}, k = {bad}: "
-                      f"automaton {int(got[bad])}, direct {int(want[bad])}")
-                return 1
-        print(f"automaton output matches direct evaluation for all k < {args.upto} (tags f, g, h)")
-        return 0
     if args.tag == "signed":
         d = signed_dfao(w, parse_epsilon_spec(args.eps))
     else:
@@ -428,6 +323,71 @@ def _cmd_automaton(args) -> int:
         print(f"states: {len(d)}, initial: 0")
         sys.stdout.writelines(rows("  %d: out %+d, 0 -> %d, 1 -> %d\n", "",
                                    (range(len(d)), d.out, *d.step.T)))
+    return 0
+
+
+def _automaton_verify_options(p) -> None:
+    p.add_argument("--omega", default="rat:1/3", help="walked to --upto's digits only")
+    p.add_argument("--upto", type=int, default=65536,
+                   help=f"check k < upto, 1 to {_cap_text(_KERNEL_CAP)}")
+
+
+def _cmd_automaton_verify(args) -> int:
+    import numpy as np
+
+    _check_kernel_size("--upto", args.upto, 1)
+    w = parse_omega(args.omega)
+    bits = max(1, (args.upto - 1).bit_length())
+    for tag in ("f", "g", "h"):
+        d = build_dfao(w, tag, bits)
+        got = d.evaluate_all(bits)[: args.upto]
+        want = kernel_range(w, args.upto - 1, tag)
+        if not np.array_equal(got, want):
+            bad = int(np.flatnonzero(got != want)[0])
+            print(f"MISMATCH: tag {tag}, k = {bad}: "
+                  f"automaton {int(got[bad])}, direct {int(want[bad])}")
+            return 1
+    print(f"automaton output matches direct evaluation for all k < {args.upto} (tags f, g, h)")
+    return 0
+
+
+def _algrel_options(p) -> None:
+    p.add_argument("--omega", default="rat:1/3")
+    p.add_argument("--deg", type=int, default=4, help="largest i in S^(2^i) (at least 1)")
+    p.add_argument("--height", type=int, default=64,
+                   help="largest coefficient degree (at least 0); "
+                        f"(--deg + 1) * (--height + 1) * --trunc at most {_cap_text(_SEARCH_CAP)}")
+    p.add_argument("--trunc", type=int, default=4096,
+                   help=f"relation modulo X^trunc, 1 to {_cap_text(_KERNEL_CAP)}")
+
+
+def _cmd_algrel(args) -> int:
+    from .qseries import q_support_flags
+
+    _check_kernel_size("--trunc", args.trunc, 1)
+    _check_at_least("--deg", args.deg, 1)
+    _check_at_least("--height", args.height, 0)
+    _check_at_most("(--deg + 1) * (--height + 1) * --trunc",
+                   (args.deg + 1) * (args.height + 1) * args.trunc, _SEARCH_CAP)
+    w = parse_omega(args.omega)
+    flags = q_support_flags(w, args.trunc - 1)
+    rel = find_algebraic_relation(flags, args.deg, args.height, args.trunc)
+    if rel is None:
+        msg = (f"no relation of degree <= {args.deg}, height <= {args.height} "
+               f"modulo X^{args.trunc}")
+        if args.json:
+            print(layout({"found": False, "message": msg}))
+        else:
+            print(msg)
+        return 1
+    if args.json:
+        print(layout({"coefficients": [format(c, "x") for c in rel.coeffs],
+                      "degree_used": rel.degree_used(), "found": True,
+                      "height_used": rel.height_used(), "kind": rel.kind,
+                      "truncation": rel.truncation}))
+    else:
+        print(rel.describe())
+        print(f"verified to O(X^{rel.truncation})")
     return 0
 
 
@@ -458,6 +418,18 @@ def _oeis_options(p) -> None:
     p.add_argument("--limit", type=int, default=None)
 
 
+def _stern_check_options(p) -> None:
+    p.add_argument("--id", default=None)
+    p.add_argument("--bfile", default=None)
+    p.add_argument("--limit", type=int, default=None)
+
+
+def _cmd_stern_check(args) -> int:
+    if args.id is None:
+        raise ValueError("oeis-check needs --id")
+    return _cmd_oeis(args)
+
+
 def _cmd_oeis(args) -> int:
     """Checks args.id against args.bfile (its fixture if None), or with no
     id every bundled sequence against its fixture, whose JSON is one list."""
@@ -483,74 +455,101 @@ def _cmd_oeis(args) -> int:
     return 0 if all(r.ok for r in reports) else 1
 
 
-#: Subcommand -> (help, add_options(parser), handler(args) -> exit code)
+#: Command -> (help, {action: (add_options(parser), handler(args) -> exit
+#: code)}).  The first action runs when argv names none; verify's and
+#: oeis-check's one action is "", named by no word.
 _COMMANDS = {
-    "cf": ("continued fraction expansion", _cf_options, _cmd_cf),
-    "qseries": ("closed-form series windows", _qseries_options, _cmd_qseries),
-    "stern": ("sequence tables", _stern_options, _cmd_stern),
-    "automaton": ("finite automata for coefficients", _automaton_options, _cmd_automaton),
-    "verify": ("run the named invariant checks", _verify_options, _cmd_verify),
-    "oeis-check": ("compare against bundled b-files", _oeis_options, _cmd_oeis),
+    "cf": ("continued fraction expansion", {"expand": (_cf_options, _cmd_cf)}),
+    "qseries": ("closed-form series windows", {
+        "window": (_window_options, _cmd_window),
+        "pell": (_pell_options, _cmd_pell),
+        "anumber": (_anumber_options, _cmd_anumber),
+    }),
+    "stern": ("sequence tables", {
+        **{which: (_table_options, partial(_cmd_table, which)) for which in _STERN_FUNCS},
+        "oeis-check": (_stern_check_options, _cmd_stern_check),
+    }),
+    "automaton": ("finite automata for coefficients", {
+        "build": (_build_options, _cmd_build),
+        "verify": (_automaton_verify_options, _cmd_automaton_verify),
+        "algrel": (_algrel_options, _cmd_algrel),
+    }),
+    "verify": ("run the named invariant checks", {"": (_verify_options, _cmd_verify)}),
+    "oeis-check": ("compare against bundled b-files", {"": (_oeis_options, _cmd_oeis)}),
 }
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser of command alone, `lacunary <command>` with its --json
-    and options, when command names a subcommand; else the root parser
-    with all six as subparsers.  main parses one subcommand, and a root
-    over its parser would be a second parser to build and to run."""
-    formatter = _help_formatter()
-    if command in _COMMANDS:
-        p = _Parser(prog=f"lacunary {command}", formatter_class=formatter)
-        p.add_argument("--json", action="store_true")
-        p.set_defaults(command=command)
-        _COMMANDS[command][1](p)
-        return p
-    root = _Parser(prog="lacunary", formatter_class=formatter)
-    root.add_argument("--json", action="store_true")
-    sub = root.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_options, _) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text, formatter_class=formatter)
-        # unset when not given, so that it cannot undo the root's --json
-        p.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
-        add_options(p)
-    return root
+def build_parser(command=None, action=None) -> argparse.ArgumentParser:
+    """The flat parser of one action of a command, `lacunary <command>
+    <action>` with --json and that action's options alone; else the root,
+    which reads --json and the command word and leaves the rest to main.
+    Each one's help ends in the commands and their actions."""
+    named = command in _COMMANDS
+    p = _Parser(prog=f"lacunary {command} {action}".rstrip() if named else "lacunary",
+                formatter_class=_help_formatter(), epilog="\n".join([
+                    "commands and their actions (the first runs when none is named):",
+                    *(f"  {name} {'|'.join(actions)}".rstrip() + f"\n      {text}"
+                      for name, (text, actions) in _COMMANDS.items())]))
+    p.add_argument("--json", action="store_true")
+    if named:
+        _COMMANDS[command][1][action][0](p)
+    else:
+        p.add_argument("command")
+        # not required: an argv of no word names only the command missing
+        p.add_argument("rest", nargs=argparse.REMAINDER,
+                       help="the command's action and options").required = False
+    return p
 
 
-def _named_command(argv):
-    """The subcommand argv names, if only --json or an abbreviation of it
-    comes before it; else None.  main parses a named subcommand with its
-    own parser and anything else with the whole tree, so that `-h cf`,
-    `-- cf` and `frobnicate` read as they would with all six."""
-    for arg in argv:
-        if not arg.startswith("-"):
-            return arg if arg in _COMMANDS else None
-        if len(arg) < 3 or not "--json".startswith(arg):
-            return None
-    return None
+def _invalid_choice(name, value, choices) -> str:
+    """argparse's text for a positional's bad choice."""
+    return (f"argument {name}: invalid choice: {value!r} "
+            f"(choose from {', '.join(map(repr, choices))})")
+
+
+def _named_action(argv):
+    """(command, action, argv less their words) when argv names a command
+    with only --json or an abbreviation of it before it; else None.  The
+    word right after the command names the action unless it is an option;
+    with none, the action is the command's first."""
+    at = next((i for i, arg in enumerate(argv) if not arg.startswith("-")), len(argv))
+    command = argv[at] if at < len(argv) else None
+    if command not in _COMMANDS or not all(len(arg) > 2 and "--json".startswith(arg)
+                                           for arg in argv[:at]):
+        return None
+    actions = _COMMANDS[command][1]
+    word = argv[at + 1] if at + 1 < len(argv) else "-"
+    if "" in actions or word.startswith("-"):
+        return command, next(iter(actions)), [*argv[:at], *argv[at + 1:]]
+    return command, word, [*argv[:at], *argv[at + 2:]]
 
 
 def main(argv=None) -> int:
-    """Runs the subcommand argv names; its exit code.  A named subcommand
-    is parsed by its own parser, from argv less the command word: what
-    comes before that word spells --json, which that parser reads as its
-    own.  Any other argv is parsed by the whole tree."""
+    """Runs the action argv names; its exit code.  A named action is parsed
+    by its own parser, from argv less the command and action words: what
+    comes before them spells --json, which that parser reads as its own.
+    Any other argv is parsed by the root, and the command it reads is run
+    as if named first."""
     if argv is None:
         argv = sys.argv[1:]
-    command = _named_command(argv)
-    parser = build_parser(command)
+    named = _named_action(argv)
     try:
-        if command is None:
-            _check_root_options(parser, argv)
-        else:
-            at = argv.index(command)
-            argv = [*argv[:at], *argv[at + 1:]]
-        args = parser.parse_args(argv)
-        _check_choice(parser, args)
+        if named is None:
+            root = build_parser()
+            args = root.parse_args(argv)
+            if args.command not in _COMMANDS:
+                root.error(_invalid_choice("command", args.command, _COMMANDS))
+            return main(["--json"] * args.json + [args.command, *args.rest])
+        command, action, argv = named
+        actions = _COMMANDS[command][1]
+        if action not in actions:
+            print(f"error: {_invalid_choice('action', action, actions)}", file=sys.stderr)
+            return 2
+        args = build_parser(command, action).parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        code = _COMMANDS[args.command][2](args)
+        code = actions[action][1](args)
         sys.stdout.flush()  # a closed or full stdout fails here at the latest
         return code
     except ValueError as exc:  # bad input, an unreadable --bfile included

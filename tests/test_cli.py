@@ -95,21 +95,6 @@ class TestStern:
         rc, out, _ = run(capsys, "stern", which, "--from", "1234", "--to", "1234", "--csv")
         assert rc == 0 and out.splitlines() == [f"n,{which}", f"1234,{scalar(1234)}"]
 
-    # a table takes no oeis-check option and stern oeis-check no table
-    # option, not even one given at its default value
-    @pytest.mark.parametrize("argv, refused", [
-        *((("stern", which, option, "2"), option)
-          for which in ("u", "carlitz") for option in ("--id", "--bfile", "--limit")),
-        *((("stern", "oeis-check", "--id", "A002487", *extra), extra[0])
-          for extra in (("--from", "0"), ("--to", "16"), ("--csv",))),
-        (("stern", "u", "--to", "3", "--id", "A002487", "--bfile", "/nope", "--limit", "2"),
-         "--id"),
-    ])
-    def test_options_of_the_other_kind_are_refused(self, capsys, argv, refused):
-        rc, out, err = run(capsys, *argv)
-        assert rc == 2 and out == ""
-        assert err.splitlines() == [f"error: stern {argv[1]} takes no {refused}"]
-
     def test_carlitz_past_int64(self, capsys):
         rc, out, err = run(capsys, "stern", "carlitz", "--from", str(1 << 62),
                            "--to", str(1 << 62))
@@ -184,7 +169,7 @@ class TestQSeries:
         rc, out, err = run(capsys, "qseries", "anumber", "--digits", "4097")
         assert (rc, out) == (2, "")
         assert err == "error: --digits must be at most 4096 (2^12), got 4097\n"
-        rc, out, _ = run(capsys, "qseries", "--help")
+        rc, out, _ = run(capsys, "qseries", "anumber", "--help")
         assert rc == 0 and re.search(r"--digits \S+ [^-]*4096 \(2\^12\)", out)
 
     def test_anumber_base_below_two_is_named(self, capsys, monkeypatch):
@@ -195,8 +180,8 @@ class TestQSeries:
         rc, out, err = run(capsys, "qseries", "anumber", "--g", "1")
         assert (rc, out) == (2, "")
         assert err == "error: --g must be at least 2, got 1\n"
-        rc, out, _ = run(capsys, "qseries", "--help")
-        assert rc == 0 and re.search(r"--g G\s+anumber: base, at least 2", out)
+        rc, out, _ = run(capsys, "qseries", "anumber", "--help")
+        assert rc == 0 and re.search(r"--g G\s+base, at least 2", out)
 
     def test_anumber_digits_at_cap(self, capsys):
         rc, out, _ = run(capsys, "qseries", "anumber", "--digits", "4096")
@@ -1047,16 +1032,17 @@ class TestUsageAndDeterminism:
         assert rc == 2 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
-    @pytest.mark.parametrize("argv", [
-        ("cf", "--level", "full"),
-        ("cf", "--precision", "64", "--level", "full"),
-        ("stern", "--level", "u"),
-        ("--seed", "1", "verify"),
-        ("--level", "full", "verify"),
+    # before the command word the root names the option alone; after it, the
+    # action's parser names every word it does not read
+    @pytest.mark.parametrize("argv, unknown", [
+        (("cf", "--level", "full"), "--level full"),
+        (("cf", "--precision", "64", "--level", "full"), "--level full"),
+        (("stern", "--level", "u"), "--level u"),
+        (("--seed", "1", "verify"), "--seed"),
+        (("--level", "full", "verify"), "--level"),
     ])
-    def test_unknown_option_is_named(self, capsys, argv):
+    def test_unknown_option_is_named(self, capsys, argv, unknown):
         rc, _, err = run(capsys, *argv)
-        unknown = next(a for a in argv if a in ("--level", "--seed"))
         assert rc == 2
         assert err == f"error: unrecognized arguments: {unknown}\n"
 
@@ -1091,16 +1077,17 @@ class TestUsageAndDeterminism:
         assert rc == 2 and out == ""
         assert err == f"error: {option} must be at most 16777216 (2^24), got {size}\n"
 
-    @pytest.mark.parametrize("command, options", [
-        ("qseries", ("--upto", "--trunc", "--terms")),
-        ("automaton", ("--upto", "--trunc")),
+    @pytest.mark.parametrize("command, action, option", [
+        ("qseries", "window", "--upto"),
+        ("qseries", "pell", "--trunc"),
+        ("qseries", "anumber", "--terms"),
+        ("automaton", "verify", "--upto"),
+        ("automaton", "algrel", "--trunc"),
     ])
-    def test_kernel_size_cap_in_help(self, capsys, command, options):
-        rc, out, _ = run(capsys, command, "--help")
+    def test_kernel_size_cap_in_help(self, capsys, command, action, option):
+        rc, out, _ = run(capsys, command, action, "--help")
         assert rc == 0
-        help_text = " ".join(out.split())
-        for option in options:
-            assert re.search(rf"{option} \S+ [^-]*16777216 \(2\^24\)", help_text), option
+        assert re.search(rf"{option} \S+ [^-]*16777216 \(2\^24\)", " ".join(out.split()))
 
     # Only the rejection is run: the elimination could hold (deg + 1)(height
     # + 1) columns of trunc bits, so a search past 2^33 bits is refused
@@ -1133,16 +1120,16 @@ class TestUsageAndDeterminism:
         assert (rc, err) == (2, f"error: stream reached to {(1 << 24) - 1}\n")
 
     def test_relation_search_cap_in_help(self, capsys):
-        rc, out, _ = run(capsys, "automaton", "--help")
+        rc, out, _ = run(capsys, "automaton", "algrel", "--help")
         assert rc == 0
         assert re.search(r"--height \S+ .*\(--deg \+ 1\) \* \(--height \+ 1\) \* --trunc "
                          r"at most 8589934592 \(2\^33\)", " ".join(out.split()))
 
     def test_orbit_cap_in_help(self, capsys):
-        rc, out, _ = run(capsys, "automaton", "--help")
+        rc, out, _ = run(capsys, "automaton", "build", "--help")
         assert rc == 0
-        assert re.search(r"--omega \S+ build: a shift orbit of at most 1048576 \(2\^20\) "
-                         r"numerators", " ".join(out.split()))
+        assert re.search(r"--omega \S+ a shift orbit of at most 1048576 \(2\^20\) numerators",
+                         " ".join(out.split()))
 
     # Only the rejection is run; at the cap itself build_F is reached.
     @pytest.mark.parametrize("size", [(1 << 20) + 1, 99999999999])
@@ -1287,65 +1274,120 @@ class TestUsageAndDeterminism:
         assert rc1 == rc2 == 0 and out1 == out2
 
 
-# Samples of each way argv leaves argparse: help, usage errors and parsed values.
-_PARSER_ARGV = [
-    (), ("--help",), ("-h",), ("--json",), ("frobnicate",), ("--json", "frobnicate"),
-    ("--nope", "cf"), ("--level", "full", "verify"), ("--js", "cf", "--n", "2"),
-    ("--", "cf"), ("cf", "--", "expand"),
-    ("-h", "cf"), ("--he", "stern"), ("--json", "-h", "automaton"), ("--jso", "cf"),
-    ("--json=1", "cf"),
-    *((name, "--help") for name in lacunary.cli._COMMANDS),
-    *(("--json", name) for name in lacunary.cli._COMMANDS),
-    ("cf", "bogus"), ("cf", "--precision", "abc"), ("cf", "--level", "full"),
-    ("cf", "--n", "3", "--precision", "64", "--json"),
-    ("cf", "expand", "--lambda", "list:1,3,7", "--eps", "period:1"),
-    ("qseries", "pell", "--trunc", "9", "--mod2"), ("qseries", "pel"),
-    ("stern", "w", "--to", "3"), ("stern", "--level", "u"), ("stern", "carlitz", "--csv"),
-    ("automaton", "--tag", "x"), ("automaton", "algrel", "--deg", "2", "--minimize"),
-    ("automaton", "build", "--export", "svg"),
-    ("verify", "--level", "medium"), ("verify", "--only", "a,b", "--seed", "3"),
-    ("oeis-check", "A002487", "--limit", "5"), ("oeis-check", "--bfile"),
-    # the flat parser of a named subcommand reads argv less the command word
-    ("cf", "cf"), ("oeis-check", "cf"), ("--json", "cf", "--json"),
-    ("--js", "stern", "u", "--to", "3"), ("cf", "--prec", "64"), ("cf", "--precision=64"),
-    ("stern", "u", "-h"), ("qseries", "--", "pell"),
-    ("automaton", "--omega=rat:1/3", "build", "--tag", "g"),
+_FROB = ("error: argument command: invalid choice: 'frobnicate' (choose from 'cf', 'qseries', "
+         "'stern', 'automaton', 'verify', 'oeis-check')")
+_NO_COMMAND = "error: the following arguments are required: command"
+_HELP = (0, True, "", None)
+
+# Samples of each way argv leaves argparse, each pinned to (exit code, stdout
+# written, first stderr line, the (command, action) run): help, usage errors
+# and parsed values.
+_PARSER_ROWS = [
+    ((), 2, False, _NO_COMMAND, None),
+    (("--help",), *_HELP), (("-h",), *_HELP),
+    (("--json",), 2, False, _NO_COMMAND, None),
+    (("frobnicate",), 2, False, _FROB, None), (("--json", "frobnicate"), 2, False, _FROB, None),
+    (("--nope", "cf"), 2, False, "error: unrecognized arguments: --nope", None),
+    (("--level", "full", "verify"), 2, False, "error: unrecognized arguments: --level", None),
+    (("--js", "cf", "--n", "2"), 0, False, "", ("cf", "expand")),
+    # the root reads the command after --, and main runs it as if named first
+    (("--", "cf"), 0, False, "", ("cf", "expand")),
+    (("cf", "--", "expand"), 2, False, "error: unrecognized arguments: -- expand", None),
+    (("-h", "cf"), *_HELP), (("--he", "stern"), *_HELP), (("--json", "-h", "automaton"), *_HELP),
+    (("--jso", "cf"), 0, False, "", ("cf", "expand")),
+    (("--json=1", "cf"), 2, False, "error: argument --json: ignored explicit argument '1'", None),
+    *(((name, "--help"), *_HELP) for name in lacunary.cli._COMMANDS),
+    (("--json", "cf"), 0, False, "", ("cf", "expand")),
+    (("--json", "qseries"), 0, False, "", ("qseries", "window")),
+    (("--json", "stern"), 0, False, "", ("stern", "u")),
+    (("--json", "automaton"), 0, False, "", ("automaton", "build")),
+    (("--json", "verify"), 0, False, "", ("verify", "")),
+    (("--json", "oeis-check"), 0, False, "", ("oeis-check", "")),
+    (("cf", "bogus"), 2, False,
+     "error: argument action: invalid choice: 'bogus' (choose from 'expand')", None),
+    (("cf", "--precision", "abc"), 2, False,
+     "error: argument --precision: invalid int value: 'abc'", None),
+    (("cf", "--level", "full"), 2, False, "error: unrecognized arguments: --level full", None),
+    (("cf", "--n", "3", "--precision", "64", "--json"), 0, False, "", ("cf", "expand")),
+    (("cf", "expand", "--lambda", "list:1,3,7", "--eps", "period:1"), 0, False, "",
+     ("cf", "expand")),
+    (("qseries", "pell", "--trunc", "9", "--mod2"), 2, False,
+     "error: unrecognized arguments: --mod2", None),
+    (("qseries", "pel"), 2, False,
+     "error: argument action: invalid choice: 'pel' (choose from 'window', 'pell', 'anumber')",
+     None),
+    (("stern", "w", "--to", "3"), 2, False,
+     "error: argument action: invalid choice: 'w' (choose from 'u', 'v', 'alpha', 'beta', "
+     "'gamma', 'carlitz', 'oeis-check')", None),
+    (("stern", "--level", "u"), 2, False, "error: unrecognized arguments: --level u", None),
+    (("stern", "carlitz", "--csv"), 0, False, "", ("stern", "carlitz")),
+    (("automaton", "--tag", "x"), 2, False,
+     "error: argument --tag: invalid choice: 'x' (choose from 'f', 'g', 'h', 'signed')", None),
+    (("automaton", "algrel", "--deg", "2", "--minimize"), 2, False,
+     "error: unrecognized arguments: --minimize", None),
+    (("automaton", "build", "--export", "svg"), 2, False,
+     "error: argument --export: invalid choice: 'svg' (choose from 'dot', 'json')", None),
+    (("verify", "--level", "medium"), 2, False,
+     "error: argument --level: invalid choice: 'medium' (choose from 'quick', 'full')", None),
+    (("verify", "--only", "a,b", "--seed", "3"), 0, False, "", ("verify", "")),
+    (("oeis-check", "A002487", "--limit", "5"), 0, False, "", ("oeis-check", "")),
+    (("oeis-check", "--bfile"), 2, False, "error: argument --bfile: expected one argument", None),
+    # the flat parser of a named action reads argv less the command and action words
+    (("cf", "cf"), 2, False,
+     "error: argument action: invalid choice: 'cf' (choose from 'expand')", None),
+    (("oeis-check", "cf"), 0, False, "", ("oeis-check", "")),
+    (("--json", "cf", "--json"), 0, False, "", ("cf", "expand")),
+    (("--js", "stern", "u", "--to", "3"), 0, False, "", ("stern", "u")),
+    (("cf", "--prec", "64"), 0, False, "", ("cf", "expand")),
+    (("cf", "--precision=64"), 0, False, "", ("cf", "expand")),
+    (("stern", "u", "-h"), *_HELP),
+    # an action word after an option is not read as the action
+    (("qseries", "--", "pell"), 2, False, "error: unrecognized arguments: -- pell", None),
+    (("automaton", "--omega=rat:1/3", "build", "--tag", "g"), 2, False,
+     "error: unrecognized arguments: build", None),
 ]
 
 
-def _main_parse(monkeypatch, argv, full):
-    """(exit code, stdout, stderr, parsed namespaces) of main(argv) with
-    every handler replaced by a recorder; full builds the whole tree."""
-    seen = []
+def _main_parse(monkeypatch, argv):
+    """(exit code, stdout, stderr, the (command, action) pairs run) of
+    main(argv) with every handler replaced by a recorder."""
+    ran = []
+
+    def recorder(command, action):
+        return lambda args: ran.append((command, action)) or 0
+
     with monkeypatch.context() as m:
         m.setattr(lacunary.cli, "_COMMANDS", {
-            name: (text, add, lambda args: seen.append(vars(args)) or 0)
-            for name, (text, add, _) in lacunary.cli._COMMANDS.items()
+            name: (text, {action: (add, recorder(name, action))
+                          for action, (add, _) in actions.items()})
+            for name, (text, actions) in lacunary.cli._COMMANDS.items()
         })
-        if full:
-            m.setattr(lacunary.cli, "_named_command", lambda argv: None)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = main(list(argv))
-    return rc, out.getvalue(), err.getvalue(), seen
+    return rc, out.getvalue(), err.getvalue(), ran
 
 
-@pytest.mark.parametrize("argv", _PARSER_ARGV, ids=" ".join)
-def test_parser_of_one_subcommand_matches_full_tree(monkeypatch, argv):
-    assert _main_parse(monkeypatch, argv, full=False) == _main_parse(monkeypatch, argv, full=True)
+@pytest.mark.parametrize("argv, code, printed, line, ran", _PARSER_ROWS,
+                         ids=[" ".join(row[0]) for row in _PARSER_ROWS])
+def test_parser_outcome_is_pinned(monkeypatch, argv, code, printed, line, ran):
+    rc, out, err, runs = _main_parse(monkeypatch, argv)
+    assert (rc, bool(out), (err.splitlines() or [""])[0]) == (code, printed, line)
+    assert runs == ([] if ran is None else [ran])
 
 
-def _subparsers(parser):
-    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
-
-
-def test_parser_builds_one_subcommand_options():
-    flat = lacunary.cli.build_parser("cf")
-    assert not any(isinstance(a, argparse._SubParsersAction) for a in flat._actions)
-    assert flat.prog == "lacunary cf"
+def test_parser_holds_one_action():
+    flat = lacunary.cli.build_parser("cf", "expand")
+    assert flat.prog == "lacunary cf expand"
     assert {"--json", "--precision"} <= set(flat._option_string_actions)
+    assert lacunary.cli.build_parser("qseries", "pell").prog == "lacunary qseries pell"
+    assert lacunary.cli.build_parser("verify", "").prog == "lacunary verify"
     for command in (None, "frobnicate"):
-        assert set(_subparsers(lacunary.cli.build_parser(command))) == set(lacunary.cli._COMMANDS)
+        root = lacunary.cli.build_parser(command)
+        assert root.prog == "lacunary"
+        assert [a.dest for a in root._actions] == ["help", "json", "command", "rest"]
+    for parser in (flat, root):
+        assert not any(isinstance(a, argparse._SubParsersAction) for a in parser._actions)
 
 
 def _parsers_built(monkeypatch, argv):
@@ -1359,43 +1401,64 @@ def _parsers_built(monkeypatch, argv):
 
     with monkeypatch.context() as m:
         m.setattr(argparse.ArgumentParser, "__init__", counted)
-        _main_parse(monkeypatch, argv, full=False)
+        _main_parse(monkeypatch, argv)
     return len(built)
 
 
 @pytest.mark.parametrize("argv", [
     ("cf",), ("--json", "cf", "--n", "2"), ("--js", "stern", "u", "--to", "3"),
     ("automaton", "build", "--tag", "g"), ("qseries", "--help"), ("verify", "--level", "bogus"),
-    ("oeis-check", "cf"),
+    ("oeis-check", "cf"), ("qseries", "--upto", "3"), ("qseries", "pell", "--trunc", "4"),
+    ("stern", "oeis-check", "--id", "A002487"), ("automaton", "algrel", "--help"),
 ], ids=" ".join)
 def test_named_command_builds_one_parser(monkeypatch, argv):
     assert _parsers_built(monkeypatch, argv) == 1
 
 
-@pytest.mark.parametrize("argv", [(), ("frobnicate",), ("-h", "cf"), ("--", "cf")], ids=repr)
-def test_no_named_command_builds_the_tree(monkeypatch, argv):
-    assert _parsers_built(monkeypatch, argv) == 1 + len(lacunary.cli._COMMANDS)
+# the root alone; after -- it reads a command, whose action's parser is the second
+@pytest.mark.parametrize("argv, built", [
+    ((), 1), (("frobnicate",), 1), (("-h", "cf"), 1), (("--nope", "cf"), 1), (("--", "cf"), 2),
+], ids=repr)
+def test_no_named_command_builds_the_root(monkeypatch, argv, built):
+    assert _parsers_built(monkeypatch, argv) == built
+
+
+def test_an_action_is_one_table_entry(capsys, monkeypatch):
+    def echo_options(p):
+        p.add_argument("--word", default="hi")
+
+    def echo(args):
+        print(args.word, args.json)
+        return 0
+
+    monkeypatch.setitem(lacunary.cli._COMMANDS["qseries"][1], "echo", (echo_options, echo))
+    assert run(capsys, "qseries", "echo", "--word", "hello") == (0, "hello False\n", "")
+    assert run(capsys, "--json", "qseries", "echo") == (0, "hi True\n", "")
+    rc, out, _ = run(capsys, "qseries", "--help")
+    assert rc == 0 and "qseries window|pell|anumber|echo" in out
+    assert run(capsys, "qseries", "window", "--word", "x") == (
+        2, "", "error: unrecognized arguments: --word x\n")
 
 
 @pytest.mark.parametrize("columns", ["50", "80", "200"])
 def test_help_width_is_fixed_once_per_parser(monkeypatch, columns):
     # every text argparse writes, help and usage errors alike, is the one
     # its own formatter writes at that width, and main asks the terminal
-    # for its size once
+    # for its size once per parser it builds
     monkeypatch.setenv("COLUMNS", columns)
     size = shutil.get_terminal_size
     calls = []
     monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: calls.append(a) or size(*a))
-    for argv in _PARSER_ARGV:
+    for argv, *_ in _PARSER_ROWS:
         calls.clear()
-        fixed = _main_parse(monkeypatch, argv, full=False)
-        assert len(calls) == 1, argv
+        fixed = _main_parse(monkeypatch, argv)
+        assert len(calls) == _parsers_built(monkeypatch, argv), argv
         with monkeypatch.context() as m:
-            m.setattr(lacunary.cli, "_help_formatter", lambda: argparse.HelpFormatter)
-            assert fixed == _main_parse(monkeypatch, argv, full=False), argv
+            m.setattr(lacunary.cli, "_help_formatter", lambda: argparse.RawDescriptionHelpFormatter)
+            assert fixed == _main_parse(monkeypatch, argv), argv
 
 
-# A bounded argv grammar: every subcommand, action and option from a fixed
+# A bounded argv grammar: every command, action and option from a fixed
 # vocabulary, with valid and malformed specs.  verify runs one quick check
 # only, and --bfile names a missing file only.
 _INTS = st.one_of(st.integers(-3, 64).map(str), st.just("abc"))
@@ -1419,53 +1482,101 @@ _QUICK_CHECKS = st.sampled_from([
 ])
 _FLAG = st.just(None)
 _MISSING = st.just("/no/such/b-file.txt")
+_TABLE = {"--from": _INTS, "--to": _INTS, "--csv": _FLAG}
 
-# command words -> (positional choices, {option: values or _FLAG})
+# (command, action) -> {option: values or _FLAG}, each action's own options;
+# "" is the one action of a command that takes no action word
 _GRAMMAR = {
-    "cf": (("expand",), {
+    ("cf", "expand"): {
         "--lambda": _LAMBDAS, "--eps": _EPSILONS, "--n": _INTS, "--precision": _INTS,
-    }),
-    "qseries": (("window", "pell", "anumber"), {
+    },
+    ("qseries", "window"): {
         "--omega": _OMEGAS, "--lambda": _LAMBDAS, "--eps": _EPSILONS, "--upto": _INTS,
-        "--mod2": _FLAG, "--trunc": _INTS, "--g": _INTS, "--terms": _INTS,
+        "--mod2": _FLAG,
+    },
+    ("qseries", "pell"): {"--omega": _OMEGAS, "--trunc": _INTS},
+    ("qseries", "anumber"): {
+        "--omega": _OMEGAS, "--eps": _EPSILONS, "--g": _INTS, "--terms": _INTS,
         "--digits": st.one_of(_INTS, st.sampled_from(["4096", "4097"])),
-    }),
-    "stern": (("u", "v", "alpha", "beta", "gamma", "carlitz", "oeis-check"), {
-        "--from": _INTS, "--to": _INTS, "--csv": _FLAG, "--id": _IDS, "--bfile": _MISSING,
-        "--limit": _INTS,
-    }),
-    # drawn as often as a subcommand: the table options it refuses
-    "stern oeis-check": ((), {
-        "--id": _IDS, "--bfile": _MISSING, "--limit": _INTS, "--from": _INTS, "--csv": _FLAG,
-    }),
-    "automaton": (("build", "verify", "algrel"), {
+    },
+    **{("stern", which): _TABLE for which in ("u", "v", "alpha", "beta", "gamma", "carlitz")},
+    ("stern", "oeis-check"): {"--id": _IDS, "--bfile": _MISSING, "--limit": _INTS},
+    ("automaton", "build"): {
         "--omega": _OMEGAS, "--tag": st.sampled_from(["f", "g", "h", "signed", "x"]),
         "--eps": _EPSILONS, "--export": st.sampled_from(["dot", "json", "svg"]),
-        "--minimize": _FLAG, "--upto": _INTS, "--deg": _INTS, "--height": _INTS,
-        "--trunc": _INTS,
-    }),
-    "oeis-check": (("A002487", "A049347", "A168561", "A000001", "junk"), {
-        "--limit": _INTS, "--bfile": _MISSING,
-    }),
-    "verify": ((), {
-        "--seed": _INTS, "--level": st.sampled_from(["quick", "medium"]),
-    }),
+        "--minimize": _FLAG,
+    },
+    ("automaton", "verify"): {"--omega": _OMEGAS, "--upto": _INTS},
+    ("automaton", "algrel"): {
+        "--omega": _OMEGAS, "--deg": _INTS, "--height": _INTS, "--trunc": _INTS,
+    },
+    ("oeis-check", ""): {"--limit": _INTS, "--bfile": _MISSING},
+    ("verify", ""): {
+        "--only": _QUICK_CHECKS, "--seed": _INTS,
+        "--level": st.sampled_from(["quick", "medium"]),
+    },
 }
-# options no subcommand takes, or only another one does
+# options no command takes, or only another one does
 _FOREIGN = {"--seed": _INTS, "--level": _FLAG, "--nope": _FLAG, "--help": _FLAG}
+
+
+def _siblings(command, action):
+    """{option: values} of the options that another action of command takes
+    and action does not."""
+    return {option: values
+            for (c, a), options in _GRAMMAR.items() if c == command and a != action
+            for option, values in options.items() if option not in _GRAMMAR[command, action]}
+
+
+def test_each_action_holds_its_own_options():
+    actions = {(c, a) for c, (_, acts) in lacunary.cli._COMMANDS.items() for a in acts}
+    assert actions == set(_GRAMMAR)
+    for (command, action), options in _GRAMMAR.items():
+        parser = lacunary.cli.build_parser(command, action)
+        assert set(parser._option_string_actions) == {"-h", "--help", "--json", *options}
+
+
+# command, action and each option that a sibling action takes and this one
+# does not, with a value unless it is a flag
+_FOREIGN_ARGV = [
+    (command, action, option) + (() if values is _FLAG else ("1",))
+    for command, action in _GRAMMAR
+    for option, values in sorted(_siblings(command, action).items())
+]
+
+
+@pytest.mark.parametrize("argv", _FOREIGN_ARGV, ids=" ".join)
+def test_foreign_option_exits_2(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (2, "", f"error: unrecognized arguments: {' '.join(argv[2:])}\n")
+
+
+# each read its foreign options as if unset, and exited 0
+@pytest.mark.parametrize("argv, unknown", [
+    (("qseries", "window", "--g", "5", "--digits", "7"), "--g 5 --digits 7"),
+    (("qseries", "anumber", "--mod2"), "--mod2"),
+    (("automaton", "build", "--trunc", "9", "--deg", "3"), "--trunc 9 --deg 3"),
+    (("qseries", "pell", "--lambda", "list:1,3,7,15", "--eps", "period:1"),
+     "--lambda list:1,3,7,15 --eps period:1"),
+    (("automaton", "algrel", "--minimize", "--export", "dot"), "--minimize --export dot"),
+])
+def test_options_once_dropped_are_refused(capsys, argv, unknown):
+    assert run(capsys, *argv) == (2, "", f"error: unrecognized arguments: {unknown}\n")
 
 
 @st.composite
 def _argv(draw):
-    command = draw(st.sampled_from(sorted(_GRAMMAR)))
-    choices, options = _GRAMMAR[command]
-    options = {**_FOREIGN, **options}
-    argv = command.split()
-    if draw(st.booleans()):
-        argv.append(draw(st.sampled_from(choices + ("bogus",))))
-    if command == "verify":
-        argv += ["--only", draw(_QUICK_CHECKS)]
-    for name in draw(st.lists(st.sampled_from(sorted(options)), max_size=4, unique=True)):
+    command, action = draw(st.sampled_from(sorted(_GRAMMAR)))
+    options = {**_FOREIGN, **_siblings(command, action), **_GRAMMAR[command, action]}
+    argv = [command]
+    if action and draw(st.booleans()):
+        argv.append(draw(st.sampled_from([action, "bogus"])))
+    if command == "oeis-check" and draw(st.booleans()):
+        argv.append(draw(_IDS))
+    names = draw(st.lists(st.sampled_from(sorted(options)), max_size=4, unique=True))
+    if command == "verify" and "--only" not in names:
+        names.append("--only")  # else every quick check runs
+    for name in names:
         value = draw(options[name])
         argv += [name] if value is None else [name, value]
     where = draw(st.sampled_from(["none", "before", "after"]))
