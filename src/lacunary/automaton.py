@@ -160,7 +160,9 @@ class Dfao:
         digit a gather for the bits % 8 low digits, then 8, through the
         (256, n) table of the state each state reaches after each byte.
         That table is built only when it is no larger than the output, so
-        a large machine walked for few digits goes a digit at a time."""
+        a large machine walked for few digits goes a digit at a time.  The
+        last gather reads its table through out, so it yields the int8
+        outputs themselves and no array of 2^bits states is formed."""
         import numpy as np
 
         first = np.asarray(0 if start is None else start, dtype=np.int32)
@@ -168,14 +170,17 @@ class Dfao:
         arr = first.reshape(1, starts)           # arr[k, i]: k read from start i
         table = np.ascontiguousarray(self.step.T)  # table[x, s]: x read from s
         whole = bits // 8 if len(self) << 8 <= starts << bits else 0
-        for _ in range(bits - 8 * whole):
-            arr = table.take(arr, axis=1).reshape(2 * len(arr), starts)
+        tables = [table] * (bits - 8 * whole)
         if whole:
             for _ in range(3):  # 1 -> 2 -> 4 -> 8 digits: row x_lo + 2^d x_hi
                 table = table.take(table, axis=1).reshape(-1, len(self))
-            for _ in range(whole):
-                arr = table.take(arr, axis=1).reshape(256 * len(arr), starts)
-        return self.out.take(arr).T.reshape(first.shape + (1 << bits,))
+            tables += [table] * whole
+        if not tables:
+            return self.out.take(first).reshape(first.shape + (1,))
+        tables[-1] = self.out.take(tables[-1])
+        for table in tables:
+            arr = table.take(arr, axis=1).reshape(len(table) * len(arr), starts)
+        return arr.T.reshape(first.shape + (1 << bits,))
 
     def to_dot(self) -> str:
         """The machine in Graphviz DOT, its states and transitions laid out
@@ -664,7 +669,9 @@ class Relation:
         parts = []
         for i, c in enumerate(self.coeffs):
             if c:
-                terms = [("X^%d" % j if j else "1") for j in range(c.bit_length()) if (c >> j) & 1]
+                # bin(c) less its "0b", reversed: digit j is that of X^j
+                terms = [("X^%d" % j if j else "1")
+                         for j, digit in enumerate(bin(c)[:1:-1]) if digit == "1"]
                 parts.append("(" + " + ".join(terms) + f")*S^{2**i}")
         body = " + ".join(parts) if parts else "0"
         return f"{body} = 0  (mod X^{self.truncation})"
@@ -676,7 +683,11 @@ def find_algebraic_relation(seq, degree_bound: int, height_bound: int, truncatio
     given 0/1 coefficient prefix.  Returns a Relation or None.
 
     Candidate columns X^j * S^(2^i) are built from the nonzero positions of
-    the prefix, each multiplied by 2^i; the returned relation has passed
+    the prefix, each multiplied by 2^i, and reduced in turn against the
+    columns before them, each kept under its top bit, so a reduction step
+    is one xor.  The relation is the combination of the first column that
+    reduces to 0: the columns before it are independent, so that
+    combination is unique, whichever bit keys the pivots.  It has passed
     verify_relation, a separate code path, and one that fails it raises
     ArithmeticError.  A prefix whose support dies before N/2 is reported
     through the exact relation S^2 + P*S = 0 with P the polynomial itself,
@@ -720,11 +731,11 @@ def find_algebraic_relation(seq, degree_bound: int, height_bound: int, truncatio
             vec = (powers[i] << j) & window
             combo = 1 << (i * width + j)
             while vec:
-                low = vec & -vec
-                if low not in basis:
-                    basis[low] = (vec, combo)
+                top = vec.bit_length()
+                if top not in basis:
+                    basis[top] = (vec, combo)
                     break
-                bvec, bcombo = basis[low]
+                bvec, bcombo = basis[top]
                 vec ^= bvec
                 combo ^= bcombo
             if not vec:

@@ -302,15 +302,19 @@ def _build_options(p) -> None:
     p.add_argument("--omega", default="rat:1/3",
                    help=f"a shift orbit of at most {_cap_text(ORBIT_CAP)} numerators")
     p.add_argument("--tag", default="f", choices=("f", "g", "h", "signed"))
-    p.add_argument("--eps", default="period:0")
+    p.add_argument("--eps", default=None, help="--tag signed only (default period:0)")
     p.add_argument("--export", default=None, choices=("dot", "json"))
     p.add_argument("--minimize", action="store_true")
 
 
 def _cmd_build(args) -> int:
+    if args.tag != "signed" and args.eps is not None:
+        raise ValueError(f"--eps applies to --tag signed only, not --tag {args.tag}")
+    if args.export == "dot" and args.json:
+        raise ValueError("--export dot writes DOT, not JSON: drop --json or use --export json")
     w = parse_omega(args.omega)
     if args.tag == "signed":
-        d = signed_dfao(w, parse_epsilon_spec(args.eps))
+        d = signed_dfao(w, parse_epsilon_spec("period:0" if args.eps is None else args.eps))
     else:
         d = build_dfao(w, args.tag)
     if args.minimize:

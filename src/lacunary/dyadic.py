@@ -335,35 +335,47 @@ def kernel_value(w: Dyadic, k: int, tag: str) -> int:
 
 
 _BLOCK = 1 << 16   # k per numpy block of kernel_range
+_LANE = 32         # digits of a uint32 lane
+
+
+def _sweep_digits(k_max: int) -> int:
+    """Digits of the window of w that a kernel sweep to k_max reads: one
+    more than 2*k_max + 1 has, at most _LANE, so k_max < 2^30."""
+    length = (2 * k_max + 1).bit_length() + 1
+    if length > _LANE:
+        raise ValueError(f"kernel sweep to k = {k_max} needs a {length}-digit window; "
+                         f"uint32 holds {_LANE}")
+    return length
 
 
 def kernel_range(w: Dyadic, k_max: int, tag: str = "f") -> np.ndarray:
     """kernel_value(w, k, tag) for k in 0..k_max, as a numpy bool array.
 
-    One digit window of w, at most 64 digits, serves the whole sweep; the
-    test (2k+a) & ~(w+k+b) == 0 runs in uint64 over blocks of _BLOCK
-    values of k.  Wrap-around mod 2^64 keeps the low digits of w + k + b
-    exact, because carries only move upward, and 2k+a has no digit above
-    the window.  Each block forms 2k+a once and turns k into ~(w+k+b) in
-    place, so the sweep holds two uint64 arrays of a block each."""
+    One digit window of w, at most 32 digits, serves the whole sweep: the
+    test (2k+a) & (w+k+b) == 2k+a runs in uint32 lanes over blocks of
+    _BLOCK values of k, so k_max must be below 2^30 (a 1 GiB output).
+    Wrap-around mod 2^32 keeps the low digits of w + k + b exact, because
+    carries only move upward, and 2k+a has no digit above the window.
+    Each block is formed from one precomputed arange and 2*arange | a in
+    four in-place passes (add, add, and, equal), so the sweep holds four
+    uint32 arrays of a block each."""
     import numpy as np
 
     if k_max < 0:
         raise ValueError("negative range")
     a, b = _kernel_offsets(tag)
-    length = (2 * k_max + 1).bit_length() + 1
-    if length > 64:
-        raise ValueError(f"kernel sweep to k = {k_max} needs a {length}-digit window; "
-                         "uint64 holds 64")
-    shift = np.uint64(_window_plus(w, b, length))
+    shift = _window_plus(w, b, _sweep_digits(k_max))
+    ks = np.arange(min(_BLOCK, k_max + 1), dtype=np.uint32)
+    lows = ks << np.uint32(1) | np.uint32(a)
+    high, low = np.empty_like(ks), np.empty_like(ks)
     out = np.empty(k_max + 1, dtype=bool)
     for k0 in range(0, k_max + 1, _BLOCK):
-        ks = np.arange(k0, min(k0 + _BLOCK, k_max + 1), dtype=np.uint64)
-        low = ks << np.uint64(1) | np.uint64(a)
-        ks += shift
-        np.invert(ks, out=ks)
-        low &= ks
-        np.equal(low, 0, out=out[k0:k0 + len(ks)])
+        n = min(_BLOCK, k_max + 1 - k0)
+        hi, lo = high[:n], low[:n]
+        np.add(ks[:n], np.uint32((shift + k0) & 0xFFFFFFFF), out=hi)   # w + k + b
+        np.add(lows[:n], np.uint32(2 * k0), out=lo)                   # 2k + a
+        np.bitwise_and(hi, lo, out=hi)
+        np.equal(hi, lo, out=out[k0:k0 + n])
     return out
 
 

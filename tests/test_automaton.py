@@ -1,6 +1,8 @@
 """Digit automata for the coefficient streams and the algebraic certificate."""
 
 import json
+import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -576,6 +578,41 @@ class TestRelation:
             k += 1
         assert find_algebraic_relation(sq, 3, 16, 1024) is None
 
+    def test_top_bit_pivots_match_low_bit_elimination(self):
+        # random prefixes, found and not found: a random bit string, a
+        # random head before a short random block repeated (a rational S),
+        # and a sweep of a random rational omega (an automatic S)
+        rng = random.Random(40)
+        found = missed = 0
+        for _ in range(300):
+            deg, height = rng.randint(1, 3), rng.randint(0, 32)
+            n = 4 * (deg + 1) * (height + 1) + rng.randint(0, 200)
+            shape = rng.randrange(3)
+            if shape == 0:
+                seq = [rng.getrandbits(1) for _ in range(n)]
+            elif shape == 1:
+                head = [rng.getrandbits(1) for _ in range(rng.randint(0, 8))]
+                block = [rng.getrandbits(1) for _ in range(rng.randint(1, 9))]
+                seq = (head + block * n)[:n]
+            else:
+                w = _rat(rng.randint(-20, 20), rng.choice((3, 3, 5, 7)))
+                seq = kernel_range(w, n - 1, rng.choice("fgh")).tolist()
+            rel = find_algebraic_relation(seq, deg, height, n)
+            assert rel == _low_bit_relation(seq, deg, height, n), (seq, deg, height)
+            found += rel is not None and rel.kind == "generic"
+            missed += rel is None
+        assert found > 50 and missed > 50, (found, missed)
+
+    @given(st.lists(st.integers(0, (1 << 80) - 1), min_size=1, max_size=5))
+    def test_describe_lists_each_set_bit(self, coeffs):
+        def terms(c):
+            return " + ".join("X^%d" % j if j else "1"
+                              for j in range(c.bit_length()) if (c >> j) & 1)
+
+        parts = [f"({terms(c)})*S^{2 ** i}" for i, c in enumerate(coeffs) if c]
+        text = " + ".join(parts) if parts else "0"
+        assert Relation(tuple(coeffs), 99, "generic").describe() == f"{text} = 0  (mod X^99)"
+
     def test_margin_guard(self):
         seq = self._stream(64)
         with pytest.raises(ValueError, match="margin"):
@@ -586,6 +623,39 @@ class TestRelation:
     def test_truncation_beyond_prefix(self):
         with pytest.raises(ValueError):
             find_algebraic_relation(self._stream(100), 1, 1, 512)
+
+
+def _low_bit_relation(seq, degree_bound, height_bound, n):
+    """find_algebraic_relation as it pivoted on the lowest set bit, kept as
+    the oracle of the top-bit elimination: each step negates, ands, hashes
+    and xors a whole column; no verification."""
+    odd = np.asarray(seq[:n]) & 1
+    s_mask = int("".join(map(str, odd[::-1].tolist())), 2)
+    window = (1 << n) - 1
+    if s_mask.bit_length() <= n // 2:
+        return Relation((s_mask, 1) + (0,) * (degree_bound - 1), n, "polynomial-input")
+    support = np.flatnonzero(odd).tolist()
+    powers = [sum(1 << (k << i) for k in support if k << i < n)
+              for i in range(degree_bound + 1)]
+    width = height_bound + 1
+    basis = {}
+    for i in range(degree_bound + 1):
+        for j in range(width):
+            vec = (powers[i] << j) & window
+            combo = 1 << (i * width + j)
+            while vec:
+                low = vec & -vec
+                if low not in basis:
+                    basis[low] = (vec, combo)
+                    break
+                bvec, bcombo = basis[low]
+                vec ^= bvec
+                combo ^= bcombo
+            if not vec:
+                coeffs = tuple(combo >> (d * width) & ((1 << width) - 1)
+                               for d in range(degree_bound + 1))
+                return Relation(coeffs, n, "generic")
+    return None
 
 
 def _machine(labels, step, out, meta=None) -> Dfao:
@@ -959,6 +1029,19 @@ class TestEvaluateAll:
             for _ in range(b):
                 arr = np.concatenate([d0[arr], d1[arr]])
             assert np.array_equal(got, d.out[arr]), b
+
+    def test_outputs_are_gathered_last(self):
+        # the last gather reads the outputs of its table, so the one array
+        # of 2^20 entries formed is the int8 result: no int32 states
+        d = build_dfao(THIRD, "f")
+        tracemalloc.start()
+        try:
+            got = d.evaluate_all(20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.nbytes == 1 << 20
+        assert peak < 2 * got.nbytes, peak
 
     @pytest.mark.parametrize("bits", [0, 3, 8, 9, 16, 17])
     def test_start_shapes(self, bits):

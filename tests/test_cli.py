@@ -672,6 +672,30 @@ class TestAutomaton:
                          "--tag", "signed", "--eps", "period:1,0")
         assert rc == 0 and out.startswith("states:")
 
+    def test_signed_eps_defaults_to_period_0(self, capsys):
+        bare = run(capsys, "automaton", "build", "--omega", "rat:1/7", "--tag", "signed")
+        named = run(capsys, "automaton", "build", "--omega", "rat:1/7", "--tag", "signed",
+                    "--eps", "period:0")
+        assert bare == named and bare[0] == 0
+
+    @pytest.mark.parametrize("tag", [(), ("--tag", "f"), ("--tag", "g"), ("--tag", "h")],
+                             ids=["default", "f", "g", "h"])
+    @pytest.mark.parametrize("eps", ["period:0", "period:a"])
+    def test_kernel_tag_refuses_eps(self, capsys, tag, eps):
+        # a kernel automaton has no signs for --eps to set
+        name = tag[1] if tag else "f"
+        assert run(capsys, "automaton", "build", *tag, "--eps", eps) == (
+            2, "", f"error: --eps applies to --tag signed only, not --tag {name}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("automaton", "build", "--export", "dot", "--json"),
+        ("--json", "automaton", "--tag", "signed", "--export", "dot"),
+    ], ids=["after", "before"])
+    def test_dot_export_refuses_json(self, capsys, argv):
+        # DOT is not JSON, so --json cannot apply to it
+        assert run(capsys, *argv) == (
+            2, "", "error: --export dot writes DOT, not JSON: drop --json or use --export json\n")
+
     # SHA-256 of stdout for a signed automaton: the product of the f-kernel
     # machine with the sign trackers must keep its labels, BFS order and
     # minimized form byte for byte.
@@ -1589,6 +1613,8 @@ def _argv(draw):
 
 @settings(max_examples=150)
 @given(_argv())
+@example(["automaton", "build", "--tag", "f", "--eps", "period:a"])
+@example(["automaton", "build", "--export", "dot", "--json"])
 def test_every_argv_ends_in_an_exit_code(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

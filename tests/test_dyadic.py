@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from lacunary.dyadic import (
     Dyadic,
+    _sweep_digits,
     binom_parity_dyadic,
     digit_pair_period,
     halfsum_binom_halving,
@@ -248,10 +249,32 @@ class TestHalfsum:
                 for k in range(max(0, edge - 3), min(k_max, edge + 3) + 1):
                     assert flags[k] == kernel_value(w, k, tag), (tag, k)
 
-    @pytest.mark.parametrize("k_max", [1 << 62, 1 << 80])
-    def test_kernel_range_window_fits_uint64(self, k_max):
+    @pytest.mark.parametrize("w", [parse_omega("rat:-1/3"), parse_omega("int:-1"),
+                                   parse_omega("stream:thue-morse")])
+    def test_kernel_range_at_the_cli_cap(self, w):
+        # k_max = 2^24 - 1, the CLI's largest sweep, for omegas whose high
+        # window digits are all ones, so w + k + b carries through them:
+        # every block edge and the last 64 k
+        k_max = (1 << 24) - 1
+        ks = sorted({k for edge in range(1 << 16, k_max + 1, 1 << 16) for k in (edge - 1, edge)}
+                    | set(range(k_max - 63, k_max + 1)) | {0})
+        for tag in ("f", "g", "h"):
+            flags = kernel_range(w, k_max, tag)
+            assert len(flags) == k_max + 1
+            assert [int(flags[k]) for k in ks] == [kernel_value(w, k, tag) for k in ks], tag
+
+    def test_kernel_sweep_window_digits(self):
+        # 2k + 1 and one digit more: the CLI cap 2^24 needs 27 digits, and
+        # the last k of a 32-digit uint32 window is 2^30 - 1
+        assert _sweep_digits(0) == 2
+        assert _sweep_digits(1 << 24) == 27
+        assert _sweep_digits((1 << 30) - 1) == 32
+
+    @pytest.mark.parametrize("k_max", [1 << 30, 1 << 62, 1 << 80])
+    def test_kernel_range_window_fits_uint32(self, k_max):
         # refused before anything is allocated
-        with pytest.raises(ValueError, match="uint64 holds 64"):
+        length = (2 * k_max + 1).bit_length() + 1
+        with pytest.raises(ValueError, match=f"needs a {length}-digit window; uint32 holds 32"):
             kernel_range(Dyadic.from_int(3), k_max)
 
     @given(st.integers(-400, 400), odd, st.integers(0, 80))

@@ -104,6 +104,10 @@ ROWS = [
     Row("automaton-signed-1e6",
         ("automaton", "build", "--omega", "rat:1/1000003", "--tag", "signed",
          "--eps", "period:0,1"), 10, peak_mb=500),
+    # Automaton verify gathers int8 outputs, no int32 state per k, beside a
+    # sweep in uint32 lanes (2^24 k for each of three tags).
+    Row("automaton-verify-2^24",
+        ("automaton", "verify", "--omega", "rat:-5/7", "--upto", "16777216"), 10, peak_mb=150),
     # Automaton verify costs --upto, not the period (1,000,003 numerators).
     Row("automaton-verify-1e6",
         ("automaton", "verify", "--omega", "rat:1/1000003", "--upto", "16"), 10, peak_mb=100),
@@ -124,6 +128,11 @@ ROWS = [
     # The A-number sum is reduced already, so it takes no gcd (2^20 terms of rat:1/3).
     Row("anumber-1/3-2^20", ("qseries", "anumber", "--omega", "rat:1/3", "--terms", "1048576"),
         10),
+    # A reduction step of the relation search is one xor: pivots are keyed by
+    # their top bit (2^20 terms of the Thue-Morse stream; no relation).
+    Row("algrel-thue-morse-2^20",
+        ("automaton", "algrel", "--omega", "stream:thue-morse", "--trunc", "1048576"), 10,
+        peak_mb=90, exit=1),
     # Relation search costs its truncation, not its square (2^20 terms of Q_{1/3}).
     Row("algrel-1/3-2^20", ("automaton", "algrel", "--omega", "rat:1/3", "--trunc", "1048576"),
         60),
